@@ -92,6 +92,8 @@ def validate_config(cfg: dict) -> dict:
         raise ValidationError("InvalidParams", f"unknown quotient mode {cfg['quotient_mode']!r}")
     for key in ("shrink_factor", "enlargement_factor", "tolerance"):
         v = cfg[key]
+        if isinstance(v, float) and not np.isfinite(v):
+            raise ValidationError("NonFinite", f"{key} must be finite", v)
         if not isinstance(v, (int, float)) or v <= 0:
             raise ValidationError("InvalidParams", f"{key} must be a positive number")
     if not isinstance(cfg["workers"], int) or cfg["workers"] < 1:

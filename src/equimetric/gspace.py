@@ -184,24 +184,43 @@ def group_from_permutations(perms, generator_names=None) -> tuple:
 
 
 def _check_metric_table(table: np.ndarray, tol: float, code: str = "NotAMetric"):
+    """Raise on the first metric-axiom violation.
+
+    Non-finite entries are rejected first (every comparison with NaN is
+    false, so they would pass the axioms silently). The axioms are then
+    scanned one row at a time in the scalar order: per row i the diagonal,
+    then per j the negative, asymmetric and zero tests; the triangle
+    inequality last, row-major over (i, j, k). Extra memory is O(n^2).
+    """
     n = table.shape[0]
     if table.shape != (n, n):
         raise ValidationError(code, "metric table must be square")
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        raise ValidationError("NonFinite", "non-finite distance", tuple(int(v) for v in bad[0]))
     for i in range(n):
         if abs(table[i, i]) > tol:
             raise ValidationError(code, "nonzero diagonal", i)
-        for j in range(n):
-            if table[i, j] < -tol:
+        row = table[i]
+        negative = row < -tol
+        asymmetric = np.abs(row - table[:, i]) > tol
+        zero = row <= tol
+        zero[i] = False
+        hits = np.flatnonzero(negative | asymmetric | zero)
+        if len(hits):
+            j = int(hits[0])
+            if negative[j]:
                 raise ValidationError(code, "negative distance", (i, j))
-            if abs(table[i, j] - table[j, i]) > tol:
+            if asymmetric[j]:
                 raise ValidationError(code, "asymmetric", (i, j))
-            if i != j and table[i, j] <= tol:
-                raise ValidationError(code, "zero distance between distinct points", (i, j))
+            raise ValidationError(code, "zero distance between distinct points", (i, j))
+    # row i: t[i, j] > t[i, k] + t[k, j] + tol over (j, k), same additions
+    # in the same order as the scalar test
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[i, j] > table[i, k] + table[k, j] + tol:
-                    raise ValidationError(code, "triangle inequality fails", (i, j, k))
+        hits = np.argwhere(table[i][:, None] > table[i][None, :] + table.T + tol)
+        if len(hits):
+            j, k = (int(v) for v in hits[0])
+            raise ValidationError(code, "triangle inequality fails", (i, j, k))
 
 
 @dataclass(frozen=True)

@@ -58,12 +58,13 @@ class GroupMetric:
 
 
 def _check_left_invariance(group: FiniteGroup, table: np.ndarray):
-    mul = group.mul
+    """Raise on the first (k, g, h), row-major, with d(kg, kh) != d(g, h)."""
     for k in range(group.order):
-        for g in range(group.order):
-            for h in range(group.order):
-                if table[mul[k][g], mul[k][h]] != table[g, h]:
-                    raise ValidationError("NotLeftInvariant", "left invariance fails", (k, g, h))
+        left = np.asarray(group.mul[k])
+        hits = np.argwhere(table[np.ix_(left, left)] != table)
+        if len(hits):
+            g, h = (int(v) for v in hits[0])
+            raise ValidationError("NotLeftInvariant", "left invariance fails", (k, g, h))
 
 
 def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,

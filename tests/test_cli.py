@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from equimetric.cli import main
+from equimetric import ValidationError
+from equimetric.cli import load_config, main
 
 
 def write_config(path, **overrides):
@@ -72,6 +73,16 @@ def test_exit_1_on_bad_config(tmp_path):
     bad.write_text("not json")
     assert main(["run", "--config", str(bad)]) == 1
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize("key", ["tolerance", "shrink_factor", "enlargement_factor"])
+def test_non_finite_config_number_rejected(tmp_path, capsys, key):
+    cfg = write_config(tmp_path / "cfg.json", **{key: float("nan")})
+    with pytest.raises(ValidationError) as exc:
+        load_config(cfg)
+    assert exc.value.code == "NonFinite"
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"NonFinite: {key} must be finite" in capsys.readouterr().err
 
 
 def test_mode_and_scale_overrides(tmp_path, capsys):

@@ -94,6 +94,13 @@ class TestBuildSpace:
             build_space([[0.0, 5.0, 1.0], [5.0, 0.0, 1.0], [1.0, 1.0, 0.0]], [])
         assert exc.value.code == "NotAMetric"  # triangle violation
 
+    def test_non_finite_entry_rejected(self):
+        table = [[0.0, 1.0, 2.0], [1.0, 0.0, float("nan")], [2.0, float("nan"), 0.0]]
+        with pytest.raises(ValidationError) as exc:
+            build_space(table, [])
+        assert exc.value.code == "NonFinite"
+        assert exc.value.witness == (1, 2)
+
     def test_components(self):
         assert graph_components(5, {(0, 1), (3, 4)}) == [[0, 1], [2], [3, 4]]
         assert graph_components(5, {(0, 1), (3, 4)}, subset={0, 1, 3}) == [[0, 1], [3]]

@@ -38,6 +38,14 @@ class TestGroupMetric:
             group_metric(g, "explicit", table=bad)
         assert exc.value.code == "NotLeftInvariant"
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_non_finite_discrete_scale_rejected(self, scale):
+        g = build_group(cyclic_table(3))
+        with pytest.raises(ValidationError) as exc:
+            group_metric(g, "discrete", scale=scale)
+        assert exc.value.code == "NonFinite"
+        assert exc.value.witness == (0, 1)
+
     def test_group_ball_is_open(self):
         g = build_group(cyclic_table(3))
         d = group_metric(g, "discrete", scale=1.0)
