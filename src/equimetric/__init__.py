@@ -7,7 +7,6 @@ to an invariant metric on the sample — then verifies every property of the
 construction exhaustively.
 """
 
-from ._kernels import BACKEND
 from .errors import InvalidParams, ValidationError
 from .gspace import (
     FiniteGroup,
@@ -49,6 +48,10 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# The shortest-path kernel is numpy only; the name stays for callers that
+# record it.
+BACKEND = "python"
 
 __all__ = [
     "ADVISORY",

@@ -12,7 +12,7 @@ construction-time validation failure).
 
 Output files (all floats at 9 significant digits, "inf"/"nan" literals,
 rows/columns in point-index order, so identical configs produce
-byte-identical files regardless of parallelism):
+byte-identical files):
   rho.csv       lifted metric table, header row of point labels
   quotient.csv  quotient metric table (header of orbit labels) followed by
                 the orbit map (header of point labels, one row of orbit ids)
@@ -90,13 +90,15 @@ def validate_config(cfg: dict) -> dict:
         raise ValidationError("InvalidParams", "group_metric must be an object with a 'kind'")
     if cfg["quotient_mode"] not in ("graph", "isometric", "explicit"):
         raise ValidationError("InvalidParams", f"unknown quotient mode {cfg['quotient_mode']!r}")
+    # bool is an int subclass: a JSON true would otherwise read as 1.
     for key in ("shrink_factor", "enlargement_factor", "tolerance"):
         v = cfg[key]
         if isinstance(v, float) and not np.isfinite(v):
             raise ValidationError("NonFinite", f"{key} must be finite", v)
-        if not isinstance(v, (int, float)) or v <= 0:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
             raise ValidationError("InvalidParams", f"{key} must be a positive number")
-    if not isinstance(cfg["workers"], int) or cfg["workers"] < 1:
+    # Accepted so existing configs keep working; it has no effect.
+    if isinstance(cfg["workers"], bool) or not isinstance(cfg["workers"], int) or cfg["workers"] < 1:
         raise ValidationError("InvalidParams", "workers must be a positive integer")
     return cfg
 
@@ -109,7 +111,6 @@ def run_pipeline(cfg: dict) -> dict:
     """Run the full construction. Returns a result dict with the combined
     report, all intermediate objects, and the exit code."""
     tol = float(cfg["tolerance"])
-    workers = int(cfg["workers"])
     mode = cfg["mode"]
     sc = cfg["scenario"]
 
@@ -117,7 +118,7 @@ def run_pipeline(cfg: dict) -> dict:
     orbits = compute_orbits(gspace)
     qtable = _load_table(cfg["quotient_table"]) if cfg["quotient_mode"] == "explicit" else None
     quotient = quotient_metric(gspace, orbits, mode=cfg["quotient_mode"],
-                               table=qtable, tol=tol, workers=workers)
+                               table=qtable, tol=tol)
 
     family = build_slice_family(gspace, quotient, shrink_factor=float(cfg["shrink_factor"]))
 
@@ -143,7 +144,7 @@ def run_pipeline(cfg: dict) -> dict:
         gspace, quotient, family=family, d_O=d_O, mode=mode,
         enlargement_factor=float(cfg["enlargement_factor"]), tol=tol,
     )
-    lifted = lift_metric(graph, workers=workers, tol=tol)
+    lifted = lift_metric(graph, tol=tol)
 
     region = None
     if sc["name"] == "shift":
@@ -242,7 +243,7 @@ def _add_override_flags(p):
     p.add_argument("--scale", type=float, help="discrete group-metric scale")
     p.add_argument("--tolerance", type=float)
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--workers", type=int, help="shortest-path parallelism")
+    p.add_argument("--workers", type=int, help="accepted for old configs; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:

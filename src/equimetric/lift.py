@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import apsp
+from .spath import apsp
 from .errors import ValidationError
 from .gspace import SampledGSpace, graph_components
 from .orbital import OrbitalMetric
@@ -212,10 +212,10 @@ def _witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) ->
 
 
 def lift_metric(graph: AllowabilityGraph, n_points: int = None,
-                workers: int = 1, tol: float = 1e-9) -> LiftedMetric:
+                tol: float = 1e-9) -> LiftedMetric:
     n = n_points if n_points is not None else graph.n_points
     w = graph.weight_matrix()
-    rho = apsp(w, workers=workers)
+    rho = apsp(w)
     rho.setflags(write=False)
 
     finite_edges = {(u, v) for u, v, _, _ in graph.edges}

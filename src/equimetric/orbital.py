@@ -123,6 +123,7 @@ def coset_distance(d_G: GroupMetric, subgroup, g1: int, g2: int, debug: bool = F
 
     Uses the single-loop form min over u in K of d(g1, g2 u) when d_G is
     right K-invariant; debug mode computes both forms and asserts agreement.
+    The two-sided O(|K|^2) form is computed only when it is needed.
     """
     group = d_G.group
     K = tuple(subgroup)
@@ -130,10 +131,14 @@ def coset_distance(d_G: GroupMetric, subgroup, g1: int, g2: int, debug: bool = F
         raise ValidationError("NotASubgroup", "coset distance requires a subgroup", K)
     mul = group.mul
     t = d_G.table
-    two_sided = min(float(t[mul[g1][u], mul[g2][v]]) for u in K for v in K)
-    if d_G.right_invariant_for(K):
+    right_invariant = d_G.right_invariant_for(K)
+    if right_invariant:
         one_sided = min(float(t[g1, mul[g2][u]]) for u in K)
-        if debug and one_sided != two_sided:
+        if not debug:
+            return one_sided
+    two_sided = min(float(t[mul[g1][u], mul[g2][v]]) for u in K for v in K)
+    if right_invariant:
+        if one_sided != two_sided:
             raise AssertionError(f"coset distance forms disagree: {one_sided} != {two_sided}")
         return one_sided
     return two_sided

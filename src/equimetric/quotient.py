@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import apsp
+from .spath import apsp
 from .errors import ValidationError
 from .gspace import SampledGSpace, _check_metric_table
 
@@ -107,7 +107,6 @@ def quotient_metric(
     mode: str = "graph",
     table=None,
     tol: float = 1e-9,
-    workers: int = 1,
 ) -> Quotient:
     """Attach a metric to the orbit space.
 
@@ -146,7 +145,7 @@ def quotient_metric(
         for p, q in sorted(orbits.quotient_adjacency):
             v = _min_over_lifts(gspace, orbits.orbit_members[p], orbits.orbit_members[q])
             w[p, q] = w[q, p] = v
-        d = apsp(w, workers=workers)
+        d = apsp(w)
         if np.isinf(d).any():
             p, q = map(int, np.argwhere(np.isinf(d))[0])
             raise ValidationError("DisconnectedQuotient", "quotient adjacency is not connected", (p, q))

@@ -1,0 +1,39 @@
+"""All-pairs shortest paths over a dense weight matrix.
+
+Dense Dijkstra (Dijkstra 1959), run from every source at once: row s of the
+distance table is the search from source s. On each step every row picks its
+unvisited vertex of least tentative distance, ties going to the lowest index
+(``argmin``), and relaxes all edges out of it with ``dist[u] + w[u, v]``.
+These are the float additions and the tie rule of a per-source scalar
+Dijkstra, so the table is bitwise equal to it (`tests/oracles.py` keeps that
+scalar form as the reference).
+
+Precondition: every weight is nonnegative, or ``inf`` where there is no
+edge; no NaN. With a negative weight the result is not a shortest-path
+table.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def apsp(weights: np.ndarray) -> np.ndarray:
+    """Shortest-path distances between all vertex pairs; ``inf`` where no
+    path exists."""
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    n = w.shape[0]
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    done = np.zeros((n, n), dtype=bool)
+    rows = np.arange(n)
+    for _ in range(n):
+        masked = np.where(done, np.inf, dist)
+        u = masked.argmin(axis=1)
+        du = masked[rows, u]
+        done[rows, u] = True
+        # A row whose reachable vertices are all visited has du = inf, so
+        # its candidates are all inf and the minimum leaves it unchanged.
+        # A visited v keeps dist[v], since du + w >= du >= dist[v].
+        np.minimum(dist, du[:, None] + w[u], out=dist)
+    return dist

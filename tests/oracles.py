@@ -1,10 +1,12 @@
 """Independent reference implementations used only to cross-check results.
 
 Deliberately written with different algorithms than the library (Floyd-
-Warshall and exhaustive simple-chain enumeration vs. per-source Dijkstra;
+Warshall and exhaustive simple-chain enumeration vs. all-sources Dijkstra;
 scalar loops and rebuilt frozensets vs. row-vectorised checks and the
 ball-prefix index).
 """
+
+import math
 
 import numpy as np
 
@@ -24,6 +26,45 @@ def floyd_warshall(weights: np.ndarray) -> np.ndarray:
                 if alt < d[i, j]:
                     d[i, j] = alt
     return d
+
+
+def dijkstra(weights: np.ndarray, source: int) -> np.ndarray:
+    """Scalar single-source Dijkstra over a dense weight matrix, the bitwise
+    reference for `equimetric.spath.apsp`: the next vertex is the unvisited
+    one of least tentative distance, ties broken by smallest index, and
+    relaxation sums are ``dist[u] + w[u, v]`` in ascending v order."""
+    n = weights.shape[0]
+    dist = [math.inf] * n
+    done = [False] * n
+    dist[source] = 0.0
+    for _ in range(n):
+        u = -1
+        best = math.inf
+        for v in range(n):
+            if not done[v] and dist[v] < best:
+                best = dist[v]
+                u = v
+        if u < 0:
+            break
+        done[u] = True
+        row = weights[u]
+        du = dist[u]
+        for v in range(n):
+            wv = row[v]
+            if wv != math.inf and not done[v]:
+                cand = du + wv
+                if cand < dist[v]:
+                    dist[v] = cand
+    return np.array(dist, dtype=np.float64)
+
+
+def spath_py(weights: np.ndarray) -> np.ndarray:
+    """All-pairs table whose row s is ``dijkstra(weights, s)``."""
+    n = weights.shape[0]
+    out = np.empty((n, n), dtype=np.float64)
+    for s in range(n):
+        out[s] = dijkstra(weights, s)
+    return out
 
 
 def cheapest_simple_chain(weights: np.ndarray, start: int, goal: int) -> float:

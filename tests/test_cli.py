@@ -85,6 +85,18 @@ def test_non_finite_config_number_rejected(tmp_path, capsys, key):
     assert f"NonFinite: {key} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tolerance", "shrink_factor", "enlargement_factor", "workers"])
+def test_boolean_config_number_rejected(tmp_path, capsys, key):
+    # JSON true is a Python bool, an int subclass that would read as 1.
+    cfg = write_config(tmp_path / "cfg.json", **{key: True})
+    with pytest.raises(ValidationError) as exc:
+        load_config(cfg)
+    assert exc.value.code == "InvalidParams"
+    assert key in str(exc.value)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"InvalidParams: {key} must be a positive" in capsys.readouterr().err
+
+
 def test_mode_and_scale_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", mode="cover")
     out = tmp_path / "out"
