@@ -24,6 +24,7 @@ byte-identical files):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,8 +89,19 @@ def validate_config(cfg: dict) -> dict:
     gm = cfg["group_metric"]
     if not isinstance(gm, dict) or set(gm) - _GM_KEYS or "kind" not in gm:
         raise ValidationError("InvalidParams", "group_metric must be an object with a 'kind'")
+    scale = gm.get("scale", 1.0)
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)):
+        raise ValidationError("InvalidParams", "group_metric scale must be a number", scale)
+    if gm.get("generators") is not None and not isinstance(gm["generators"], list):
+        raise ValidationError("InvalidParams", "group_metric generators must be a list", gm["generators"])
+    if gm.get("path") is not None and not isinstance(gm["path"], str):
+        raise ValidationError("InvalidParams", "group_metric path must be a string", gm["path"])
     if cfg["quotient_mode"] not in ("graph", "isometric", "explicit"):
         raise ValidationError("InvalidParams", f"unknown quotient mode {cfg['quotient_mode']!r}")
+    if cfg["quotient_mode"] == "explicit" and not isinstance(cfg.get("quotient_table"), str):
+        raise ValidationError("InvalidParams", "explicit quotient mode requires a 'quotient_table' path")
+    if not isinstance(cfg["output_dir"], str):
+        raise ValidationError("InvalidParams", "output_dir must be a string", cfg["output_dir"])
     # bool is an int subclass: a JSON true would otherwise read as 1.
     for key in ("shrink_factor", "enlargement_factor", "tolerance"):
         v = cfg[key]
@@ -320,8 +332,13 @@ def cmd_verify(args) -> int:
     return result["exit_code"]
 
 
+# Built on the first call, not at import: the parser does not depend on the
+# call, and `import equimetric.cli` stays cheap.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)

@@ -230,22 +230,6 @@ class SampledSpace:
     edges: frozenset  # undirected, stored as (u, v) with u < v
     labels: tuple = None
 
-    def neighbors(self, u: int) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return sorted(out)
-
-    def adjacency_lists(self) -> list:
-        adj = [[] for _ in range(self.n_points)]
-        for a, b in sorted(self.edges):
-            adj[a].append(b)
-            adj[b].append(a)
-        return [sorted(x) for x in adj]
-
 
 def build_space(base_metric, edges, labels=None, tol: float = 1e-9) -> SampledSpace:
     """Validate base metric axioms (exhaustively) and the edge set."""

@@ -211,9 +211,8 @@ def _witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) ->
     return tuple(path)
 
 
-def lift_metric(graph: AllowabilityGraph, n_points: int = None,
-                tol: float = 1e-9) -> LiftedMetric:
-    n = n_points if n_points is not None else graph.n_points
+def lift_metric(graph: AllowabilityGraph, tol: float = 1e-9) -> LiftedMetric:
+    n = graph.n_points
     w = graph.weight_matrix()
     rho = apsp(w)
     rho.setflags(write=False)

@@ -10,6 +10,7 @@ weights on the orbit space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -84,6 +85,9 @@ def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,
         gens = list(generators if generators is not None else (group.generators or []))
         if not gens:
             raise ValidationError("InvalidParams", "word metric requires generators")
+        bad = [g for g in gens if isinstance(g, bool) or not isinstance(g, Integral) or not 0 <= g < n]
+        if bad:
+            raise ValidationError("InvalidParams", "generators must be group element indices", bad[0])
         if any(group.inv[g] not in gens for g in gens):
             raise ValidationError("GeneratorsNotInverseClosed", "generating set must be closed under inverses")
         # BFS word lengths from the identity; d(g, h) = |g^-1 h|

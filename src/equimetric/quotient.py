@@ -22,9 +22,6 @@ class Quotient:
     quotient_adjacency: frozenset  # edges on orbit indices, (a, b) with a < b
     d: Optional[np.ndarray] = None  # n_orbits x n_orbits metric table
 
-    def project(self, x: int) -> int:
-        return self.orbit_of[x]
-
     def dist(self, x: int, y: int) -> float:
         """Quotient distance between the orbits of two points."""
         return float(self.d[self.orbit_of[x], self.orbit_of[y]])

@@ -18,6 +18,7 @@ shift(m, h, N)    2m+1 line points at spacing h; integer shifts truncated to
 from __future__ import annotations
 
 import math
+from numbers import Integral, Real
 
 from .errors import ValidationError
 from .gspace import SampledGSpace, bind_action, build_group, build_space, group_from_permutations
@@ -145,6 +146,7 @@ _BUILDERS = {
     "disk": (disk, ("g",)),
     "shift": (shift, ("m", "h", "N")),
 }
+_REAL_PARAMS = frozenset({"h"})  # every other parameter is an integer
 
 
 def scenario_names() -> tuple:
@@ -157,9 +159,22 @@ def scenario_params(name: str) -> tuple:
     return _BUILDERS[name][1]
 
 
+def _check_param(name: str, key: str, value) -> None:
+    # bool is an int subclass: a JSON true would otherwise read as 1.
+    if key in _REAL_PARAMS:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValidationError("InvalidParams", f"parameter {key!r} of scenario {name!r} must be a number", value)
+        if not math.isfinite(value):
+            raise ValidationError("NonFinite", f"parameter {key!r} of scenario {name!r} must be finite", value)
+    elif isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError("InvalidParams", f"parameter {key!r} of scenario {name!r} must be an integer", value)
+
+
 def generate_scenario(name: str, params: dict) -> SampledGSpace:
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise ValidationError("InvalidParams", f"unknown scenario {name!r}")
+    if not isinstance(params, dict):
+        raise ValidationError("InvalidParams", f"parameters of scenario {name!r} must be an object")
     fn, wanted = _BUILDERS[name]
     extra = sorted(set(params) - set(wanted))
     if extra:
@@ -167,4 +182,6 @@ def generate_scenario(name: str, params: dict) -> SampledGSpace:
     missing = [w for w in wanted if w not in params]
     if missing:
         raise ValidationError("InvalidParams", f"scenario {name!r} requires parameter {missing[0]!r}")
+    for w in wanted:
+        _check_param(name, w, params[w])
     return fn(**{w: params[w] for w in wanted})

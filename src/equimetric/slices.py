@@ -6,11 +6,16 @@ forces this), chosen by a descending scan over realized quotient distances
 and shrunk jointly until every family condition holds. If no ball radius
 works for an orbit the slices degenerate to singletons, which satisfy every
 condition vacuously.
+
+The builder and the verifier share one scan per condition: the builder
+shrinks on the first hit of the per-orbit scans (orbit meet, translate
+overlap) and of the condition (ii) scan, the verifier reports every hit.
+Openness (*) holds by construction, so only the verifier scans for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .gspace import SampledGSpace, graph_components
@@ -26,13 +31,11 @@ class SliceFamily:
     degenerate: bool  # every slice is a singleton
 
 
-def value_grid(values, include_midpoints: bool = True) -> list:
-    """Sorted distinct positive values, optionally with midpoints between
+def value_grid(values) -> list:
+    """Sorted distinct positive values with the midpoints between
     consecutive entries. Ball contents over a finite set only change at
     realized values, so this grid is exhaustive for open-ball statements."""
     vals = sorted({float(v) for v in values if v > 0})
-    if not include_midpoints or len(vals) < 2:
-        return vals
     out = []
     for i, v in enumerate(vals):
         out.append(v)
@@ -50,33 +53,41 @@ def _candidate_radii(quotient: Quotient, orbit: int) -> list:
     return [top] + list(reversed(grid))
 
 
-def _slice_at(gspace, quotient, x, radius):
-    ball = quotient.ball(quotient.orbit_of[x], radius)
-    pre = quotient.preimage(ball)
-    for comp in graph_components(gspace.n_points, gspace.space.edges, pre):
-        if x in comp:
-            return frozenset(comp)
-    return frozenset([x])
-
-
 def _orbit_slices(gspace, quotient, orbit, radius):
-    return {x: _slice_at(gspace, quotient, x, radius) for x in quotient.orbit_members[orbit]}
+    """S_x for every x on the orbit: the component of x in the graph on the
+    preimage of the open quotient ball of this radius around the orbit."""
+    pre = quotient.preimage(quotient.ball(orbit, radius))
+    comp_of = {}
+    for comp in graph_components(gspace.n_points, gspace.space.edges, pre):
+        comp = frozenset(comp)
+        for p in comp:
+            comp_of[p] = comp
+    return {x: comp_of[x] for x in quotient.orbit_members[orbit]}
 
 
-def _per_orbit_violation(gspace, quotient, orbit, slices):
-    """First violation of (a) slice meets its orbit only at the center, or
-    (b) a translate overlaps the slice for g outside the stabilizer."""
-    members = set(quotient.orbit_members[orbit])
-    for x in quotient.orbit_members[orbit]:
-        s = slices[x]
-        inter = sorted(s & members)
-        if inter != [x]:
-            return ("slice_meets_orbit", (x, [p for p in inter if p != x][0]))
-        for g in range(gspace.group.order):
-            if gspace.translate_set(g, s) & s:
-                if gspace.apply(g, x) != x:
-                    return ("translate_overlap", (x, g))
-    return None
+def _orbit_meet(quotient, x, s):
+    """Least point of s other than x on the orbit of x, or None."""
+    members = quotient.orbit_members[quotient.orbit_of[x]]
+    return next((p for p in members if p != x and p in s), None)
+
+
+def _translate_overlaps(gspace, x, s):
+    """Each g, ascending, with g.s meeting s and g.x != x (or undefined)."""
+    for g in range(gspace.group.order):
+        if gspace.apply(g, x) != x and gspace.translate_set(g, s) & s:
+            yield g
+
+
+def _condition_ii_violations(gspace, slice_of):
+    """Each (x, y, g) with y in S_x, g.x defined and != x, and S_y meeting
+    S_{g.x}; x ascending, then y, then g."""
+    for x in range(gspace.n_points):
+        for y in sorted(slice_of[x]):
+            sy = slice_of[y]
+            for g in range(gspace.group.order):
+                gx = gspace.apply(g, x)
+                if gx is not None and gx != x and sy & slice_of[gx]:
+                    yield (x, y, g)
 
 
 def _quotient_diameter(quotient, pts):
@@ -115,13 +126,23 @@ def build_slice_family(
     # candidate stacks per orbit; index points at the radius currently in use
     cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
 
+    def per_orbit_violation(slices):
+        for x, s in slices.items():
+            p = _orbit_meet(quotient, x, s)
+            if p is not None:
+                return ("slice_meets_orbit", (x, p))
+            g = next(_translate_overlaps(gspace, x, s), None)
+            if g is not None:
+                return ("translate_overlap", (x, g))
+        return None
+
     def settle(orbit, start_idx):
         """Largest candidate from start_idx on passing the per-orbit checks.
         Returns (radius, slices, next_idx); falls back to singletons."""
         for i in range(start_idx, len(cands[orbit])):
             r = cands[orbit][i]
             slices = _orbit_slices(gspace, quotient, orbit, r)
-            viol = _per_orbit_violation(gspace, quotient, orbit, slices)
+            viol = per_orbit_violation(slices)
             if viol is None:
                 return r, slices, i
             log.append({"orbit": orbit, "radius": r, "condition": viol[0], "witness": viol[1]})
@@ -137,35 +158,18 @@ def build_slice_family(
         radii[o], idx[o] = r, i
         slice_of.update(slices)
 
-    def joint_violation():
-        """First violation of family condition (ii) or of openness (*), with
-        the pair of orbits involved. Scan order is fixed for determinism."""
-        for x in range(gspace.n_points):
-            sx = slice_of[x]
-            for y in sorted(sx):
-                sy = slice_of[y]
-                for g in range(gspace.group.order):
-                    gx = gspace.apply(g, x)
-                    if gx is None:
-                        continue
-                    if (sy & slice_of[gx]) and gx != x:
-                        return ("family_condition_ii", (x, y, g), x, y)
-                # (*): the overlap with S_y must be a union of components of
-                # S_y cut to the preimage of x's ball
-                ball = quotient.ball(quotient.orbit_of[x], radii[quotient.orbit_of[x]])
-                cut = sorted(sy & quotient.preimage(ball))
-                inter = sx & sy
-                for comp in graph_components(gspace.n_points, gspace.space.edges, cut):
-                    hit = inter & set(comp)
-                    if hit and hit != frozenset(comp):
-                        return ("openness", (x, y, tuple(comp)), x, y)
-        return None
-
+    # Only condition (ii) is scanned jointly; openness (*) cannot fail here.
+    # settle always sets slice_of and radii together for a whole orbit, so
+    # S_x is either the component of x in the graph on
+    # P_x = p^-1(B(p(x), r_p(x))), or {x} at the singleton fallback. Take y
+    # in S_x. Every component C of S_y & P_x is connected inside P_x, so C is
+    # a subset of S_x or disjoint from it. In the fallback case, y = x and
+    # the cut is {x}.
     while True:
-        viol = joint_violation()
+        viol = next(_condition_ii_violations(gspace, slice_of), None)
         if viol is None:
             break
-        cond, witness, x, y = viol
+        x, y, _ = viol
         ox, oy = quotient.orbit_of[x], quotient.orbit_of[y]
         if ox == oy:
             target = ox
@@ -178,11 +182,13 @@ def build_slice_family(
                 target = oy
             else:
                 target = ox if quotient.representative[ox] < quotient.representative[oy] else oy
-        log.append({"orbit": target, "radius": radii[target], "condition": cond, "witness": witness})
+        log.append({"orbit": target, "radius": radii[target], "condition": "family_condition_ii",
+                    "witness": viol})
         if idx[target] >= len(cands[target]):
             # already at the singleton fallback; shrink the other orbit
             target = oy if target == ox else ox
-            log.append({"orbit": target, "radius": radii[target], "condition": cond, "witness": witness})
+            log.append({"orbit": target, "radius": radii[target], "condition": "family_condition_ii",
+                        "witness": viol})
         r, slices, i = settle(target, idx[target] + 1)
         radii[target], idx[target] = r, i
         slice_of.update(slices)
@@ -214,16 +220,11 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     rep = Report()
     slice_of = family.slice_of
     n = gspace.n_points
-    order = gspace.group.order
 
     v = [(x,) for x in range(n) if x not in slice_of[x]]
     rep.add("slice_contains_center", FAIL if v else PASS, v)
 
-    v = []
-    for x in range(n):
-        for g in range(order):
-            if gspace.translate_set(g, slice_of[x]) & slice_of[x] and gspace.apply(g, x) != x:
-                v.append((x, g))
+    v = [(x, g) for x in range(n) for g in _translate_overlaps(gspace, x, slice_of[x])]
     rep.add("slice_translate_overlap", FAIL if v else PASS, v)
 
     v = []
@@ -241,21 +242,11 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
                 v.append((x, g))
     rep.add("family_equivariance", FAIL if v else PASS, v)
 
-    v = []
-    for x in range(n):
-        members = set(quotient.orbit_members[quotient.orbit_of[x]])
-        extra = sorted((slice_of[x] & members) - {x})
-        if extra:
-            v.append((x, extra[0]))
+    meets = ((x, _orbit_meet(quotient, x, slice_of[x])) for x in range(n))
+    v = [(x, p) for x, p in meets if p is not None]
     rep.add("slice_meets_orbit_once", FAIL if v else PASS, v)
 
-    v = []
-    for x in range(n):
-        for y in sorted(slice_of[x]):
-            for g in range(order):
-                gx = gspace.apply(g, x)
-                if gx is not None and (slice_of[y] & slice_of[gx]) and gx != x:
-                    v.append((x, y, g))
+    v = list(_condition_ii_violations(gspace, slice_of))
     rep.add("family_condition_ii", FAIL if v else PASS, list(v))
     rep.add("neighbour_condition_C", FAIL if v else PASS, list(v))
 

@@ -3,7 +3,8 @@
 Deliberately written with different algorithms than the library (Floyd-
 Warshall and exhaustive simple-chain enumeration vs. all-sources Dijkstra;
 scalar loops and rebuilt frozensets vs. row-vectorised checks and the
-ball-prefix index).
+ball-prefix index; a slice builder that computes each slice on its own and
+also scans for openness vs. one that shares its scans with the verifier).
 """
 
 import math
@@ -12,7 +13,9 @@ import numpy as np
 
 from equimetric import motion_inside_rho_ball, rho_ball_inside_motion
 from equimetric.errors import ValidationError
+from equimetric.gspace import graph_components
 from equimetric.report import ADVISORY, FAIL, PASS, Report
+from equimetric.slices import SliceFamily, _candidate_radii, _quotient_diameter
 from equimetric.verify import _inclusion_grid
 
 
@@ -234,3 +237,115 @@ def verify_ball_inclusions(gspace, quotient, family, d_G, d_O, lifted) -> Report
                 wits.append((x, delta, found))
     rep.add("rho_ball_inside_motion", FAIL if fails else PASS, fails or wits[:3])
     return rep
+
+
+# The slice builder as it was before it shared its scans with the verifier:
+# one preimage-component pass per point, private per-orbit loops, and a
+# joint scan for condition (ii) and openness (*) after every shrink.
+
+
+def _slice_at(gspace, quotient, x, radius):
+    ball = quotient.ball(quotient.orbit_of[x], radius)
+    pre = quotient.preimage(ball)
+    for comp in graph_components(gspace.n_points, gspace.space.edges, pre):
+        if x in comp:
+            return frozenset(comp)
+    return frozenset([x])
+
+
+def _per_orbit_violation(gspace, quotient, orbit, slices):
+    members = set(quotient.orbit_members[orbit])
+    for x in quotient.orbit_members[orbit]:
+        s = slices[x]
+        inter = sorted(s & members)
+        if inter != [x]:
+            return ("slice_meets_orbit", (x, [p for p in inter if p != x][0]))
+        for g in range(gspace.group.order):
+            if gspace.translate_set(g, s) & s:
+                if gspace.apply(g, x) != x:
+                    return ("translate_overlap", (x, g))
+    return None
+
+
+def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFamily:
+    n_orbits = quotient.n_orbits
+    log = []
+    global_pos = [float(v) for v in quotient.d.ravel() if v > 0]
+    fallback_radius = (min(global_pos) / 2.0) if global_pos else 0.5
+    cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
+
+    def settle(orbit, start_idx):
+        for i in range(start_idx, len(cands[orbit])):
+            r = cands[orbit][i]
+            slices = {x: _slice_at(gspace, quotient, x, r) for x in quotient.orbit_members[orbit]}
+            viol = _per_orbit_violation(gspace, quotient, orbit, slices)
+            if viol is None:
+                return r, slices, i
+            log.append({"orbit": orbit, "radius": r, "condition": viol[0], "witness": viol[1]})
+        slices = {x: frozenset([x]) for x in quotient.orbit_members[orbit]}
+        log.append({"orbit": orbit, "radius": fallback_radius, "condition": "singleton_fallback", "witness": None})
+        return fallback_radius, slices, len(cands[orbit])
+
+    radii = [None] * n_orbits
+    idx = [0] * n_orbits
+    slice_of = {}
+    for o in range(n_orbits):
+        r, slices, i = settle(o, 0)
+        radii[o], idx[o] = r, i
+        slice_of.update(slices)
+
+    def joint_violation():
+        for x in range(gspace.n_points):
+            sx = slice_of[x]
+            for y in sorted(sx):
+                sy = slice_of[y]
+                for g in range(gspace.group.order):
+                    gx = gspace.apply(g, x)
+                    if gx is None:
+                        continue
+                    if (sy & slice_of[gx]) and gx != x:
+                        return ("family_condition_ii", (x, y, g), x, y)
+                ball = quotient.ball(quotient.orbit_of[x], radii[quotient.orbit_of[x]])
+                cut = sorted(sy & quotient.preimage(ball))
+                inter = sx & sy
+                for comp in graph_components(gspace.n_points, gspace.space.edges, cut):
+                    hit = inter & set(comp)
+                    if hit and hit != frozenset(comp):
+                        return ("openness", (x, y, tuple(comp)), x, y)
+        return None
+
+    while True:
+        viol = joint_violation()
+        if viol is None:
+            break
+        cond, witness, x, y = viol
+        ox, oy = quotient.orbit_of[x], quotient.orbit_of[y]
+        if ox == oy:
+            target = ox
+        else:
+            dx = _quotient_diameter(quotient, slice_of[x])
+            dy = _quotient_diameter(quotient, slice_of[y])
+            if dx > dy:
+                target = ox
+            elif dy > dx:
+                target = oy
+            else:
+                target = ox if quotient.representative[ox] < quotient.representative[oy] else oy
+        log.append({"orbit": target, "radius": radii[target], "condition": cond, "witness": witness})
+        if idx[target] >= len(cands[target]):
+            target = oy if target == ox else ox
+            log.append({"orbit": target, "radius": radii[target], "condition": cond, "witness": witness})
+        r, slices, i = settle(target, idx[target] + 1)
+        radii[target], idx[target] = r, i
+        slice_of.update(slices)
+
+    slices_tuple = tuple(slice_of[x] for x in range(gspace.n_points))
+    degenerate = all(len(s) == 1 for s in slices_tuple)
+    if degenerate:
+        log.append({"orbit": None, "radius": None, "condition": "DegenerateFamily", "witness": None})
+    return SliceFamily(
+        slice_of=slices_tuple,
+        radius_of_orbit=tuple(radii),
+        construction_log=tuple(tuple(sorted(rec.items())) for rec in log),
+        degenerate=degenerate,
+    )

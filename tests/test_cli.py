@@ -97,6 +97,33 @@ def test_boolean_config_number_rejected(tmp_path, capsys, key):
     assert f"InvalidParams: {key} must be a positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,code", [
+    ({"scenario": {"name": "circle", "params": ["n", "k"]}}, "InvalidParams"),
+    ({"scenario": {"name": ["circle"], "params": {"n": 12, "k": 3}}}, "InvalidParams"),
+    ({"scenario": {"name": "circle", "params": {"n": "12", "k": 3}}}, "InvalidParams"),
+    ({"scenario": {"name": "circle", "params": {"n": 12.0, "k": 3}}}, "InvalidParams"),
+    ({"scenario": {"name": "dihedral", "params": {"n": True}}}, "InvalidParams"),
+    ({"scenario": {"name": "reflection", "params": {"m": 2, "h": "1"}}}, "InvalidParams"),
+    ({"scenario": {"name": "reflection", "params": {"m": 2, "h": True}}}, "InvalidParams"),
+    ({"scenario": {"name": "shift", "params": {"m": 4, "h": float("nan"), "N": 1}}}, "NonFinite"),
+    ({"group_metric": {"kind": "discrete", "scale": "abc"}}, "InvalidParams"),
+    ({"group_metric": {"kind": "discrete", "scale": True}}, "InvalidParams"),
+    ({"group_metric": {"kind": "word", "generators": "ab"}}, "InvalidParams"),
+    ({"group_metric": {"kind": "word", "generators": [True, 2]}}, "InvalidParams"),
+    ({"group_metric": {"kind": "word", "generators": [99]}}, "InvalidParams"),
+    ({"group_metric": {"kind": "explicit", "path": 5}}, "InvalidParams"),
+    ({"quotient_mode": "explicit"}, "InvalidParams"),
+    ({"quotient_mode": "explicit", "quotient_table": 5}, "InvalidParams"),
+    ({"output_dir": None}, "InvalidParams"),
+], ids=["params_list", "name_list", "n_str", "n_float", "n_bool", "h_str", "h_bool", "h_nan",
+        "scale_str", "scale_bool", "generators_str", "generators_bool", "generators_range", "path_int",
+        "quotient_table_missing", "quotient_table_int", "output_dir_null"])
+def test_mistyped_config_fields_rejected(tmp_path, capsys, overrides, code):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {code}: ")
+
+
 def test_mode_and_scale_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", mode="cover")
     out = tmp_path / "out"

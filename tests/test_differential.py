@@ -1,7 +1,7 @@
-"""Differential tests: the row-vectorised checks and the ball-prefix index
-against the scalar references in tests/oracles.py. Equal means the same
-error code, message and witness, or the same violation list, residual and
-report lines."""
+"""Differential tests: the row-vectorised checks, the ball-prefix index and
+the slice builder against the references in tests/oracles.py. Equal means
+the same error code, message and witness, the same violation list, residual
+and report lines, or the same slice family and construction log."""
 
 from dataclasses import replace
 
@@ -16,6 +16,7 @@ from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
 from equimetric.verify import _metric_axiom_violations
 from tests import oracles
+from perfbench.workloads import GRID_CELLS
 from tests.conftest import pipeline
 from tests.randspaces import cyclic_table, dihedral_table, random_gspace
 
@@ -208,3 +209,41 @@ def test_random_spaces_match_scalar(seed):
              "d_G": d_G, "d_O": d_O, "lifted": eq.lift_metric(graph)}
         assert_lifted_checks_match(r)
         assert_ball_inclusions_match(r)
+
+
+def assert_same_family(gs, shrink_factor=1.0):
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient, shrink_factor)
+    ref = oracles.build_slice_family(gs, quotient, shrink_factor)
+    assert family.slice_of == ref.slice_of
+    assert family.radius_of_orbit == ref.radius_of_orbit
+    assert family.construction_log == ref.construction_log
+    assert family.degenerate == ref.degenerate
+    return family
+
+
+@pytest.mark.parametrize("name,params,shrink_factor,condition,shrinks", [
+    ("circle", {"n": 80, "k": 4}, 1.0, "family_condition_ii", 166),
+    ("disk", {"g": 7}, 1.0, "family_condition_ii", 8),
+    ("disk", {"g": 7}, 2.0, "family_condition_ii", 5),
+    # a partial shift undefined at x can still move part of S_x into S_x
+    ("shift", {"m": 2, "h": 0.25, "N": 1}, 1.0, "translate_overlap", 3),
+])
+def test_slice_builder_matches_reference_through_shrinks(name, params, shrink_factor, condition, shrinks):
+    family = assert_same_family(eq.generate_scenario(name, params), shrink_factor)
+    conditions = [dict(rec)["condition"] for rec in family.construction_log]
+    assert conditions.count(condition) == shrinks
+
+
+SWEEP_CELLS = sorted({(name, tuple(sorted(params.items()))) for name, params, _ in GRID_CELLS})
+
+
+@pytest.mark.parametrize("name,params", SWEEP_CELLS)
+def test_slice_builder_matches_reference_on_small_sweep_cells(name, params):
+    assert_same_family(eq.generate_scenario(name, dict(params)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_slice_builder_matches_reference_on_random_spaces(seed):
+    assert_same_family(random_gspace(seed))

@@ -112,6 +112,25 @@ class TestOrbitalMetric:
         d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
         assert np.isfinite(d_O.values).all()
 
+    @pytest.mark.parametrize("n,witness", [(4, None), (5, 1), (6, 1)])
+    def test_word_metric_on_dihedral_point_stabilizers(self, n, witness):
+        # the stabilizer of a point is {e, reflection}, which is not normal;
+        # the word metric on {r, r^-1, s} is right invariant for it at n = 4
+        # but not at n = 5 or 6
+        gs = eq.generate_scenario("dihedral", {"n": n})
+        quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+        family = eq.build_slice_family(gs, quotient)
+        g = gs.group
+        gens = sorted(set(g.generators) | {g.inv[s] for s in g.generators})
+        d_G = group_metric(g, "word", generators=gens)
+        if witness is None:
+            eq.build_orbital_metric(gs, quotient, family, d_G)
+            return
+        with pytest.raises(ValidationError) as exc:
+            eq.build_orbital_metric(gs, quotient, family, d_G)
+        assert exc.value.code == "IncompatibleGroupMetric"
+        assert exc.value.witness == witness
+
     def test_chi_rows_sum_to_one(self, circle12):
         gs, quotient, family = circle12
         d_G = group_metric(gs.group, "discrete")

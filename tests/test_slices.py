@@ -42,6 +42,22 @@ def test_planted_bad_slice_is_caught(circle12):
     assert "slice_translate_overlap" in fails or "slice_meets_orbit_once" in fails
     wit = report["slice_meets_orbit_once"].witnesses
     assert (0, 4) in wit
+    # every hit, in scan order: g ascending, then (x, y, g) row-major
+    assert report["slice_translate_overlap"].witnesses == [(0, 1), (0, 2)]
+    assert report["family_condition_ii"].witnesses == [
+        (0, 0, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (1, 0, 1), (4, 3, 2), (4, 4, 2), (4, 5, 2), (11, 0, 1)]
+
+
+def test_planted_openness_defect_is_caught(circle12):
+    gs, quotient, family = circle12
+    # S_11 cut to the ball of point 0 is the connected {11, 0, 1}, of which
+    # S_0 = {11, 0} holds only a part
+    bad = list(family.slice_of)
+    bad[0] = frozenset({11, 0})
+    bad[11] = frozenset({10, 11, 0, 1})
+    report = verify_slice_family(gs, quotient, replace(family, slice_of=tuple(bad)))
+    assert report["openness_condition_star"].status == "fail"
+    assert report["openness_condition_star"].witnesses == [(0, 11, 0)]
 
 
 def test_dihedral_family_degenerates_to_singletons():
