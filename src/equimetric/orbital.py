@@ -2,9 +2,14 @@
 
 The orbital metric assigns an invariant distance to same-orbit pairs (zero
 across orbits). Per chart (one slice per orbit representative) an orbit is
-identified with a coset space of the group through a base point on the
-slice; the chart metrics are glued with tent-shaped partition-of-unity
-weights on the orbit space.
+identified with a coset space G/K of the group through a base point with
+stabilizer K on the slice; the chart metrics are glued with tent-shaped
+partition-of-unity weights on the orbit space.
+
+Every coset distance d(g1 K, g2 K) is read from one cached |G| x |G| table
+per stabilizer (``GroupMetric.coset_table``). The property checks reduce
+each point to one value that decides its epsilon/delta tests, and compare
+the grids with that value instead of rescanning balls per grid entry.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ class GroupMetric:
     group: FiniteGroup
     table: np.ndarray  # order x order
     kind: str  # discrete | word | explicit
-    _ri_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def dist(self, g: int, h: int) -> float:
         return float(self.table[g, h])
@@ -38,24 +43,35 @@ class GroupMetric:
 
     def right_invariant_for(self, subgroup) -> bool:
         """Exhaustive right-invariance check: d(gu, hu) = d(g, h) for u in K."""
-        key = tuple(sorted(subgroup))
-        if key in self._ri_cache:
-            return self._ri_cache[key]
-        mul = self.group.mul
-        t = self.table
-        ok = True
-        for u in key:
-            for g in range(self.group.order):
-                for h in range(self.group.order):
-                    if t[mul[g][u], mul[h][u]] != t[g, h]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        self._ri_cache[key] = ok
-        return ok
+        key = ("right",) + tuple(sorted(subgroup))
+        if key not in self._cache:
+            mul, t = np.asarray(self.group.mul), self.table
+            self._cache[key] = all(np.array_equal(t[np.ix_(mul[:, u], mul[:, u])], t) for u in key[1:])
+        return self._cache[key]
+
+    def coset_table(self, subgroup) -> np.ndarray:
+        """The |G| x |G| table of d(g1 K, g2 K) for a subgroup K, cached per K.
+
+        One-sided, min over u in K of d(g1, g2 u), when the metric is right
+        K-invariant; two-sided, min over u, v in K of d(g1 u, g2 v),
+        otherwise. Ties keep the first minimum in (u, v) order.
+        """
+        key = ("coset",) + tuple(sorted(subgroup))
+        if key not in self._cache:
+            if not self.group.is_subgroup(key[1:]):
+                raise ValidationError("NotASubgroup", "coset distance requires a subgroup", tuple(subgroup))
+            mul, K = np.asarray(self.group.mul), key[1:]
+            out = self.table[:, mul[:, K[0]]]
+            for u in K[1:]:  # min over u of d(g1, g2 u)
+                np.minimum(self.table[:, mul[:, u]], out, out=out)
+            if not self.right_invariant_for(K):
+                one = out
+                out = one[mul[:, K[0]]]
+                for u in K[1:]:  # then over u of the rows g1 u
+                    np.minimum(one[mul[:, u]], out, out=out)
+            out.setflags(write=False)
+            self._cache[key] = out
+        return self._cache[key]
 
 
 def _check_left_invariance(group: FiniteGroup, table: np.ndarray):
@@ -122,30 +138,9 @@ def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,
     return GroupMetric(group=group, table=t, kind=kind)
 
 
-def coset_distance(d_G: GroupMetric, subgroup, g1: int, g2: int, debug: bool = False) -> float:
-    """Distance between the cosets g1 K and g2 K.
-
-    Uses the single-loop form min over u in K of d(g1, g2 u) when d_G is
-    right K-invariant; debug mode computes both forms and asserts agreement.
-    The two-sided O(|K|^2) form is computed only when it is needed.
-    """
-    group = d_G.group
-    K = tuple(subgroup)
-    if not group.is_subgroup(K):
-        raise ValidationError("NotASubgroup", "coset distance requires a subgroup", K)
-    mul = group.mul
-    t = d_G.table
-    right_invariant = d_G.right_invariant_for(K)
-    if right_invariant:
-        one_sided = min(float(t[g1, mul[g2][u]]) for u in K)
-        if not debug:
-            return one_sided
-    two_sided = min(float(t[mul[g1][u], mul[g2][v]]) for u in K for v in K)
-    if right_invariant:
-        if one_sided != two_sided:
-            raise AssertionError(f"coset distance forms disagree: {one_sided} != {two_sided}")
-        return one_sided
-    return two_sided
+def coset_distance(d_G: GroupMetric, subgroup, g1: int, g2: int) -> float:
+    """Distance between the cosets g1 K and g2 K (see ``GroupMetric.coset_table``)."""
+    return float(d_G.coset_table(subgroup)[g1, g2])
 
 
 @dataclass(frozen=True)
@@ -175,28 +170,12 @@ class OrbitalMetric:
         return not np.isnan(self.values[x, y])
 
 
-def _element_sending(gspace, src: int, dst: int):
-    """Smallest group element g with g.src = dst, or None (partial actions
-    may leave same-orbit pairs unreachable by a single element)."""
-    for g in range(gspace.group.order):
-        if gspace.apply(g, src) == dst:
-            return g
-    return None
-
-
-def chart_metric(gspace: SampledGSpace, d_G: GroupMetric, chart: Chart,
-                 quotient: Quotient, x: int, y: int):
-    """Distance between same-orbit points under one chart, or None when the
-    chart's base point cannot reach them."""
-    q = quotient.orbit_of[x]
-    if quotient.orbit_of[y] != q or q not in chart.base_points:
-        return None
-    y0 = chart.base_points[q]
-    g1 = _element_sending(gspace, y0, x)
-    g2 = _element_sending(gspace, y0, y)
-    if g1 is None or g2 is None:
-        return None
-    return coset_distance(d_G, gspace.stabilizer(y0), g1, g2)
+def _action_array(gspace: SampledGSpace) -> np.ndarray:
+    """The |G| x n table of g.x, -1 where the partial map is undefined."""
+    act = np.full((gspace.group.order, gspace.n_points), -1)
+    for g, m in enumerate(gspace.act):
+        act[g, list(m)] = list(m.values())
+    return act
 
 
 def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
@@ -244,22 +223,23 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
         for a, c in enumerate(charts):
             chi[q, a] = c.weights[q] / total
 
+    # Each chart reads d(g1 K, g2 K) with g1, g2 the least elements sending
+    # its base point y0 (stabilizer K) to x and y; a pair that no element
+    # reaches is undefined (nan). The lower triangle mirrors the upper one.
+    act = _action_array(gspace)
     n = gspace.n_points
     values = np.zeros((n, n))
     for q in range(n_orbits):
-        members = quotient.orbit_members[q]
-        active = [a for a in range(len(charts)) if chi[q, a] > 0]
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                acc = 0.0
-                ok = True
-                for a in active:
-                    dv = chart_metric(gspace, d_G, charts[a], quotient, x, y)
-                    if dv is None:
-                        ok = False
-                        break
-                    acc += chi[q, a] * dv
-                values[x, y] = values[y, x] = acc if ok else np.nan
+        members = np.array(quotient.orbit_members[q])
+        block = np.zeros((len(members), len(members)))
+        for a in np.flatnonzero(chi[q] > 0):
+            y0 = charts[a].base_points[q]
+            hits = act[:, y0][:, None] == members
+            g = np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
+            dist = d_G.coset_table(gspace.stabilizer(y0))[np.ix_(g, g)]
+            block += chi[q, a] * np.where((g[:, None] >= 0) & (g >= 0), dist, np.nan)
+        i, j = np.triu_indices(len(members), 1)
+        values[members[i], members[j]] = values[members[j], members[i]] = block[i, j]
 
     values.setflags(write=False)
     return OrbitalMetric(charts=tuple(charts), chi=chi, group_metric=d_G, values=values)
@@ -270,6 +250,14 @@ def _grid_or(values, fallback):
     return grid if grid else [fallback]
 
 
+def _centre_in_ball(quotient: Quotient, x: int, delta: float):
+    """Raise, as ``subslice`` does, when the orbit of x lies outside its own
+    open quotient ball of radius delta (a positive diagonal entry)."""
+    o = quotient.orbit_of[x]
+    if not quotient.d[o, o] < delta:
+        raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
+
+
 def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
                               family: SliceFamily, d_O: OrbitalMetric,
                               d_G: GroupMetric, tol: float = 1e-12) -> Report:
@@ -277,110 +265,88 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
 
     The continuum epsilon/delta quantifiers range over (0, inf); on a finite
     model property truth only changes at realized values, so witnesses are
-    searched over the realized-value grids (plus midpoints).
-    """
-    from .slices import subslice
+    searched over the realized-value grids (plus midpoints). Each property
+    depends on the grids only through one value per point (and per delta),
+    so a point is reduced to that value once and the grids are compared
+    with it. The slice ball S_x(delta) holds the y in S_x with
+    d(p x, p y) < delta; the group ball holds the g with d_G(e, g) < delta.
 
+    A: M(delta), the largest d_O(y, g.y) over pairs with
+       max(d(p x, p y), d_G(e, g)) < delta; delta works for eps iff
+       M(delta) < eps, and the largest working delta is reported.
+    B: b, the least d(p x, p y) over the y in S_x that break minimality
+       (some g1, g2 with d_O(g1 x, g2 x) > d_O(g1 y, g2 y) + tol); a delta
+       works iff delta <= b.
+    C: m(delta), the least d_O(x, g.x) over the g whose coset gK (K the
+       stabilizer of x) stays at least delta from e, min over u in K of
+       d_G(e, g u) >= delta; eps works iff eps <= m(delta), and the least
+       working eps is reported.
+
+    Pairs that are undefined under a partial action or nan in d_O never
+    count. A delta at or below a positive quotient diagonal entry
+    d(p x, p x) leaves x outside its own slice ball; the descending A and B
+    searches raise EmptyResult when they reach one, as ``subslice`` does.
+    """
     rep = Report()
     group = gspace.group
     e = group.identity
     n = gspace.n_points
+    act = _action_array(gspace)
+    mul = np.asarray(group.mul)
+    dq, dO = quotient.d, d_O.values
+    orbit = np.asarray(quotient.orbit_of)
 
-    dO_vals = [v for v in d_O.values.ravel() if not np.isnan(v)]
-    eps_grid = _grid_or(dO_vals, 1.0)
-    delta_grid = _grid_or(
-        list(np.asarray(quotient.d).ravel()) + list(d_G.table.ravel()), 1.0
-    )
-
-    def slice_ball(x, delta):
-        return subslice(family, x, quotient, eps=delta)
+    eps_grid = _grid_or(dO[~np.isnan(dO)], 1.0)
+    delta_grid = _grid_or(np.concatenate([dq.ravel(), d_G.table.ravel()]), 1.0)
+    eps_arr, delta_arr = np.array(eps_grid), np.array(delta_grid)
 
     # Property A: small quotient ball + small group ball => small orbital move
     fails, wits = [], []
     for x in range(n):
-        for eps in eps_grid:
-            found = None
-            for delta in reversed(delta_grid):
-                ok = True
-                for y in sorted(slice_ball(x, delta)):
-                    for g in sorted(d_G.ball(delta)):
-                        gy = gspace.apply(g, y)
-                        if gy is None:
-                            continue
-                        v = d_O.values[y, gy]
-                        if np.isnan(v):  # pair not expressible under a partial action
-                            continue
-                        if not v < eps:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    found = delta
-                    break
-            if found is None:
-                fails.append((x, eps))
-            else:
-                wits.append((x, eps, found))
+        ys = np.array(sorted(family.slice_of[x]))
+        gy = act[:, ys]
+        key = np.maximum(dq[orbit[x], orbit[ys]], d_G.table[e][:, None])
+        v = np.where(gy >= 0, dO[ys, gy], np.nan)
+        key, v = key[~np.isnan(v)], v[~np.isnan(v)]
+        order = np.argsort(key)
+        largest = np.maximum.accumulate(np.concatenate([[-np.inf], v[order]]))
+        m_delta = largest[np.searchsorted(key[order], delta_arr)]
+        counts = np.searchsorted(m_delta, eps_arr)  # working deltas per eps
+        _centre_in_ball(quotient, x, delta_grid[max(int(counts.min()) - 1, 0)])
+        fails += [(x, eps_grid[i]) for i in np.flatnonzero(counts == 0)]
+        wits += [(x, eps, delta_grid[c - 1]) for eps, c in zip(eps_grid[:3], counts[:3]) if c]
     rep.add("property_A", FAIL if fails else PASS, fails or wits[:3])
 
     # Property B: orbital distance is minimal at the slice center
     fails, wits = [], []
     for x in range(n):
-        found = None
-        for delta in reversed(delta_grid):
-            ok = True
-            for y in sorted(slice_ball(x, delta)):
-                for g1 in range(group.order):
-                    for g2 in range(group.order):
-                        g1x, g2x = gspace.apply(g1, x), gspace.apply(g2, x)
-                        g1y, g2y = gspace.apply(g1, y), gspace.apply(g2, y)
-                        if None in (g1x, g2x, g1y, g2y):
-                            continue
-                        vx, vy = d_O.values[g1x, g2x], d_O.values[g1y, g2y]
-                        if np.isnan(vx) or np.isnan(vy):
-                            continue
-                        if vx > vy + tol:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = delta
-                break
-        if found is None:
-            fails.append((x,))
+        b = np.inf
+        for y in sorted(family.slice_of[x]):
+            g = np.flatnonzero((act[:, x] >= 0) & (act[:, y] >= 0))
+            vx = dO[np.ix_(act[g, x], act[g, x])]
+            vy = dO[np.ix_(act[g, y], act[g, y])]
+            if (vx > vy + tol).any():
+                b = min(b, dq[orbit[x], orbit[y]])
+        c = int(np.searchsorted(delta_arr, b, side="right"))  # deltas <= b
+        _centre_in_ball(quotient, x, delta_grid[max(c - 1, 0)])
+        if c:
+            wits.append((x, delta_grid[c - 1]))
         else:
-            wits.append((x, found))
+            fails.append((x,))
     rep.add("property_B", FAIL if fails else PASS, fails or wits[:3])
 
     # Property C: a small orbital move comes from a small group element
     fails, wits = [], []
     for x in range(n):
-        K = gspace.stabilizer(x)
-        for delta in delta_grid:
-            found = None
-            for eps in eps_grid:
-                ok = True
-                for g in range(group.order):
-                    gx = gspace.apply(g, x)
-                    if gx is None:
-                        continue
-                    v = d_O.values[x, gx]
-                    if np.isnan(v) or not v < eps:
-                        continue
-                    if not any(d_G.table[e, group.mul[g][u]] < delta for u in K):
-                        ok = False
-                        break
-                if ok:
-                    found = eps
-                    break
-            if found is None:
-                fails.append((x, delta))
-            else:
-                wits.append((x, delta, found))
+        g = np.flatnonzero(act[:, x] >= 0)
+        v = dO[x, act[g, x]]
+        to_coset = d_G.table[e][mul[np.ix_(g, gspace.stabilizer(x))]].min(axis=1)
+        to_coset, v = to_coset[~np.isnan(v)], v[~np.isnan(v)]
+        order = np.argsort(to_coset)
+        least = np.minimum.accumulate(np.append(v[order], np.inf)[::-1])[::-1]
+        m_delta = least[np.searchsorted(to_coset[order], delta_arr)]
+        fails += [(x, delta_grid[i]) for i in np.flatnonzero(m_delta < eps_grid[0])]
+        wits += [(x, delta, eps_grid[0]) for delta, m in zip(delta_grid[:3], m_delta[:3]) if m >= eps_grid[0]]
     rep.add("property_C", FAIL if fails else PASS, fails or wits[:3])
 
     # Coset-metric inequalities per chart: anchor distance <= slice-point
@@ -388,39 +354,28 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     resid = 0.0
     fails = []
     for chart in d_O.charts:
-        K_anchor = gspace.stabilizer(chart.anchor)
+        t_anchor = d_G.coset_table(gspace.stabilizer(chart.anchor))
         for y in sorted(chart.slice_pts):
-            K_y = gspace.stabilizer(y)
-            for g1 in range(group.order):
-                for g2 in range(group.order):
-                    da = coset_distance(d_G, K_anchor, g1, g2)
-                    dy = coset_distance(d_G, K_y, g1, g2)
-                    dg = d_G.dist(g1, g2)
-                    worst = max(da - dy, dy - dg)
-                    if worst > resid:
-                        resid = worst
-                    if worst > tol:
-                        fails.append((chart.orbit, y, g1, g2))
+            t_y = d_G.coset_table(gspace.stabilizer(y))
+            worst = np.maximum(t_anchor - t_y, t_y - d_G.table)
+            resid = max(resid, float(worst.max()))
+            fails += [(chart.orbit, y, int(g1), int(g2)) for g1, g2 in np.argwhere(worst > tol)]
     rep.add("coset_inequality_chain", FAIL if fails else PASS, fails, resid)
 
     # translated-slice bound: moving within a translated slice is bounded by
-    # the group displacement of the translating element
+    # the group displacement of the translating element. It cannot fail:
+    # u = e lies in K, so d(g0 K, g g0 K) <= d_G(g0, g g0) holds exactly in
+    # the one-sided and in the two-sided form, and the residual stays 0.
     resid = 0.0
     fails = []
     for chart in d_O.charts:
         for yp in sorted(chart.slice_pts):
-            K = gspace.stabilizer(yp)
-            for g0 in range(group.order):
-                if gspace.apply(g0, yp) is None:
-                    continue
-                for g in range(group.order):
-                    gg0 = group.mul[g][g0]
-                    v = coset_distance(d_G, K, g0, gg0)
-                    bound = d_G.dist(g0, gg0)
-                    if v - bound > resid:
-                        resid = v - bound
-                    if v > bound + tol:
-                        fails.append((chart.orbit, yp, g0, g))
+            g0 = np.flatnonzero(act[:, yp] >= 0)
+            gg0 = mul[:, g0].T  # gg0[i, g] = g g0[i]
+            v = d_G.coset_table(gspace.stabilizer(yp))[g0[:, None], gg0]
+            bound = d_G.table[g0[:, None], gg0]
+            resid = max(resid, float((v - bound).max()))
+            fails += [(chart.orbit, yp, int(g0[i]), int(g)) for i, g in np.argwhere(v > bound + tol)]
     rep.add("translated_motion_bound", FAIL if fails else PASS, fails, max(resid, 0.0))
 
     return rep

@@ -4,7 +4,9 @@ Deliberately written with different algorithms than the library (Floyd-
 Warshall and exhaustive simple-chain enumeration vs. all-sources Dijkstra;
 scalar loops and rebuilt frozensets vs. row-vectorised checks and the
 ball-prefix index; a slice builder that computes each slice on its own and
-also scans for openness vs. one that shares its scans with the verifier).
+also scans for openness vs. one that shares its scans with the verifier;
+per-pair coset distances and grid rescans vs. cached coset tables and one
+reduction per point).
 """
 
 import math
@@ -14,8 +16,9 @@ import numpy as np
 from equimetric import motion_inside_rho_ball, rho_ball_inside_motion
 from equimetric.errors import ValidationError
 from equimetric.gspace import graph_components
+from equimetric.orbital import Chart, OrbitalMetric, _grid_or
 from equimetric.report import ADVISORY, FAIL, PASS, Report
-from equimetric.slices import SliceFamily, _candidate_radii, _quotient_diameter
+from equimetric.slices import SliceFamily, _candidate_radii, _quotient_diameter, subslice
 from equimetric.verify import _inclusion_grid
 
 
@@ -349,3 +352,276 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
         construction_log=tuple(tuple(sorted(rec.items())) for rec in log),
         degenerate=degenerate,
     )
+
+
+# The orbital stage as it was before the coset tables: one coset distance
+# per call behind a scalar right-invariance check, the element sending a
+# base point found by a linear scan, and property searches that rescan
+# rebuilt balls for every grid value.
+
+
+def right_invariant(d_G, subgroup) -> bool:
+    mul, t = d_G.group.mul, d_G.table
+    for u in sorted(subgroup):
+        for g in range(d_G.group.order):
+            for h in range(d_G.group.order):
+                if t[mul[g][u], mul[h][u]] != t[g, h]:
+                    return False
+    return True
+
+
+def one_sided_coset_distance(d_G, subgroup, g1, g2) -> float:
+    mul, t = d_G.group.mul, d_G.table
+    return min(float(t[g1, mul[g2][u]]) for u in subgroup)
+
+
+def two_sided_coset_distance(d_G, subgroup, g1, g2) -> float:
+    mul, t = d_G.group.mul, d_G.table
+    return min(float(t[mul[g1][u], mul[g2][v]]) for u in subgroup for v in subgroup)
+
+
+def _coset_distance_fn(d_G):
+    """Per-pair coset distance, one-sided when d_G is right K-invariant;
+    the right-invariance verdict is kept per subgroup."""
+    verdicts = {}
+
+    def dist(subgroup, g1, g2):
+        K = tuple(subgroup)
+        if not d_G.group.is_subgroup(K):
+            raise ValidationError("NotASubgroup", "coset distance requires a subgroup", K)
+        if K not in verdicts:
+            verdicts[K] = right_invariant(d_G, K)
+        if verdicts[K]:
+            return one_sided_coset_distance(d_G, K, g1, g2)
+        return two_sided_coset_distance(d_G, K, g1, g2)
+
+    return dist
+
+
+def coset_distance(d_G, subgroup, g1, g2) -> float:
+    return _coset_distance_fn(d_G)(subgroup, g1, g2)
+
+
+def _element_sending(gspace, src, dst):
+    for g in range(gspace.group.order):
+        if gspace.apply(g, src) == dst:
+            return g
+    return None
+
+
+def build_orbital_metric(gspace, quotient, family, d_G):
+    group = gspace.group
+    coset = _coset_distance_fn(d_G)
+    for x in range(gspace.n_points):
+        K = gspace.stabilizer(x)
+        if not (right_invariant(d_G, K) or group.is_normal(K)):
+            raise ValidationError(
+                "IncompatibleGroupMetric",
+                "group metric is neither right invariant for a stabilizer nor is the stabilizer normal",
+                x,
+            )
+
+    n_orbits = quotient.n_orbits
+    charts = []
+    for o in range(n_orbits):
+        anchor = quotient.representative[o]
+        pts = family.slice_of[anchor]
+        radius = family.radius_of_orbit[o]
+        bases = {}
+        for q in range(n_orbits):
+            meet = sorted(pts & set(quotient.orbit_members[q]))
+            if meet:
+                bases[q] = meet[0]
+        raw = np.zeros(n_orbits)
+        for q in range(n_orbits):
+            w = radius - float(quotient.d[o, q])
+            if w > 0 and q in bases:
+                raw[q] = w
+        charts.append(Chart(orbit=o, anchor=anchor, slice_pts=pts, radius=radius,
+                            base_points=bases, weights=raw))
+
+    chi = np.zeros((n_orbits, len(charts)))
+    for q in range(n_orbits):
+        total = sum(c.weights[q] for c in charts)
+        if total <= 0:
+            raise ValidationError("UncoveredOrbit", "orbit meets no chart", q)
+        for a, c in enumerate(charts):
+            chi[q, a] = c.weights[q] / total
+
+    def chart_metric(chart, x, y):
+        q = quotient.orbit_of[x]
+        if quotient.orbit_of[y] != q or q not in chart.base_points:
+            return None
+        y0 = chart.base_points[q]
+        g1 = _element_sending(gspace, y0, x)
+        g2 = _element_sending(gspace, y0, y)
+        if g1 is None or g2 is None:
+            return None
+        return coset(gspace.stabilizer(y0), g1, g2)
+
+    n = gspace.n_points
+    values = np.zeros((n, n))
+    for q in range(n_orbits):
+        members = quotient.orbit_members[q]
+        active = [a for a in range(len(charts)) if chi[q, a] > 0]
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                acc = 0.0
+                ok = True
+                for a in active:
+                    dv = chart_metric(charts[a], x, y)
+                    if dv is None:
+                        ok = False
+                        break
+                    acc += chi[q, a] * dv
+                values[x, y] = values[y, x] = acc if ok else np.nan
+
+    values.setflags(write=False)
+    return OrbitalMetric(charts=tuple(charts), chi=chi, group_metric=d_G, values=values)
+
+
+def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1e-12) -> Report:
+    coset_distance = _coset_distance_fn(d_G)
+    rep = Report()
+    group = gspace.group
+    e = group.identity
+    n = gspace.n_points
+
+    dO_vals = [v for v in d_O.values.ravel() if not np.isnan(v)]
+    eps_grid = _grid_or(dO_vals, 1.0)
+    delta_grid = _grid_or(
+        list(np.asarray(quotient.d).ravel()) + list(d_G.table.ravel()), 1.0
+    )
+
+    def slice_ball(x, delta):
+        return subslice(family, x, quotient, eps=delta)
+
+    # Property A: small quotient ball + small group ball => small orbital move
+    fails, wits = [], []
+    for x in range(n):
+        for eps in eps_grid:
+            found = None
+            for delta in reversed(delta_grid):
+                ok = True
+                for y in sorted(slice_ball(x, delta)):
+                    for g in sorted(d_G.ball(delta)):
+                        gy = gspace.apply(g, y)
+                        if gy is None:
+                            continue
+                        v = d_O.values[y, gy]
+                        if np.isnan(v):  # pair not expressible under a partial action
+                            continue
+                        if not v < eps:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok:
+                    found = delta
+                    break
+            if found is None:
+                fails.append((x, eps))
+            else:
+                wits.append((x, eps, found))
+    rep.add("property_A", FAIL if fails else PASS, fails or wits[:3])
+
+    # Property B: orbital distance is minimal at the slice center
+    fails, wits = [], []
+    for x in range(n):
+        found = None
+        for delta in reversed(delta_grid):
+            ok = True
+            for y in sorted(slice_ball(x, delta)):
+                for g1 in range(group.order):
+                    for g2 in range(group.order):
+                        g1x, g2x = gspace.apply(g1, x), gspace.apply(g2, x)
+                        g1y, g2y = gspace.apply(g1, y), gspace.apply(g2, y)
+                        if None in (g1x, g2x, g1y, g2y):
+                            continue
+                        vx, vy = d_O.values[g1x, g2x], d_O.values[g1y, g2y]
+                        if np.isnan(vx) or np.isnan(vy):
+                            continue
+                        if vx > vy + tol:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if ok:
+                found = delta
+                break
+        if found is None:
+            fails.append((x,))
+        else:
+            wits.append((x, found))
+    rep.add("property_B", FAIL if fails else PASS, fails or wits[:3])
+
+    # Property C: a small orbital move comes from a small group element
+    fails, wits = [], []
+    for x in range(n):
+        K = gspace.stabilizer(x)
+        for delta in delta_grid:
+            found = None
+            for eps in eps_grid:
+                ok = True
+                for g in range(group.order):
+                    gx = gspace.apply(g, x)
+                    if gx is None:
+                        continue
+                    v = d_O.values[x, gx]
+                    if np.isnan(v) or not v < eps:
+                        continue
+                    if not any(d_G.table[e, group.mul[g][u]] < delta for u in K):
+                        ok = False
+                        break
+                if ok:
+                    found = eps
+                    break
+            if found is None:
+                fails.append((x, delta))
+            else:
+                wits.append((x, delta, found))
+    rep.add("property_C", FAIL if fails else PASS, fails or wits[:3])
+
+    # Coset-metric inequalities per chart: anchor distance <= slice-point
+    # distance <= group distance
+    resid = 0.0
+    fails = []
+    for chart in d_O.charts:
+        K_anchor = gspace.stabilizer(chart.anchor)
+        for y in sorted(chart.slice_pts):
+            K_y = gspace.stabilizer(y)
+            for g1 in range(group.order):
+                for g2 in range(group.order):
+                    da = coset_distance(K_anchor, g1, g2)
+                    dy = coset_distance(K_y, g1, g2)
+                    dg = d_G.dist(g1, g2)
+                    worst = max(da - dy, dy - dg)
+                    if worst > resid:
+                        resid = worst
+                    if worst > tol:
+                        fails.append((chart.orbit, y, g1, g2))
+    rep.add("coset_inequality_chain", FAIL if fails else PASS, fails, resid)
+
+    # translated-slice bound: moving within a translated slice is bounded by
+    # the group displacement of the translating element
+    resid = 0.0
+    fails = []
+    for chart in d_O.charts:
+        for yp in sorted(chart.slice_pts):
+            K = gspace.stabilizer(yp)
+            for g0 in range(group.order):
+                if gspace.apply(g0, yp) is None:
+                    continue
+                for g in range(group.order):
+                    gg0 = group.mul[g][g0]
+                    v = coset_distance(K, g0, gg0)
+                    bound = d_G.dist(g0, gg0)
+                    if v - bound > resid:
+                        resid = v - bound
+                    if v > bound + tol:
+                        fails.append((chart.orbit, yp, g0, g))
+    rep.add("translated_motion_bound", FAIL if fails else PASS, fails, max(resid, 0.0))
+
+    return rep

@@ -14,7 +14,7 @@ import pytest
 import equimetric as eq
 from equimetric.cli import main
 from tests.conftest import pipeline
-from tests.oracles import cheapest_simple_chain
+from tests.oracles import cheapest_simple_chain, two_sided_coset_distance
 from tests.randspaces import cyclic_table, dihedral_table, random_gspace
 
 BUILTIN = [
@@ -118,8 +118,9 @@ def test_criterion_6_coset_distance_forms_agree():
                 right_inv = d_G.right_invariant_for(K)
                 for a in range(group.order):
                     for b in range(group.order):
-                        # debug mode computes both forms and asserts equality
-                        v = eq.coset_distance(d_G, K, a, b, debug=right_inv)
+                        v = eq.coset_distance(d_G, K, a, b)
+                        if right_inv:  # the one-sided form equals the two-sided one
+                            assert v == two_sided_coset_distance(d_G, K, a, b)
                         assert v <= d_G.dist(a, b) + 1e-15
                         checked += 1
     _line(6, True, f"({checked} coset pairs)")

@@ -247,3 +247,194 @@ def test_slice_builder_matches_reference_on_small_sweep_cells(name, params):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_slice_builder_matches_reference_on_random_spaces(seed):
     assert_same_family(random_gspace(seed))
+
+
+# The orbital stage against the per-pair coset distances, the element scan
+# and the grid rescans kept in tests/oracles.py: bitwise-equal values (nan in
+# the same places), equal report lines, or the same error code and witness.
+
+
+def word_generators(group):
+    """An inverse-closed generating set, taken greedily in index order."""
+    gens, reached = [], {group.identity}
+    for g in range(group.order):
+        if g not in reached:
+            gens += sorted({g, group.inv[g]})
+            reached = group._closure(set(gens))
+    return gens
+
+
+def result(fn, *args):
+    try:
+        return fn(*args), None
+    except ValidationError as exc:
+        return None, (exc.code, str(exc), exc.witness)
+
+
+def assert_orbital_matches(gs, quotient, family, d_G, tols=(1e-12,)):
+    got, err = result(eq.build_orbital_metric, gs, quotient, family, d_G)
+    ref, ref_err = result(oracles.build_orbital_metric, gs, quotient, family, d_G)
+    assert err == ref_err
+    if got is None:
+        return None
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(got.chi, ref.chi)
+    for tol in tols:
+        assert_orbital_reports_match(gs, quotient, family, got, d_G, tol)
+    return got
+
+
+def assert_orbital_reports_match(gs, quotient, family, d_O, d_G, tol=1e-12):
+    args = (gs, quotient, family, d_O, d_G, tol)
+    report, err = result(eq.verify_orbital_properties, *args)
+    ref, ref_err = result(oracles.verify_orbital_properties, *args)
+    assert err == ref_err
+    if report is not None:
+        assert report.lines() == ref.lines()
+        witnesses = [x for c in report.checks for w in c.witnesses for x in w]
+        assert {type(x) for x in witnesses} <= {int, float}
+    return report
+
+
+GENERAL_CELLS = sorted({(name, tuple(sorted(params.items())))
+                        for name, params, mode in GRID_CELLS if mode == "general"})
+
+
+@pytest.mark.parametrize("name,params", GENERAL_CELLS)
+def test_orbital_stage_matches_reference_on_small_sweep_cells(name, params):
+    gs = eq.generate_scenario(name, dict(params))
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    for scale in (0.5, 1.0, 2.0):
+        assert_orbital_matches(gs, quotient, family, eq.group_metric(gs.group, "discrete", scale=scale))
+
+
+@pytest.mark.parametrize("seeds", [range(s, s + 50) for s in range(0, 300, 50)], ids=str)
+def test_orbital_stage_matches_reference_on_random_spaces(seeds):
+    for seed in seeds:
+        gs = random_gspace(seed)
+        quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+        family = eq.build_slice_family(gs, quotient)
+        for scale in (0.5, 1.0, 3.0):
+            assert_orbital_matches(gs, quotient, family, eq.group_metric(gs.group, "discrete", scale=scale))
+        d_G = eq.group_metric(gs.group, "word", generators=word_generators(gs.group))
+        assert_orbital_matches(gs, quotient, family, d_G)
+
+
+PLANT_BASES = [
+    ("circle", {"n": 12, "k": 3}),
+    ("reflection", {"m": 3, "h": 1.0}),
+    ("dihedral", {"n": 4}),
+    ("disk", {"g": 3}),
+    ("shift", {"m": 8, "h": 0.5, "N": 2}),
+]
+ORBITAL_PLANTS = ("zero", "nan", "scaled", "diagonal", "large")
+
+
+def plant_orbital(values, quotient, kind, which=0, size=0.5):
+    """Plant one defect on the pair (x, y) of the first orbit with two or
+    more points, x its least member and y the member `which` steps on."""
+    members = next(m for m in quotient.orbit_members if len(m) > 1)
+    x, y = members[0], members[1 + which % (len(members) - 1)]
+    values = np.array(values)
+    if kind == "zero":
+        values[x, y] = values[y, x] = 0.0
+    elif kind == "nan":
+        values[x, y] = values[y, x] = np.nan
+    elif kind == "scaled":
+        values[x, y] = values[y, x] = values[x, y] * (1.0 + size)
+    elif kind == "diagonal":
+        values[x, x] = size
+    else:  # one large entry, one side only
+        values[x, y] = 1e3 * (1.0 + size)
+    return values
+
+
+@pytest.mark.parametrize("name,params", PLANT_BASES)
+@pytest.mark.parametrize("kind", ORBITAL_PLANTS)
+def test_planted_orbital_values_match_reference(name, params, kind):
+    r = pipeline(name, params)
+    d_O = replace(r["d_O"], values=plant_orbital(r["d_O"].values, r["quotient"], kind))
+    for tol in (0.0, 1e-12, 1e-3):
+        assert_orbital_reports_match(r["gspace"], r["quotient"], r["family"], d_O, r["d_G"], tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), word=st.booleans(),
+       kind=st.sampled_from(ORBITAL_PLANTS), which=st.integers(0, 7),
+       size=st.sampled_from([0.0, 5e-13, 2e-12, 1e-3, 0.5, 2.0]),
+       tol=st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_planted_orbital_values_match_reference_on_random_spaces(seed, word, kind, which, size, tol):
+    gs = random_gspace(seed)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    if all(len(m) == 1 for m in quotient.orbit_members):
+        return
+    family = eq.build_slice_family(gs, quotient)
+    if word:
+        d_G = eq.group_metric(gs.group, "word", generators=word_generators(gs.group))
+    else:
+        d_G = eq.group_metric(gs.group, "discrete", scale=1.0)
+    d_O, err = result(eq.build_orbital_metric, gs, quotient, family, d_G)
+    if err:
+        return
+    d_O = replace(d_O, values=plant_orbital(d_O.values, quotient, kind, which, size))
+    assert_orbital_reports_match(gs, quotient, family, d_O, d_G, tol)
+
+
+@pytest.mark.parametrize("plant", [None, "diagonal"])
+def test_positive_quotient_diagonal_matches_reference(plant):
+    """A quotient table whose diagonal is positive within tolerance: the
+    scans raise EmptyResult once they reach a delta at or below it."""
+    r = pipeline("circle", {"n": 12, "k": 3})
+    quotient = replace(r["quotient"], d=r["quotient"].d + 1e-10 * np.eye(r["quotient"].n_orbits))
+    d_O = r["d_O"]
+    if plant:
+        d_O = replace(d_O, values=plant_orbital(d_O.values, quotient, plant, size=5.0))
+    report = assert_orbital_reports_match(r["gspace"], quotient, r["family"], d_O, r["d_G"])
+    assert (report is None) == (plant is not None)
+
+
+def test_planted_family_matches_reference():
+    """dihedral(4) with S_0 grown by the orbit mate 1: property B and the
+    coset chain fail; also with a positive quotient diagonal."""
+    r = pipeline("dihedral", {"n": 4})
+    slice_of = tuple(s | {1} if x == 0 else s for x, s in enumerate(r["family"].slice_of))
+    family = replace(r["family"], slice_of=slice_of)
+    d_O = assert_orbital_matches(r["gspace"], r["quotient"], family, r["d_G"], tols=(0.0, 1e-12, 1e-3))
+    quotient = replace(r["quotient"], d=r["quotient"].d + 1e-10)
+    assert_orbital_reports_match(r["gspace"], quotient, family, d_O, r["d_G"])
+
+
+def test_coset_distance_matches_reference_on_dihedral_subgroups():
+    """D5 with the word metric on {r, r^-1, s}: of the nontrivial subgroups
+    only {e, s} is right invariant, and at K = (0, 7) the one-sided form
+    would be wrong at 20 pairs."""
+    group = eq.build_group(dihedral_table(5))
+    d_G = eq.group_metric(group, "word", generators=[1, 4, 5])
+    pairs = [(a, b) for a in range(group.order) for b in range(group.order)]
+    for K in group.subgroups():
+        assert [eq.coset_distance(d_G, K, a, b) for a, b in pairs] == \
+            [oracles.coset_distance(d_G, K, a, b) for a, b in pairs]
+        assert d_G.right_invariant_for(K) == oracles.right_invariant(d_G, K)
+    differ = [(a, b) for a, b in pairs if oracles.one_sided_coset_distance(d_G, (0, 7), a, b)
+              != oracles.two_sided_coset_distance(d_G, (0, 7), a, b)]
+    assert len(differ) == 20
+    assert outcome(eq.coset_distance, d_G, (0, 1), 0, 2) == \
+        outcome(oracles.coset_distance, d_G, (0, 1), 0, 2)
+
+
+def test_orbit_blocks_mirror_their_upper_triangle():
+    """A left-invariant d_G on C3 that is asymmetric within tolerance,
+    f(r) = 1 and f(r^-1) = 1 + 1e-10: each pair x < y of an orbit takes
+    d(g_x K, g_y K), and (y, x) copies it."""
+    r = pipeline("circle", {"n": 12, "k": 3})
+    gs = r["gspace"]
+    group = gs.group
+    r1 = next(g for g in range(group.order) if g != group.identity)
+    f = {group.identity: 0.0, r1: 1.0, group.inv[r1]: 1.0 + 1e-10}
+    table = [[f[group.mul[group.inv[g]][h]] for h in range(group.order)] for g in range(group.order)]
+    d_G = eq.group_metric(group, "explicit", table=table)
+    coset = d_G.coset_table(gs.stabilizer(0))
+    assert not np.array_equal(coset, coset.T)
+    d_O = assert_orbital_matches(gs, r["quotient"], r["family"], d_G)
+    assert np.array_equal(d_O.values, d_O.values.T)

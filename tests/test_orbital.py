@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import equimetric as eq
 from equimetric import ValidationError, build_group, coset_distance, group_metric
+from tests.conftest import pipeline
+from tests.oracles import two_sided_coset_distance
 from tests.randspaces import cyclic_table, dihedral_table
 
 
@@ -73,8 +77,8 @@ class TestCosetDistance:
                 continue
             for a in range(g.order):
                 for b in range(g.order):
-                    # debug mode computes both forms and asserts agreement
-                    v = coset_distance(d, K, a, b, debug=True)
+                    v = coset_distance(d, K, a, b)
+                    assert v == two_sided_coset_distance(d, K, a, b)
                     assert v <= d.dist(a, b) + 1e-12
 
     def test_requires_subgroup(self):
@@ -100,15 +104,13 @@ class TestOrbitalMetric:
         d_O3 = eq.build_orbital_metric(gs, quotient, family, group_metric(gs.group, "discrete", scale=3.0))
         assert d_O3.values[0, 4] == pytest.approx(3.0 * d_O1.values[0, 4], abs=1e-12)
 
-    def test_incompatible_group_metric_rejected(self):
+    def test_discrete_metric_passes_compatibility_check(self):
         gs = eq.generate_scenario("disk", {"g": 3})
         quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
         family = eq.build_slice_family(gs, quotient)
-        g = gs.group
-        # a left-invariant metric on C4 that is not right-invariant does not
-        # exist (abelian), so build the incompatibility on a dihedral action:
-        # instead, check the happy path passes the compatibility precheck
-        d_G = group_metric(g, "discrete")
+        # the discrete metric is bi-invariant, so every stabilizer passes;
+        # test_word_metric_on_dihedral_point_stabilizers covers the rejection
+        d_G = group_metric(gs.group, "discrete")
         d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
         assert np.isfinite(d_O.values).all()
 
@@ -163,3 +165,57 @@ class TestOrbitalProperties:
         d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
         report = eq.verify_orbital_properties(gs, quotient, family, d_O, d_G)
         assert all_fail_names(report) == []
+
+
+class TestPlantedOrbitalDefects:
+    """Each pass/fail orbital check turned to fail by one planted defect."""
+
+    @staticmethod
+    def report(r, values):
+        d_O = replace(r["d_O"], values=values)
+        return eq.verify_orbital_properties(r["gspace"], r["quotient"], r["family"], d_O, r["d_G"])
+
+    def test_nonzero_diagonal_fails_property_A(self):
+        r = pipeline("circle", {"n": 12, "k": 3})
+        values = np.array(r["d_O"].values)
+        values[0, 0] = 0.5  # x moves by 0.5 under the identity
+        check = self.report(r, values)["property_A"]
+        assert check.status == "fail"
+        assert check.witnesses == [(0, 0.5)]
+
+    def test_orbit_mate_at_zero_fails_property_C(self):
+        r = pipeline("circle", {"n": 12, "k": 3})
+        values = np.array(r["d_O"].values)
+        values[0, 4] = values[4, 0] = 0.0  # a far group element moves x by 0
+        check = self.report(r, values)["property_C"]
+        assert check.status == "fail"
+        assert len(check.witnesses) == 6
+        assert check.witnesses[0] == (0, 0.5235987755982988)
+
+    def test_slice_grown_by_orbit_mate_fails_B_and_coset_chain(self):
+        r = pipeline("dihedral", {"n": 4})
+        slice_of = tuple(s | {1} if x == 0 else s for x, s in enumerate(r["family"].slice_of))
+        family = replace(r["family"], slice_of=slice_of)
+        d_O = eq.build_orbital_metric(r["gspace"], r["quotient"], family, r["d_G"])
+        report = eq.verify_orbital_properties(r["gspace"], r["quotient"], family, d_O, r["d_G"])
+        assert report["property_B"].status == "fail"
+        assert report["property_B"].witnesses == [(0,)]
+        chain = report["coset_inequality_chain"]
+        assert chain.status == "fail"
+        assert len(chain.witnesses) == 8
+        assert chain.witnesses[0] == (0, 1, 0, 4)
+        assert chain.max_residual == 1.0
+
+    @pytest.mark.parametrize("bump,witness", [
+        (0.0, (0, 1.0471975511965976)),
+        (5e-13, (0, 1.0471975511965976)),  # within tol = 1e-12
+        (2e-12, (0, 0.5235987755982988)),  # beyond it: a slice point breaks minimality
+    ])
+    def test_property_B_tolerance_boundary(self, bump, witness):
+        r = pipeline("circle", {"n": 12, "k": 3})
+        values = np.array(r["d_O"].values)
+        values[0, 4] += bump
+        values[4, 0] += bump
+        check = self.report(r, values)["property_B"]
+        assert check.status == "pass"
+        assert check.witnesses[0] == witness
