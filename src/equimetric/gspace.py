@@ -229,6 +229,15 @@ class SampledSpace:
     base_metric: np.ndarray
     edges: frozenset  # undirected, stored as (u, v) with u < v
     labels: tuple = None
+    # point -> sorted tuple of its neighbours; derived from edges, once
+    adjacency: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nbrs = [[] for _ in range(self.n_points)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in nbrs))
 
 
 def build_space(base_metric, edges, labels=None, tol: float = 1e-9) -> SampledSpace:
@@ -279,6 +288,18 @@ def graph_components(n_points: int, edges, subset=None) -> list:
                     stack.append(v)
         comps.append(sorted(comp))
     return comps
+
+
+def component_of(adjacency, start: int, alive) -> set:
+    """The points joined to start by paths through alive (start included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if v in alive and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ naive: consecutive points merely lie in a common elementary set, i.e. any
     cross-orbit pair qualifies. This reproduces the classical failure mode:
     the lift stays a pseudometric only in the sampling limit, visible here
     as step costs that shrink under refinement.
+
+Cover small sets read each preimage off one row of the quotient table and
+search its components over the space's adjacency. Whether a component's
+image is convex depends only on its orbit set, so it is decided once per
+orbit set within a call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
-from .gspace import SampledGSpace, graph_components
+from .gspace import SampledGSpace, component_of, graph_components
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
@@ -78,12 +83,13 @@ def _is_elementary(quotient: Quotient, comp) -> bool:
     return len(orbs) == len(set(orbs))
 
 
-def _image_is_convex(quotient: Quotient, comp, tol: float) -> bool:
+def _image_is_convex(quotient: Quotient, orbs, tol: float) -> bool:
     """The quotient image of an elementary component must carry its global
     distances internally; otherwise chains through the component can move
     far in the space while the quotient thinks they moved a little (the
-    shortcut behind the pseudometric degeneracy)."""
-    orbs = sorted({quotient.orbit_of[p] for p in comp})
+    shortcut behind the pseudometric degeneracy). Depends only on the
+    component's orbit set orbs."""
+    orbs = sorted(orbs)
     k = len(orbs)
     if k <= 2:
         return True
@@ -110,19 +116,36 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
     conservative safety margin of the continuum construction)."""
     if quotient.d is None:
         raise ValidationError("InvalidParams", "quotient metric required for cover mode")
+    adjacency = gspace.space.adjacency
+    orbit_of = np.asarray(quotient.orbit_of)
+    convex = {}  # orbit set -> _image_is_convex
+
+    def components(key, r):
+        alive = set(np.flatnonzero(key < r).tolist())
+        comps, seen = [], set()
+        for p in sorted(alive):
+            if p not in seen:
+                comps.append(component_of(adjacency, p, alive))
+                seen |= comps[-1]
+        return comps
+
+    def is_convex(comp):
+        orbs = frozenset(quotient.orbit_of[p] for p in comp)
+        if orbs not in convex:
+            convex[orbs] = _image_is_convex(quotient, orbs, tol)
+        return convex[orbs]
+
     sets = set()
     for q in range(quotient.n_orbits):
+        key = quotient.d[q][orbit_of]
         for r in _candidate_radii(quotient, q):
-            pre = quotient.preimage(quotient.ball(q, r))
-            comps = graph_components(gspace.n_points, gspace.space.edges, pre)
+            comps = components(key, r)
             if not all(_is_elementary(quotient, c) for c in comps):
                 continue
-            if not all(_image_is_convex(quotient, c, tol) for c in comps):
+            if not all(is_convex(c) for c in comps):
                 continue
             if enlargement_factor > 1.0:
-                big = quotient.preimage(quotient.ball(q, r * enlargement_factor))
-                big_comps = graph_components(gspace.n_points, gspace.space.edges, big)
-                if not all(_is_elementary(quotient, c) for c in big_comps):
+                if not all(_is_elementary(quotient, c) for c in components(key, r * enlargement_factor)):
                     continue
             for c in comps:
                 sets.add(frozenset(c))

@@ -11,14 +11,44 @@ The builder and the verifier share one scan per condition: the builder
 shrinks on the first hit of the per-orbit scans (orbit meet, translate
 overlap) and of the condition (ii) scan, the verifier reports every hit.
 Openness (*) holds by construction, so only the verifier scans for it.
+Four facts keep each stage to passes over structure built once:
+
+Join keys. For an orbit o give each point v the key d(o, p(v)), and for a
+member x of o let b_x(v) be the least, over paths from x to v in the
+sampling graph, of the largest key on the path. The preimage of the open
+ball of radius r around o holds the points of key < r, so the slice of x
+at radius r is S_x(r) = {v : b_x(v) < r}. One union-find sweep over the
+points in (key, index) order gives b_x for every member of o (the nested
+sublevel-set filtration), and each radius the builder tries is a
+searchsorted prefix of x's points in b_x order.
+
+Resume lemma. A shrink only shrinks slices: a smaller radius gives a
+smaller component, and the singleton fallback keeps only x. Each condition
+(ii) violation (x, y, g) needs y in S_x and S_y meeting S_{g.x}, so a shrink
+creates no violation, none lies before the last one in (x, y, g) order, and
+the scan resumes at the x of the last one.
+
+Translate-overlap lemma. For a total g, g.S_x is the component of g.x in the
+G-invariant preimage, that is S_{g.x}. Two components meet only if they are
+equal, so g.S_x meets S_x only if g.x lies in S_x, which the orbit-meet
+check rules out unless g.x = x. The builder scans only partial elements; the
+verifier scans every g, since it judges any family.
+
+Border-edge lemma. With P_x the preimage of the ball of x's radius, a
+component of S_y & P_x is mixed (meets S_x without lying in it) iff it holds
+an edge (a, c) with a in S_x, c not in S_x and both ends in S_y & P_x. The
+verifier collects these border edges of S_x once per x and searches only the
+components that hold one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
-from .gspace import SampledGSpace, graph_components
+from .gspace import SampledGSpace, component_of
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 
@@ -53,16 +83,54 @@ def _candidate_radii(quotient: Quotient, orbit: int) -> list:
     return [top] + list(reversed(grid))
 
 
-def _orbit_slices(gspace, quotient, orbit, radius):
-    """S_x for every x on the orbit: the component of x in the graph on the
-    preimage of the open quotient ball of this radius around the orbit."""
-    pre = quotient.preimage(quotient.ball(orbit, radius))
-    comp_of = {}
-    for comp in graph_components(gspace.n_points, gspace.space.edges, pre):
-        comp = frozenset(comp)
-        for p in comp:
-            comp_of[p] = comp
-    return {x: comp_of[x] for x in quotient.orbit_members[orbit]}
+def _join_orders(adjacency, key, sources) -> dict:
+    """x -> (points, b) for each source x: the points joined to x, in the
+    order they join, and their join keys b_x, ascending. Points never joined
+    to x are left out.
+
+    One union-find sweep over the points in (key, index) order. When the
+    point w joins, each component it bridges meets the others at b = key[w]:
+    every path between them runs through w or through points that came
+    later, so no path has a smaller largest key."""
+    parent = list(range(len(adjacency)))
+    active = [False] * len(adjacency)
+    points = {}  # root -> the points of its component
+    held = {}  # root -> the sources in its component
+    joined = {x: [] for x in sources}
+    bvals = {x: [] for x in sources}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for w in np.argsort(key, kind="stable").tolist():
+        kw = float(key[w])
+        root = w
+        points[w] = [w]
+        held[w] = []
+        if w in joined:
+            held[w].append(w)
+            joined[w].append(w)
+            bvals[w].append(kw)
+        active[w] = True
+        for u in adjacency[w]:
+            if not active[u]:
+                continue
+            ru = find(u)
+            if ru == root:
+                continue
+            for a, b in ((root, ru), (ru, root)):
+                for x in held[a]:
+                    joined[x] += points[b]
+                    bvals[x] += [kw] * len(points[b])
+            if len(points[root]) < len(points[ru]):
+                root, ru = ru, root
+            parent[ru] = root
+            points[root] += points.pop(ru)
+            held[root] += held.pop(ru)
+    return {x: (joined[x], np.array(bvals[x])) for x in sources}
 
 
 def _orbit_meet(quotient, x, s):
@@ -71,34 +139,38 @@ def _orbit_meet(quotient, x, s):
     return next((p for p in members if p != x and p in s), None)
 
 
-def _translate_overlaps(gspace, x, s):
-    """Each g, ascending, with g.s meeting s and g.x != x (or undefined)."""
-    for g in range(gspace.group.order):
-        if gspace.apply(g, x) != x and gspace.translate_set(g, s) & s:
+def _translate_overlaps(gspace, x, s, elements):
+    """Each g of elements, ascending, with g.s meeting s and g.x != x (or
+    undefined)."""
+    for g in elements:
+        if gspace.apply(g, x) != x and not gspace.translate_set(g, s).isdisjoint(s):
             yield g
 
 
-def _condition_ii_violations(gspace, slice_of):
-    """Each (x, y, g) with y in S_x, g.x defined and != x, and S_y meeting
-    S_{g.x}; x ascending, then y, then g."""
-    for x in range(gspace.n_points):
+def _condition_ii_violations(gspace, slice_of, start=0):
+    """Each (x, y, g) with x >= start, y in S_x, g.x defined and != x, and
+    S_y meeting S_{g.x}; x ascending, then y, then g."""
+    for x in range(start, gspace.n_points):
+        moved = []
+        for g in range(gspace.group.order):
+            gx = gspace.apply(g, x)
+            if gx is not None and gx != x:
+                moved.append((g, slice_of[gx]))
+        if not moved:
+            continue
         for y in sorted(slice_of[x]):
             sy = slice_of[y]
-            for g in range(gspace.group.order):
-                gx = gspace.apply(g, x)
-                if gx is not None and gx != x and sy & slice_of[gx]:
+            for g, sgx in moved:
+                if not sy.isdisjoint(sgx):
                     yield (x, y, g)
 
 
 def _quotient_diameter(quotient, pts):
-    orbs = sorted({quotient.orbit_of[p] for p in pts})
-    best = 0.0
-    for i, a in enumerate(orbs):
-        for b in orbs[i + 1 :]:
-            v = float(quotient.d[a, b])
-            if v > best:
-                best = v
-    return best
+    """Largest d(a, b) over orbits a < b that pts meets, 0 for one orbit: one
+    max over the orbit block with all but its upper triangle zeroed."""
+    orbs = np.array(sorted({quotient.orbit_of[p] for p in pts}))
+    upper = np.arange(len(orbs))[:, None] < np.arange(len(orbs))
+    return float(np.where(upper, quotient.d[orbs[:, None], orbs], 0.0).max())
 
 
 def build_slice_family(
@@ -120,29 +192,59 @@ def build_slice_family(
     n_orbits = quotient.n_orbits
     log = []
 
-    global_pos = [float(v) for v in quotient.d.ravel() if v > 0]
-    fallback_radius = (min(global_pos) / 2.0) if global_pos else 0.5
+    positive = quotient.d[quotient.d > 0]
+    fallback_radius = (float(positive.min()) / 2.0) if positive.size else 0.5
 
     # candidate stacks per orbit; index points at the radius currently in use
     cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
+    orbit_of = np.asarray(quotient.orbit_of)
+    partial = [g for g in range(gspace.group.order) if not gspace.is_total(g)]
+    # orbit -> per member x: (x, points in join order, |S_x| per candidate,
+    # (mate, b_x(mate)) for the other members)
+    index = {}
 
-    def per_orbit_violation(slices):
-        for x, s in slices.items():
-            p = _orbit_meet(quotient, x, s)
+    def orbit_index(orbit):
+        """Built once per orbit, on the orbit's first settle."""
+        if orbit not in index:
+            members = quotient.orbit_members[orbit]
+            orders = _join_orders(gspace.space.adjacency, quotient.d[orbit][orbit_of], members)
+            entries = []
+            for x in members:
+                pts, b = orders[x]
+                joined = dict(zip(pts, b.tolist()))
+                mates = [(p, joined.get(p, np.inf)) for p in members if p != x]
+                entries.append((x, pts, np.searchsorted(b, cands[orbit]).tolist(), mates))
+            index[orbit] = entries
+        return index[orbit]
+
+    def try_radius(orbit, i):
+        """(slices, None) for the orbit at candidate i, or (None, the first
+        per-orbit violation). S_x is the prefix of x's points in join order
+        with b_x < r; the orbit meet reads b_x at the orbit mates, so S_x is
+        built only once x has passed it."""
+        r = cands[orbit][i]
+        slices = {}
+        for x, pts, sizes, mates in orbit_index(orbit):
+            if sizes[i] == 0:  # the radius is at or below d(p(x), p(x))
+                raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
+            p = next((p for p, b in mates if b < r), None)
             if p is not None:
-                return ("slice_meets_orbit", (x, p))
-            g = next(_translate_overlaps(gspace, x, s), None)
+                return None, ("slice_meets_orbit", (x, p))
+            slices[x] = s = frozenset(pts[: sizes[i]])
+            # Total elements cannot overlap here (translate-overlap lemma):
+            # g.S_x = S_{g.x}, which meets S_x only if g.x lies in S_x, and
+            # the orbit meet has just ruled that out unless g.x = x.
+            g = next(_translate_overlaps(gspace, x, s, partial), None)
             if g is not None:
-                return ("translate_overlap", (x, g))
-        return None
+                return None, ("translate_overlap", (x, g))
+        return slices, None
 
     def settle(orbit, start_idx):
         """Largest candidate from start_idx on passing the per-orbit checks.
         Returns (radius, slices, next_idx); falls back to singletons."""
         for i in range(start_idx, len(cands[orbit])):
             r = cands[orbit][i]
-            slices = _orbit_slices(gspace, quotient, orbit, r)
-            viol = per_orbit_violation(slices)
+            slices, viol = try_radius(orbit, i)
             if viol is None:
                 return r, slices, i
             log.append({"orbit": orbit, "radius": r, "condition": viol[0], "witness": viol[1]})
@@ -165,17 +267,26 @@ def build_slice_family(
     # in S_x. Every component C of S_y & P_x is connected inside P_x, so C is
     # a subset of S_x or disjoint from it. In the fallback case, y = x and
     # the cut is {x}.
+    # Each scan resumes at the x of the last violation (resume lemma).
+    diameters = {}  # slice -> _quotient_diameter; slices recur across shrinks
+
+    def diameter(s):
+        if s not in diameters:
+            diameters[s] = _quotient_diameter(quotient, s)
+        return diameters[s]
+
+    resume = 0
     while True:
-        viol = next(_condition_ii_violations(gspace, slice_of), None)
+        viol = next(_condition_ii_violations(gspace, slice_of, resume), None)
         if viol is None:
             break
         x, y, _ = viol
+        resume = x
         ox, oy = quotient.orbit_of[x], quotient.orbit_of[y]
         if ox == oy:
             target = ox
         else:
-            dx = _quotient_diameter(quotient, slice_of[x])
-            dy = _quotient_diameter(quotient, slice_of[y])
+            dx, dy = diameter(slice_of[x]), diameter(slice_of[y])
             if dx > dy:
                 target = ox
             elif dy > dx:
@@ -220,11 +331,14 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     rep = Report()
     slice_of = family.slice_of
     n = gspace.n_points
+    adjacency = gspace.space.adjacency
+    elements = range(gspace.group.order)
 
     v = [(x,) for x in range(n) if x not in slice_of[x]]
     rep.add("slice_contains_center", FAIL if v else PASS, v)
 
-    v = [(x, g) for x in range(n) for g in _translate_overlaps(gspace, x, slice_of[x])]
+    # every g: the family under judgement need not be built from balls
+    v = [(x, g) for x in range(n) for g in _translate_overlaps(gspace, x, slice_of[x], elements)]
     rep.add("slice_translate_overlap", FAIL if v else PASS, v)
 
     v = []
@@ -250,23 +364,36 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     rep.add("family_condition_ii", FAIL if v else PASS, list(v))
     rep.add("neighbour_condition_C", FAIL if v else PASS, list(v))
 
+    # A component of S_y & P_x is mixed iff it holds a border edge of S_x
+    # inside P_x (border-edge lemma), so only those components are searched.
     v = []
+    orbit_of = np.asarray(quotient.orbit_of)
+    in_ball = {}  # orbit -> membership of each point in P_x
     for x in range(n):
-        rx = family.radius_of_orbit[quotient.orbit_of[x]]
-        ball = quotient.ball(quotient.orbit_of[x], rx)
-        pre = quotient.preimage(ball)
-        for y in sorted(slice_of[x]):
-            cut = sorted(slice_of[y] & pre)
-            inter = slice_of[x] & slice_of[y]
-            for comp in graph_components(n, gspace.space.edges, cut):
-                hit = inter & set(comp)
-                if hit and hit != frozenset(comp):
-                    v.append((x, y, comp[0]))
+        o = quotient.orbit_of[x]
+        if o not in in_ball:
+            in_ball[o] = (quotient.d[o][orbit_of] < family.radius_of_orbit[o]).tolist()
+        inside, sx = in_ball[o], slice_of[x]
+        border = [(a, c) for a in sx if inside[a] for c in adjacency[a] if inside[c] and c not in sx]
+        if not border:
+            continue
+        for y in sorted(sx):
+            sy = slice_of[y]
+            starts = [a for a, c in border if a in sy and c in sy]
+            if not starts:
+                continue
+            cut = {p for p in sy if inside[p]}
+            mixed = []
+            for a in starts:
+                if not any(a in comp for comp in mixed):
+                    mixed.append(component_of(adjacency, a, cut))
+            v.extend((x, y, m) for m in sorted(min(comp) for comp in mixed))
     rep.add("openness_condition_star", FAIL if v else PASS, v)
 
     v = []
     for x in range(n):
-        if len(graph_components(n, gspace.space.edges, slice_of[x])) != 1:
+        s = slice_of[x]
+        if not s or len(component_of(adjacency, min(s), s)) != len(s):
             v.append((x,))
     rep.add("slice_connected", FAIL if v else PASS, v)
 

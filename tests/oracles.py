@@ -4,9 +4,11 @@ Deliberately written with different algorithms than the library (Floyd-
 Warshall and exhaustive simple-chain enumeration vs. all-sources Dijkstra;
 scalar loops and rebuilt frozensets vs. row-vectorised checks and the
 ball-prefix index; a slice builder that computes each slice on its own and
-also scans for openness vs. one that shares its scans with the verifier;
-per-pair coset distances and grid rescans vs. cached coset tables and one
-reduction per point).
+also scans for openness vs. one that shares its scans with the verifier and
+reads slices off join keys; component scans of the edge set per radius or
+per (x, y) vs. border edges and searches over the adjacency; per-pair coset
+distances and grid rescans vs. cached coset tables and one reduction per
+point).
 """
 
 import math
@@ -18,7 +20,8 @@ from equimetric.errors import ValidationError
 from equimetric.gspace import graph_components
 from equimetric.orbital import Chart, OrbitalMetric, _grid_or
 from equimetric.report import ADVISORY, FAIL, PASS, Report
-from equimetric.slices import SliceFamily, _candidate_radii, _quotient_diameter, subslice
+from equimetric.slices import SliceFamily, _candidate_radii, subslice
+from equimetric.spath import apsp
 from equimetric.verify import _inclusion_grid
 
 
@@ -270,6 +273,17 @@ def _per_orbit_violation(gspace, quotient, orbit, slices):
     return None
 
 
+def _quotient_diameter(quotient, pts):
+    orbs = sorted({quotient.orbit_of[p] for p in pts})
+    best = 0.0
+    for i, a in enumerate(orbs):
+        for b in orbs[i + 1 :]:
+            v = float(quotient.d[a, b])
+            if v > best:
+                best = v
+    return best
+
+
 def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFamily:
     n_orbits = quotient.n_orbits
     log = []
@@ -352,6 +366,148 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
         construction_log=tuple(tuple(sorted(rec.items())) for rec in log),
         degenerate=degenerate,
     )
+
+
+# The slice verifier and the cover small sets as they were before the join
+# keys: every scan over every g, one graph_components pass over the edge set
+# per (x, y) for openness and per slice for connectedness, and preimages and
+# components rebuilt, with one convexity apsp per component, for every
+# candidate radius.
+
+
+def _translate_overlaps(gspace, x, s):
+    for g in range(gspace.group.order):
+        if gspace.apply(g, x) != x and gspace.translate_set(g, s) & s:
+            yield g
+
+
+def _orbit_meet(quotient, x, s):
+    members = quotient.orbit_members[quotient.orbit_of[x]]
+    return next((p for p in members if p != x and p in s), None)
+
+
+def _condition_ii_violations(gspace, slice_of):
+    for x in range(gspace.n_points):
+        for y in sorted(slice_of[x]):
+            sy = slice_of[y]
+            for g in range(gspace.group.order):
+                gx = gspace.apply(g, x)
+                if gx is not None and gx != x and sy & slice_of[gx]:
+                    yield (x, y, g)
+
+
+def verify_slice_family(gspace, quotient, family) -> Report:
+    rep = Report()
+    slice_of = family.slice_of
+    n = gspace.n_points
+
+    v = [(x,) for x in range(n) if x not in slice_of[x]]
+    rep.add("slice_contains_center", FAIL if v else PASS, v)
+
+    v = [(x, g) for x in range(n) for g in _translate_overlaps(gspace, x, slice_of[x])]
+    rep.add("slice_translate_overlap", FAIL if v else PASS, v)
+
+    v = []
+    for x in range(n):
+        for h in gspace.stabilizer(x):
+            if gspace.is_total(h) or all(p in gspace.act[h] for p in slice_of[x]):
+                if gspace.translate_set(h, slice_of[x]) != slice_of[x]:
+                    v.append((x, h))
+    rep.add("slice_stabilizer_invariance", FAIL if v else PASS, v)
+
+    v = []
+    for g in gspace.total_elements():
+        for x in range(n):
+            if gspace.translate_set(g, slice_of[x]) != slice_of[gspace.apply(g, x)]:
+                v.append((x, g))
+    rep.add("family_equivariance", FAIL if v else PASS, v)
+
+    meets = ((x, _orbit_meet(quotient, x, slice_of[x])) for x in range(n))
+    v = [(x, p) for x, p in meets if p is not None]
+    rep.add("slice_meets_orbit_once", FAIL if v else PASS, v)
+
+    v = list(_condition_ii_violations(gspace, slice_of))
+    rep.add("family_condition_ii", FAIL if v else PASS, list(v))
+    rep.add("neighbour_condition_C", FAIL if v else PASS, list(v))
+
+    v = []
+    for x in range(n):
+        rx = family.radius_of_orbit[quotient.orbit_of[x]]
+        ball = quotient.ball(quotient.orbit_of[x], rx)
+        pre = quotient.preimage(ball)
+        for y in sorted(slice_of[x]):
+            cut = sorted(slice_of[y] & pre)
+            inter = slice_of[x] & slice_of[y]
+            for comp in graph_components(n, gspace.space.edges, cut):
+                hit = inter & set(comp)
+                if hit and hit != frozenset(comp):
+                    v.append((x, y, comp[0]))
+    rep.add("openness_condition_star", FAIL if v else PASS, v)
+
+    v = []
+    for x in range(n):
+        if len(graph_components(n, gspace.space.edges, slice_of[x])) != 1:
+            v.append((x,))
+    rep.add("slice_connected", FAIL if v else PASS, v)
+
+    if all(len(s) == 1 for s in slice_of):
+        rep.add("degenerate_family", ADVISORY, [("all slices are singletons",)])
+
+    pairs = bad = 0
+    for x in range(n):
+        for y in slice_of[x]:
+            pairs += 1
+            if not slice_of[y] <= slice_of[x]:
+                bad += 1
+    rep.add("strong_nesting_statistic", ADVISORY, [], (bad / pairs) if pairs else 0.0)
+
+    return rep
+
+
+def _is_elementary(quotient, comp) -> bool:
+    orbs = [quotient.orbit_of[p] for p in comp]
+    return len(orbs) == len(set(orbs))
+
+
+def _image_is_convex(quotient, comp, tol: float) -> bool:
+    orbs = sorted({quotient.orbit_of[p] for p in comp})
+    k = len(orbs)
+    if k <= 2:
+        return True
+    pos = {q: i for i, q in enumerate(orbs)}
+    w = np.full((k, k), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for a, b in quotient.quotient_adjacency:
+        if a in pos and b in pos:
+            w[pos[a], pos[b]] = w[pos[b], pos[a]] = quotient.d[a, b]
+    internal = apsp(w)
+    for i, a in enumerate(orbs):
+        for j, b in enumerate(orbs):
+            if abs(internal[i, j] - quotient.d[a, b]) > tol:
+                return False
+    return True
+
+
+def cover_small_sets(gspace, quotient, enlargement_factor: float = 1.0, tol: float = 1e-9) -> tuple:
+    sets = set()
+    for q in range(quotient.n_orbits):
+        for r in _candidate_radii(quotient, q):
+            pre = quotient.preimage(quotient.ball(q, r))
+            comps = graph_components(gspace.n_points, gspace.space.edges, pre)
+            if not all(_is_elementary(quotient, c) for c in comps):
+                continue
+            if not all(_image_is_convex(quotient, c, tol) for c in comps):
+                continue
+            if enlargement_factor > 1.0:
+                big = quotient.preimage(quotient.ball(q, r * enlargement_factor))
+                big_comps = graph_components(gspace.n_points, gspace.space.edges, big)
+                if not all(_is_elementary(quotient, c) for c in big_comps):
+                    continue
+            for c in comps:
+                sets.add(frozenset(c))
+            break
+    maximal = [s for s in sets if not any(s < t for t in sets)]
+    return tuple(sorted(maximal, key=sorted))
 
 
 # The orbital stage as it was before the coset tables: one coset distance

@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+import equimetric as eq
 from equimetric import ValidationError
 from equimetric.cli import load_config, main
 
@@ -122,6 +124,20 @@ def test_mistyped_config_fields_rejected(tmp_path, capsys, overrides, code):
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: {code}: ")
+
+
+def test_radius_below_quotient_diagonal_rejected(tmp_path, capsys):
+    """A quotient diagonal of 5e-10 is allowed within tolerance; shrunk by
+    1e10 every candidate radius lies at or below it, so the ball around an
+    orbit leaves out the orbit itself."""
+    gs = eq.generate_scenario("circle", {"n": 12, "k": 3})
+    d = eq.quotient_metric(gs, eq.compute_orbits(gs)).d + 5e-10 * np.eye(4)
+    np.savetxt(tmp_path / "q.csv", d, delimiter=",", fmt="%.17g")
+    cfg = write_config(tmp_path / "cfg.json", mode="general", quotient_mode="explicit",
+                       quotient_table=str(tmp_path / "q.csv"), shrink_factor=1e10)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "error: EmptyResult: center orbit not in the quotient set (witness: 0)\n"
 
 
 def test_mode_and_scale_overrides(tmp_path, capsys):

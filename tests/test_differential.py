@@ -1,7 +1,9 @@
-"""Differential tests: the row-vectorised checks, the ball-prefix index and
-the slice builder against the references in tests/oracles.py. Equal means
-the same error code, message and witness, the same violation list, residual
-and report lines, or the same slice family and construction log."""
+"""Differential tests: the row-vectorised checks, the ball-prefix index, the
+slice builder and verifier, the cover small sets and the orbital stage
+against the references in tests/oracles.py, and the join keys against
+graph_components. Equal means the same error code, message and witness, the
+same violation list, residual and report lines, or the same slice family and
+construction log."""
 
 from dataclasses import replace
 
@@ -11,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import equimetric as eq
 from equimetric.errors import ValidationError
-from equimetric.gspace import _check_metric_table
+from equimetric.gspace import _check_metric_table, graph_components
 from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
+from equimetric.slices import _join_orders
 from equimetric.verify import _metric_axiom_violations
 from tests import oracles
 from perfbench.workloads import GRID_CELLS
@@ -228,6 +231,8 @@ def assert_same_family(gs, shrink_factor=1.0):
     ("disk", {"g": 7}, 2.0, "family_condition_ii", 5),
     # a partial shift undefined at x can still move part of S_x into S_x
     ("shift", {"m": 2, "h": 0.25, "N": 1}, 1.0, "translate_overlap", 3),
+    # a two-point orbit rejects every radius at which S_x still reaches -x
+    ("reflection", {"m": 25, "h": 1.0}, 1.0, "slice_meets_orbit", 313),
 ])
 def test_slice_builder_matches_reference_through_shrinks(name, params, shrink_factor, condition, shrinks):
     family = assert_same_family(eq.generate_scenario(name, params), shrink_factor)
@@ -247,6 +252,129 @@ def test_slice_builder_matches_reference_on_small_sweep_cells(name, params):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_slice_builder_matches_reference_on_random_spaces(seed):
     assert_same_family(random_gspace(seed))
+
+
+# The join keys, the slice verifier and the cover small sets against
+# graph_components and the edge-set scans kept in tests/oracles.py.
+
+
+@st.composite
+def keyed_graphs(draw):
+    """A random graph with keys drawn from few values, so that ties occur."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    key = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), min_size=n, max_size=n))
+    sources = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+    return n, edges, np.array(key), sorted(sources)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=keyed_graphs(), radii=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]),
+                                            min_size=1, max_size=4))
+def test_join_key_prefixes_are_components(graph, radii):
+    """The prefix of x's points with join key < r is the component of x in
+    the subgraph on the points of key < r, or empty when x itself is out."""
+    n, edges, key, sources = graph
+    adjacency = eq.build_space(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), edges).adjacency
+    orders = _join_orders(adjacency, key, sources)
+    for x in sources:
+        pts, b = orders[x]
+        assert sorted(pts) == sorted(set(pts)) and np.all(np.diff(b) >= 0)
+        for r in radii:
+            comps = graph_components(n, edges, [v for v in range(n) if key[v] < r])
+            want = next((set(c) for c in comps if x in c), set())
+            assert set(pts[: np.searchsorted(b, r)]) == want
+
+
+def space(name, params):
+    gs = eq.generate_scenario(name, params)
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs))
+
+
+def openness_witnesses(report):
+    return report["openness_condition_star"].witnesses
+
+
+def assert_same_verdict(gs, quotient, family):
+    report = eq.verify_slice_family(gs, quotient, family)
+    assert report.lines() == oracles.verify_slice_family(gs, quotient, family).lines()
+    return report
+
+
+def test_slice_verifier_matches_reference_on_planted_openness_defects():
+    """The family of test_planted_openness_defect_is_caught, and circle(24, 3)
+    with S_y the whole circle: then S_y & P_x is the three arcs around the
+    orbit of x, and S_x holds part of each, so every arc is a mixed component."""
+    gs, quotient = space("circle", {"n": 12, "k": 3})
+    family = eq.build_slice_family(gs, quotient)
+    bad = list(family.slice_of)
+    bad[0], bad[11] = frozenset({11, 0}), frozenset({10, 11, 0, 1})
+    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    assert openness_witnesses(report) == [(0, 11, 0)]
+
+    gs, quotient = space("circle", {"n": 24, "k": 3})
+    family = eq.build_slice_family(gs, quotient)
+    bad = list(family.slice_of)
+    bad[1] = frozenset(range(24))
+    bad[0] = frozenset({0, 1, 8, 9, 16, 17})
+    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    assert [w for w in openness_witnesses(report) if w[:2] == (0, 1)] == [(0, 1, 0), (0, 1, 7), (0, 1, 15)]
+    # the arc {23, 0, 1} now lies in S_0; its edge to 2 leaves P_0 and does
+    # not make it mixed
+    bad[0] = frozenset({23, 0, 1, 8, 9, 16, 17})
+    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    assert [w for w in openness_witnesses(report) if w[:2] == (0, 1)] == [(0, 1, 7), (0, 1, 15)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_slice_verifier_matches_reference_on_perturbed_families(seed, data):
+    """Built families on random spaces with random points added to and
+    removed from a few slices; radii perturbed too."""
+    gs = random_gspace(seed)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    n = gs.n_points
+    slices = list(family.slice_of)
+    for _ in range(data.draw(st.integers(0, 4))):
+        x = data.draw(st.integers(0, n - 1))
+        add = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        drop = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+        slices[x] = (slices[x] | frozenset(add)) - frozenset(drop)
+    radii = [r * data.draw(st.sampled_from([1.0, 0.5, 2.0])) for r in family.radius_of_orbit]
+    assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(slices), radius_of_orbit=tuple(radii)))
+
+
+@pytest.mark.parametrize("name,params", SWEEP_CELLS)
+def test_slice_verifier_matches_reference_on_small_sweep_cells(name, params):
+    gs, quotient = space(name, dict(params))
+    assert_same_verdict(gs, quotient, eq.build_slice_family(gs, quotient))
+
+
+@pytest.mark.parametrize("name,params", SWEEP_CELLS)
+def test_cover_small_sets_match_reference_on_small_sweep_cells(name, params):
+    gs, quotient = space(name, dict(params))
+    for factor in (1.0, 1.5, 1000.0):
+        assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
+
+
+def test_cover_small_sets_match_reference_on_non_convex_images():
+    """Five points on a path, the trivial group, and an explicit quotient
+    table with d(2, 4) = 1.5 < d(2, 3) + d(3, 4): an image holding 2, 3 and 4
+    is not convex. Around orbit 0 the four points {0, 1, 2, 3} are accepted;
+    around orbit 2 the four points {1, 2, 3, 4} are not."""
+    x = np.arange(5.0)
+    d = np.abs(np.subtract.outer(x, x))
+    d[2, 4] = d[4, 2] = 1.5
+    d[0, 4] = d[4, 0] = 3.5
+    d[1, 4] = d[4, 1] = 2.5
+    path = eq.build_space(d, [(i, i + 1) for i in range(4)])
+    gs = eq.bind_action(path, eq.build_group([[0]]), [{i: i for i in range(5)}])
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=d)
+    sets = eq.cover_small_sets(gs, quotient)
+    assert sets == oracles.cover_small_sets(gs, quotient)
+    assert sets == (frozenset({0, 1, 2, 3}), frozenset({3, 4}))
 
 
 # The orbital stage against the per-pair coset distances, the element scan

@@ -6,6 +6,7 @@ from equimetric import (
     bind_action,
     build_group,
     build_space,
+    generate_scenario,
     graph_components,
     group_from_permutations,
 )
@@ -104,6 +105,22 @@ class TestBuildSpace:
     def test_components(self):
         assert graph_components(5, {(0, 1), (3, 4)}) == [[0, 1], [2], [3, 4]]
         assert graph_components(5, {(0, 1), (3, 4)}, subset={0, 1, 3}) == [[0, 1], [3]]
+
+    def test_adjacency_lists_the_edges(self):
+        assert line_space(4).adjacency == ((1,), (0, 2), (1, 3), (2,))
+        assert build_space([[0.0]], []).adjacency == ((),)
+
+    @pytest.mark.parametrize("name,params", [
+        ("circle", {"n": 12, "k": 3}), ("dihedral", {"n": 6}), ("disk", {"g": 5}),
+        ("reflection", {"m": 3, "h": 1.0}), ("shift", {"m": 8, "h": 0.5, "N": 2}),
+    ])
+    def test_adjacency_is_symmetric_sorted_and_equals_edges(self, name, params):
+        space = generate_scenario(name, params).space
+        adjacency = space.adjacency
+        assert len(adjacency) == space.n_points
+        assert all(list(nbrs) == sorted(set(nbrs)) for nbrs in adjacency)
+        assert all(u in adjacency[v] for u, nbrs in enumerate(adjacency) for v in nbrs)
+        assert {(u, v) for u, nbrs in enumerate(adjacency) for v in nbrs if u < v} == space.edges
 
 
 class TestBindAction:
