@@ -4,6 +4,13 @@ The topology of the underlying space is modelled by a neighborhood graph:
 connectedness questions become graph-component questions. Group elements act
 as injective (possibly partial) maps on point indices; total elements must be
 automorphisms of the neighborhood graph.
+
+Validation runs on arrays: the multiplication table as a |G| x |G| array and
+the action as one |G| x (n + 1) array of g.x (``SampledGSpace.action``, -1
+where a partial map is undefined). Each check makes one array comparison
+per group element and raises on the first violation in the order of the
+scalar scan it replaces: row-major over (g, h, x), and per element the
+inverse test before the edges, which are taken in sorted order.
 """
 
 from __future__ import annotations
@@ -89,40 +96,39 @@ class FiniteGroup:
 def build_group(mul_table, generators=None) -> FiniteGroup:
     """Validate a multiplication table and return the group.
 
-    Scan order is fixed (row-major over (g, h, x)), so the first reported
-    violation is deterministic.
+    Scan order is fixed, so the first reported violation is deterministic:
+    entries row-major over (g, h), the least two-sided identity, per g the
+    least two-sided inverse, associativity row-major over (g, h, x).
+    Associativity compares M[M[g]] with M[g][M] one row g at a time, so the
+    temporaries stay O(|G|^2).
     """
     mul = tuple(tuple(int(v) for v in row) for row in mul_table)
     n = len(mul)
     if n == 0 or any(len(row) != n for row in mul):
         raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
-    for g in range(n):
-        for h in range(n):
-            if not 0 <= mul[g][h] < n:
-                raise ValidationError("InvalidParams", "table entry out of range", (g, h))
+    table = np.array(mul)
+    bad = np.argwhere((table < 0) | (table >= n))
+    if len(bad):
+        raise ValidationError("InvalidParams", "table entry out of range", tuple(int(v) for v in bad[0]))
+    table = table.astype(np.intp, copy=False)
+    ids = np.arange(n)
 
-    identity = None
-    for e in range(n):
-        if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity is None:
+    two_sided = (table == ids).all(axis=1) & (table.T == ids).all(axis=1)
+    if not two_sided.any():
         raise ValidationError("NoIdentity", "no two-sided identity element")
+    identity = int(two_sided.argmax())
 
-    inv = [None] * n
-    for g in range(n):
-        for h in range(n):
-            if mul[g][h] == identity and mul[h][g] == identity:
-                inv[g] = h
-                break
-        if inv[g] is None:
-            raise ValidationError("NoInverse", "element has no two-sided inverse", g)
+    inverts = (table == identity) & (table.T == identity)
+    missing = np.flatnonzero(~inverts.any(axis=1))
+    if len(missing):
+        raise ValidationError("NoInverse", "element has no two-sided inverse", int(missing[0]))
+    inv = inverts.argmax(axis=1).tolist()
 
-    for g in range(n):
-        for h in range(n):
-            for x in range(n):
-                if mul[mul[g][h]][x] != mul[g][mul[h][x]]:
-                    raise ValidationError("NonAssociative", "associativity fails", (g, h, x))
+    for g in range(n):  # (gh)x against g(hx) over (h, x)
+        differ = table[table[g]] != table[g][table]
+        if differ.any():
+            h, x = (int(v) for v in np.argwhere(differ)[0])
+            raise ValidationError("NonAssociative", "associativity fails", (g, h, x))
 
     gens = None
     if generators is not None:
@@ -159,28 +165,27 @@ def group_from_permutations(perms, generator_names=None) -> tuple:
     element_perms[i]. Elements are sorted by permutation tuple for a stable
     indexing; the multiplication matches composition, so the action of the
     returned group on the permuted set is a homomorphism by construction.
+    Compositions are array gathers, looked up by their bytes.
     """
-    npts = len(perms[0])
-    ident = tuple(range(npts))
-    elems = {ident}
+    gens = np.array(perms, dtype=np.intp)
+    ident = np.arange(gens.shape[1])
+    elems = {ident.tobytes(): ident}
     frontier = [ident]
-    gens = [tuple(p) for p in perms]
     while frontier:
         a = frontier.pop()
         for g in gens:
-            b = tuple(g[a[i]] for i in range(npts))
-            if b not in elems:
-                elems.add(b)
+            b = g[a]
+            key = b.tobytes()
+            if key not in elems:
+                elems[key] = b
                 frontier.append(b)
-    order = sorted(elems)
-    index = {p: i for i, p in enumerate(order)}
-    mul = [
-        [index[tuple(p[q[i]] for i in range(npts))] for q in order]
-        for p in order
-    ]
-    gen_idx = [index[tuple(p)] for p in perms]
+    table = np.array(list(elems.values()))
+    table = table[np.lexsort(table.T[::-1])]  # lexicographic, as tuples sort
+    index = {p.tobytes(): i for i, p in enumerate(table)}
+    mul = [[index[r.tobytes()] for r in p[table]] for p in table]
+    gen_idx = [index[g.tobytes()] for g in gens]
     group = build_group(mul, generators=gen_idx)
-    return group, order
+    return group, [tuple(p) for p in table.tolist()]
 
 
 def _check_metric_table(table: np.ndarray, tol: float, code: str = "NotAMetric"):
@@ -307,7 +312,22 @@ class SampledGSpace:
     space: SampledSpace
     group: FiniteGroup
     act: tuple  # per element: dict point -> point (partial maps allowed)
-    stabilizers: tuple = field(default=None)  # per point: tuple of element indices
+    # |G| x (n + 1) array of g.x, -1 where the map is undefined; the last
+    # column is all -1, so that an undefined image indexes to -1 again.
+    # Derived from act, once.
+    action: np.ndarray = field(init=False, repr=False, compare=False)
+    # per point: tuple of the element indices fixing it; derived from action
+    stabilizers: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.space.n_points
+        table = np.full((self.group.order, n + 1), -1, dtype=np.intp)
+        for g, m in enumerate(self.act):
+            table[g, list(m)] = list(m.values())
+        table.setflags(write=False)
+        fixed = table[:, :n] == np.arange(n)
+        object.__setattr__(self, "action", table)
+        object.__setattr__(self, "stabilizers", tuple(tuple(np.flatnonzero(c).tolist()) for c in fixed.T))
 
     @property
     def n_points(self) -> int:
@@ -332,7 +352,12 @@ class SampledGSpace:
 
 
 def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSpace:
-    """Validate an action given as per-element partial injective point maps."""
+    """Validate an action given as per-element partial injective point maps.
+
+    Every check reads the action array A and makes one comparison per
+    element g; the first violation is the one the scalar scan over
+    (g, h, x), then per g over x and the sorted edges, would meet first.
+    """
     n = space.n_points
     if len(act_maps) != group.order:
         raise ValidationError("InvalidParams", "one map required per group element")
@@ -345,45 +370,51 @@ def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSp
         if len(set(m.values())) != len(m):
             raise ValidationError("InvalidParams", "action map not injective", g)
         act.append(m)
+    gspace = SampledGSpace(space=space, group=group, act=tuple(act))
+    A = gspace.action
+    images = A[:, :n]
+    ids = np.arange(n)
 
-    e = group.identity
-    if len(act[e]) != n or any(act[e][x] != x for x in range(n)):
+    if (images[group.identity] != ids).any():
         raise ValidationError("IdentityNotIdentity", "identity element must act as the total identity map")
 
-    # act(g.h) = act(g) o act(h) wherever both sides are defined
+    # act(g.h) = act(g) o act(h) wherever both sides are defined: row h of
+    # A[mul[g]] against g applied to row h of A (-1 stays -1 via the padding)
+    mul = np.asarray(group.mul)
     for g in range(group.order):
-        for h in range(group.order):
-            gh = group.mul[g][h]
-            for x in range(n):
-                hx = act[h].get(x)
-                lhs = act[gh].get(x)
-                rhs = act[g].get(hx) if hx is not None else None
-                if lhs is not None and rhs is not None and lhs != rhs:
-                    raise ValidationError("NotHomomorphism", "composition mismatch", (g, h, x))
+        lhs, rhs = images[mul[g]], A[g][images]
+        differ = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
+        if differ.any():
+            h, x = (int(v) for v in np.argwhere(differ)[0])
+            raise ValidationError("NotHomomorphism", "composition mismatch", (g, h, x))
 
     # total elements act by graph automorphisms; partial ones preserve edges
     # where defined. For a total g its inverse element must also act totally
     # and invert it, so forward edge preservation suffices.
+    edges = sorted(space.edges)
+    a_end = np.array([a for a, _ in edges], dtype=np.intp)
+    b_end = np.array([b for _, b in edges], dtype=np.intp)
+    adjacent = np.zeros((n + 1, n + 1), dtype=bool)
+    adjacent[a_end, b_end] = adjacent[b_end, a_end] = True
+    total = (images >= 0).all(axis=1)
     for g in range(group.order):
-        total = len(act[g]) == n
-        if total:
+        if total[g]:
             gi = group.inv[g]
-            if len(act[gi]) != n:
+            if not total[gi]:
                 raise ValidationError("NotHomomorphism", "total element with partial inverse", g)
-            for x in range(n):
-                if act[gi][act[g][x]] != x:
-                    raise ValidationError("NotHomomorphism", "inverse element does not invert", (g, x))
-        for a, b in sorted(space.edges):
-            ga, gb = act[g].get(a), act[g].get(b)
-            if ga is not None and gb is not None:
-                if ga == gb or (min(ga, gb), max(ga, gb)) not in space.edges:
-                    raise ValidationError("NotGraphAutomorphism", "edge not preserved", (g, (a, b)))
+            bad = np.flatnonzero(A[gi][images[g]] != ids)
+            if len(bad):
+                raise ValidationError("NotHomomorphism", "inverse element does not invert", (g, int(bad[0])))
+        ga, gb = A[g, a_end], A[g, b_end]
+        bad = np.flatnonzero((ga >= 0) & (gb >= 0) & ((ga == gb) | ~adjacent[ga, gb]))
+        if len(bad):
+            raise ValidationError("NotGraphAutomorphism", "edge not preserved", (g, edges[bad[0]]))
 
-    stabs = []
-    for x in range(n):
-        s = tuple(g for g in range(group.order) if act[g].get(x) == x)
-        if not group.is_subgroup(s):
+    verdicts = {}  # one subgroup test per distinct stabilizer
+    for x, K in enumerate(gspace.stabilizers):
+        if K not in verdicts:
+            verdicts[K] = group.is_subgroup(K)
+        if not verdicts[K]:
             raise ValidationError("NotHomomorphism", "stabilizer is not a subgroup", x)
-        stabs.append(s)
 
-    return SampledGSpace(space=space, group=group, act=tuple(act), stabilizers=tuple(stabs))
+    return gspace

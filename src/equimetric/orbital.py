@@ -170,26 +170,22 @@ class OrbitalMetric:
         return not np.isnan(self.values[x, y])
 
 
-def _action_array(gspace: SampledGSpace) -> np.ndarray:
-    """The |G| x n table of g.x, -1 where the partial map is undefined."""
-    act = np.full((gspace.group.order, gspace.n_points), -1)
-    for g, m in enumerate(gspace.act):
-        act[g, list(m)] = list(m.values())
-    return act
-
-
 def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
                          family: SliceFamily, d_G: GroupMetric) -> OrbitalMetric:
     """Glue chart coset metrics into one orbital metric.
 
     Requires, for every stabilizer, either right invariance of the group
     metric or normality of the stabilizer (otherwise the coset identification
-    depends on the base point and the construction is rejected).
+    depends on the base point and the construction is rejected). The test
+    runs once per distinct stabilizer; the witness is the least point whose
+    stabilizer fails it.
     """
     group = gspace.group
-    for x in range(gspace.n_points):
-        K = gspace.stabilizer(x)
-        if not (d_G.right_invariant_for(K) or group.is_normal(K)):
+    compatible = {}
+    for x, K in enumerate(gspace.stabilizers):
+        if K not in compatible:
+            compatible[K] = d_G.right_invariant_for(K) or group.is_normal(K)
+        if not compatible[K]:
             raise ValidationError(
                 "IncompatibleGroupMetric",
                 "group metric is neither right invariant for a stabilizer nor is the stabilizer normal",
@@ -226,7 +222,7 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
     # Each chart reads d(g1 K, g2 K) with g1, g2 the least elements sending
     # its base point y0 (stabilizer K) to x and y; a pair that no element
     # reaches is undefined (nan). The lower triangle mirrors the upper one.
-    act = _action_array(gspace)
+    act = gspace.action
     n = gspace.n_points
     values = np.zeros((n, n))
     for q in range(n_orbits):
@@ -286,12 +282,18 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     count. A delta at or below a positive quotient diagonal entry
     d(p x, p x) leaves x outside its own slice ball; the descending A and B
     searches raise EmptyResult when they reach one, as ``subslice`` does.
+
+    Every check reads the action array ``gspace.action``. Property B makes
+    one gather per x over all y in S_x, so its temporaries are
+    O(|S_x| |G|^2); the coset chain and the translated bound compare their
+    tables once per distinct pair of stabilizers (of domains, for the
+    bound) and emit witnesses per (chart, y) in scan order.
     """
     rep = Report()
     group = gspace.group
     e = group.identity
     n = gspace.n_points
-    act = _action_array(gspace)
+    act = gspace.action
     mul = np.asarray(group.mul)
     dq, dO = quotient.d, d_O.values
     orbit = np.asarray(quotient.orbit_of)
@@ -317,16 +319,18 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
         wits += [(x, eps, delta_grid[c - 1]) for eps, c in zip(eps_grid[:3], counts[:3]) if c]
     rep.add("property_A", FAIL if fails else PASS, fails or wits[:3])
 
-    # Property B: orbital distance is minimal at the slice center
+    # Property B: orbital distance is minimal at the slice center. One
+    # gather per x over all y in S_x: vy[i, g1, g2] = d_O(g1 y_i, g2 y_i),
+    # pairs with an undefined image masked out.
     fails, wits = [], []
     for x in range(n):
-        b = np.inf
-        for y in sorted(family.slice_of[x]):
-            g = np.flatnonzero((act[:, x] >= 0) & (act[:, y] >= 0))
-            vx = dO[np.ix_(act[g, x], act[g, x])]
-            vy = dO[np.ix_(act[g, y], act[g, y])]
-            if (vx > vy + tol).any():
-                b = min(b, dq[orbit[x], orbit[y]])
+        ys = np.array(sorted(family.slice_of[x]))
+        ax, ay = act[:, x], act[:, ys].T
+        vx = dO[ax[:, None], ax]
+        vy = dO[ay[:, :, None], ay[:, None, :]]
+        defined = (ax >= 0) & (ay >= 0)
+        broken = ((vx > vy + tol) & defined[:, :, None] & defined[:, None, :]).any(axis=(1, 2))
+        b = dq[orbit[x], orbit[ys[broken]]].min(initial=np.inf)
         c = int(np.searchsorted(delta_arr, b, side="right"))  # deltas <= b
         _centre_in_ball(quotient, x, delta_grid[max(c - 1, 0)])
         if c:
@@ -350,32 +354,48 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     rep.add("property_C", FAIL if fails else PASS, fails or wits[:3])
 
     # Coset-metric inequalities per chart: anchor distance <= slice-point
-    # distance <= group distance
+    # distance <= group distance. The tables depend on (chart, y) only
+    # through the two stabilizers, so each pair is compared once.
     resid = 0.0
     fails = []
+    chains = {}
     for chart in d_O.charts:
-        t_anchor = d_G.coset_table(gspace.stabilizer(chart.anchor))
+        K_anchor = gspace.stabilizer(chart.anchor)
         for y in sorted(chart.slice_pts):
-            t_y = d_G.coset_table(gspace.stabilizer(y))
-            worst = np.maximum(t_anchor - t_y, t_y - d_G.table)
-            resid = max(resid, float(worst.max()))
-            fails += [(chart.orbit, y, int(g1), int(g2)) for g1, g2 in np.argwhere(worst > tol)]
+            key = (K_anchor, gspace.stabilizer(y))
+            if key not in chains:
+                t_anchor, t_y = d_G.coset_table(key[0]), d_G.coset_table(key[1])
+                worst = np.maximum(t_anchor - t_y, t_y - d_G.table)
+                chains[key] = float(worst.max()), np.argwhere(worst > tol).tolist()
+            worst_max, hits = chains[key]
+            resid = max(resid, worst_max)
+            fails += [(chart.orbit, y, *hit) for hit in hits]
     rep.add("coset_inequality_chain", FAIL if fails else PASS, fails, resid)
 
     # translated-slice bound: moving within a translated slice is bounded by
     # the group displacement of the translating element. It cannot fail:
     # u = e lies in K, so d(g0 K, g g0 K) <= d_G(g0, g g0) holds exactly in
     # the one-sided and in the two-sided form, and the residual stays 0.
+    # The bound depends on y' only through its stabilizer and the elements
+    # defined at y', so each such pair is compared once.
     resid = 0.0
     fails = []
+    bounds = {}
+    in_domain = act[:, :n].T >= 0  # in_domain[y, g]: g.y is defined
+    bound_key = [(gspace.stabilizer(y), in_domain[y].tobytes()) for y in range(n)]
     for chart in d_O.charts:
         for yp in sorted(chart.slice_pts):
-            g0 = np.flatnonzero(act[:, yp] >= 0)
-            gg0 = mul[:, g0].T  # gg0[i, g] = g g0[i]
-            v = d_G.coset_table(gspace.stabilizer(yp))[g0[:, None], gg0]
-            bound = d_G.table[g0[:, None], gg0]
-            resid = max(resid, float((v - bound).max()))
-            fails += [(chart.orbit, yp, int(g0[i]), int(g)) for i, g in np.argwhere(v > bound + tol)]
+            key = bound_key[yp]
+            if key not in bounds:
+                g0 = np.flatnonzero(in_domain[yp])
+                gg0 = mul[:, g0].T  # gg0[i, g] = g g0[i]
+                v = d_G.coset_table(key[0])[g0[:, None], gg0]
+                bound = d_G.table[g0[:, None], gg0]
+                bounds[key] = (float((v - bound).max()),
+                               [(int(g0[i]), int(g)) for i, g in np.argwhere(v > bound + tol)])
+            worst_max, hits = bounds[key]
+            resid = max(resid, worst_max)
+            fails += [(chart.orbit, yp, *hit) for hit in hits]
     rep.add("translated_motion_bound", FAIL if fails else PASS, fails, max(resid, 0.0))
 
     return rep

@@ -88,14 +88,7 @@ def compute_orbits(gspace: SampledGSpace) -> Quotient:
 
 
 def _min_over_lifts(gspace, members_p, members_q) -> float:
-    rho0 = gspace.space.base_metric
-    best = float("inf")
-    for a in members_p:
-        for b in members_q:
-            v = rho0[a, b]
-            if v < best:
-                best = float(v)
-    return best
+    return float(gspace.space.base_metric[np.ix_(members_p, members_q)].min())
 
 
 def quotient_metric(
@@ -121,15 +114,14 @@ def quotient_metric(
         _check_metric_table(d, tol)
     elif mode == "isometric":
         rho0 = gspace.space.base_metric
-        npts = gspace.n_points
-        for g in gspace.total_elements():
-            m = gspace.act[g]
-            for a in range(npts):
-                for b in range(npts):
-                    if abs(rho0[m[a], m[b]] - rho0[a, b]) > tol:
-                        raise ValidationError(
-                            "NotIsometricAction", "total element is not a base-metric isometry", (g, a, b)
-                        )
+        for g in gspace.total_elements():  # first (a, b), row-major, per g
+            m = gspace.action[g, : gspace.n_points]
+            moved = np.abs(rho0[np.ix_(m, m)] - rho0) > tol
+            if moved.any():
+                a, b = (int(v) for v in np.argwhere(moved)[0])
+                raise ValidationError(
+                    "NotIsometricAction", "total element is not a base-metric isometry", (g, a, b)
+                )
         d = np.zeros((n, n), dtype=np.float64)
         for p in range(n):
             for q in range(p + 1, n):

@@ -8,7 +8,8 @@ also scans for openness vs. one that shares its scans with the verifier and
 reads slices off join keys; component scans of the edge set per radius or
 per (x, y) vs. border edges and searches over the adjacency; per-pair coset
 distances and grid rescans vs. cached coset tables and one reduction per
-point).
+point; scalar group, action and isometry loops vs. one table comparison per
+element over the action array).
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from equimetric import motion_inside_rho_ball, rho_ball_inside_motion
 from equimetric.errors import ValidationError
-from equimetric.gspace import graph_components
+from equimetric.gspace import FiniteGroup, graph_components
 from equimetric.orbital import Chart, OrbitalMetric, _grid_or
 from equimetric.report import ADVISORY, FAIL, PASS, Report
 from equimetric.slices import SliceFamily, _candidate_radii, subslice
@@ -131,6 +132,182 @@ def check_left_invariance(group, table: np.ndarray):
             for h in range(group.order):
                 if table[mul[k][g], mul[k][h]] != table[g, h]:
                     raise ValidationError("NotLeftInvariant", "left invariance fails", (k, g, h))
+
+
+# The group, action and isometric-quotient validation as scalar loops over
+# the multiplication table and the per-element point maps, as they ran
+# before the action array.
+
+
+def build_group(mul_table, generators=None) -> FiniteGroup:
+    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
+    n = len(mul)
+    if n == 0 or any(len(row) != n for row in mul):
+        raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
+    for g in range(n):
+        for h in range(n):
+            if not 0 <= mul[g][h] < n:
+                raise ValidationError("InvalidParams", "table entry out of range", (g, h))
+
+    identity = None
+    for e in range(n):
+        if all(mul[e][x] == x and mul[x][e] == x for x in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise ValidationError("NoIdentity", "no two-sided identity element")
+
+    inv = [None] * n
+    for g in range(n):
+        for h in range(n):
+            if mul[g][h] == identity and mul[h][g] == identity:
+                inv[g] = h
+                break
+        if inv[g] is None:
+            raise ValidationError("NoInverse", "element has no two-sided inverse", g)
+
+    for g in range(n):
+        for h in range(n):
+            for x in range(n):
+                if mul[mul[g][h]][x] != mul[g][mul[h][x]]:
+                    raise ValidationError("NonAssociative", "associativity fails", (g, h, x))
+
+    gens = None
+    if generators is not None:
+        gens = tuple(int(g) for g in generators)
+        if any(not 0 <= g < n for g in gens):
+            raise ValidationError("InvalidParams", "generator index out of range")
+        reached = {identity}
+        frontier = [identity]
+        while frontier:
+            a = frontier.pop()
+            for g in gens:
+                for b in (mul[a][g], mul[a][inv[g]]):
+                    if b not in reached:
+                        reached.add(b)
+                        frontier.append(b)
+        if len(reached) != n:
+            raise ValidationError(
+                "GeneratorsDontGenerate",
+                "generators do not reach the whole group",
+                sorted(set(range(n)) - reached)[0],
+            )
+
+    return FiniteGroup(order=n, mul=mul, identity=identity, inv=tuple(inv), generators=gens)
+
+
+def group_from_permutations(perms) -> tuple:
+    """Closure and composition on permutation tuples, one point at a time."""
+    npts = len(perms[0])
+    ident = tuple(range(npts))
+    elems = {ident}
+    frontier = [ident]
+    gens = [tuple(p) for p in perms]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = tuple(g[a[i]] for i in range(npts))
+            if b not in elems:
+                elems.add(b)
+                frontier.append(b)
+    order = sorted(elems)
+    index = {p: i for i, p in enumerate(order)}
+    mul = [[index[tuple(p[q[i]] for i in range(npts))] for q in order] for p in order]
+    return build_group(mul, generators=[index[tuple(p)] for p in perms]), order
+
+
+def action_array(gspace) -> np.ndarray:
+    """The |G| x n table of g.x, -1 where the partial map is undefined."""
+    act = np.full((gspace.group.order, gspace.n_points), -1)
+    for g, m in enumerate(gspace.act):
+        act[g, list(m)] = list(m.values())
+    return act
+
+
+def bind_action(space, group, act_maps) -> tuple:
+    """The checks of ``equimetric.bind_action`` over (g, h, x) and per g
+    over x and the sorted edges; returns (maps, stabilizers)."""
+    n = space.n_points
+    if len(act_maps) != group.order:
+        raise ValidationError("InvalidParams", "one map required per group element")
+    act = []
+    for g, m in enumerate(act_maps):
+        m = {int(k): int(v) for k, v in dict(m).items()}
+        for k, v in m.items():
+            if not (0 <= k < n and 0 <= v < n):
+                raise ValidationError("InvalidParams", "action image out of range", (g, k))
+        if len(set(m.values())) != len(m):
+            raise ValidationError("InvalidParams", "action map not injective", g)
+        act.append(m)
+
+    e = group.identity
+    if len(act[e]) != n or any(act[e][x] != x for x in range(n)):
+        raise ValidationError("IdentityNotIdentity", "identity element must act as the total identity map")
+
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.mul[g][h]
+            for x in range(n):
+                hx = act[h].get(x)
+                lhs = act[gh].get(x)
+                rhs = act[g].get(hx) if hx is not None else None
+                if lhs is not None and rhs is not None and lhs != rhs:
+                    raise ValidationError("NotHomomorphism", "composition mismatch", (g, h, x))
+
+    for g in range(group.order):
+        if len(act[g]) == n:
+            gi = group.inv[g]
+            if len(act[gi]) != n:
+                raise ValidationError("NotHomomorphism", "total element with partial inverse", g)
+            for x in range(n):
+                if act[gi][act[g][x]] != x:
+                    raise ValidationError("NotHomomorphism", "inverse element does not invert", (g, x))
+        for a, b in sorted(space.edges):
+            ga, gb = act[g].get(a), act[g].get(b)
+            if ga is not None and gb is not None:
+                if ga == gb or (min(ga, gb), max(ga, gb)) not in space.edges:
+                    raise ValidationError("NotGraphAutomorphism", "edge not preserved", (g, (a, b)))
+
+    stabs = []
+    for x in range(n):
+        s = tuple(g for g in range(group.order) if act[g].get(x) == x)
+        if not group.is_subgroup(s):
+            raise ValidationError("NotHomomorphism", "stabilizer is not a subgroup", x)
+        stabs.append(s)
+    return tuple(act), tuple(stabs)
+
+
+def min_over_lifts(gspace, members_p, members_q) -> float:
+    rho0 = gspace.space.base_metric
+    best = float("inf")
+    for a in members_p:
+        for b in members_q:
+            v = rho0[a, b]
+            if v < best:
+                best = float(v)
+    return best
+
+
+def isometric_quotient_table(gspace, orbits, tol: float = 1e-9) -> np.ndarray:
+    """The isometry scan over (g, a, b) and the table of min base distances
+    over lift pairs that ``quotient_metric(mode="isometric")`` adopts."""
+    rho0 = gspace.space.base_metric
+    npts = gspace.n_points
+    for g in gspace.total_elements():
+        m = gspace.act[g]
+        for a in range(npts):
+            for b in range(npts):
+                if abs(rho0[m[a], m[b]] - rho0[a, b]) > tol:
+                    raise ValidationError(
+                        "NotIsometricAction", "total element is not a base-metric isometry", (g, a, b)
+                    )
+    n = orbits.n_orbits
+    d = np.zeros((n, n), dtype=np.float64)
+    for p in range(n):
+        for q in range(p + 1, n):
+            d[p, q] = d[q, p] = min_over_lifts(gspace, orbits.orbit_members[p], orbits.orbit_members[q])
+    check_metric_table(d, tol)
+    return d
 
 
 def metric_axiom_violations(table: np.ndarray, tol: float):
@@ -252,11 +429,10 @@ def verify_ball_inclusions(gspace, quotient, family, d_G, d_O, lifted) -> Report
 
 def _slice_at(gspace, quotient, x, radius):
     ball = quotient.ball(quotient.orbit_of[x], radius)
-    pre = quotient.preimage(ball)
-    for comp in graph_components(gspace.n_points, gspace.space.edges, pre):
-        if x in comp:
-            return frozenset(comp)
-    return frozenset([x])
+    if quotient.orbit_of[x] not in ball:  # radius at or below d(p(x), p(x))
+        raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
+    comps = graph_components(gspace.n_points, gspace.space.edges, quotient.preimage(ball))
+    return next(frozenset(c) for c in comps if x in c)
 
 
 def _per_orbit_violation(gspace, quotient, orbit, slices):

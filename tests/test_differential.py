@@ -509,6 +509,25 @@ def test_planted_orbital_values_match_reference_on_random_spaces(seed, word, kin
     assert_orbital_reports_match(gs, quotient, family, d_O, d_G, tol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(params=st.sampled_from([(4, 0.25, 1), (6, 0.25, 1), (6, 0.25, 2), (8, 0.25, 2), (6, 0.5, 2)]),
+       data=st.data(), tol=st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_planted_orbital_values_match_reference_on_partial_shifts(params, data, tol):
+    """Truncated shifts act partially, so property B and the bounds must
+    skip the elements undefined at x or y. One symmetric pair of d_O gets a
+    drawn value; the last point, where an undefined image would land if
+    read unmasked, is drawn often."""
+    m, h, N = params
+    r = pipeline("shift", {"m": m, "h": h, "N": N})
+    n = r["gspace"].n_points
+    values = np.array(r["d_O"].values)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+    values[i, j] = values[j, i] = data.draw(st.sampled_from([0.0, 0.25, 5.0, np.nan]))
+    d_O = replace(r["d_O"], values=values)
+    assert_orbital_reports_match(r["gspace"], r["quotient"], r["family"], d_O, r["d_G"], tol)
+
+
 @pytest.mark.parametrize("plant", [None, "diagonal"])
 def test_positive_quotient_diagonal_matches_reference(plant):
     """A quotient table whose diagonal is positive within tolerance: the
@@ -566,3 +585,153 @@ def test_orbit_blocks_mirror_their_upper_triangle():
     assert not np.array_equal(coset, coset.T)
     d_O = assert_orbital_matches(gs, r["quotient"], r["family"], d_G)
     assert np.array_equal(d_O.values, d_O.values.T)
+
+
+# Group tables, permutation closure, action binding and the isometric
+# quotient against the scalar loops in tests/oracles.py: the same error code,
+# message and witness, or equal groups, maps, stabilizers and tables.
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_build_group_matches_scalar_on_corrupted_tables(data):
+    """A cyclic or dihedral table with one entry overwritten (out of range
+    at -1 and n, or possibly unchanged)."""
+    if data.draw(st.booleans()):
+        table = cyclic_table(data.draw(st.integers(1, 8)))
+    else:
+        table = dihedral_table(data.draw(st.integers(2, 4)))
+    n = len(table)
+    g, h = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    table[g][h] = data.draw(st.integers(-1, n))
+    generators = data.draw(st.sampled_from([None, [1 % n], [n - 1], [0]]))
+    got, err = result(eq.build_group, table, generators)
+    ref, ref_err = result(oracles.build_group, table, generators)
+    assert err == ref_err
+    assert got == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(perms=st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=3)))
+def test_permutation_closure_matches_scalar(perms):
+    group, elems = eq.group_from_permutations(perms)
+    assert (group, elems) == oracles.group_from_permutations(perms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_bind_action_matches_scalar_on_corrupted_images(seed, data):
+    """A random total action with one image of one element overwritten,
+    dropped (the map turns partial) or swapped with another; or with one
+    edge taken out of the space, so that some element maps an edge off it."""
+    gs = random_gspace(seed)
+    n, space = gs.n_points, gs.space
+    maps = [dict(m) for m in gs.act]
+    g, x = data.draw(st.integers(0, gs.group.order - 1)), data.draw(st.integers(0, n - 1))
+    kind = data.draw(st.sampled_from(["set", "drop", "swap", "unlink"]))
+    if kind == "set":
+        maps[g][x] = data.draw(st.integers(0, n - 1))
+    elif kind == "drop":
+        del maps[g][x]
+    elif kind == "swap":
+        y = data.draw(st.integers(0, n - 1))
+        maps[g][x], maps[g][y] = maps[g][y], maps[g][x]
+    elif space.edges:
+        edge = data.draw(st.sampled_from(sorted(space.edges)))
+        space = eq.build_space(space.base_metric, space.edges - {edge})
+    got, err = result(eq.bind_action, space, gs.group, maps)
+    ref, ref_err = result(oracles.bind_action, space, gs.group, maps)
+    assert err == ref_err
+    if got is not None:
+        assert (got.act, got.stabilizers) == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bind_action_matches_scalar_on_random_involutions(data):
+    """C2 acting on a random graph by a random involution, partial where
+    some pairs are left out: the composition test holds by construction, so
+    the inverse, edge and stabilizer scans decide, often at several edges."""
+    n = data.draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    order = data.draw(st.permutations(range(n)))
+    flip = {}
+    for u, v in zip(order[0::2], order[1::2]):
+        if data.draw(st.booleans()):
+            flip[u], flip[v] = v, u
+    flip.update((u, u) for u in data.draw(st.lists(st.sampled_from(order))) if u not in flip)
+    space = eq.build_space(1.0 - np.eye(n), edges)
+    maps = [{i: i for i in range(n)}, flip]
+    group = eq.build_group(cyclic_table(2))
+    got, err = result(eq.bind_action, space, group, maps)
+    ref, ref_err = result(oracles.bind_action, space, group, maps)
+    assert err == ref_err
+    if got is not None:
+        assert (got.act, got.stabilizers) == ref
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_action_array_matches_the_maps(name):
+    gs = eq.generate_scenario(name, SCENARIOS[name])
+    n = gs.n_points
+    assert np.array_equal(gs.action[:, :n], oracles.action_array(gs))
+    assert (gs.action[:, n] == -1).all()
+    assert gs.stabilizers == oracles.bind_action(gs.space, gs.group, gs.act)[1]
+
+
+def assert_isometric_quotient_matches(gs, tol=1e-9):
+    orbits = eq.compute_orbits(gs)
+    got, err = result(eq.quotient_metric, gs, orbits, "isometric", None, tol)
+    ref, ref_err = result(oracles.isometric_quotient_table, gs, orbits, tol)
+    assert err == ref_err
+    if got is not None:
+        assert got.d.tobytes() == ref.tobytes()
+    members = orbits.orbit_members
+    assert [eq.quotient._min_over_lifts(gs, p, q) for p in members for q in members] == \
+        [oracles.min_over_lifts(gs, p, q) for p in members for q in members]
+    return err
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_isometric_quotient_matches_scalar(name):
+    assert assert_isometric_quotient_matches(eq.generate_scenario(name, SCENARIOS[name])) is None
+
+
+def test_isometric_quotient_matches_scalar_on_random_spaces():
+    for seed in range(60):
+        assert assert_isometric_quotient_matches(random_gspace(seed)) is None
+
+
+@pytest.mark.parametrize("tol,want", [
+    (1e-9, ("NotIsometricAction",
+            "NotIsometricAction: total element is not a base-metric isometry (witness: (1, 0, 1))",
+            (1, 0, 1))),
+    (0.5, None),
+])
+def test_planted_non_isometry_matches_scalar(tol, want):
+    """Three points at -1, 0 and 1.25 on a line under the swap of the ends:
+    the swap moves d(0, 1) = 1 to d(2, 1) = 1.25, which a tolerance of 0.5
+    forgives."""
+    space = eq.build_space([[0.0, 1.0, 2.25], [1.0, 0.0, 1.25], [2.25, 1.25, 0.0]], [(0, 1), (1, 2)])
+    gs = eq.bind_action(space, eq.build_group([[0, 1], [1, 0]]), [{0: 0, 1: 1, 2: 2}, {0: 2, 1: 1, 2: 0}])
+    assert assert_isometric_quotient_matches(gs, tol) == want
+
+
+@pytest.mark.parametrize("shrink_factor", [1.0, 1e10])
+def test_slice_builder_matches_reference_below_a_positive_diagonal(shrink_factor):
+    """circle(12, 3) with the quotient diagonal raised to 5e-10: shrunk by
+    1e10, every candidate radius lies at or below it, and both builders
+    raise at the first point."""
+    gs = eq.generate_scenario("circle", {"n": 12, "k": 3})
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    quotient = replace(quotient, d=quotient.d + 5e-10 * np.eye(quotient.n_orbits))
+    got, err = result(eq.build_slice_family, gs, quotient, shrink_factor)
+    ref, ref_err = result(oracles.build_slice_family, gs, quotient, shrink_factor)
+    assert err == ref_err
+    if shrink_factor > 1.0:
+        assert err == ("EmptyResult", "EmptyResult: center orbit not in the quotient set (witness: 0)", 0)
+    else:
+        assert (got.slice_of, got.radius_of_orbit, got.construction_log) == \
+            (ref.slice_of, ref.radius_of_orbit, ref.construction_log)

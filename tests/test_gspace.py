@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,16 @@ class TestBuildGroup:
         ]
         with pytest.raises(ValidationError) as exc:
             build_group(table)
-        assert exc.value.code in ("NonAssociative", "NoInverse")
+        # every element is its own inverse; (1 1) 2 = 2 but 1 (1 2) = 1 3 = 4
+        assert (exc.value.code, str(exc.value), exc.value.witness) == \
+            ("NonAssociative", "NonAssociative: associativity fails (witness: (1, 1, 2))", (1, 1, 2))
+
+    def test_missing_inverse_rejected(self):
+        # 0 is the identity, and no product with 1 gives it back
+        with pytest.raises(ValidationError) as exc:
+            build_group([[0, 1], [1, 1]])
+        assert (exc.value.code, str(exc.value), exc.value.witness) == \
+            ("NoInverse", "NoInverse: element has no two-sided inverse (witness: 1)", 1)
 
     def test_generators_must_generate(self):
         table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
@@ -135,10 +146,11 @@ class TestBindAction:
     def test_edge_preservation_required(self):
         space = line_space(4)
         group = build_group([[0, 1], [1, 0]])
-        swap_ends = {0: 3, 3: 0, 1: 1, 2: 2}  # breaks the edge (0, 1)
+        swap_ends = {0: 3, 3: 0, 1: 1, 2: 2}  # breaks the edges (0, 1) and (2, 3)
         with pytest.raises(ValidationError) as exc:
             bind_action(space, group, [{i: i for i in range(4)}, swap_ends])
-        assert exc.value.code == "NotGraphAutomorphism"
+        assert (exc.value.code, str(exc.value), exc.value.witness) == \
+            ("NotGraphAutomorphism", "NotGraphAutomorphism: edge not preserved (witness: (1, (0, 1)))", (1, (0, 1)))
 
     def test_partial_composition_mismatch_rejected(self):
         space = line_space(3)
@@ -152,7 +164,46 @@ class TestBindAction:
         ]
         with pytest.raises(ValidationError) as exc:
             bind_action(space, group, act)
-        assert exc.value.code in ("NotHomomorphism", "NotGraphAutomorphism")
+        # (g, h, x) = (1, 1, 0): 2.0 = 0, but 1.(1.0) = 2
+        assert (exc.value.code, str(exc.value), exc.value.witness) == \
+            ("NotHomomorphism", "NotHomomorphism: composition mismatch (witness: (1, 1, 0))", (1, 1, 0))
+
+    def test_total_element_with_partial_inverse_rejected(self):
+        """C3 on an edge: 1 swaps the ends, 2 = 1^-1 acts nowhere. No
+        composition has both sides defined, so the inverse test fires."""
+        act = [{0: 0, 1: 1}, {0: 1, 1: 0}, {}]
+        with pytest.raises(ValidationError) as exc:
+            bind_action(line_space(2), c3(), act)
+        assert (exc.value.code, str(exc.value), exc.value.witness) == \
+            ("NotHomomorphism", "NotHomomorphism: total element with partial inverse (witness: 1)", 1)
+
+    def test_stabilizer_not_a_subgroup_rejected(self):
+        """C3 on an edge: 1 fixes 0 and is undefined at 1, 2 acts nowhere.
+        The stabilizer of 0 is {0, 1}, which lacks 1^-1 = 2, and since 1.1
+        = 2 is undefined at 0 no composition check sees it."""
+        act = [{0: 0, 1: 1}, {0: 0}, {}]
+        with pytest.raises(ValidationError) as exc:
+            bind_action(line_space(2), c3(), act)
+        assert (exc.value.code, str(exc.value), exc.value.witness) == \
+            ("NotHomomorphism", "NotHomomorphism: stabilizer is not a subgroup (witness: 0)", 0)
+
+    def test_non_inverting_pair_is_a_composition_mismatch(self):
+        """The "inverse element does not invert" test cannot fire: for a
+        total g with a total inverse, the composition scan compares
+        (g^-1 g).x = x with g^-1.(g.x) at (g^-1, g, x), both sides defined,
+        and meets any non-inverting pair first. Every assignment of
+        permutations of three points to the two non-identity elements of C3
+        either binds or fails an earlier check."""
+        space = build_space(1.0 - np.eye(3), [(0, 1), (1, 2), (0, 2)])
+        messages = set()
+        for p1 in itertools.permutations(range(3)):
+            for p2 in itertools.permutations(range(3)):
+                act = [{i: i for i in range(3)}, dict(enumerate(p1)), dict(enumerate(p2))]
+                try:
+                    bind_action(space, c3(), act)
+                except ValidationError as exc:
+                    messages.add(str(exc).split(" (witness")[0])
+        assert messages == {"NotHomomorphism: composition mismatch"}
 
     def test_stabilizers_computed(self):
         import equimetric as eq

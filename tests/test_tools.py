@@ -1,0 +1,28 @@
+"""Smoke tests for the scripts in tools/, which no other test imports: a
+renamed library call would otherwise break them silently."""
+
+import importlib.util
+import os
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name,params,n,order", [
+    ("dihedral", {"n": 8}, 8, 16),
+    ("shift", {"m": 4, "h": 1.0, "N": 1}, 9, 5),
+])
+def test_stage_times_times_every_stage(name, params, n, order):
+    stage_times = load("stage_times")
+    got_n, got_order, times = stage_times.stage_times(name, params)
+    assert (got_n, got_order) == (n, order)
+    assert sorted(times) == sorted(stage_times.STAGES)
+    assert all(t >= 0.0 for t in times.values())
