@@ -5,12 +5,17 @@ connectedness questions become graph-component questions. Group elements act
 as injective (possibly partial) maps on point indices; total elements must be
 automorphisms of the neighborhood graph.
 
+The action has one form, the |G| x (n + 1) array of g.x
+(``SampledGSpace.action``, -1 where a partial map is undefined). Per-element
+point maps are only the input format of ``bind_action``, which writes them
+into the array; the stabilizers and the mask of total elements are derived
+from it once, and every stage reads the array.
+
 Validation runs on arrays: the multiplication table as a |G| x |G| array and
-the action as one |G| x (n + 1) array of g.x (``SampledGSpace.action``, -1
-where a partial map is undefined). Each check makes one array comparison
-per group element and raises on the first violation in the order of the
-scalar scan it replaces: row-major over (g, h, x), and per element the
-inverse test before the edges, which are taken in sorted order.
+the action array. Each check makes one array comparison per group element
+and raises on the first violation in the order of the scalar scan it
+replaces: row-major over (g, h, x), and per element the inverse test before
+the edges, which are taken in sorted order.
 """
 
 from __future__ import annotations
@@ -36,12 +41,6 @@ class FiniteGroup:
 
     def op(self, g: int, h: int) -> int:
         return self.mul[g][h]
-
-    def inverse(self, g: int) -> int:
-        return self.inv[g]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def is_subgroup(self, elems: Sequence[int]) -> bool:
         s = set(elems)
@@ -222,9 +221,9 @@ def _check_metric_table(table: np.ndarray, tol: float, code: str = "NotAMetric")
     # row i: t[i, j] > t[i, k] + t[k, j] + tol over (j, k), same additions
     # in the same order as the scalar test
     for i in range(n):
-        hits = np.argwhere(table[i][:, None] > table[i][None, :] + table.T + tol)
-        if len(hits):
-            j, k = (int(v) for v in hits[0])
+        hits = table[i][:, None] > table[i][None, :] + table.T + tol
+        if hits.any():
+            j, k = (int(v) for v in np.argwhere(hits)[0])
             raise ValidationError(code, "triangle inequality fails", (i, j, k))
 
 
@@ -311,57 +310,48 @@ def component_of(adjacency, start: int, alive) -> set:
 class SampledGSpace:
     space: SampledSpace
     group: FiniteGroup
-    act: tuple  # per element: dict point -> point (partial maps allowed)
     # |G| x (n + 1) array of g.x, -1 where the map is undefined; the last
-    # column is all -1, so that an undefined image indexes to -1 again.
-    # Derived from act, once.
-    action: np.ndarray = field(init=False, repr=False, compare=False)
+    # column is all -1, so that an undefined image indexes to -1 again
+    action: np.ndarray = field(repr=False)
     # per point: tuple of the element indices fixing it; derived from action
     stabilizers: tuple = field(init=False, repr=False)
+    # per element: does it act on every point; derived from action
+    total: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n_points
-        table = np.full((self.group.order, n + 1), -1, dtype=np.intp)
-        for g, m in enumerate(self.act):
-            table[g, list(m)] = list(m.values())
-        table.setflags(write=False)
-        fixed = table[:, :n] == np.arange(n)
-        object.__setattr__(self, "action", table)
+        images = self.action[:, :n]
+        fixed = images == np.arange(n)
+        total = (images >= 0).all(axis=1)
+        total.setflags(write=False)
         object.__setattr__(self, "stabilizers", tuple(tuple(np.flatnonzero(c).tolist()) for c in fixed.T))
+        object.__setattr__(self, "total", total)
 
     @property
     def n_points(self) -> int:
         return self.space.n_points
 
-    def is_total(self, g: int) -> bool:
-        return len(self.act[g]) == self.space.n_points
-
-    def total_elements(self) -> list:
-        return [g for g in range(self.group.order) if self.is_total(g)]
-
     def apply(self, g: int, x: int):
         """g.x, or None when the partial map is undefined at x."""
-        return self.act[g].get(x)
-
-    def translate_set(self, g: int, pts) -> frozenset:
-        m = self.act[g]
-        return frozenset(m[x] for x in pts if x in m)
+        gx = int(self.action[g, x])
+        return gx if gx >= 0 else None
 
     def stabilizer(self, x: int) -> tuple:
         return self.stabilizers[x]
 
 
 def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSpace:
-    """Validate an action given as per-element partial injective point maps.
+    """Validate an action given as per-element partial injective point maps
+    and write it into the action array A.
 
-    Every check reads the action array A and makes one comparison per
-    element g; the first violation is the one the scalar scan over
-    (g, h, x), then per g over x and the sorted edges, would meet first.
+    Every check reads A and makes one comparison per element g; the first
+    violation is the one the scalar scan over (g, h, x), then per g over x
+    and the sorted edges, would meet first.
     """
     n = space.n_points
     if len(act_maps) != group.order:
         raise ValidationError("InvalidParams", "one map required per group element")
-    act = []
+    A = np.full((group.order, n + 1), -1, dtype=np.intp)
     for g, m in enumerate(act_maps):
         m = {int(k): int(v) for k, v in dict(m).items()}
         for k, v in m.items():
@@ -369,9 +359,9 @@ def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSp
                 raise ValidationError("InvalidParams", "action image out of range", (g, k))
         if len(set(m.values())) != len(m):
             raise ValidationError("InvalidParams", "action map not injective", g)
-        act.append(m)
-    gspace = SampledGSpace(space=space, group=group, act=tuple(act))
-    A = gspace.action
+        A[g, list(m)] = list(m.values())
+    A.setflags(write=False)
+    gspace = SampledGSpace(space=space, group=group, action=A)
     images = A[:, :n]
     ids = np.arange(n)
 
@@ -396,7 +386,7 @@ def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSp
     b_end = np.array([b for _, b in edges], dtype=np.intp)
     adjacent = np.zeros((n + 1, n + 1), dtype=bool)
     adjacent[a_end, b_end] = adjacent[b_end, a_end] = True
-    total = (images >= 0).all(axis=1)
+    total = gspace.total
     for g in range(group.order):
         if total[g]:
             gi = group.inv[g]

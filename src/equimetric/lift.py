@@ -176,10 +176,11 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
                     if np.isnan(dov):
                         continue
                     edges.append((u, v, float(d[p[u], p[v]]) + float(dov), "slice"))
+        rows = gspace.action.tolist()
         for u in range(n):
-            for g in range(gspace.group.order):
-                gu = gspace.apply(g, u)
-                if gu is None or gu <= u:
+            for row in rows:
+                gu = row[u]
+                if gu <= u:  # also where undefined (-1)
                     continue
                 dov = d_O.values[u, gu]
                 if np.isnan(dov):

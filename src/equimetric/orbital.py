@@ -166,9 +166,6 @@ class OrbitalMetric:
             raise ValidationError("InvalidParams", "orbital distance undefined for this pair", (x, y))
         return float(v)
 
-    def defined(self, x: int, y: int) -> bool:
-        return not np.isnan(self.values[x, y])
-
 
 def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
                          family: SliceFamily, d_G: GroupMetric) -> OrbitalMetric:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
-from .gspace import SampledGSpace, _check_metric_table
+from .gspace import SampledGSpace, _check_metric_table, graph_components
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,6 @@ class Quotient:
     orbit_of: tuple  # point -> orbit index (the projection)
     representative: tuple  # orbit -> least point index in the orbit
     orbit_members: tuple  # orbit -> sorted tuple of points
-    stabilizer_of: tuple  # point -> tuple of group element indices
     quotient_adjacency: frozenset  # edges on orbit indices, (a, b) with a < b
     d: Optional[np.ndarray] = None  # n_orbits x n_orbits metric table
 
@@ -43,32 +42,13 @@ def compute_orbits(gspace: SampledGSpace) -> Quotient:
     the ambient infinite-group orbit; scenario docs carry that caveat).
     """
     n = gspace.n_points
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    for g in range(gspace.group.order):
-        for x, gx in gspace.act[g].items():
-            union(x, gx)
-
-    roots = sorted({find(x) for x in range(n)})
-    orbit_index = {r: i for i, r in enumerate(roots)}
-    orbit_of = tuple(orbit_index[find(x)] for x in range(n))
-    members = [[] for _ in roots]
-    for x in range(n):
-        members[orbit_of[x]].append(x)
-    members = tuple(tuple(m) for m in members)
+    g, x = np.nonzero(gspace.action[:, :n] >= 0)  # the pairs (x, g.x)
+    members = tuple(tuple(c) for c in graph_components(n, zip(x.tolist(), gspace.action[g, x].tolist())))
+    orbit_of = [0] * n
+    for i, m in enumerate(members):
+        for p in m:
+            orbit_of[p] = i
+    orbit_of = tuple(orbit_of)
     reps = tuple(m[0] for m in members)
 
     qadj = set()
@@ -78,11 +58,10 @@ def compute_orbits(gspace: SampledGSpace) -> Quotient:
             qadj.add((min(pa, pb), max(pa, pb)))
 
     return Quotient(
-        n_orbits=len(roots),
+        n_orbits=len(members),
         orbit_of=orbit_of,
         representative=reps,
         orbit_members=members,
-        stabilizer_of=gspace.stabilizers,
         quotient_adjacency=frozenset(qadj),
     )
 
@@ -114,7 +93,7 @@ def quotient_metric(
         _check_metric_table(d, tol)
     elif mode == "isometric":
         rho0 = gspace.space.base_metric
-        for g in gspace.total_elements():  # first (a, b), row-major, per g
+        for g in np.flatnonzero(gspace.total).tolist():  # first (a, b), row-major, per g
             m = gspace.action[g, : gspace.n_points]
             moved = np.abs(rho0[np.ix_(m, m)] - rho0) > tol
             if moved.any():

@@ -139,23 +139,22 @@ def _orbit_meet(quotient, x, s):
     return next((p for p in members if p != x and p in s), None)
 
 
-def _translate_overlaps(gspace, x, s, elements):
+def _translate_overlaps(rows, x, s, elements):
     """Each g of elements, ascending, with g.s meeting s and g.x != x (or
-    undefined)."""
+    undefined). rows[g] is row g of the action array as a list, so an
+    undefined image reads -1, which no slice holds."""
     for g in elements:
-        if gspace.apply(g, x) != x and not gspace.translate_set(g, s).isdisjoint(s):
+        row = rows[g]
+        if row[x] != x and not s.isdisjoint(row[p] for p in s):
             yield g
 
 
-def _condition_ii_violations(gspace, slice_of, start=0):
+def _condition_ii_violations(images_of, slice_of, start=0):
     """Each (x, y, g) with x >= start, y in S_x, g.x defined and != x, and
-    S_y meeting S_{g.x}; x ascending, then y, then g."""
-    for x in range(start, gspace.n_points):
-        moved = []
-        for g in range(gspace.group.order):
-            gx = gspace.apply(g, x)
-            if gx is not None and gx != x:
-                moved.append((g, slice_of[gx]))
+    S_y meeting S_{g.x}; x ascending, then y, then g. images_of[x] lists
+    g.x over g, -1 where undefined."""
+    for x in range(start, len(images_of)):
+        moved = [(g, slice_of[gx]) for g, gx in enumerate(images_of[x]) if gx >= 0 and gx != x]
         if not moved:
             continue
         for y in sorted(slice_of[x]):
@@ -198,7 +197,8 @@ def build_slice_family(
     # candidate stacks per orbit; index points at the radius currently in use
     cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
     orbit_of = np.asarray(quotient.orbit_of)
-    partial = [g for g in range(gspace.group.order) if not gspace.is_total(g)]
+    partial = np.flatnonzero(~gspace.total).tolist()
+    rows = gspace.action.tolist()
     # orbit -> per member x: (x, points in join order, |S_x| per candidate,
     # (mate, b_x(mate)) for the other members)
     index = {}
@@ -234,7 +234,7 @@ def build_slice_family(
             # Total elements cannot overlap here (translate-overlap lemma):
             # g.S_x = S_{g.x}, which meets S_x only if g.x lies in S_x, and
             # the orbit meet has just ruled that out unless g.x = x.
-            g = next(_translate_overlaps(gspace, x, s, partial), None)
+            g = next(_translate_overlaps(rows, x, s, partial), None)
             if g is not None:
                 return None, ("translate_overlap", (x, g))
         return slices, None
@@ -275,9 +275,10 @@ def build_slice_family(
             diameters[s] = _quotient_diameter(quotient, s)
         return diameters[s]
 
+    images_of = gspace.action[:, : gspace.n_points].T.tolist()
     resume = 0
     while True:
-        viol = next(_condition_ii_violations(gspace, slice_of, resume), None)
+        viol = next(_condition_ii_violations(images_of, slice_of, resume), None)
         if viol is None:
             break
         x, y, _ = viol
@@ -333,26 +334,28 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     n = gspace.n_points
     adjacency = gspace.space.adjacency
     elements = range(gspace.group.order)
+    rows = gspace.action.tolist()
 
     v = [(x,) for x in range(n) if x not in slice_of[x]]
     rep.add("slice_contains_center", FAIL if v else PASS, v)
 
     # every g: the family under judgement need not be built from balls
-    v = [(x, g) for x in range(n) for g in _translate_overlaps(gspace, x, slice_of[x], elements)]
+    v = [(x, g) for x in range(n) for g in _translate_overlaps(rows, x, slice_of[x], elements)]
     rep.add("slice_translate_overlap", FAIL if v else PASS, v)
 
-    v = []
+    v = []  # h defined on all of S_x (no image -1) and moving it
     for x in range(n):
         for h in gspace.stabilizer(x):
-            if gspace.is_total(h) or all(p in gspace.act[h] for p in slice_of[x]):
-                if gspace.translate_set(h, slice_of[x]) != slice_of[x]:
-                    v.append((x, h))
+            image = {rows[h][p] for p in slice_of[x]}
+            if -1 not in image and image != slice_of[x]:
+                v.append((x, h))
     rep.add("slice_stabilizer_invariance", FAIL if v else PASS, v)
 
     v = []
-    for g in gspace.total_elements():
+    for g in np.flatnonzero(gspace.total).tolist():
+        row = rows[g]
         for x in range(n):
-            if gspace.translate_set(g, slice_of[x]) != slice_of[gspace.apply(g, x)]:
+            if {row[p] for p in slice_of[x]} != slice_of[row[x]]:
                 v.append((x, g))
     rep.add("family_equivariance", FAIL if v else PASS, v)
 
@@ -360,7 +363,7 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     v = [(x, p) for x, p in meets if p is not None]
     rep.add("slice_meets_orbit_once", FAIL if v else PASS, v)
 
-    v = list(_condition_ii_violations(gspace, slice_of))
+    v = list(_condition_ii_violations(gspace.action[:, :n].T.tolist(), slice_of))
     rep.add("family_condition_ii", FAIL if v else PASS, list(v))
     rep.add("neighbour_condition_C", FAIL if v else PASS, list(v))
 

@@ -105,8 +105,8 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
     resid = 0.0
     boundary_resid = 0.0
     for g in range(gspace.group.order):
-        dom = sorted(gspace.act[g])
-        img = [gspace.act[g][x] for x in dom]
+        dom = np.flatnonzero(gspace.action[g, :n] >= 0).tolist()
+        img = gspace.action[g, dom]
         a = rho[np.ix_(dom, dom)]
         b = rho[np.ix_(img, img)]
         finite = np.isfinite(a) & np.isfinite(b)
@@ -253,6 +253,7 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
         return (np.searchsorted(rho[x][rho_order[x]], radii).tolist(),
                 np.searchsorted(quotient.d[q][orbit_order[q]], radii).tolist())
 
+    rows = gspace.action.tolist()
     motion = {}
 
     def motion_index(x, n_group, n_orbits):
@@ -260,8 +261,8 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
         if key not in motion:
             orbits = orbit_order[quotient.orbit_of[x]][:n_orbits].tolist()
             base = subslice(family, x, quotient, orbit_set=orbits)
-            pts = {gspace.apply(g, y) for g in group_order[:n_group].tolist() for y in base}
-            pts.discard(None)
+            pts = {rows[g][y] for g in group_order[:n_group].tolist() for y in base}
+            pts.discard(-1)
             inside = np.zeros(n, dtype=bool)
             inside[list(pts)] = True
             top = int(rho_rank[x][inside].max()) + 1 if pts else 0

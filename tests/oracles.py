@@ -9,7 +9,8 @@ reads slices off join keys; component scans of the edge set per radius or
 per (x, y) vs. border edges and searches over the adjacency; per-pair coset
 distances and grid rescans vs. cached coset tables and one reduction per
 point; scalar group, action and isometry loops vs. one table comparison per
-element over the action array).
+element over the action array; per-element point maps and a union-find over
+them vs. the action array and one component search over its pairs).
 """
 
 import math
@@ -20,6 +21,7 @@ from equimetric import motion_inside_rho_ball, rho_ball_inside_motion
 from equimetric.errors import ValidationError
 from equimetric.gspace import FiniteGroup, graph_components
 from equimetric.orbital import Chart, OrbitalMetric, _grid_or
+from equimetric.quotient import Quotient
 from equimetric.report import ADVISORY, FAIL, PASS, Report
 from equimetric.slices import SliceFamily, _candidate_radii, subslice
 from equimetric.spath import apsp
@@ -216,12 +218,87 @@ def group_from_permutations(perms) -> tuple:
     return build_group(mul, generators=[index[tuple(p)] for p in perms]), order
 
 
-def action_array(gspace) -> np.ndarray:
-    """The |G| x n table of g.x, -1 where the partial map is undefined."""
-    act = np.full((gspace.group.order, gspace.n_points), -1)
-    for g, m in enumerate(gspace.act):
-        act[g, list(m)] = list(m.values())
+def action_array(act_maps, n) -> np.ndarray:
+    """The |G| x (n + 1) table of g.x, -1 where the partial map is undefined
+    and in the last column."""
+    act = np.full((len(act_maps), n + 1), -1)
+    for g, m in enumerate(act_maps):
+        for x, gx in m.items():
+            act[g, x] = gx
     return act
+
+
+class ActionMaps:
+    """The action as per-element maps point -> g.x, with the readers that
+    ``SampledGSpace`` had before the action array replaced them."""
+
+    def __init__(self, gspace):
+        self.space, self.group, self.n_points = gspace.space, gspace.group, gspace.n_points
+        self.act = tuple({x: gx for x, gx in enumerate(row) if gx >= 0}
+                         for row in gspace.action[:, : gspace.n_points].tolist())
+
+    def is_total(self, g: int) -> bool:
+        return len(self.act[g]) == self.n_points
+
+    def total_elements(self) -> list:
+        return [g for g in range(self.group.order) if self.is_total(g)]
+
+    def apply(self, g: int, x: int):
+        return self.act[g].get(x)
+
+    def translate_set(self, g: int, pts) -> frozenset:
+        m = self.act[g]
+        return frozenset(m[x] for x in pts if x in m)
+
+    def stabilizer(self, x: int) -> tuple:
+        return tuple(g for g in range(self.group.order) if self.act[g].get(x) == x)
+
+
+def compute_orbits(gspace) -> Quotient:
+    """Orbits by union-find over the pairs (x, g.x) of the maps, numbered by
+    least member, and the quotient adjacency."""
+    maps = ActionMaps(gspace)
+    n = maps.n_points
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    for g in range(maps.group.order):
+        for x, gx in maps.act[g].items():
+            union(x, gx)
+
+    roots = sorted({find(x) for x in range(n)})
+    orbit_index = {r: i for i, r in enumerate(roots)}
+    orbit_of = tuple(orbit_index[find(x)] for x in range(n))
+    members = [[] for _ in roots]
+    for x in range(n):
+        members[orbit_of[x]].append(x)
+    members = tuple(tuple(m) for m in members)
+
+    qadj = set()
+    for a, b in maps.space.edges:
+        pa, pb = orbit_of[a], orbit_of[b]
+        if pa != pb:
+            qadj.add((min(pa, pb), max(pa, pb)))
+
+    return Quotient(
+        n_orbits=len(roots),
+        orbit_of=orbit_of,
+        representative=tuple(m[0] for m in members),
+        orbit_members=members,
+        quotient_adjacency=frozenset(qadj),
+    )
 
 
 def bind_action(space, group, act_maps) -> tuple:
@@ -293,8 +370,9 @@ def isometric_quotient_table(gspace, orbits, tol: float = 1e-9) -> np.ndarray:
     over lift pairs that ``quotient_metric(mode="isometric")`` adopts."""
     rho0 = gspace.space.base_metric
     npts = gspace.n_points
-    for g in gspace.total_elements():
-        m = gspace.act[g]
+    maps = ActionMaps(gspace)
+    for g in maps.total_elements():
+        m = maps.act[g]
         for a in range(npts):
             for b in range(npts):
                 if abs(rho0[m[a], m[b]] - rho0[a, b]) > tol:
@@ -349,8 +427,9 @@ def lifted_pair_checks(gspace, quotient, rho, invariance_tol=1e-12, tol=1e-9, re
     v = []
     resid = 0.0
     boundary_resid = 0.0
+    maps = ActionMaps(gspace)
     for g in range(gspace.group.order):
-        m = gspace.act[g]
+        m = maps.act[g]
         for x in range(n):
             gx = m.get(x)
             if gx is None:
@@ -461,6 +540,7 @@ def _quotient_diameter(quotient, pts):
 
 
 def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFamily:
+    gspace = ActionMaps(gspace)
     n_orbits = quotient.n_orbits
     log = []
     global_pos = [float(v) for v in quotient.d.ravel() if v > 0]
@@ -573,6 +653,7 @@ def _condition_ii_violations(gspace, slice_of):
 
 
 def verify_slice_family(gspace, quotient, family) -> Report:
+    gspace = ActionMaps(gspace)
     rep = Report()
     slice_of = family.slice_of
     n = gspace.n_points

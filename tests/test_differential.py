@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import equimetric as eq
 from equimetric.errors import ValidationError
-from equimetric.gspace import _check_metric_table, graph_components
+from equimetric.gspace import SampledGSpace, _check_metric_table, graph_components
 from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
 from equimetric.slices import _join_orders
@@ -198,6 +198,22 @@ def test_planted_lift_defects_match_scalar(plant, failing):
     assert [c.name for c in report.checks if c.status == "fail"] == failing
 
 
+def test_planted_lift_defect_matches_scalar_on_a_partial_shift():
+    """shift(8, .5, 2) with rho(1, 16) = 0: 16 lies in every rho-ball of 1
+    but in no motion set of 1 (its slice is {1}, its translates are odd), so
+    the search fails at every delta. From delta = 2 on, the group ball holds
+    the shifts undefined at 1; their image -1, read as an index, would name
+    the last point, 16."""
+    r = pipeline("shift", {"m": 8, "h": 0.5, "N": 2}, mode="general")
+    rho = np.array(r["lifted"].rho)
+    rho[1, 16] = rho[16, 1] = 0.0
+    r["lifted"] = replace(r["lifted"], rho=rho)
+    assert_ball_inclusions_match(r)
+    report = eq.verify_ball_inclusions(r["gspace"], r["quotient"], r["family"],
+                                       r["d_G"], r["d_O"], r["lifted"])
+    assert report["rho_ball_inside_motion"].witnesses[:4] == [(1, 0.5), (1, 0.75), (1, 1.0), (1, 2.0)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_random_spaces_match_scalar(seed):
@@ -287,6 +303,13 @@ def test_join_key_prefixes_are_components(graph, radii):
             assert set(pts[: np.searchsorted(b, r)]) == want
 
 
+def drop_images(gs, data):
+    """The G-space with a drawn set of images of its action array undefined;
+    not validated, since the orbit and slice stages read any array."""
+    drop = data.draw(st.lists(st.booleans(), min_size=gs.action.size, max_size=gs.action.size))
+    return SampledGSpace(gs.space, gs.group, np.where(np.reshape(drop, gs.action.shape), -1, gs.action))
+
+
 def space(name, params):
     gs = eq.generate_scenario(name, params)
     return gs, eq.quotient_metric(gs, eq.compute_orbits(gs))
@@ -330,9 +353,12 @@ def test_slice_verifier_matches_reference_on_planted_openness_defects():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
 def test_slice_verifier_matches_reference_on_perturbed_families(seed, data):
-    """Built families on random spaces with random points added to and
-    removed from a few slices; radii perturbed too."""
+    """Built families on random spaces, total or with a random set of images
+    undefined, with random points added to and removed from a few slices;
+    radii perturbed too."""
     gs = random_gspace(seed)
+    if data.draw(st.booleans()):
+        gs = drop_images(gs, data)
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
     family = eq.build_slice_family(gs, quotient)
     n = gs.n_points
@@ -344,6 +370,25 @@ def test_slice_verifier_matches_reference_on_perturbed_families(seed, data):
         slices[x] = (slices[x] | frozenset(add)) - frozenset(drop)
     radii = [r * data.draw(st.sampled_from([1.0, 0.5, 2.0])) for r in family.radius_of_orbit]
     assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(slices), radius_of_orbit=tuple(radii)))
+
+
+@pytest.mark.parametrize("name,params,x,planted,check,witnesses", [
+    # the flip fixes 2 and sends {2, 3} to {1, 2}
+    ("reflection", {"m": 2, "h": 1.0}, 2, {2, 3}, "slice_stabilizer_invariance", [(2, 1)]),
+    # the rotations send {0, 1} to {4, 5} and {8, 9}, not S_4 and S_8, and
+    # S_8 and S_4 to {11, 0, 1}, not S_0
+    ("circle", {"n": 12, "k": 3}, 0, {0, 1}, "family_equivariance", [(0, 1), (8, 1), (0, 2), (4, 2)]),
+    ("circle", {"n": 12, "k": 3}, 0, {1}, "slice_contains_center", [(0,)]),
+    ("circle", {"n": 12, "k": 3}, 0, {11, 0, 2}, "slice_connected", [(0,)]),
+])
+def test_slice_verifier_matches_reference_on_planted_slice_defects(name, params, x, planted, check, witnesses):
+    gs, quotient = space(name, params)
+    family = eq.build_slice_family(gs, quotient)
+    bad = list(family.slice_of)
+    bad[x] = frozenset(planted)
+    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    assert report[check].status == "fail"
+    assert report[check].witnesses == witnesses
 
 
 @pytest.mark.parametrize("name,params", SWEEP_CELLS)
@@ -619,6 +664,17 @@ def test_permutation_closure_matches_scalar(perms):
     assert (group, elems) == oracles.group_from_permutations(perms)
 
 
+def assert_same_binding(space, group, maps):
+    """The same error, or the action array and stabilizers of the maps."""
+    got, err = result(eq.bind_action, space, group, maps)
+    ref, ref_err = result(oracles.bind_action, space, group, maps)
+    assert err == ref_err
+    if got is not None:
+        assert np.array_equal(got.action, oracles.action_array(ref[0], space.n_points))
+        assert got.stabilizers == ref[1]
+        assert got.total.tolist() == [len(m) == space.n_points for m in ref[0]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
 def test_bind_action_matches_scalar_on_corrupted_images(seed, data):
@@ -627,7 +683,7 @@ def test_bind_action_matches_scalar_on_corrupted_images(seed, data):
     edge taken out of the space, so that some element maps an edge off it."""
     gs = random_gspace(seed)
     n, space = gs.n_points, gs.space
-    maps = [dict(m) for m in gs.act]
+    maps = [dict(m) for m in oracles.ActionMaps(gs).act]
     g, x = data.draw(st.integers(0, gs.group.order - 1)), data.draw(st.integers(0, n - 1))
     kind = data.draw(st.sampled_from(["set", "drop", "swap", "unlink"]))
     if kind == "set":
@@ -640,11 +696,7 @@ def test_bind_action_matches_scalar_on_corrupted_images(seed, data):
     elif space.edges:
         edge = data.draw(st.sampled_from(sorted(space.edges)))
         space = eq.build_space(space.base_metric, space.edges - {edge})
-    got, err = result(eq.bind_action, space, gs.group, maps)
-    ref, ref_err = result(oracles.bind_action, space, gs.group, maps)
-    assert err == ref_err
-    if got is not None:
-        assert (got.act, got.stabilizers) == ref
+    assert_same_binding(space, gs.group, maps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -665,20 +717,39 @@ def test_bind_action_matches_scalar_on_random_involutions(data):
     space = eq.build_space(1.0 - np.eye(n), edges)
     maps = [{i: i for i in range(n)}, flip]
     group = eq.build_group(cyclic_table(2))
-    got, err = result(eq.bind_action, space, group, maps)
-    ref, ref_err = result(oracles.bind_action, space, group, maps)
-    assert err == ref_err
-    if got is not None:
-        assert (got.act, got.stabilizers) == ref
+    assert_same_binding(space, group, maps)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_action_array_matches_the_maps(name):
-    gs = eq.generate_scenario(name, SCENARIOS[name])
-    n = gs.n_points
-    assert np.array_equal(gs.action[:, :n], oracles.action_array(gs))
-    assert (gs.action[:, n] == -1).all()
-    assert gs.stabilizers == oracles.bind_action(gs.space, gs.group, gs.act)[1]
+def test_action_array_matches_the_maps(name, monkeypatch):
+    """The maps each scenario passes to bind_action, against the array."""
+    calls = []
+    monkeypatch.setattr(eq.scenarios, "bind_action", lambda *args: calls.append(args) or eq.bind_action(*args))
+    eq.generate_scenario(name, SCENARIOS[name])
+    ((space, group, maps),) = calls
+    assert_same_binding(space, group, maps)
+
+
+def assert_same_orbits(gs):
+    """orbit_of, orbit_members, representative and quotient_adjacency (and
+    n_orbits) equal to the union-find over the maps."""
+    assert eq.compute_orbits(gs) == oracles.compute_orbits(gs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_orbits_match_union_find_on_random_spaces(seed, data):
+    """Total random actions, and the same arrays with a random set of images
+    undefined: the orbits of a partial action are joined by chains of
+    translations, which need not pass through one element."""
+    gs = random_gspace(seed)
+    assert_same_orbits(gs)
+    assert_same_orbits(drop_images(gs, data))
+
+
+@pytest.mark.parametrize("params", [p for name, p in SWEEP_CELLS if name == "shift"])
+def test_orbits_match_union_find_on_small_sweep_shifts(params):
+    assert_same_orbits(eq.generate_scenario("shift", dict(params)))
 
 
 def assert_isometric_quotient_matches(gs, tol=1e-9):

@@ -48,6 +48,13 @@ def test_general_mode_orbit_jumps_cost_orbital_distance():
     assert rho[0, 1] == pytest.approx(math.pi / 6, abs=1e-12)
 
 
+def test_orbit_edges_join_each_point_to_its_translates():
+    """One edge per pair u < g.u; none at the fixed point 2 of the flip, nor
+    from the identity."""
+    r = pipeline("reflection", {"m": 2, "h": 1.0}, mode="general")
+    assert [e for e in r["graph"].edges if e[3] == "orbit"] == [(0, 4, 1.0, "orbit"), (1, 3, 1.0, "orbit")]
+
+
 def test_general_mode_requires_orbital_metric(circle12):
     gs, quotient, family = circle12
     with pytest.raises(ValidationError) as exc:
@@ -85,8 +92,8 @@ def test_lifted_invariance_is_exact():
     for mode in ("general", "cover", "naive"):
         r = pipeline("circle", {"n": 12, "k": 3}, mode=mode)
         gs, rho = r["gspace"], r["lifted"].rho
-        for g in gs.total_elements():
-            perm = [gs.apply(g, x) for x in range(12)]
+        for g in np.flatnonzero(gs.total):
+            perm = gs.action[g, :12]
             assert np.array_equal(rho[np.ix_(perm, perm)], rho)
 
 

@@ -143,7 +143,7 @@ class TestOrbitalMetric:
         gs, quotient, family = circle12
         d_G = group_metric(gs.group, "discrete")
         d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
-        for g in gs.total_elements():
+        for g in np.flatnonzero(gs.total):
             for x in range(12):
                 for y in range(12):
                     gx, gy = gs.apply(g, x), gs.apply(g, y)

@@ -49,7 +49,7 @@ def test_shift_partial_action_structure():
     assert gs.n_points == 81
     assert gs.group.order == 13
     # only the identity acts totally; shifts lose boundary points
-    assert gs.total_elements() == [gs.group.identity]
+    assert gs.total.tolist() == [g == gs.group.identity for g in range(13)]
     assert gs.apply(1, 0) == 4  # one unit = four indices
     assert gs.apply(1, 80) is None
 

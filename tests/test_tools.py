@@ -26,3 +26,12 @@ def test_stage_times_times_every_stage(name, params, n, order):
     assert (got_n, got_order) == (n, order)
     assert sorted(times) == sorted(stage_times.STAGES)
     assert all(t >= 0.0 for t in times.values())
+
+
+def test_output_digest_hashes_every_file(tmp_path, monkeypatch):
+    output_digest = load("output_digest")
+    monkeypatch.chdir(tmp_path)
+    got = output_digest.digest(output_digest.config("circle", {"n": 12, "k": 3}, "general"))
+    assert got["exit"] == 0
+    assert sorted(got["files"]) == sorted(output_digest.FILES)
+    assert all(isinstance(h, str) and len(h) == 64 for h in got["files"].values())
