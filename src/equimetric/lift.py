@@ -13,10 +13,33 @@ naive: consecutive points merely lie in a common elementary set, i.e. any
     the lift stays a pseudometric only in the sampling limit, visible here
     as step costs that shrink under refinement.
 
-Cover small sets read each preimage off one row of the quotient table and
-search its components over the space's adjacency. Whether a component's
-image is convex depends only on its orbit set, so it is decided once per
-orbit set within a call.
+Cover small sets. For a quotient centre q give each point v the key
+d(q, p(v)); the preimage of the open ball of radius r around q holds the
+points of key < r. The reference scan (`tests/oracles.py`) tries q's
+candidate radii in descending order and keeps the first whose components
+are all elementary (no orbit twice) with convex images, and, when the
+enlargement factor f exceeds 1, whose radius r * f also gives elementary
+components. Two facts replace its search per radius:
+
+Monotone non-elementarity. One union-find sweep over the points in
+(key, index) order (Tarjan 1975) gives the components of every {key < r},
+since each is a prefix of the sweep. Let K be the key of the point whose
+merge first puts one orbit into a component twice (K = inf if none). A
+component only grows as r grows, so {key < r} is elementary exactly when
+it leaves that point out, that is when r <= K. The sweep stops there, every
+larger radius is skipped unseen, and r * f is elementary exactly when
+r * f <= K.
+
+Convexity in rounds. Whether an image is convex depends only on its orbit
+set, so each orbit set is decided once. The centres walk down their
+elementary radii together: in each round every open centre passes the
+components already decided convex, in the order of their least points,
+moves to its next radius at one decided non-convex, and otherwise asks for
+the first undecided one. The asked-for orbit sets are decided by one
+stacked apsp per set size. A centre accepts the same radius as the scalar
+scan, and the rounds decide only orbit sets that the scan tests, with its
+short cut at the first non-convex component: all of them at f <= 1, and at
+f > 1 those left once the radii with r * f > K are dropped.
 """
 
 from __future__ import annotations
@@ -78,33 +101,93 @@ class LiftedMetric:
         return self._witness_cache[key]
 
 
-def _is_elementary(quotient: Quotient, comp) -> bool:
-    orbs = [quotient.orbit_of[p] for p in comp]
-    return len(orbs) == len(set(orbs))
+def _sweep(adjacency, orbit_of, key, radii) -> tuple:
+    """(limit, parts) for one quotient centre. limit is the key of the first
+    merge that puts one orbit into a component twice (inf if none); parts[i]
+    holds the distinct orbit sets, as bit masks, of the components of
+    {key < radii[i]} with more than two orbits, in the order of their least
+    points, for each ascending radius up to limit.
+
+    One union-find sweep over the points in (key, index) order; a radius is
+    recorded when the sweep reaches the first point of key >= it."""
+    n = len(adjacency)
+    parent = list(range(n))
+    # read at roots; mask is 0 until the point is swept
+    mask, size, least = [0] * n, [1] * n, list(range(n))
+    big = set()  # roots of components with more than two orbits
+    parts = []
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def record():
+        ranked = sorted((least[r], mask[r]) for r in big)
+        parts.append(tuple(dict.fromkeys(m for _, m in ranked)))
+
+    order = np.argsort(key, kind="stable")
+    nxt = radii[0] if radii else np.inf
+    for w, kw in zip(order.tolist(), key[order].tolist()):
+        while kw >= nxt:
+            record()
+            nxt = radii[len(parts)] if len(parts) < len(radii) else np.inf
+        root = w
+        mask[w] = 1 << orbit_of[w]
+        for u in adjacency[w]:
+            if not mask[u]:
+                continue
+            ru = find(u)
+            if ru == root:
+                continue
+            if mask[root] & mask[ru]:
+                return kw, parts
+            if size[root] < size[ru]:
+                root, ru = ru, root
+            parent[ru] = root
+            mask[root] |= mask[ru]
+            size[root] += size[ru]
+            least[root] = min(least[root], least[ru])
+            big.discard(ru)
+            if size[root] > 2:
+                big.add(root)
+    while len(parts) < len(radii):
+        record()
+    return np.inf, parts
 
 
-def _image_is_convex(quotient: Quotient, orbs, tol: float) -> bool:
-    """The quotient image of an elementary component must carry its global
-    distances internally; otherwise chains through the component can move
-    far in the space while the quotient thinks they moved a little (the
-    shortcut behind the pseudometric degeneracy). Depends only on the
-    component's orbit set orbs."""
-    orbs = sorted(orbs)
-    k = len(orbs)
-    if k <= 2:
-        return True
-    pos = {q: i for i, q in enumerate(orbs)}
+# cells of one stacked apsp call in _convex_images: keeps its temporaries
+# in cache (1 << 18 ran circle(384, 4) twice as slow)
+_STACK_CELLS = 1 << 15
+
+
+def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
+    """mask -> whether the quotient image with that orbit set carries its
+    global distances internally; otherwise chains through a component can
+    move far in the space while the quotient thinks they moved a little
+    (the shortcut behind the pseudometric degeneracy). One stacked apsp per
+    orbit-set size, over each set's orbits in ascending order."""
+    d, k = quotient.d, quotient.n_orbits
     w = np.full((k, k), np.inf)
     np.fill_diagonal(w, 0.0)
     for a, b in quotient.quotient_adjacency:
-        if a in pos and b in pos:
-            w[pos[a], pos[b]] = w[pos[b], pos[a]] = quotient.d[a, b]
-    internal = apsp(w)
-    for i, a in enumerate(orbs):
-        for j, b in enumerate(orbs):
-            if abs(internal[i, j] - quotient.d[a, b]) > tol:
-                return False
-    return True
+        w[a, b] = w[b, a] = d[a, b]
+    nbytes = (k + 7) // 8
+    by_size = {}
+    for m in masks:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    out = {}
+    for size, group in by_size.items():
+        raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in group), np.uint8)
+        bits = np.unpackbits(raw.reshape(len(group), nbytes), axis=1, bitorder="little")
+        orbs = np.nonzero(bits)[1].reshape(len(group), size)
+        step = max(1, _STACK_CELLS // (size * size))
+        for i in range(0, len(group), step):
+            block = orbs[i : i + step, :, None], orbs[i : i + step, None, :]
+            off = np.abs(apsp(w[block]) - d[block]) > tol
+            out.update(zip(group[i : i + step], (~off.any(axis=(1, 2))).tolist()))
+    return out
 
 
 def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
@@ -118,40 +201,51 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
         raise ValidationError("InvalidParams", "quotient metric required for cover mode")
     adjacency = gspace.space.adjacency
     orbit_of = np.asarray(quotient.orbit_of)
-    convex = {}  # orbit set -> _image_is_convex
+    keys = quotient.d[:, orbit_of]  # row q: d(q, p(v)) per point v
 
-    def components(key, r):
-        alive = set(np.flatnonzero(key < r).tolist())
-        comps, seen = [], set()
-        for p in sorted(alive):
-            if p not in seen:
-                comps.append(component_of(adjacency, p, alive))
-                seen |= comps[-1]
-        return comps
+    # per centre, its elementary radii ascending, each with its parts
+    todo = {}
+    for q in range(quotient.n_orbits):
+        radii = _candidate_radii(quotient, q)[::-1]
+        limit, parts = _sweep(adjacency, quotient.orbit_of, keys[q], radii)
+        todo[q] = [(r, masks) for r, masks in zip(radii, parts)
+                   if enlargement_factor <= 1.0 or r * enlargement_factor <= limit]
 
-    def is_convex(comp):
-        orbs = frozenset(quotient.orbit_of[p] for p in comp)
-        if orbs not in convex:
-            convex[orbs] = _image_is_convex(quotient, orbs, tol)
-        return convex[orbs]
+    # descending rounds: each open centre walks down its radii while the
+    # orbit sets met are decided, and asks for the first undecided one
+    convex, accepted = {}, {}
+    while todo:
+        wanted = {}
+        for q, stack in list(todo.items()):
+            while stack:
+                r, masks = stack[-1]
+                m = next((m for m in masks if not convex.get(m, False)), None)
+                if m is None:
+                    accepted[q] = r
+                    break
+                if m in convex:
+                    stack.pop()
+                else:
+                    wanted[m] = None
+                    break
+            if q in accepted or not stack:
+                del todo[q]
+        convex.update(_convex_images(quotient, wanted, tol))
 
     sets = set()
-    for q in range(quotient.n_orbits):
-        key = quotient.d[q][orbit_of]
-        for r in _candidate_radii(quotient, q):
-            comps = components(key, r)
-            if not all(_is_elementary(quotient, c) for c in comps):
-                continue
-            if not all(is_convex(c) for c in comps):
-                continue
-            if enlargement_factor > 1.0:
-                if not all(_is_elementary(quotient, c) for c in components(key, r * enlargement_factor)):
-                    continue
-            for c in comps:
-                sets.add(frozenset(c))
-            break
-    # drop sets contained in another accepted set; edges are unaffected
-    maximal = [s for s in sets if not any(s < t for t in sets)]
+    for q, r in accepted.items():
+        alive = set(np.flatnonzero(keys[q] < r).tolist())
+        while alive:
+            comp = component_of(adjacency, min(alive), alive)
+            sets.add(frozenset(comp))
+            alive -= comp
+    # drop sets contained in another accepted set; edges are unaffected. A
+    # superset of s holds the least point of s.
+    holding = {}
+    for t in sets:
+        for p in t:
+            holding.setdefault(p, []).append(t)
+    maximal = [s for s in sets if not any(s < t for t in holding[min(s)])]
     return tuple(sorted(maximal, key=sorted))
 
 

@@ -20,13 +20,17 @@ from __future__ import annotations
 import math
 from numbers import Integral, Real
 
+import numpy as np
+
 from .errors import ValidationError
 from .gspace import SampledGSpace, bind_action, build_group, build_space, group_from_permutations
 
 
 def _circle_space(n: int):
     step = 2.0 * math.pi / n
-    metric = [[min(abs(i - j), n - abs(i - j)) * step for j in range(n)] for i in range(n)]
+    i = np.arange(n)
+    hops = np.abs(i[:, None] - i)  # integers convert exactly: one multiply per entry
+    metric = np.minimum(hops, n - hops) * step
     edges = [(i, (i + 1) % n) for i in range(n)]
     labels = [f"{360.0 * i / n:g}deg" for i in range(n)]
     return build_space(metric, edges, labels)

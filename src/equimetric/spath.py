@@ -1,4 +1,4 @@
-"""All-pairs shortest paths over a dense weight matrix.
+"""All-pairs shortest paths over dense weight matrices.
 
 Dense Dijkstra (Dijkstra 1959), run from every source at once: row s of the
 distance table is the search from source s. On each step every row picks its
@@ -7,6 +7,11 @@ unvisited vertex of least tentative distance, ties going to the lowest index
 These are the float additions and the tie rule of a per-source scalar
 Dijkstra, so the table is bitwise equal to it (`tests/oracles.py` keeps that
 scalar form as the reference).
+
+The input is one n x n table or a stack of them, shape (..., n, n). The
+rows of all tables run side by side and each row reads only its own table,
+so every table of a stack gets the same distances, bit for bit, as a call
+on that table alone.
 
 Precondition: every weight is nonnegative, or ``inf`` where there is no
 edge; no NaN. With a negative weight the result is not a shortest-path
@@ -19,14 +24,16 @@ import numpy as np
 
 
 def apsp(weights: np.ndarray) -> np.ndarray:
-    """Shortest-path distances between all vertex pairs; ``inf`` where no
-    path exists."""
+    """Shortest-path distances between all vertex pairs of each n x n table
+    of a (..., n, n) stack; ``inf`` where no path exists."""
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    n = w.shape[0]
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    done = np.zeros((n, n), dtype=bool)
-    rows = np.arange(n)
+    n = w.shape[-1]
+    rows = np.arange(int(np.prod(w.shape[:-1])))
+    flat = w.reshape(len(rows), n)  # row i is row i % n of table i // n
+    first = rows - rows % n  # the flat row where each row's table starts
+    dist = np.full((len(rows), n), np.inf)
+    dist[rows, rows % n] = 0.0
+    done = np.zeros((len(rows), n), dtype=bool)
     for _ in range(n):
         masked = np.where(done, np.inf, dist)
         u = masked.argmin(axis=1)
@@ -35,5 +42,5 @@ def apsp(weights: np.ndarray) -> np.ndarray:
         # A row whose reachable vertices are all visited has du = inf, so
         # its candidates are all inf and the minimum leaves it unchanged.
         # A visited v keeps dist[v], since du + w >= du >= dist[v].
-        np.minimum(dist, du[:, None] + w[u], out=dist)
-    return dist
+        np.minimum(dist, du[:, None] + flat[first + u], out=dist)
+    return dist.reshape(w.shape)

@@ -101,6 +101,14 @@ def cheapest_simple_chain(weights: np.ndarray, start: int, goal: int) -> float:
     return best[0]
 
 
+def circle_metric(n: int) -> list:
+    """The arc-length metric of n equally spaced circle points, one Python
+    float product per entry, as `scenarios._circle_space` built it before
+    it became one numpy expression."""
+    step = 2.0 * math.pi / n
+    return [[min(abs(i - j), n - abs(i - j)) * step for j in range(n)] for i in range(n)]
+
+
 # Scalar references for the row-vectorised checks in the library: the
 # loops the library ran before vectorisation, so the differential tests can
 # require equal codes, witnesses and residuals.

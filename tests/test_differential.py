@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import equimetric as eq
+from equimetric import lift
 from equimetric.errors import ValidationError
 from equimetric.gspace import SampledGSpace, _check_metric_table, graph_components
 from equimetric.orbital import _check_left_invariance
@@ -303,6 +304,44 @@ def test_join_key_prefixes_are_components(graph, radii):
             assert set(pts[: np.searchsorted(b, r)]) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(graph=keyed_graphs(), data=st.data())
+def test_cover_sweep_reads_the_components_of_each_prefix(graph, data):
+    """_sweep against graph_components on each {key < r}: limit is the
+    least key at which a prefix of the (key, index) order holds one orbit
+    twice in a component, and each radius up to it lists the distinct orbit
+    sets of more than two orbits, in the order of the components' least
+    points."""
+    n, edges, key, _ = graph
+    orbit_of = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    radii = sorted(set(data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.25, 2.0, 2.5]), min_size=1))))
+    adjacency = eq.build_space(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), edges).adjacency
+
+    def orbit_sets(points):
+        return [frozenset(orbit_of[p] for p in c) if len({orbit_of[p] for p in c}) == len(c) else None
+                for c in graph_components(n, edges, points)]
+
+    order = np.argsort(key, kind="stable").tolist()
+    limit = next((key[w] for i, w in enumerate(order) if None in orbit_sets(order[: i + 1])), np.inf)
+    want = []
+    for r in radii:
+        sets = orbit_sets([v for v in range(n) if key[v] < r])
+        if None in sets:
+            break
+        want.append(tuple(dict.fromkeys(sum(1 << o for o in s) for s in sets if len(s) > 2)))
+    assert lift._sweep(adjacency, orbit_of, key, radii) == (limit, want)
+
+
+def test_cover_sweep_lists_orbit_sets_by_least_point():
+    """Union by size leaves {0, 6, 7} at root 6 and {1, 2, 3} at root 2, so
+    the order of the roots is not that of the least points."""
+    edges = [(0, 6), (6, 7), (1, 2), (2, 3)]
+    key = np.array([2.0, 0.0, 1.0, 2.0, 5.0, 5.0, 1.0, 0.0])
+    adjacency = eq.build_space(np.abs(np.subtract.outer(np.arange(8), np.arange(8))), edges).adjacency
+    got = lift._sweep(adjacency, list(range(8)), key, [3.0])
+    assert got == (np.inf, [(0b11000001, 0b1110)])
+
+
 def drop_images(gs, data):
     """The G-space with a drawn set of images of its action array undefined;
     not validated, since the orbit and slice stages read any array."""
@@ -420,6 +459,83 @@ def test_cover_small_sets_match_reference_on_non_convex_images():
     sets = eq.cover_small_sets(gs, quotient)
     assert sets == oracles.cover_small_sets(gs, quotient)
     assert sets == (frozenset({0, 1, 2, 3}), frozenset({3, 4}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_cover_small_sets_match_reference_on_random_spaces(seed, data):
+    """Random spaces, total or with a drawn set of images undefined, at the
+    enlargement factors 1, 1.5 and 1000."""
+    gs = random_gspace(seed)
+    if data.draw(st.booleans()):
+        gs = drop_images(gs, data)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    for factor in (1.0, 1.5, 1000.0):
+        assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
+
+
+def test_cover_enlarged_radius_may_equal_the_merge_key():
+    """reflection(4, 1) at enlargement factor 2. Around orbit 1 (x = +-3)
+    the sweep first puts an orbit into a component twice when x = 0, of key
+    3, joins the two halves. The radius 1.5 is kept, since 1.5 * 2 = 3 and
+    the enlarged open ball leaves x = 0 out; its components {-4, -3, -2}
+    and {2, 3, 4} are the points 0-2 and 6-8. Just above factor 2 the
+    radius 1.5 fails and only {0, 1} and {7, 8} remain."""
+    gs, quotient = space("reflection", {"m": 4, "h": 1.0})
+    sets = eq.cover_small_sets(gs, quotient, 2.0)
+    assert sets == oracles.cover_small_sets(gs, quotient, 2.0)
+    assert sets == (frozenset({0, 1, 2}), frozenset({6, 7, 8}))
+    above = float(np.nextafter(2.0, 3.0))
+    sets = eq.cover_small_sets(gs, quotient, above)
+    assert sets == oracles.cover_small_sets(gs, quotient, above)
+    assert sets == (frozenset({0, 1}), frozenset({7, 8}))
+
+
+def decided_orbit_sets(gs, quotient, factor):
+    """(orbit sets the library decides convexity for, in decision order;
+    orbit sets with more than two orbits the scalar scan tests)."""
+    decided, reached = [], set()
+    convex_images, image_is_convex = lift._convex_images, oracles._image_is_convex
+
+    def record_decided(quotient, masks, tol):
+        decided.extend(frozenset(o for o in range(quotient.n_orbits) if m >> o & 1) for m in masks)
+        return convex_images(quotient, masks, tol)
+
+    def record_reached(quotient, comp, tol):
+        orbs = frozenset(quotient.orbit_of[p] for p in comp)
+        if len(orbs) > 2:
+            reached.add(orbs)
+        return image_is_convex(quotient, comp, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lift, "_convex_images", record_decided)
+        mp.setattr(oracles, "_image_is_convex", record_reached)
+        assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
+    return decided, reached
+
+
+@pytest.mark.parametrize("name,params,count", [
+    ("circle", {"n": 80, "k": 4}, 100), ("disk", {"g": 7}, 16), ("reflection", {"m": 6, "h": 1.0}, 3),
+])
+def test_cover_rounds_decide_only_orbit_sets_the_scalar_scan_reaches(name, params, count):
+    """Each orbit set is decided once, and exactly the sets that the
+    descending scan of the reference tests are: 100 stacked decisions on
+    circle(80, 4), as many as its former one apsp call per orbit set."""
+    gs, quotient = space(name, params)
+    decided, reached = decided_orbit_sets(gs, quotient, 1.0)
+    assert len(decided) == len(set(decided)) == count
+    assert set(decided) == reached
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), factor=st.sampled_from([1.0, 1.5, 1000.0]))
+def test_cover_rounds_decide_only_orbit_sets_the_scalar_scan_reaches_on_random_spaces(seed, factor):
+    gs = random_gspace(seed)
+    decided, reached = decided_orbit_sets(gs, eq.quotient_metric(gs, eq.compute_orbits(gs)), factor)
+    assert len(decided) == len(set(decided))
+    assert set(decided) <= reached
+    if factor == 1.0:
+        assert set(decided) == reached
 
 
 # The orbital stage against the per-pair coset distances, the element scan

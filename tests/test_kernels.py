@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import equimetric
 from equimetric.spath import apsp
-from tests.oracles import floyd_warshall, spath_py
+from tests.oracles import dijkstra, floyd_warshall, spath_py
 
 
 def random_weights(rng, n, density=0.5):
@@ -23,10 +23,11 @@ _TIE_WEIGHTS = np.array([0.0, 0.1, 0.2, 0.3, 0.7, 1.0 / 3.0, 2.0 / 3.0, 1.0, 1e-
 
 
 @st.composite
-def weight_matrices(draw):
-    """Dense tables with n from 0 to 40, from empty to complete, split into
-    up to three components with no edge between them, symmetric or not."""
-    n = draw(st.integers(min_value=0, max_value=40))
+def weight_matrices(draw, sizes=st.integers(min_value=0, max_value=40)):
+    """Dense tables with n drawn from sizes (0 to 40), from empty to complete,
+    split into up to three components with no edge between them, symmetric
+    or not."""
+    n = draw(sizes)
     density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 1.0]))
     parts = draw(st.integers(min_value=1, max_value=3))
     symmetric = draw(st.booleans())
@@ -65,6 +66,41 @@ def test_apsp_matches_scalar_dijkstra_bitwise(w):
     ours = apsp(w)
     assert ours.shape == w.shape
     assert ours.tobytes() == spath_py(w).tobytes()
+
+
+@st.composite
+def weight_stacks(draw):
+    """(..., n, n) stacks of one to six tables of one size n, each drawn as
+    by weight_matrices."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    batch = draw(st.sampled_from([(1,), (2,), (5,), (2, 3)]))
+    tables = [draw(weight_matrices(st.just(n))) for _ in range(int(np.prod(batch)))]
+    return np.array(tables, dtype=np.float64).reshape(batch + (n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=weight_stacks())
+def test_stacked_apsp_matches_each_table_bitwise(stack):
+    """Each table of a stacked call gets the bytes of the call on that table
+    alone and of the scalar Dijkstra from each of its sources: inf blocks,
+    zero weights and tied distances included."""
+    got = apsp(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:-2]):
+        assert got[idx].tobytes() == apsp(stack[idx]).tobytes()
+        for s in range(stack.shape[-1]):
+            assert got[idx][s].tobytes() == dijkstra(stack[idx], s).tobytes()
+
+
+def test_stacked_apsp_keeps_tables_apart():
+    """A table whose vertices share no edge stays inf off the diagonal next
+    to a connected one: no row relaxes through another table's weights."""
+    stack = np.full((2, 3, 3), np.inf)
+    stack[:, [0, 1, 2], [0, 1, 2]] = 0.0
+    stack[0][stack[0] == np.inf] = 1.0
+    got = apsp(stack)
+    assert (got[0] == 1.0 - np.eye(3)).all()
+    assert np.isinf(got[1][~np.eye(3, dtype=bool)]).all()
 
 
 def test_dijkstra_single_source():

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 import equimetric as eq
 from equimetric import ValidationError, generate_scenario
+from tests import oracles
 
 
 def test_circle_structure():
@@ -14,6 +16,12 @@ def test_circle_structure():
         assert gs.stabilizer(x) == (gs.group.identity,)
     assert gs.space.base_metric[0, 6] == pytest.approx(math.pi)
     assert gs.space.labels[1] == "30deg"
+
+
+@pytest.mark.parametrize("n", [3, 12, 80, 97, 384])
+def test_circle_metric_matches_scalar_reference_bitwise(n):
+    got = generate_scenario("circle", {"n": n, "k": 1}).space.base_metric
+    assert got.tobytes() == np.array(oracles.circle_metric(n), dtype=np.float64).tobytes()
 
 
 def test_circle_requires_divisor():

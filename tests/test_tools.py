@@ -28,6 +28,14 @@ def test_stage_times_times_every_stage(name, params, n, order):
     assert all(t >= 0.0 for t in times.values())
 
 
+def test_stage_times_cover_row_skips_the_orbital_stages():
+    stage_times = load("stage_times")
+    n, order, times = stage_times.stage_times("circle", {"n": 12, "k": 3}, "cover")
+    assert (n, order) == (12, 3)
+    assert sorted(times) == sorted(set(stage_times.STAGES) - {"orbital checks", "balls"})
+    assert all(t >= 0.0 for t in times.values())
+
+
 def test_output_digest_hashes_every_file(tmp_path, monkeypatch):
     output_digest = load("output_digest")
     monkeypatch.chdir(tmp_path)
