@@ -80,7 +80,12 @@ def disk(g: int) -> SampledGSpace:
     coords = [(r - c, col - c) for r in range(g) for col in range(g)]
     index = {xy: i for i, xy in enumerate(coords)}
     n = g * g
-    metric = [[math.hypot(a[0] - b[0], a[1] - b[1]) for b in coords] for a in coords]
+    # d(a, b) depends only on the offset a - b: one math.hypot per offset,
+    # read off a (2g - 1)^2 table by the row and column offsets of each pair
+    span = range(1 - g, g)
+    by_offset = np.array([[math.hypot(dr, dc) for dc in span] for dr in span])
+    row, col = np.divmod(np.arange(n), g)
+    metric = by_offset[row[:, None] - row + g - 1, col[:, None] - col + g - 1]
     edges = []
     for i, (x, y) in enumerate(coords):
         for dx, dy in ((1, 0), (0, 1)):

@@ -9,15 +9,25 @@ contents (and hence inclusion truth) only change at realized values.
 Ball inclusions run on a ball-prefix index rather than on rebuilt sets: an
 open ball of radius r is a prefix of its centre's sorted distance row (of
 d_G at the identity, of the quotient metric, of rho), with its length found
-by ``np.searchsorted`` once for the whole grid, and each motion set is
-reduced once to two rho-ranks. The O(n^3) axiom scan and the pair checks
-are vectorised one row at a time and keep the scalar witness order.
+by ``np.searchsorted`` once per centre for the whole grid. Each motion set
+is built from the action array and reduced to two rho-ranks, and each
+search is decided per centre, not per grid pair: the forward search by a
+running minimum over its probes and one ``searchsorted``, the reverse
+search in rounds over the runs of the quotient prefix
+(``verify_ball_inclusions`` states both arguments).
+
+The O(n^3) axiom scan is vectorised one row at a time; the invariance,
+lower-bound, cover-isometry and nearest-neighbour checks are array
+reductions over pairs, and the pushforward is one block minimum per pair of
+orbits. All keep the scalar witness order, and none adds floats in a
+different order than the scalar loops in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .gspace import SampledGSpace
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
@@ -135,34 +145,38 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
             float(above.max()) if above.size else 0.0)
 
     if lifted.mode == "cover":
+        # one gather per small set over its pairs u < w in row-major order; a
+        # NaN gap (inf - inf) enters neither the residual (fmax skips it)
+        # nor the witnesses
         v = []
         resid = 0.0
-        for s in lifted.graph.small_sets:
-            pts = sorted(s)
-            for a, u in enumerate(pts):
-                for w in pts[a + 1 :]:
-                    gap = abs(float(rho[u, w]) - float(d[p[u], p[w]]))
-                    resid = max(resid, gap)
-                    if gap > tol:
-                        v.append((u, w))
+        with np.errstate(invalid="ignore"):
+            for s in lifted.graph.small_sets:
+                pts = np.array(sorted(s))
+                i, j = np.triu_indices(pts.size, 1)
+                u, w = pts[i], pts[j]
+                gap = np.abs(rho[u, w] - d[orbit[u], orbit[w]])
+                resid = float(np.fmax.reduce(gap, initial=resid))
+                bad = gap > tol
+                v.extend(zip(u[bad].tolist(), w[bad].tolist()))
         rep.add("cover_local_isometry", FAIL if v else PASS, v, resid)
 
-    # topology proxy: each point's rho-nearest neighbor should be adjacent
-    # in the sampling graph or lie on the same orbit (advisory)
-    v = []
-    for x in range(n):
-        cands = [(float(rho[x, y]), y) for y in range(n) if y != x and np.isfinite(rho[x, y])]
-        if not cands:
-            continue
-        best = min(c[0] for c in cands)
-        nearest = [y for val, y in cands if val <= best + tol]
-        ok = any(
-            (min(x, y), max(x, y)) in gspace.space.edges or p[x] == p[y]
-            for y in nearest
-        )
-        if not ok:
-            v.append((x, nearest[0]))
-    rep.add("nearest_neighbor_compatibility", ADVISORY, v)
+    # topology proxy: each point's rho-nearest neighbors (finite, within tol
+    # of the row minimum) should include one adjacent in the sampling graph
+    # or on the same orbit (advisory); the witness is the first nearest y
+    finite = np.isfinite(rho)
+    np.fill_diagonal(finite, False)
+    row = np.where(finite, rho, np.inf)
+    best = row.min(axis=1)
+    nearest = finite & (row <= best[:, None] + tol)
+    compatible = orbit[:, None] == orbit[None, :]
+    if gspace.space.edges:
+        e = np.array(list(gspace.space.edges))
+        compatible[e[:, 0], e[:, 1]] = compatible[e[:, 1], e[:, 0]] = True
+    lonely = finite.any(axis=1) & ~(nearest & compatible).any(axis=1)
+    first = nearest.argmax(axis=1)
+    rep.add("nearest_neighbor_compatibility", ADVISORY,
+            [(x, int(first[x])) for x in np.flatnonzero(lonely).tolist()])
 
     if not lifted.connected:
         rep.add("lift_connected", FAIL, [tuple(c[0] for c in lifted.components)])
@@ -170,14 +184,16 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
     return rep
 
 
-def _inclusion_grid(quotient, d_G, d_O, lifted):
-    vals = list(np.asarray(quotient.d).ravel()) + list(d_G.table.ravel())
+def _inclusion_grid(quotient, d_G, d_O, lifted) -> np.ndarray:
+    """The radii of both inclusion searches: the value grid of d, d_G, the
+    defined values of d_O and the finite values of rho, then a top radius
+    one above the largest."""
+    tables = [np.ravel(quotient.d), d_G.table.ravel()]
     if d_O is not None:
-        vals += [v for v in d_O.values.ravel() if not np.isnan(v)]
-    vals += [v for v in lifted.rho.ravel() if np.isfinite(v)]
-    grid = value_grid(vals)
-    top = (grid[-1] if grid else 0.0) + 1.0
-    return grid + [top]
+        tables.append(d_O.values[~np.isnan(d_O.values)])
+    tables.append(lifted.rho[np.isfinite(lifted.rho)])
+    grid = value_grid(np.concatenate(tables))
+    return np.array(grid + [(grid[-1] if grid else 0.0) + 1.0])
 
 
 def motion_set(gspace: SampledGSpace, quotient: Quotient, family: SliceFamily,
@@ -214,6 +230,15 @@ def rho_ball_inside_motion(gspace, quotient, family, d_G, lifted,
     return rho_ball(lifted, x, eps) <= motion_set(gspace, quotient, family, d_G, x, delta, slice_radius=eps)
 
 
+def _run_starts(*keys) -> np.ndarray:
+    """Indices where the tuple of equal-length key arrays changes, from 0."""
+    change = np.zeros(len(keys[0]), dtype=bool)
+    change[0] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(change)
+
+
 def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
                            family: SliceFamily, d_G: GroupMetric,
                            d_O: OrbitalMetric, lifted: LiftedMetric) -> Report:
@@ -222,85 +247,126 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
     and every small rho-ball is reached by small joint motion.
 
     Decides exactly what ``motion_inside_rho_ball`` and
-    ``rho_ball_inside_motion`` decide, through the ball-prefix index: an
-    open ball of radius r is the prefix of length #{v < r} of its centre's
-    sorted distance row (ties fall wholly inside or outside it). Each motion
-    set B(delta) . S_x(r) depends only on (x, group-ball prefix, quotient-ball
-    prefix) and is reduced once to two ints: 1 + its highest rho-rank, and
-    the longest rho-sorted prefix of x's row inside it. A rho-ball prefix of
-    length L then contains the motion set iff the first is <= L, and lies in
-    it iff L <= the second. In ``rho_ball_inside_motion`` both sides grow
-    with eps, so that search is not monotone; both keep their full scan.
+    ``rho_ball_inside_motion`` decide over the grid r_0 < r_1 < ..., through
+    the ball-prefix index: an open ball of radius r is the prefix of length
+    #{v < r} of its centre's sorted distance row (ties fall wholly inside or
+    outside it). For a centre x let L_i, g_j and q_j be the prefix lengths
+    at r_i of its rho row, of the identity's d_G row and of its orbit's
+    quotient row. A motion set B(r_j) . S_x(r_k) depends only on (g_j, q_k);
+    it is built from the action array and reduced to two ints: top, 1 + its
+    highest rho-rank, and prefix, the longest rho-sorted prefix of x's row
+    inside it. The rho-ball of prefix L contains the motion set iff
+    top <= L, and lies in it iff L <= prefix.
+
+    Search 1 wants, for each eps index i, the first j with top_j <= L_i.
+    L_i is ascending in i, so every answer lies at or before the answer for
+    i = 0: probe top_j for j = 0, 1, ... until the first hit for i = 0
+    (top_j is fixed along a run of equal (g_j, q_j), so only the first j of
+    each run is probed), take the running minimum m_j of the probes, and
+    answer every i by one searchsorted: the first j with top_j <= L_i is
+    the first with m_j <= L_i, and m is non-increasing. No monotonicity of
+    motion sets is assumed.
+
+    Search 2 wants, for each delta index j, the first i with
+    L_i <= prefix(g_j, q_i). Along a run of equal q_i the prefix is fixed
+    and L_i ascends, so only the first i of a run can be the answer. The
+    columns are resolved in rounds over these run starts; a round makes one
+    motion-set evaluation per distinct g_j among the columns still open.
+
+    Each centre's prefix lengths are computed once, and each motion set at
+    most once per centre. A quotient prefix that misses the centre's orbit
+    raises EmptyResult, as ``subslice`` does; both searches evaluate the
+    shortest one, q_0, first, so they raise at the centre where the scalar
+    scan does. Failures are listed in full, in (x, radius) order; only the
+    first three witnesses are kept, which is all the report shows.
     """
     rep = Report()
     n = gspace.n_points
-    grid = _inclusion_grid(quotient, d_G, d_O, lifted)
-    radii = np.asarray(grid, dtype=np.float64)
+    radii = _inclusion_grid(quotient, d_G, d_O, lifted)
     rho = lifted.rho
+    orbit_of = np.asarray(quotient.orbit_of)
 
     identity_row = d_G.table[d_G.group.identity]
     group_order = np.argsort(identity_row, kind="stable")
-    group_len = np.searchsorted(identity_row[group_order], radii).tolist()
-    orbit_order = np.argsort(quotient.d, axis=1, kind="stable")
-    rho_order = np.argsort(rho, axis=1, kind="stable")
-    rho_rank = np.empty_like(rho_order)
-    np.put_along_axis(rho_rank, rho_order, np.arange(n)[None, :], axis=1)
+    group_len = np.searchsorted(identity_row[group_order], radii)
+    moved = gspace.action[group_order]  # row g: the g-th element by d_G(e, .)
+    group_len_list = group_len.tolist()
+    group_lens = sorted(set(group_len_list))
 
-    def prefix_lengths(x):
-        """Per grid radius: the prefix length of the rho-ball around x and
-        of the quotient ball around p(x)."""
+    per_orbit = {}
+
+    def orbit_index(q):
+        """Per grid radius the quotient-ball prefix length around q, the rank
+        of each orbit in q's row, and the run starts of both searches."""
+        if q not in per_orbit:
+            order = np.argsort(quotient.d[q], kind="stable")
+            q_len = np.searchsorted(quotient.d[q][order], radii)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            per_orbit[q] = (q_len, rank, _run_starts(group_len, q_len).tolist(),
+                            _run_starts(q_len).tolist())
+        return per_orbit[q]
+
+    fails1, wits1, fails2, wits2 = [], [], [], []
+    for x in range(n):
         q = quotient.orbit_of[x]
-        return (np.searchsorted(rho[x][rho_order[x]], radii).tolist(),
-                np.searchsorted(quotient.d[q][orbit_order[q]], radii).tolist())
+        q_len, rank, starts1, starts2 = orbit_index(q)
+        rho_order = np.argsort(rho[x], kind="stable")
+        rho_len = np.searchsorted(rho[x][rho_order], radii)
+        slice_pts = np.fromiter(family.slice_of[x], dtype=np.intp)
+        slice_rank = rank[orbit_of[slice_pts]]
+        motion = {}
 
-    rows = gspace.action.tolist()
-    motion = {}
+        def motion_index(n_group, n_orbits):
+            """(top, prefix) of B . S_x for the first n_group elements and
+            the first n_orbits orbits around q."""
+            key = (n_group, n_orbits)
+            if key not in motion:
+                if rank[q] >= n_orbits:
+                    raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
+                inside = np.zeros(n + 1, dtype=bool)  # slot n catches the -1 images
+                inside[moved[:n_group, slice_pts[slice_rank < n_orbits]]] = True
+                in_order = inside[rho_order]
+                hits = np.flatnonzero(in_order)
+                top = int(hits[-1]) + 1 if hits.size else 0
+                prefix = n if hits.size == n else int(np.argmin(in_order))
+                motion[key] = (top, prefix)
+            return motion[key]
 
-    def motion_index(x, n_group, n_orbits):
-        key = (x, n_group, n_orbits)
-        if key not in motion:
-            orbits = orbit_order[quotient.orbit_of[x]][:n_orbits].tolist()
-            base = subslice(family, x, quotient, orbit_set=orbits)
-            pts = {rows[g][y] for g in group_order[:n_group].tolist() for y in base}
-            pts.discard(-1)
-            inside = np.zeros(n, dtype=bool)
-            inside[list(pts)] = True
-            top = int(rho_rank[x][inside].max()) + 1 if pts else 0
-            in_order = inside[rho_order[x]]
-            prefix = n if in_order.all() else int(np.argmin(in_order))
-            motion[key] = (top, prefix)
-        return motion[key]
+        # search 1: probe until the first hit for the smallest rho-ball
+        tops = []
+        for j in starts1:
+            tops.append(motion_index(group_len_list[j], int(q_len[j]))[0])
+            if tops[-1] <= rho_len[0]:
+                break
+        run = np.searchsorted(-np.minimum.accumulate(tops), -rho_len)
+        hit = run < len(tops)
+        fails1 += [(x, float(radii[i])) for i in np.flatnonzero(~hit).tolist()]
+        if len(wits1) < 3:
+            for i in np.flatnonzero(hit)[:3 - len(wits1)].tolist():
+                wits1.append((x, float(radii[i]), float(radii[starts1[run[i]]])))
 
-    fails, wits = [], []
-    for x in range(n):
-        rho_len, q_len = prefix_lengths(x)
-        for i, eps in enumerate(grid):
-            found = None
-            for j, delta in enumerate(grid):
-                if motion_index(x, group_len[j], q_len[j])[0] <= rho_len[i]:
-                    found = delta
-                    break
-            if found is None:
-                fails.append((x, eps))
-            else:
-                wits.append((x, eps, found))
-    rep.add("motion_inside_rho_ball", FAIL if fails else PASS, fails or wits[:3])
+        # search 2: rounds over the runs of q_i, one evaluation per open g_j
+        found = {}
+        open_lens = group_lens
+        for i in starts2:
+            if not open_lens:
+                break
+            for g in open_lens:
+                if rho_len[i] <= motion_index(g, int(q_len[i]))[1]:
+                    found[g] = i
+            open_lens = [g for g in open_lens if g not in found]
+        if open_lens:
+            fails2 += [(x, float(radii[j])) for j in
+                       np.flatnonzero(np.isin(group_len, open_lens)).tolist()]
+        for j, g in enumerate(group_len_list):
+            if len(wits2) == 3:
+                break
+            if g in found:
+                wits2.append((x, float(radii[j]), float(radii[found[g]])))
 
-    fails, wits = [], []
-    for x in range(n):
-        rho_len, q_len = prefix_lengths(x)
-        for j, delta in enumerate(grid):
-            found = None
-            for i, eps in enumerate(grid):
-                if rho_len[i] <= motion_index(x, group_len[j], q_len[i])[1]:
-                    found = eps
-                    break
-            if found is None:
-                fails.append((x, delta))
-            else:
-                wits.append((x, delta, found))
-    rep.add("rho_ball_inside_motion", FAIL if fails else PASS, fails or wits[:3])
-
+    rep.add("motion_inside_rho_ball", FAIL if fails1 else PASS, fails1 or wits1)
+    rep.add("rho_ball_inside_motion", FAIL if fails2 else PASS, fails2 or wits2)
     return rep
 
 
@@ -316,24 +382,25 @@ def quotient_consistency(gspace: SampledGSpace, quotient: Quotient,
         rep.add("pushforward_matches_quotient", ADVISORY, [("lift not finite everywhere",)])
         return rep
 
+    # block minima over the orbit-sorted rows and columns; a minimum makes
+    # no float addition, so dp is exact. d'(a, b) reads rho[x in a, y in b]
+    # for a < b, mirrored, as the scalar pushforward does.
+    members = np.argsort(quotient.orbit_of, kind="stable")
+    starts = np.cumsum([0] + [len(m) for m in quotient.orbit_members])[:-1]
+    blocks = np.minimum.reduceat(lifted.rho[members], starts, axis=0)
+    blocks = np.minimum.reduceat(blocks[:, members], starts, axis=1)
     dp = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            best = min(
-                float(lifted.rho[x, y])
-                for x in quotient.orbit_members[a]
-                for y in quotient.orbit_members[b]
-            )
-            dp[a, b] = dp[b, a] = best
+    iu, ju = np.triu_indices(k, 1)
+    dp[iu, ju] = dp[ju, iu] = blocks[iu, ju]
 
     v, resid = _metric_axiom_violations(dp, tol)
     rep.add("pushforward_is_metric", FAIL if v else PASS, v, resid)
 
-    resid = float(np.max(np.abs(dp - quotient.d))) if k else 0.0
+    gap = np.abs(dp - quotient.d)
+    resid = float(gap.max()) if k else 0.0
     wit = []
-    if k and resid > tol:
-        a, b = map(int, np.unravel_index(np.argmax(np.abs(dp - quotient.d)), dp.shape))
-        wit = [(a, b)]
+    if resid > tol:
+        wit = [tuple(map(int, np.unravel_index(np.argmax(gap), gap.shape)))]
     rep.add("pushforward_matches_quotient", ADVISORY, wit, resid)
 
     return rep

@@ -10,7 +10,11 @@ per (x, y) vs. border edges and searches over the adjacency; per-pair coset
 distances and grid rescans vs. cached coset tables and one reduction per
 point; scalar group, action and isometry loops vs. one table comparison per
 element over the action array; per-element point maps and a union-find over
-them vs. the action array and one component search over its pairs).
+them vs. the action array and one component search over its pairs; a grid
+from a Python set searched per grid pair with rebuilt frozensets vs. a
+sorted-array grid searched per centre by a running minimum and in rounds;
+per-pair loops for the cover isometry, nearest neighbours and pushforward
+vs. array reductions and block minima).
 """
 
 import math
@@ -25,7 +29,6 @@ from equimetric.quotient import Quotient
 from equimetric.report import ADVISORY, FAIL, PASS, Report
 from equimetric.slices import SliceFamily, _candidate_radii, subslice
 from equimetric.spath import apsp
-from equimetric.verify import _inclusion_grid
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -107,6 +110,14 @@ def circle_metric(n: int) -> list:
     it became one numpy expression."""
     step = 2.0 * math.pi / n
     return [[min(abs(i - j), n - abs(i - j)) * step for j in range(n)] for i in range(n)]
+
+
+def disk_metric(g: int) -> list:
+    """The Euclidean metric of the odd g x g grid, one `math.hypot` call per
+    pair, as `scenarios.disk` built it before it read a table of offsets."""
+    c = g // 2
+    coords = [(r - c, col - c) for r in range(g) for col in range(g)]
+    return [[math.hypot(a[0] - b[0], a[1] - b[1]) for b in coords] for a in coords]
 
 
 # Scalar references for the row-vectorised checks in the library: the
@@ -424,13 +435,26 @@ def metric_axiom_violations(table: np.ndarray, tol: float):
     return v, resid
 
 
-def lifted_pair_checks(gspace, quotient, rho, invariance_tol=1e-12, tol=1e-9, region=None):
-    """The g_invariance (with its boundary band) and lower_bound_quotient
-    checks of ``verify_lifted_metric``, as scalar pair loops."""
+def verify_lifted_metric(gspace, quotient, lifted, tol=1e-9, invariance_tol=1e-12, region=None):
+    """Every line of ``verify_lifted_metric``, from scalar pair loops: the
+    axiom scan, invariance with its boundary band, the quotient lower bound,
+    the cover isometry per small-set pair and a nearest-neighbour candidate
+    list per point."""
     rep = Report()
+    rho = lifted.rho
     n = gspace.n_points
     d = quotient.d
     p = quotient.orbit_of
+    if not any(np.isfinite(rho[i, j]) for i in range(n) for j in range(i + 1, n)):
+        for name in ("metric_axioms", "g_invariance", "lower_bound_quotient",
+                     "cover_local_isometry", "nearest_neighbor_compatibility"):
+            rep.add(name, ADVISORY, [("no finite off-diagonal distance",)])
+        rep.add("lift_connected", FAIL, [tuple(c[0] for c in lifted.components)])
+        return rep
+
+    v, resid = metric_axiom_violations(rho, tol)
+    rep.add("metric_axioms", FAIL if v else PASS, v, resid)
+
     inside = set(range(n)) if region is None else set(region)
     v = []
     resid = 0.0
@@ -470,14 +494,101 @@ def lifted_pair_checks(gspace, quotient, rho, invariance_tol=1e-12, tol=1e-9, re
             if gap > tol:
                 v.append((i, j))
     rep.add("lower_bound_quotient", FAIL if v else PASS, v, max(resid, 0.0))
+
+    if lifted.mode == "cover":
+        v = []
+        resid = 0.0
+        for s in lifted.graph.small_sets:
+            pts = sorted(s)
+            for a, u in enumerate(pts):
+                for w in pts[a + 1 :]:
+                    gap = abs(float(rho[u, w]) - float(d[p[u], p[w]]))
+                    resid = max(resid, gap)
+                    if gap > tol:
+                        v.append((u, w))
+        rep.add("cover_local_isometry", FAIL if v else PASS, v, resid)
+
+    v = []
+    for x in range(n):
+        cands = [(float(rho[x, y]), y) for y in range(n) if y != x and np.isfinite(rho[x, y])]
+        if not cands:
+            continue
+        best = min(c[0] for c in cands)
+        nearest = [y for val, y in cands if val <= best + tol]
+        ok = any(
+            (min(x, y), max(x, y)) in gspace.space.edges or p[x] == p[y]
+            for y in nearest
+        )
+        if not ok:
+            v.append((x, nearest[0]))
+    rep.add("nearest_neighbor_compatibility", ADVISORY, v)
+
+    if not lifted.connected:
+        rep.add("lift_connected", FAIL, [tuple(c[0] for c in lifted.components)])
     return rep
+
+
+def quotient_consistency(gspace, quotient, lifted, tol: float = 1e-9) -> Report:
+    """The pushforward d'(a, b) as a Python min over every pair of lifts."""
+    rep = Report()
+    k = quotient.n_orbits
+    if not np.isfinite(lifted.rho).all():
+        rep.add("pushforward_is_metric", ADVISORY, [("lift not finite everywhere",)])
+        rep.add("pushforward_matches_quotient", ADVISORY, [("lift not finite everywhere",)])
+        return rep
+
+    dp = np.zeros((k, k))
+    for a in range(k):
+        for b in range(a + 1, k):
+            best = min(
+                float(lifted.rho[x, y])
+                for x in quotient.orbit_members[a]
+                for y in quotient.orbit_members[b]
+            )
+            dp[a, b] = dp[b, a] = best
+
+    v, resid = metric_axiom_violations(dp, tol)
+    rep.add("pushforward_is_metric", FAIL if v else PASS, v, resid)
+
+    resid = 0.0
+    wit = []
+    for a in range(k):
+        for b in range(k):
+            gap = abs(float(dp[a, b]) - float(quotient.d[a, b]))
+            if gap > resid:
+                resid = gap
+                wit = [(a, b)] if gap > tol else []
+    rep.add("pushforward_matches_quotient", ADVISORY, wit, resid)
+    return rep
+
+
+def value_grid(values) -> list:
+    """Sorted distinct positive values with midpoints, from a Python set."""
+    vals = sorted({float(v) for v in values if v > 0})
+    out = []
+    for i, v in enumerate(vals):
+        out.append(v)
+        if i + 1 < len(vals):
+            out.append((v + vals[i + 1]) / 2.0)
+    return out
+
+
+def inclusion_grid(quotient, d_G, d_O, lifted) -> list:
+    """The ball-inclusion radii from Python lists of every table entry."""
+    vals = list(np.asarray(quotient.d).ravel()) + list(d_G.table.ravel())
+    if d_O is not None:
+        vals += [v for v in d_O.values.ravel() if not np.isnan(v)]
+    vals += [v for v in lifted.rho.ravel() if np.isfinite(v)]
+    grid = value_grid(vals)
+    top = (grid[-1] if grid else 0.0) + 1.0
+    return grid + [top]
 
 
 def verify_ball_inclusions(gspace, quotient, family, d_G, d_O, lifted) -> Report:
     """Grid searches over the frozenset-based inclusion predicates."""
     rep = Report()
     n = gspace.n_points
-    grid = _inclusion_grid(quotient, d_G, d_O, lifted)
+    grid = inclusion_grid(quotient, d_G, d_O, lifted)
 
     fails, wits = [], []
     for x in range(n):

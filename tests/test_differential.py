@@ -17,8 +17,8 @@ from equimetric.errors import ValidationError
 from equimetric.gspace import SampledGSpace, _check_metric_table, graph_components
 from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
-from equimetric.slices import _join_orders
-from equimetric.verify import _metric_axiom_violations
+from equimetric.slices import _join_orders, value_grid
+from equimetric.verify import _inclusion_grid, _metric_axiom_violations
 from tests import oracles
 from perfbench.workloads import GRID_CELLS
 from tests.conftest import pipeline
@@ -126,20 +126,36 @@ def _region(name, params):
 
 def assert_lifted_checks_match(r, region=None):
     gs, quotient, lifted = r["gspace"], r["quotient"], r["lifted"]
-    report = eq.verify_lifted_metric(gs, quotient, lifted, region=region)
-    ref = oracles.lifted_pair_checks(gs, quotient, lifted.rho, region=region)
-    if np.isfinite(lifted.rho[np.triu_indices(gs.n_points, 1)]).any():
-        assert [report[c.name].line() for c in ref.checks] == ref.lines()
-    else:
-        assert report["g_invariance"].status == "advisory"
+    assert eq.verify_lifted_metric(gs, quotient, lifted, region=region).lines() == \
+        oracles.verify_lifted_metric(gs, quotient, lifted, region=region).lines()
     assert _metric_axiom_violations(lifted.rho, 1e-9) == \
         oracles.metric_axiom_violations(lifted.rho, 1e-9)
 
 
+def assert_pushforward_matches(r):
+    gs, quotient, lifted = r["gspace"], r["quotient"], r["lifted"]
+    assert eq.quotient_consistency(gs, quotient, lifted).lines() == \
+        oracles.quotient_consistency(gs, quotient, lifted).lines()
+
+
 def assert_ball_inclusions_match(r):
     args = (r["gspace"], r["quotient"], r["family"], r["d_G"], r["d_O"], r["lifted"])
+    grid = _inclusion_grid(r["quotient"], r["d_G"], r["d_O"], r["lifted"])
+    ref = oracles.inclusion_grid(r["quotient"], r["d_G"], r["d_O"], r["lifted"])
+    assert grid.tobytes() == np.array(ref).tobytes()
     assert eq.verify_ball_inclusions(*args).lines() == \
         oracles.verify_ball_inclusions(*args).lines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.30000000000000004, 1.0, np.inf, -np.inf, np.nan]),
+    st.floats(min_value=-1.0, max_value=1e3, allow_nan=False)), max_size=30))
+def test_value_grid_matches_set_reference_bitwise(values):
+    got = value_grid(np.array(values, dtype=np.float64))
+    ref = oracles.value_grid(values)
+    assert np.array(got, dtype=np.float64).tobytes() == np.array(ref, dtype=np.float64).tobytes()
+    assert all(type(v) is float for v in got)
 
 
 SCENARIOS = {
@@ -168,6 +184,7 @@ def test_builtin_scenarios_match_scalar(name, mode):
     assert_lifted_checks_match(r, _region(name, params))
     assert_lifted_checks_match(r)
     assert_ball_inclusions_match(r)
+    assert_pushforward_matches(r)
 
 
 @pytest.mark.parametrize("plant,failing", [
@@ -175,6 +192,7 @@ def test_builtin_scenarios_match_scalar(name, mode):
     ("orbit_zero", ["rho_ball_inside_motion"]),
     ("gap", []),
     ("below_quotient", []),
+    ("asymmetric", []),
 ])
 def test_planted_lift_defects_match_scalar(plant, failing):
     """Defects on circle(12, 3), two of which make an inclusion search fail
@@ -187,6 +205,8 @@ def test_planted_lift_defects_match_scalar(plant, failing):
         rho[0, 4] = rho[4, 0] = 0.0  # orbit mate in every rho-ball of 0
     elif plant == "gap":
         rho[2, 3] = rho[3, 2] = np.inf
+    elif plant == "asymmetric":
+        rho[0, 1] = 0.2  # the pushforward reads rho[x, y] with p(x) < p(y)
     else:  # one pair below d(p(x), p(y)) within tol, one beyond it
         d = r["quotient"].d
         rho[0, 1] = rho[1, 0] = d[0, 1] - 5e-10
@@ -194,9 +214,72 @@ def test_planted_lift_defects_match_scalar(plant, failing):
     r["lifted"] = replace(r["lifted"], rho=rho)
     assert_lifted_checks_match(r)
     assert_ball_inclusions_match(r)
+    assert_pushforward_matches(r)
     report = eq.verify_ball_inclusions(r["gspace"], r["quotient"], r["family"],
                                        r["d_G"], r["d_O"], r["lifted"])
     assert [c.name for c in report.checks if c.status == "fail"] == failing
+    if plant == "below_quotient":
+        check = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])["lower_bound_quotient"]
+        assert (check.status, check.witnesses) == ("fail", [(0, 2)])
+
+
+def test_all_infinite_lift_matches_scalar():
+    """reflection(2, 1) in cover mode at factor 1000 has no finite
+    off-diagonal distance: every lifted line is advisory but the lift's."""
+    r = pipeline("reflection", {"m": 2, "h": 1.0}, mode="cover", enlargement=1000.0)
+    assert not np.isfinite(r["lifted"].rho[np.triu_indices(r["gspace"].n_points, 1)]).any()
+    assert_lifted_checks_match(r)
+    assert_pushforward_matches(r)
+
+
+def test_planted_nearest_neighbours_match_scalar():
+    """circle(12, 3), whose orbits are i mod 4: 5 and 7 tie as the nearest
+    points of 0, neither adjacent nor an orbit mate, so the witness names
+    the first; 2, adjacent to 3, lies within tol of 3's nearest point 8, so
+    3 has no witness."""
+    r = pipeline("circle", {"n": 12, "k": 3}, mode="general")
+    rho = np.array(r["lifted"].rho)
+    rho[0, 5] = rho[5, 0] = rho[0, 7] = rho[7, 0] = 0.1
+    rho[3, 8] = rho[8, 3] = 0.2
+    rho[2, 3] = rho[3, 2] = 0.2 + 5e-10
+    r["lifted"] = replace(r["lifted"], rho=rho)
+    assert_lifted_checks_match(r)
+    report = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])
+    assert report["nearest_neighbor_compatibility"].witnesses == [(0, 5), (5, 0), (7, 0), (8, 3)]
+
+
+def test_nan_isometry_gaps_stay_out_as_in_scalar():
+    """circle(12, 3) in cover mode with d(p(0), p(1)) = inf: rho(0, 1) = inf
+    makes a NaN gap, left out of the residual and the witnesses, while
+    rho(0, 2) = inf makes an inf gap, kept in both."""
+    r = pipeline("circle", {"n": 12, "k": 3}, mode="cover")
+    d = np.array(r["quotient"].d)
+    d[0, 1] = d[1, 0] = np.inf
+    rho = np.array(r["lifted"].rho)
+    rho[0, 1] = rho[1, 0] = rho[0, 2] = rho[2, 0] = np.inf
+    r["quotient"] = replace(r["quotient"], d=d)
+    r["lifted"] = replace(r["lifted"], rho=rho)
+    with np.errstate(invalid="ignore"):
+        assert_lifted_checks_match(r)
+        check = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])["cover_local_isometry"]
+    assert check.line() == "cover_local_isometry\tfail\tinf\t(0, 2);(4, 5);(4, 5);(8, 9);(8, 9)"
+
+
+def test_reverse_inclusion_answered_in_a_later_round():
+    """circle(12, 3) with rho(0, 1) = 0: 1 lies in the smallest rho-ball of
+    0 but not in S_0(r_0) = {0}, so every column of the reverse search is
+    open after the first round and closes at the next run of quotient
+    prefixes, r_1 = 0.7618, where S_0 has grown to {11, 0, 1}."""
+    r = pipeline("circle", {"n": 12, "k": 3}, mode="general")
+    rho = np.array(r["lifted"].rho)
+    rho[0, 1] = rho[1, 0] = 0.0
+    r["lifted"] = replace(r["lifted"], rho=rho)
+    assert_ball_inclusions_match(r)
+    report = eq.verify_ball_inclusions(r["gspace"], r["quotient"], r["family"],
+                                       r["d_G"], r["d_O"], r["lifted"])
+    check = report["rho_ball_inside_motion"]
+    assert check.status == "pass"
+    assert [w[2] for w in check.witnesses] == [0.7617993877991494] * 3
 
 
 def test_planted_lift_defect_matches_scalar_on_a_partial_shift():
@@ -229,6 +312,34 @@ def test_random_spaces_match_scalar(seed):
              "d_G": d_G, "d_O": d_O, "lifted": eq.lift_metric(graph)}
         assert_lifted_checks_match(r)
         assert_ball_inclusions_match(r)
+        assert_pushforward_matches(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_planted_rho_defects_match_scalar_on_random_spaces(seed, data):
+    """A few symmetric pairs of rho set to 0, to inf, or below d(p(x), p(y)):
+    the inclusion searches then probe past j = 0 and resolve columns in later
+    rounds, and the lifted and pushforward checks meet failing pairs."""
+    gs = random_gspace(seed, max_points=10)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    d_G = eq.group_metric(gs.group, "discrete", scale=1.0)
+    d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
+    mode = data.draw(st.sampled_from(["general", "cover"]))
+    lifted = eq.lift_metric(eq.build_allowability_graph(gs, quotient, family=family, d_O=d_O, mode=mode))
+    rho = np.array(lifted.rho)
+    n = gs.n_points
+    for _ in range(data.draw(st.integers(1, 3))):
+        x, y = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        below = quotient.d[quotient.orbit_of[x], quotient.orbit_of[y]] - data.draw(
+            st.sampled_from([5e-10, 0.25, 1.0]))
+        rho[x, y] = rho[y, x] = data.draw(st.sampled_from([0.0, np.inf, below]))
+    r = {"gspace": gs, "quotient": quotient, "family": family,
+         "d_G": d_G, "d_O": d_O, "lifted": replace(lifted, rho=rho)}
+    assert_lifted_checks_match(r)
+    assert_ball_inclusions_match(r)
+    assert_pushforward_matches(r)
 
 
 def assert_same_family(gs, shrink_factor=1.0):
@@ -700,6 +811,17 @@ def test_positive_quotient_diagonal_matches_reference(plant):
         d_O = replace(d_O, values=plant_orbital(d_O.values, quotient, plant, size=5.0))
     report = assert_orbital_reports_match(r["gspace"], quotient, r["family"], d_O, r["d_G"])
     assert (report is None) == (plant is not None)
+
+
+def test_ball_inclusions_raise_as_reference_below_a_positive_diagonal():
+    """circle(12, 3) with the quotient diagonal raised to 1e-10, the least
+    grid radius: the quotient ball of that radius misses the centre orbit,
+    so both searches raise at the first point."""
+    r = pipeline("circle", {"n": 12, "k": 3})
+    quotient = replace(r["quotient"], d=r["quotient"].d + 1e-10 * np.eye(r["quotient"].n_orbits))
+    args = (r["gspace"], quotient, r["family"], r["d_G"], r["d_O"], r["lifted"])
+    want = ("EmptyResult", "EmptyResult: center orbit not in the quotient set (witness: 0)", 0)
+    assert result(eq.verify_ball_inclusions, *args)[1] == result(oracles.verify_ball_inclusions, *args)[1] == want
 
 
 def test_planted_family_matches_reference():

@@ -24,6 +24,12 @@ def test_circle_metric_matches_scalar_reference_bitwise(n):
     assert got.tobytes() == np.array(oracles.circle_metric(n), dtype=np.float64).tobytes()
 
 
+@pytest.mark.parametrize("g", [3, 5, 11, 21])
+def test_disk_metric_matches_scalar_reference_bitwise(g):
+    got = generate_scenario("disk", {"g": g}).space.base_metric
+    assert got.tobytes() == np.array(oracles.disk_metric(g), dtype=np.float64).tobytes()
+
+
 def test_circle_requires_divisor():
     with pytest.raises(ValidationError) as exc:
         generate_scenario("circle", {"n": 12, "k": 5})

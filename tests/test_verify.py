@@ -36,6 +36,22 @@ def test_cover_local_isometry_reported():
     assert report["cover_local_isometry"].max_residual <= 1e-12
 
 
+def test_planted_gap_in_a_small_set_fails_cover_local_isometry():
+    """circle(12, 3) in cover mode: the pair (0, 1) lies in the small sets
+    {0, 1, 2} and {11, 0, 1}, so one perturbation beyond tol names it twice."""
+    r = pipeline("circle", {"n": 12, "k": 3}, mode="cover")
+    assert {0, 1} <= set(r["graph"].small_sets[0])
+    rho = np.array(r["lifted"].rho)
+    rho[0, 1] = rho[1, 0] = rho[0, 1] + 1e-6
+    bad = replace(r["lifted"], rho=rho)
+    check = eq.verify_lifted_metric(r["gspace"], r["quotient"], bad)["cover_local_isometry"]
+    assert (check.status, check.witnesses) == ("fail", [(0, 1), (0, 1)])
+    assert check.max_residual == pytest.approx(1e-6)
+    gap = abs(float(rho[0, 1]) - float(r["quotient"].d[0, 1]))
+    at_tol = eq.verify_lifted_metric(r["gspace"], r["quotient"], bad, tol=gap)["cover_local_isometry"]
+    assert (at_tol.status, at_tol.max_residual) == ("pass", gap)  # only a gap above tol fails
+
+
 def test_all_infinite_lift_is_all_advisory():
     r = pipeline("reflection", {"m": 2, "h": 1.0}, mode="cover", enlargement=1000.0)
     report = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])
