@@ -7,14 +7,23 @@ stabilizer K on the slice; the chart metrics are glued with tent-shaped
 partition-of-unity weights on the orbit space.
 
 Every coset distance d(g1 K, g2 K) is read from one cached |G| x |G| table
-per stabilizer (``GroupMetric.coset_table``). The property checks reduce
-each point to one value that decides its epsilon/delta tests, and compare
-the grids with that value instead of rescanning balls per grid entry.
+per stabilizer (``GroupMetric.coset_table``). The gluing is array work: the
+least element sending each base point in use to each point comes from one
+transporter table, and each chart adds its share to all same-orbit pairs in
+one gather, chart after chart, so every sum keeps the order of a scalar loop.
+
+The property checks reduce each point to the few values that decide its
+epsilon/delta tests (the least grid rank at which an orbital move reaches
+an eps, the least breaking slice distance, the largest coset distance of a
+small move) and compare the grids with those. They run over blocks of
+points whose gathers hold at most ``_BLOCK`` elements, so their temporaries
+stay bounded however many points there are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -24,6 +33,8 @@ from .gspace import FiniteGroup, SampledGSpace, _check_metric_table
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 from .slices import SliceFamily, value_grid
+
+_BLOCK = 1 << 15  # elements one gather of the property checks may hold
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,13 @@ class GroupMetric:
     def dist(self, g: int, h: int) -> float:
         return float(self.table[g, h])
 
+    @property
+    def mul(self) -> np.ndarray:
+        """The group's multiplication table as an array, converted once."""
+        if "mul" not in self._cache:
+            self._cache["mul"] = np.asarray(self.group.mul)
+        return self._cache["mul"]
+
     def ball(self, radius: float) -> frozenset:
         """Open ball around the identity."""
         e = self.group.identity
@@ -45,7 +63,7 @@ class GroupMetric:
         """Exhaustive right-invariance check: d(gu, hu) = d(g, h) for u in K."""
         key = ("right",) + tuple(sorted(subgroup))
         if key not in self._cache:
-            mul, t = np.asarray(self.group.mul), self.table
+            mul, t = self.mul, self.table
             self._cache[key] = all(np.array_equal(t[np.ix_(mul[:, u], mul[:, u])], t) for u in key[1:])
         return self._cache[key]
 
@@ -60,7 +78,7 @@ class GroupMetric:
         if key not in self._cache:
             if not self.group.is_subgroup(key[1:]):
                 raise ValidationError("NotASubgroup", "coset distance requires a subgroup", tuple(subgroup))
-            mul, K = np.asarray(self.group.mul), key[1:]
+            mul, K = self.mul, key[1:]
             out = self.table[:, mul[:, K[0]]]
             for u in K[1:]:  # min over u of d(g1, g2 u)
                 np.minimum(self.table[:, mul[:, u]], out, out=out)
@@ -75,9 +93,17 @@ class GroupMetric:
 
 
 def _check_left_invariance(group: FiniteGroup, table: np.ndarray):
-    """Raise on the first (k, g, h), row-major, with d(kg, kh) != d(g, h)."""
+    """Raise on the first (k, g, h), row-major, with d(kg, kh) != d(g, h).
+
+    One comparison decides most tables: if d(g, h) = d(e, g^-1 h) for all
+    g, h, then d(kg, kh) = d(e, g^-1 h) = d(g, h) exactly. Only a mismatch
+    (nan included) runs the row-major scan for the witness.
+    """
+    mul = np.asarray(group.mul)
+    if np.array_equal(table, table[group.identity][mul[np.asarray(group.inv)]]):
+        return
     for k in range(group.order):
-        left = np.asarray(group.mul[k])
+        left = mul[k]
         hits = np.argwhere(table[np.ix_(left, left)] != table)
         if len(hits):
             g, h = (int(v) for v in hits[0])
@@ -189,53 +215,91 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
                 x,
             )
 
-    n_orbits = quotient.n_orbits
+    n, n_orbits = gspace.n_points, quotient.n_orbits
+    orbit = np.asarray(quotient.orbit_of)
+    # base[o, q]: the least point of chart o's slice on orbit q (n if none)
+    base = np.full((n_orbits, n_orbits), n)
+    for o in range(n_orbits):
+        pts = family.slice_of[quotient.representative[o]]
+        idx = np.fromiter(pts, dtype=np.intp, count=len(pts))
+        np.minimum.at(base[o], orbit[idx], idx)
+    meets = base < n
+    w = np.asarray(family.radius_of_orbit, dtype=np.float64)[:, None] - quotient.d
+    raw = np.where(meets & (w > 0), w, 0.0)
     charts = []
     for o in range(n_orbits):
-        anchor = quotient.representative[o]
-        pts = family.slice_of[anchor]
-        radius = family.radius_of_orbit[o]
-        bases = {}
-        for q in range(n_orbits):
-            meet = sorted(pts & set(quotient.orbit_members[q]))
-            if meet:
-                bases[q] = meet[0]
-        raw = np.zeros(n_orbits)
-        for q in range(n_orbits):
-            w = radius - float(quotient.d[o, q])
-            if w > 0 and q in bases:
-                raw[q] = w
-        charts.append(Chart(orbit=o, anchor=anchor, slice_pts=pts, radius=radius,
-                            base_points=bases, weights=raw))
+        qs = np.flatnonzero(meets[o])
+        charts.append(Chart(orbit=o, anchor=quotient.representative[o],
+                            slice_pts=family.slice_of[quotient.representative[o]],
+                            radius=family.radius_of_orbit[o],
+                            base_points=dict(zip(qs.tolist(), base[o, qs].tolist())), weights=raw[o]))
 
-    chi = np.zeros((n_orbits, len(charts)))
-    for q in range(n_orbits):
-        total = sum(c.weights[q] for c in charts)
-        if total <= 0:
-            raise ValidationError("UncoveredOrbit", "orbit meets no chart", q)
-        for a, c in enumerate(charts):
-            chi[q, a] = c.weights[q] / total
+    total = sum(raw, np.zeros(n_orbits))  # Python's sum: chart after chart
+    uncovered = np.flatnonzero(total <= 0)
+    if uncovered.size:
+        raise ValidationError("UncoveredOrbit", "orbit meets no chart", int(uncovered[0]))
+    chi = np.ascontiguousarray(raw.T) / total[:, None]
 
     # Each chart reads d(g1 K, g2 K) with g1, g2 the least elements sending
-    # its base point y0 (stabilizer K) to x and y; a pair that no element
-    # reaches is undefined (nan). The lower triangle mirrors the upper one.
-    act = gspace.action
-    n = gspace.n_points
+    # its base point y0 (stabilizer K) to x and y: transporter[row[y0], x],
+    # -1 where no element does, which makes the pair undefined (nan). The
+    # table has a row per base point in use and the coset tables are those
+    # of their stabilizers. One gather per chart covers the pairs x < y of
+    # every orbit it takes part in, and the charts add up in chart order;
+    # (y, x) copies (x, y).
+    on = chi.T > 0  # on[a, q]: chart a takes part on orbit q
+    used = np.flatnonzero(np.bincount(base[on], minlength=n))
+    row = np.zeros(n, dtype=np.intp)
+    row[used] = np.arange(used.size)
+    images = gspace.action[:, used]
+    g, i = np.nonzero(images >= 0)
+    transporter = np.full((used.size, n), group.order)
+    np.minimum.at(transporter, (i, images[g, i]), g)
+    transporter[transporter == group.order] = -1
+    slot = np.zeros(n, dtype=np.intp)  # base point -> its stabilizer's coset table
+    tables, slots = [], {}
+    for y0 in used.tolist():
+        K = gspace.stabilizer(y0)
+        if K not in slots:
+            slots[K] = len(tables)
+            tables.append(d_G.coset_table(K))
+        slot[y0] = slots[K]
+    coset = np.array(tables)
+    px, py = np.nonzero(np.triu(orbit[:, None] == orbit, 1))
+    pq = orbit[px]
+    acc = np.zeros(px.size)
+    for a in np.flatnonzero(on.any(axis=1)).tolist():
+        k = np.flatnonzero(on[a, pq])
+        y0 = base[a, pq[k]]
+        g1, g2 = transporter[row[y0], px[k]], transporter[row[y0], py[k]]
+        dist = coset[slot[y0], g1, g2]
+        acc[k] += chi[pq[k], a] * np.where((g1 >= 0) & (g2 >= 0), dist, np.nan)
     values = np.zeros((n, n))
-    for q in range(n_orbits):
-        members = np.array(quotient.orbit_members[q])
-        block = np.zeros((len(members), len(members)))
-        for a in np.flatnonzero(chi[q] > 0):
-            y0 = charts[a].base_points[q]
-            hits = act[:, y0][:, None] == members
-            g = np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
-            dist = d_G.coset_table(gspace.stabilizer(y0))[np.ix_(g, g)]
-            block += chi[q, a] * np.where((g[:, None] >= 0) & (g >= 0), dist, np.nan)
-        i, j = np.triu_indices(len(members), 1)
-        values[members[i], members[j]] = values[members[j], members[i]] = block[i, j]
+    values[px, py] = values[py, px] = acc
 
     values.setflags(write=False)
     return OrbitalMetric(charts=tuple(charts), chi=chi, group_metric=d_G, values=values)
+
+
+def _blocks(sizes):
+    """Runs (start, stop) of consecutive points whose sizes, the elements
+    each point gathers, add up to at most _BLOCK; a point larger than that
+    is a run of its own."""
+    start, total = 0, 0
+    for x, size in enumerate(sizes):
+        if total + size > _BLOCK and x > start:
+            yield start, x
+            start, total = x, 0
+        total += size
+    if start < len(sizes):
+        yield start, len(sizes)
+
+
+def _slice_pairs(family: SliceFamily, start: int, stop: int):
+    """The pairs (x, y), y in S_x, of the points start <= x < stop."""
+    slices = family.slice_of[start:stop]
+    x = np.repeat(np.arange(start, stop), [len(s) for s in slices])
+    return x, np.fromiter(chain.from_iterable(slices), dtype=np.intp, count=x.size)
 
 
 def _grid_or(values, fallback):
@@ -280,55 +344,80 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     d(p x, p x) leaves x outside its own slice ball; the descending A and B
     searches raise EmptyResult when they reach one, as ``subslice`` does.
 
-    Every check reads the action array ``gspace.action``. Property B makes
-    one gather per x over all y in S_x, so its temporaries are
-    O(|S_x| |G|^2); the coset chain and the translated bound compare their
-    tables once per distinct pair of stabilizers (of domains, for the
-    bound) and emit witnesses per (chart, y) in scan order.
+    Every check reads the action array ``gspace.action``. Properties A, B
+    and C run over runs of consecutive points whose gathers hold at most
+    ``_BLOCK`` elements together (|S_x| |G| per point for A, |S_x| |G|^2
+    for B, |G| for C; a point larger than that is a run of its own), and
+    reduce each point's pairs by exact minima and maxima, so the
+    temporaries stay bounded at any n. The coset chain and the translated bound compare
+    their tables once per distinct pair of stabilizers (of domains, for
+    the bound) and emit witnesses per (chart, y) in scan order.
     """
     rep = Report()
     group = gspace.group
     e = group.identity
     n = gspace.n_points
     act = gspace.action
-    mul = np.asarray(group.mul)
+    mul = d_G.mul
     dq, dO = quotient.d, d_O.values
     orbit = np.asarray(quotient.orbit_of)
 
     eps_grid = _grid_or(dO[~np.isnan(dO)], 1.0)
     delta_grid = _grid_or(np.concatenate([dq.ravel(), d_G.table.ravel()]), 1.0)
     eps_arr, delta_arr = np.array(eps_grid), np.array(delta_grid)
+    n_delta = len(delta_grid)
+    images = act[:, :n].T.copy()  # images[x, g] = g.x, -1 where undefined
+    n_slice = [len(s) for s in family.slice_of]
 
-    # Property A: small quotient ball + small group ball => small orbital move
+    # Property A: small quotient ball + small group ball => small orbital move.
+    # An entry (y, g) counts for delta_i from rank t = #{delta <= key} on,
+    # key = max(d(p x, p y), d_G(e, g)); ranks are monotone, so t is the
+    # larger of the two ranks. The first delta with M(delta) >= eps is the
+    # least rank of a value >= eps (the witnesses need it for the three
+    # least eps only), and the eps that no delta works for are those up to
+    # M(delta_0), the largest value of rank 0.
+    rank_g = np.searchsorted(delta_arr, d_G.table[e], side="right")
+    top0 = np.full(n, -np.inf)
+    first = np.full((min(3, len(eps_grid)), n), n_delta)
+    for start, stop in _blocks([k * group.order for k in n_slice]):
+        x, y = _slice_pairs(family, start, stop)
+        gy = images[y]
+        v = dO[y[:, None], gy]
+        ok = (gy >= 0) & ~np.isnan(v)
+        t = np.maximum(np.searchsorted(delta_arr, dq[orbit[x], orbit[y]], side="right")[:, None], rank_g)
+        np.maximum.at(top0, x, np.where(ok & (t == 0), v, -np.inf).max(axis=1))
+        for j, row in enumerate(first):
+            np.minimum.at(row, x, np.where(ok & (v >= eps_arr[j]), t, n_delta).min(axis=1))
+    counts = first.T.tolist()
+    failing = np.searchsorted(eps_arr, top0, side="right").tolist()
     fails, wits = [], []
     for x in range(n):
-        ys = np.array(sorted(family.slice_of[x]))
-        gy = act[:, ys]
-        key = np.maximum(dq[orbit[x], orbit[ys]], d_G.table[e][:, None])
-        v = np.where(gy >= 0, dO[ys, gy], np.nan)
-        key, v = key[~np.isnan(v)], v[~np.isnan(v)]
-        order = np.argsort(key)
-        largest = np.maximum.accumulate(np.concatenate([[-np.inf], v[order]]))
-        m_delta = largest[np.searchsorted(key[order], delta_arr)]
-        counts = np.searchsorted(m_delta, eps_arr)  # working deltas per eps
-        _centre_in_ball(quotient, x, delta_grid[max(int(counts.min()) - 1, 0)])
-        fails += [(x, eps_grid[i]) for i in np.flatnonzero(counts == 0)]
-        wits += [(x, eps, delta_grid[c - 1]) for eps, c in zip(eps_grid[:3], counts[:3]) if c]
+        _centre_in_ball(quotient, x, delta_grid[max(counts[x][0] - 1, 0)])
+        fails += [(x, eps) for eps in eps_grid[:failing[x]]]
+        wits += [(x, eps, delta_grid[c - 1]) for eps, c in zip(eps_grid, counts[x]) if c]
     rep.add("property_A", FAIL if fails else PASS, fails or wits[:3])
 
-    # Property B: orbital distance is minimal at the slice center. One
-    # gather per x over all y in S_x: vy[i, g1, g2] = d_O(g1 y_i, g2 y_i),
-    # pairs with an undefined image masked out.
-    fails, wits = [], []
-    for x in range(n):
-        ys = np.array(sorted(family.slice_of[x]))
-        ax, ay = act[:, x], act[:, ys].T
-        vx = dO[ax[:, None], ax]
+    # Property B: orbital distance is minimal at the slice center. A block
+    # of pairs (x, y) is one gather, vy[i, g1, g2] = d_O(g1 y_i, g2 y_i),
+    # pairs with an undefined image masked out. y = x cannot break it when
+    # tol >= 0 (a > a + tol is false), so those pairs are skipped.
+    skip = tol >= 0
+    least = np.full(n, np.inf)
+    sizes = [(k - (skip and x in s)) * group.order ** 2
+             for x, (k, s) in enumerate(zip(n_slice, family.slice_of))]
+    for start, stop in _blocks(sizes):
+        x, y = _slice_pairs(family, start, stop)
+        if skip:
+            keep = x != y
+            x, y = x[keep], y[keep]
+        ax, ay = images[x], images[y]
+        vx = dO[ax[:, :, None], ax[:, None, :]]
         vy = dO[ay[:, :, None], ay[:, None, :]]
         defined = (ax >= 0) & (ay >= 0)
         broken = ((vx > vy + tol) & defined[:, :, None] & defined[:, None, :]).any(axis=(1, 2))
-        b = dq[orbit[x], orbit[ys[broken]]].min(initial=np.inf)
-        c = int(np.searchsorted(delta_arr, b, side="right"))  # deltas <= b
+        np.minimum.at(least, x[broken], dq[orbit[x[broken]], orbit[y[broken]]])
+    fails, wits = [], []
+    for x, c in enumerate(np.searchsorted(delta_arr, least, side="right").tolist()):  # deltas <= b
         _centre_in_ball(quotient, x, delta_grid[max(c - 1, 0)])
         if c:
             wits.append((x, delta_grid[c - 1]))
@@ -336,18 +425,26 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
             fails.append((x,))
     rep.add("property_B", FAIL if fails else PASS, fails or wits[:3])
 
-    # Property C: a small orbital move comes from a small group element
+    # Property C: a small orbital move comes from a small group element.
+    # m(delta) < eps_0 iff some g with d_O(x, g.x) < eps_0 keeps its coset
+    # at least delta from e, so the failing deltas are those up to the
+    # largest such coset distance (none when no move is small: the grids
+    # are positive, so -inf reaches no delta). to_coset depends on x only
+    # through K.
+    stab = {K: i for i, K in enumerate(dict.fromkeys(gspace.stabilizers))}
+    to_coset = np.array([d_G.table[e][mul[:, K]].min(axis=1) for K in stab])
+    stab_of = np.array([stab[K] for K in gspace.stabilizers])
+    reach = np.zeros(n, dtype=np.intp)
+    for start, stop in _blocks([group.order] * n):
+        x = np.arange(start, stop)
+        gx = images[x]
+        small = (gx >= 0) & (dO[x[:, None], gx] < eps_arr[0])
+        top = np.where(small, to_coset[stab_of[x]], -np.inf).max(axis=1)
+        reach[start:stop] = np.searchsorted(delta_arr, top, side="right")
     fails, wits = [], []
-    for x in range(n):
-        g = np.flatnonzero(act[:, x] >= 0)
-        v = dO[x, act[g, x]]
-        to_coset = d_G.table[e][mul[np.ix_(g, gspace.stabilizer(x))]].min(axis=1)
-        to_coset, v = to_coset[~np.isnan(v)], v[~np.isnan(v)]
-        order = np.argsort(to_coset)
-        least = np.minimum.accumulate(np.append(v[order], np.inf)[::-1])[::-1]
-        m_delta = least[np.searchsorted(to_coset[order], delta_arr)]
-        fails += [(x, delta_grid[i]) for i in np.flatnonzero(m_delta < eps_grid[0])]
-        wits += [(x, delta, eps_grid[0]) for delta, m in zip(delta_grid[:3], m_delta[:3]) if m >= eps_grid[0]]
+    for x, c in enumerate(reach.tolist()):
+        fails += [(x, delta) for delta in delta_grid[:c]]
+        wits += [(x, delta, eps_grid[0]) for delta in delta_grid[c:3]]
     rep.add("property_C", FAIL if fails else PASS, fails or wits[:3])
 
     # Coset-metric inequalities per chart: anchor distance <= slice-point

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import equimetric as eq
-from equimetric import lift
+from equimetric import lift, orbital
 from equimetric.errors import ValidationError
 from equimetric.gspace import SampledGSpace, _check_metric_table, graph_components
 from equimetric.orbital import _check_left_invariance
@@ -116,6 +116,26 @@ def test_left_invariance_matches_scalar(data):
         t[g, h] = data.draw(st.sampled_from([t[g, h] + 0.25, np.nan, np.inf]))
     assert outcome(_check_left_invariance, group, t) == \
         outcome(oracles.check_left_invariance, group, t)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("plant", [None, "late", "nan"])
+def test_left_invariance_matches_scalar_at_dihedral_group_sizes(n, plant):
+    """The groups of dihedral(32) and dihedral(64), |G| = 64 and 128, with
+    d(g, h) = f(g^-1 h) and one entry near the end of the table raised or
+    made nan: the same code, message and witness as the scalar scan."""
+    group = eq.generate_scenario("dihedral", {"n": n}).group
+    order = group.order
+    f = 1.0 + np.arange(order) % 7 / 8.0
+    f[group.identity] = 0.0
+    t = f[np.asarray(group.mul)[np.asarray(group.inv)]]
+    if plant == "late":
+        t[order - 1, order - 2] += 0.25
+    elif plant == "nan":
+        t[order - 2, order - 1] = np.nan
+    got = outcome(_check_left_invariance, group, t)
+    assert got == outcome(oracles.check_left_invariance, group, t)
+    assert (got is None) == (plant is None)
 
 
 def _region(name, params):
@@ -259,9 +279,8 @@ def test_nan_isometry_gaps_stay_out_as_in_scalar():
     rho[0, 1] = rho[1, 0] = rho[0, 2] = rho[2, 0] = np.inf
     r["quotient"] = replace(r["quotient"], d=d)
     r["lifted"] = replace(r["lifted"], rho=rho)
-    with np.errstate(invalid="ignore"):
-        assert_lifted_checks_match(r)
-        check = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])["cover_local_isometry"]
+    assert_lifted_checks_match(r)
+    check = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])["cover_local_isometry"]
     assert check.line() == "cover_local_isometry\tfail\tinf\t(0, 2);(4, 5);(4, 5);(8, 9);(8, 9)"
 
 
@@ -698,6 +717,9 @@ def assert_orbital_reports_match(gs, quotient, family, d_O, d_G, tol=1e-12):
 
 GENERAL_CELLS = sorted({(name, tuple(sorted(params.items())))
                         for name, params, mode in GRID_CELLS if mode == "general"})
+# a negative tol lets the pair y = x break property B, which the checks
+# skip only for tol >= 0
+ORBITAL_TOLS = (-1e-12, 0.0, 1e-12, 1e-3)
 
 
 @pytest.mark.parametrize("name,params", GENERAL_CELLS)
@@ -719,6 +741,15 @@ def test_orbital_stage_matches_reference_on_random_spaces(seeds):
             assert_orbital_matches(gs, quotient, family, eq.group_metric(gs.group, "discrete", scale=scale))
         d_G = eq.group_metric(gs.group, "word", generators=word_generators(gs.group))
         assert_orbital_matches(gs, quotient, family, d_G)
+
+
+def test_orbital_stage_matches_reference_on_an_empty_space():
+    """No points: no charts, empty tables and five passing checks."""
+    gs = eq.bind_action(eq.build_space(np.zeros((0, 0)), []), eq.build_group([[0]]), [{}])
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    d_O = assert_orbital_matches(gs, quotient, family, eq.group_metric(gs.group), tols=ORBITAL_TOLS)
+    assert d_O.values.shape == d_O.chi.shape == (0, 0)
 
 
 PLANT_BASES = [
@@ -755,15 +786,36 @@ def plant_orbital(values, quotient, kind, which=0, size=0.5):
 def test_planted_orbital_values_match_reference(name, params, kind):
     r = pipeline(name, params)
     d_O = replace(r["d_O"], values=plant_orbital(r["d_O"].values, r["quotient"], kind))
-    for tol in (0.0, 1e-12, 1e-3):
+    for tol in ORBITAL_TOLS:
         assert_orbital_reports_match(r["gspace"], r["quotient"], r["family"], d_O, r["d_G"], tol)
+
+
+@pytest.mark.parametrize("name,params", GENERAL_CELLS)
+def test_orbital_checks_match_reference_one_item_per_block(name, params, monkeypatch):
+    """With the block cap at its minimum every point is a block of its own,
+    so the joins across blocks are compared too, on the built values and on
+    planted defects that give property A, B and C witnesses beyond the
+    first point."""
+    monkeypatch.setattr(orbital, "_BLOCK", 1)
+    gs = eq.generate_scenario(name, dict(params))
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    d_G = eq.group_metric(gs.group, "discrete")
+    d_O = assert_orbital_matches(gs, quotient, family, d_G, tols=ORBITAL_TOLS)
+    if d_O is None or all(len(m) == 1 for m in quotient.orbit_members):
+        return
+    plants = [plant_orbital(d_O.values, quotient, kind) for kind in ORBITAL_PLANTS]
+    plants.append(np.array(d_O.values))
+    plants[-1][-1, -1] = 0.5  # property A then fails at the last point
+    for values in plants:
+        assert_orbital_reports_match(gs, quotient, family, replace(d_O, values=values), d_G)
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), word=st.booleans(),
        kind=st.sampled_from(ORBITAL_PLANTS), which=st.integers(0, 7),
        size=st.sampled_from([0.0, 5e-13, 2e-12, 1e-3, 0.5, 2.0]),
-       tol=st.sampled_from([0.0, 1e-12, 1e-3]))
+       tol=st.sampled_from(ORBITAL_TOLS))
 def test_planted_orbital_values_match_reference_on_random_spaces(seed, word, kind, which, size, tol):
     gs = random_gspace(seed)
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
@@ -783,7 +835,7 @@ def test_planted_orbital_values_match_reference_on_random_spaces(seed, word, kin
 
 @settings(max_examples=100, deadline=None)
 @given(params=st.sampled_from([(4, 0.25, 1), (6, 0.25, 1), (6, 0.25, 2), (8, 0.25, 2), (6, 0.5, 2)]),
-       data=st.data(), tol=st.sampled_from([0.0, 1e-12, 1e-3]))
+       data=st.data(), tol=st.sampled_from(ORBITAL_TOLS))
 def test_planted_orbital_values_match_reference_on_partial_shifts(params, data, tol):
     """Truncated shifts act partially, so property B and the bounds must
     skip the elements undefined at x or y. One symmetric pair of d_O gets a
@@ -830,7 +882,7 @@ def test_planted_family_matches_reference():
     r = pipeline("dihedral", {"n": 4})
     slice_of = tuple(s | {1} if x == 0 else s for x, s in enumerate(r["family"].slice_of))
     family = replace(r["family"], slice_of=slice_of)
-    d_O = assert_orbital_matches(r["gspace"], r["quotient"], family, r["d_G"], tols=(0.0, 1e-12, 1e-3))
+    d_O = assert_orbital_matches(r["gspace"], r["quotient"], family, r["d_G"], tols=ORBITAL_TOLS)
     quotient = replace(r["quotient"], d=r["quotient"].d + 1e-10)
     assert_orbital_reports_match(r["gspace"], quotient, family, d_O, r["d_G"])
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -219,3 +220,26 @@ class TestPlantedOrbitalDefects:
         check = self.report(r, values)["property_B"]
         assert check.status == "pass"
         assert check.witnesses[0] == witness
+
+
+@pytest.mark.parametrize("name,params", [("dihedral", {"n": 64}), ("reflection", {"m": 50, "h": 1.0})])
+def test_orbital_stage_memory_stays_bounded(name, params):
+    """The traced peak of the orbital build and of its checks stays within
+    2^20 + 32 (n^2 + |G|^2) bytes: the checks gather in capped blocks, not
+    all points at once."""
+    gs = eq.generate_scenario(name, params)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    d_G = group_metric(gs.group, "discrete")
+    bound = 2**20 + 32 * (gs.n_points ** 2 + gs.group.order ** 2)
+    tracemalloc.start()
+    try:
+        d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        eq.verify_orbital_properties(gs, quotient, family, d_O, d_G)
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= bound
+    assert verify_peak <= bound
