@@ -11,16 +11,19 @@ point maps are only the input format of ``bind_action``, which writes them
 into the array; the stabilizers and the mask of total elements are derived
 from it once, and every stage reads the array.
 
-Validation runs on arrays: the multiplication table as a |G| x |G| array and
-the action array. Each check makes one array comparison per group element
-and raises on the first violation in the order of the scalar scan it
-replaces: row-major over (g, h, x), and per element the inverse test before
-the edges, which are taken in sorted order.
+The group has one form as well: ``FiniteGroup.mul``, the |G| x |G| array
+of products, and ``FiniteGroup.inv``, the array of inverses, both read-only
+``np.intp`` arrays. Subgroup, normality and closure tests are gathers from
+them, and every stage indexes them directly.
+
+Validation runs on these arrays and the action array. Each check makes one
+array comparison per group element and raises on the first violation in
+the order of the scalar scan it replaces: row-major over (g, h, x), and per
+element the inverse test before the edges, which are taken in sorted order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,62 +37,57 @@ class FiniteGroup:
     """Multiplication table group; element 0 need not be the identity."""
 
     order: int
-    mul: tuple  # order x order tuple-of-tuples of element indices
+    # order x order read-only np.intp array: mul[g, h] = gh
+    mul: np.ndarray = field(repr=False)
     identity: int
-    inv: tuple
+    # read-only np.intp array: inv[g] = g^-1
+    inv: np.ndarray
     generators: Optional[tuple] = None
 
-    def op(self, g: int, h: int) -> int:
-        return self.mul[g][h]
+    def _mask(self, elems) -> np.ndarray:
+        member = np.zeros(self.order, dtype=bool)
+        member[np.fromiter(elems, dtype=np.intp)] = True
+        return member
 
     def is_subgroup(self, elems: Sequence[int]) -> bool:
-        s = set(elems)
-        if self.identity not in s:
-            return False
-        for a in s:
-            if self.inv[a] not in s:
-                return False
-            for b in s:
-                if self.mul[a][b] not in s:
-                    return False
-        return True
-
-    def subgroups(self) -> list:
-        """All subgroups, as sorted element tuples (brute-force closure scan)."""
-        found = {(self.identity,)}
-        frontier = [frozenset([self.identity])]
-        while frontier:
-            base = frontier.pop()
-            for g in range(self.order):
-                if g in base:
-                    continue
-                new = self._closure(base | {g})
-                key = tuple(sorted(new))
-                if key not in found:
-                    found.add(key)
-                    frontier.append(frozenset(new))
-        return sorted(found, key=lambda t: (len(t), t))
-
-    def _closure(self, seed) -> set:
-        out = set(seed) | {self.identity}
-        stack = list(out)
-        while stack:
-            a = stack.pop()
-            for b in list(out):
-                for c in (self.mul[a][b], self.mul[b][a], self.inv[a]):
-                    if c not in out:
-                        out.add(c)
-                        stack.append(c)
-        return out
+        """The identity, inv[K] and mul[K x K] all within K: one mask."""
+        member = self._mask(elems)
+        K = np.flatnonzero(member)
+        return bool(member[self.identity] and member[self.inv[K]].all() and member[self.mul[np.ix_(K, K)]].all())
 
     def is_normal(self, elems: Sequence[int]) -> bool:
-        s = set(elems)
-        for g in range(self.order):
-            gi = self.inv[g]
-            for k in s:
-                if self.mul[self.mul[g][k]][gi] not in s:
-                    return False
-        return True
+        """g K g^-1 within K for every g: one gather of g k g^-1."""
+        member = self._mask(elems)
+        K = np.flatnonzero(member)
+        return bool(member[self.mul[self.mul[:, K], self.inv[:, None]]].all())
+
+    def subgroups(self) -> list:
+        """All subgroups, as sorted element tuples: the closures of each
+        subgroup found so far with one more element, from the trivial one."""
+        trivial = self._mask([self.identity])
+        found = {trivial.tobytes(): trivial}
+        frontier = [trivial]
+        while frontier:
+            base = frontier.pop()
+            for g in np.flatnonzero(~base):
+                new = self._closure(base | self._mask([g]))
+                if new.tobytes() not in found:
+                    found[new.tobytes()] = new
+                    frontier.append(new)
+        return sorted((tuple(np.flatnonzero(m).tolist()) for m in found.values()), key=lambda t: (len(t), t))
+
+    def _closure(self, member: np.ndarray) -> np.ndarray:
+        """The mask of the subgroup generated by a nonempty mask. Each round
+        adds all products of two members, which doubles the word length
+        covered, until nothing new appears; in a finite group the inverses
+        are among the powers."""
+        while True:
+            K = np.flatnonzero(member)
+            grown = member.copy()
+            grown[self.mul[np.ix_(K, K)]] = True
+            if np.array_equal(grown, member):
+                return member
+            member = grown
 
 
 def build_group(mul_table, generators=None) -> FiniteGroup:
@@ -101,15 +99,16 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     Associativity compares M[M[g]] with M[g][M] one row g at a time, so the
     temporaries stay O(|G|^2).
     """
-    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
-    n = len(mul)
-    if n == 0 or any(len(row) != n for row in mul):
+    n = len(mul_table)
+    if n == 0 or any(len(row) != n for row in mul_table):
         raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
-    table = np.array(mul)
+    try:
+        table = np.array(mul_table, dtype=np.intp)
+    except OverflowError:  # an entry past the index type is out of range as well
+        table = np.array([[v if 0 <= v < n else -1 for v in row] for row in mul_table], dtype=np.intp)
     bad = np.argwhere((table < 0) | (table >= n))
     if len(bad):
         raise ValidationError("InvalidParams", "table entry out of range", tuple(int(v) for v in bad[0]))
-    table = table.astype(np.intp, copy=False)
     ids = np.arange(n)
 
     two_sided = (table == ids).all(axis=1) & (table.T == ids).all(axis=1)
@@ -121,7 +120,7 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     missing = np.flatnonzero(~inverts.any(axis=1))
     if len(missing):
         raise ValidationError("NoInverse", "element has no two-sided inverse", int(missing[0]))
-    inv = inverts.argmax(axis=1).tolist()
+    inv = inverts.argmax(axis=1)
 
     for g in range(n):  # (gh)x against g(hx) over (h, x)
         differ = table[table[g]] != table[g][table]
@@ -129,32 +128,21 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
             h, x = (int(v) for v in np.argwhere(differ)[0])
             raise ValidationError("NonAssociative", "associativity fails", (g, h, x))
 
+    table.setflags(write=False)
+    inv.setflags(write=False)
     gens = None
     if generators is not None:
         gens = tuple(int(g) for g in generators)
         if any(not 0 <= g < n for g in gens):
             raise ValidationError("InvalidParams", "generator index out of range")
-        reached = {identity}
-        frontier = [identity]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = mul[a][g]
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-                b = mul[a][inv[g]]
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        if len(reached) != n:
+    group = FiniteGroup(order=n, mul=table, identity=identity, inv=inv, generators=gens)
+    if gens is not None:
+        unreached = np.flatnonzero(~group._closure(group._mask((identity,) + gens)))
+        if len(unreached):
             raise ValidationError(
-                "GeneratorsDontGenerate",
-                "generators do not reach the whole group",
-                sorted(set(range(n)) - reached)[0],
+                "GeneratorsDontGenerate", "generators do not reach the whole group", int(unreached[0])
             )
-
-    return FiniteGroup(order=n, mul=mul, identity=identity, inv=tuple(inv), generators=gens)
+    return group
 
 
 def group_from_permutations(perms, generator_names=None) -> tuple:
@@ -181,7 +169,9 @@ def group_from_permutations(perms, generator_names=None) -> tuple:
     table = np.array(list(elems.values()))
     table = table[np.lexsort(table.T[::-1])]  # lexicographic, as tuples sort
     index = {p.tobytes(): i for i, p in enumerate(table)}
-    mul = [[index[r.tobytes()] for r in p[table]] for p in table]
+    mul = np.empty((len(table), len(table)), dtype=np.intp)
+    for i, p in enumerate(table):
+        mul[i] = [index[r.tobytes()] for r in p[table]]
     gen_idx = [index[g.tobytes()] for g in gens]
     group = build_group(mul, generators=gen_idx)
     return group, [tuple(p) for p in table.tolist()]
@@ -370,9 +360,8 @@ def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSp
 
     # act(g.h) = act(g) o act(h) wherever both sides are defined: row h of
     # A[mul[g]] against g applied to row h of A (-1 stays -1 via the padding)
-    mul = np.asarray(group.mul)
     for g in range(group.order):
-        lhs, rhs = images[mul[g]], A[g][images]
+        lhs, rhs = images[group.mul[g]], A[g][images]
         differ = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
         if differ.any():
             h, x = (int(v) for v in np.argwhere(differ)[0])

@@ -47,24 +47,24 @@ class GroupMetric:
     def dist(self, g: int, h: int) -> float:
         return float(self.table[g, h])
 
-    @property
-    def mul(self) -> np.ndarray:
-        """The group's multiplication table as an array, converted once."""
-        if "mul" not in self._cache:
-            self._cache["mul"] = np.asarray(self.group.mul)
-        return self._cache["mul"]
-
     def ball(self, radius: float) -> frozenset:
         """Open ball around the identity."""
         e = self.group.identity
         return frozenset(g for g in range(self.group.order) if self.table[e, g] < radius)
 
     def right_invariant_for(self, subgroup) -> bool:
-        """Exhaustive right-invariance check: d(gu, hu) = d(g, h) for u in K."""
+        """Exhaustive right-invariance check: d(gu, hu) = d(g, h) for u in K.
+
+        Requires d(g, h) = d(e, g^-1 h) bit for bit, as ``group_metric``
+        checks. Then d(gu, hu) = f(u^-1 g^-1 h u) with f = d(e, .), so the
+        check is f(u^-1 x u) = f(x) over x: one row per u, and exactly the
+        verdict of the full |G| x |G| comparison.
+        """
         key = ("right",) + tuple(sorted(subgroup))
         if key not in self._cache:
-            mul, t = self.mul, self.table
-            self._cache[key] = all(np.array_equal(t[np.ix_(mul[:, u], mul[:, u])], t) for u in key[1:])
+            mul, f = self.group.mul, self.table[self.group.identity]
+            u = np.array(key[1:], dtype=np.intp)
+            self._cache[key] = bool((f[mul[mul[self.group.inv[u]], u[:, None]]] == f).all())
         return self._cache[key]
 
     def coset_table(self, subgroup) -> np.ndarray:
@@ -78,7 +78,7 @@ class GroupMetric:
         if key not in self._cache:
             if not self.group.is_subgroup(key[1:]):
                 raise ValidationError("NotASubgroup", "coset distance requires a subgroup", tuple(subgroup))
-            mul, K = self.mul, key[1:]
+            mul, K = self.group.mul, key[1:]
             out = self.table[:, mul[:, K[0]]]
             for u in K[1:]:  # min over u of d(g1, g2 u)
                 np.minimum(self.table[:, mul[:, u]], out, out=out)
@@ -99,11 +99,10 @@ def _check_left_invariance(group: FiniteGroup, table: np.ndarray):
     g, h, then d(kg, kh) = d(e, g^-1 h) = d(g, h) exactly. Only a mismatch
     (nan included) runs the row-major scan for the witness.
     """
-    mul = np.asarray(group.mul)
-    if np.array_equal(table, table[group.identity][mul[np.asarray(group.inv)]]):
+    if np.array_equal(table, table[group.identity][group.mul[group.inv]]):
         return
     for k in range(group.order):
-        left = mul[k]
+        left = group.mul[k]
         hits = np.argwhere(table[np.ix_(left, left)] != table)
         if len(hits):
             g, h = (int(v) for v in hits[0])
@@ -132,25 +131,19 @@ def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,
             raise ValidationError("InvalidParams", "generators must be group element indices", bad[0])
         if any(group.inv[g] not in gens for g in gens):
             raise ValidationError("GeneratorsNotInverseClosed", "generating set must be closed under inverses")
-        # BFS word lengths from the identity; d(g, h) = |g^-1 h|
-        length = {group.identity: 0}
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    b = group.mul[a][s]
-                    if b not in length:
-                        length[b] = length[a] + 1
-                        nxt.append(b)
-            frontier = nxt
-        if len(length) != n:
+        # BFS word lengths from the identity; d(g, h) = |g^-1 h|, one gather
+        # of small integers, which convert to float exactly
+        length = np.full(n, -1)
+        length[group.identity] = 0
+        frontier, steps = np.array([group.identity]), 0
+        while frontier.size:
+            steps += 1
+            images = group.mul[np.ix_(frontier, gens)]
+            length[images[length[images] < 0]] = steps
+            frontier = np.flatnonzero(length == steps)
+        if (length < 0).any():
             raise ValidationError("GeneratorsDontGenerate", "generators do not generate the group")
-        t = np.empty((n, n))
-        for g in range(n):
-            gi = group.inv[g]
-            for h in range(n):
-                t[g, h] = float(length[group.mul[gi][h]])
+        t = length[group.mul[group.inv]].astype(np.float64)
     elif kind == "explicit":
         t = np.asarray(table, dtype=np.float64)
         if t.shape != (n, n):
@@ -358,7 +351,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     e = group.identity
     n = gspace.n_points
     act = gspace.action
-    mul = d_G.mul
+    mul = group.mul
     dq, dO = quotient.d, d_O.values
     orbit = np.asarray(quotient.orbit_of)
 

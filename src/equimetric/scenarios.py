@@ -36,15 +36,19 @@ def _circle_space(n: int):
     return build_space(metric, edges, labels)
 
 
+def _permutation_gspace(space, perms) -> SampledGSpace:
+    """The space under the group its point permutations generate."""
+    group, elems = group_from_permutations(perms)
+    return bind_action(space, group, [dict(enumerate(p)) for p in elems])
+
+
 def circle(n: int, k: int) -> SampledGSpace:
     if n < 3 or k < 1 or n % k != 0:
         raise ValidationError("InvalidParams", "circle requires n >= 3 and k dividing n", (n, k))
     space = _circle_space(n)
     shift_by = n // k
     rot = tuple((i + shift_by) % n for i in range(n))
-    group, perms = group_from_permutations([rot])
-    act = [{i: perm[i] for i in range(n)} for perm in perms]
-    return bind_action(space, group, act)
+    return _permutation_gspace(space, [rot])
 
 
 def reflection(m: int, h: float) -> SampledGSpace:
@@ -57,9 +61,7 @@ def reflection(m: int, h: float) -> SampledGSpace:
     labels = [f"{p:g}" for p in pos]
     space = build_space(metric, edges, labels)
     neg = tuple(n - 1 - i for i in range(n))
-    group, perms = group_from_permutations([neg])
-    act = [{i: perm[i] for i in range(n)} for perm in perms]
-    return bind_action(space, group, act)
+    return _permutation_gspace(space, [neg])
 
 
 def dihedral(n: int) -> SampledGSpace:
@@ -68,9 +70,7 @@ def dihedral(n: int) -> SampledGSpace:
     space = _circle_space(n)
     rot = tuple((i + 1) % n for i in range(n))
     flip = tuple((n - i) % n for i in range(n))
-    group, perms = group_from_permutations([rot, flip])
-    act = [{i: perm[i] for i in range(n)} for perm in perms]
-    return bind_action(space, group, act)
+    return _permutation_gspace(space, [rot, flip])
 
 
 def disk(g: int) -> SampledGSpace:
@@ -94,9 +94,7 @@ def disk(g: int) -> SampledGSpace:
     labels = [f"({x},{y})" for x, y in coords]
     space = build_space(metric, edges, labels)
     rot = tuple(index[(-y, x)] for x, y in coords)
-    group, perms = group_from_permutations([rot])
-    act = [{i: perm[i] for i in range(n)} for perm in perms]
-    return bind_action(space, group, act)
+    return _permutation_gspace(space, [rot])
 
 
 def shift(m: int, h: float, N: int) -> SampledGSpace:

@@ -9,8 +9,10 @@ reads slices off join keys; component scans of the edge set per radius or
 per (x, y) vs. border edges and searches over the adjacency; per-pair coset
 distances and grid rescans vs. cached coset tables and one reduction per
 point; scalar group, action and isometry loops vs. one table comparison per
-element over the action array; per-element point maps and a union-find over
-them vs. the action array and one component search over its pairs; a grid
+element over the action array; scalar subgroup, normality and closure
+scans over sets vs. gathers from the group's product and inverse arrays;
+per-element point maps and a union-find over them vs. the action array and
+one component search over its pairs; a grid
 from a Python set searched per grid pair with rebuilt frozensets vs. a
 sorted-array grid searched per centre by a running minimum and in rounds;
 per-pair loops for the cover isometry, nearest neighbours and pushforward
@@ -147,7 +149,7 @@ def check_metric_table(table: np.ndarray, tol: float, code: str = "NotAMetric"):
 
 
 def check_left_invariance(group, table: np.ndarray):
-    mul = group.mul
+    mul = group.mul.tolist()
     for k in range(group.order):
         for g in range(group.order):
             for h in range(group.order):
@@ -157,7 +159,46 @@ def check_left_invariance(group, table: np.ndarray):
 
 # The group, action and isometric-quotient validation as scalar loops over
 # the multiplication table and the per-element point maps, as they ran
-# before the action array.
+# before the action array and the group arrays.
+
+
+def is_subgroup(group, elems) -> bool:
+    mul, inv = group.mul.tolist(), group.inv.tolist()
+    s = set(elems)
+    if group.identity not in s:
+        return False
+    for a in s:
+        if inv[a] not in s:
+            return False
+        for b in s:
+            if mul[a][b] not in s:
+                return False
+    return True
+
+
+def is_normal(group, elems) -> bool:
+    mul, inv = group.mul.tolist(), group.inv.tolist()
+    s = set(elems)
+    for g in range(group.order):
+        for k in s:
+            if mul[mul[g][k]][inv[g]] not in s:
+                return False
+    return True
+
+
+def closure(group, seed) -> set:
+    """The subgroup generated by seed, grown by a stack of new elements."""
+    mul, inv = group.mul.tolist(), group.inv.tolist()
+    out = set(seed) | {group.identity}
+    stack = list(out)
+    while stack:
+        a = stack.pop()
+        for b in list(out):
+            for c in (mul[a][b], mul[b][a], inv[a]):
+                if c not in out:
+                    out.add(c)
+                    stack.append(c)
+    return out
 
 
 def build_group(mul_table, generators=None) -> FiniteGroup:
@@ -214,7 +255,8 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
                 sorted(set(range(n)) - reached)[0],
             )
 
-    return FiniteGroup(order=n, mul=mul, identity=identity, inv=tuple(inv), generators=gens)
+    return FiniteGroup(order=n, mul=np.array(mul, dtype=np.intp), identity=identity,
+                       inv=np.array(inv, dtype=np.intp), generators=gens)
 
 
 def group_from_permutations(perms) -> tuple:
@@ -340,9 +382,10 @@ def bind_action(space, group, act_maps) -> tuple:
     if len(act[e]) != n or any(act[e][x] != x for x in range(n)):
         raise ValidationError("IdentityNotIdentity", "identity element must act as the total identity map")
 
+    mul, inv = group.mul.tolist(), group.inv.tolist()
     for g in range(group.order):
         for h in range(group.order):
-            gh = group.mul[g][h]
+            gh = mul[g][h]
             for x in range(n):
                 hx = act[h].get(x)
                 lhs = act[gh].get(x)
@@ -352,7 +395,7 @@ def bind_action(space, group, act_maps) -> tuple:
 
     for g in range(group.order):
         if len(act[g]) == n:
-            gi = group.inv[g]
+            gi = inv[g]
             if len(act[gi]) != n:
                 raise ValidationError("NotHomomorphism", "total element with partial inverse", g)
             for x in range(n):
@@ -367,7 +410,7 @@ def bind_action(space, group, act_maps) -> tuple:
     stabs = []
     for x in range(n):
         s = tuple(g for g in range(group.order) if act[g].get(x) == x)
-        if not group.is_subgroup(s):
+        if not is_subgroup(group, s):
             raise ValidationError("NotHomomorphism", "stabilizer is not a subgroup", x)
         stabs.append(s)
     return tuple(act), tuple(stabs)
@@ -893,7 +936,7 @@ def cover_small_sets(gspace, quotient, enlargement_factor: float = 1.0, tol: flo
 
 
 def right_invariant(d_G, subgroup) -> bool:
-    mul, t = d_G.group.mul, d_G.table
+    mul, t = d_G.group.mul.tolist(), d_G.table
     for u in sorted(subgroup):
         for g in range(d_G.group.order):
             for h in range(d_G.group.order):
@@ -904,12 +947,12 @@ def right_invariant(d_G, subgroup) -> bool:
 
 def one_sided_coset_distance(d_G, subgroup, g1, g2) -> float:
     mul, t = d_G.group.mul, d_G.table
-    return min(float(t[g1, mul[g2][u]]) for u in subgroup)
+    return min(float(t[g1, mul[g2, u]]) for u in subgroup)
 
 
 def two_sided_coset_distance(d_G, subgroup, g1, g2) -> float:
     mul, t = d_G.group.mul, d_G.table
-    return min(float(t[mul[g1][u], mul[g2][v]]) for u in subgroup for v in subgroup)
+    return min(float(t[mul[g1, u], mul[g2, v]]) for u in subgroup for v in subgroup)
 
 
 def _coset_distance_fn(d_G):
@@ -919,7 +962,7 @@ def _coset_distance_fn(d_G):
 
     def dist(subgroup, g1, g2):
         K = tuple(subgroup)
-        if not d_G.group.is_subgroup(K):
+        if not is_subgroup(d_G.group, K):
             raise ValidationError("NotASubgroup", "coset distance requires a subgroup", K)
         if K not in verdicts:
             verdicts[K] = right_invariant(d_G, K)
@@ -946,7 +989,7 @@ def build_orbital_metric(gspace, quotient, family, d_G):
     coset = _coset_distance_fn(d_G)
     for x in range(gspace.n_points):
         K = gspace.stabilizer(x)
-        if not (right_invariant(d_G, K) or group.is_normal(K)):
+        if not (right_invariant(d_G, K) or is_normal(group, K)):
             raise ValidationError(
                 "IncompatibleGroupMetric",
                 "group metric is neither right invariant for a stabilizer nor is the stabilizer normal",
@@ -1017,6 +1060,7 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
     rep = Report()
     group = gspace.group
     e = group.identity
+    mul = group.mul.tolist()
     n = gspace.n_points
 
     dO_vals = [v for v in d_O.values.ravel() if not np.isnan(v)]
@@ -1104,7 +1148,7 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
                     v = d_O.values[x, gx]
                     if np.isnan(v) or not v < eps:
                         continue
-                    if not any(d_G.table[e, group.mul[g][u]] < delta for u in K):
+                    if not any(d_G.table[e, mul[g][u]] < delta for u in K):
                         ok = False
                         break
                 if ok:
@@ -1147,7 +1191,7 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
                 if gspace.apply(g0, yp) is None:
                     continue
                 for g in range(group.order):
-                    gg0 = group.mul[g][g0]
+                    gg0 = mul[g][g0]
                     v = coset_distance(K, g0, gg0)
                     bound = d_G.dist(g0, gg0)
                     if v - bound > resid:

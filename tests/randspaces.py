@@ -46,11 +46,12 @@ def random_gspace(seed: int, max_points: int = 16):
         group = build_group(dihedral_table(m))
 
     subs = group.subgroups()
+    mul = group.mul.tolist()
     blocks = []  # list of lists of cosets (frozensets of elements)
     total = 0
     for _ in range(rng.randint(1, 3)):
         H = list(rng.choice(subs))
-        cosets = sorted({frozenset(group.mul[g][h] for h in H) for g in range(group.order)},
+        cosets = sorted({frozenset(mul[g][h] for h in H) for g in range(group.order)},
                         key=sorted)
         if total + len(cosets) > max_points:
             continue
@@ -70,7 +71,7 @@ def random_gspace(seed: int, max_points: int = 16):
         mapping = {}
         for i, (b, c) in enumerate(points):
             coset = blocks[b][c]
-            image = frozenset(group.mul[g][x] for x in coset)
+            image = frozenset(mul[g][x] for x in coset)
             mapping[i] = index[(b, blocks[b].index(image))]
         act.append(mapping)
 

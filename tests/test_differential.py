@@ -110,7 +110,7 @@ def test_left_invariance_matches_scalar(data):
     f = data.draw(st.lists(st.floats(min_value=0.5, max_value=5, allow_nan=False),
                            min_size=n, max_size=n))
     f[group.identity] = 0.0
-    t = np.array([[f[group.mul[group.inv[g]][h]] for h in range(n)] for g in range(n)])
+    t = np.array(f)[group.mul[group.inv]]
     for _ in range(data.draw(st.integers(0, 2))):
         g, h = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         t[g, h] = data.draw(st.sampled_from([t[g, h] + 0.25, np.nan, np.inf]))
@@ -128,7 +128,7 @@ def test_left_invariance_matches_scalar_at_dihedral_group_sizes(n, plant):
     order = group.order
     f = 1.0 + np.arange(order) % 7 / 8.0
     f[group.identity] = 0.0
-    t = f[np.asarray(group.mul)[np.asarray(group.inv)]]
+    t = f[group.mul[group.inv]]
     if plant == "late":
         t[order - 1, order - 2] += 0.25
     elif plant == "nan":
@@ -678,8 +678,8 @@ def word_generators(group):
     gens, reached = [], {group.identity}
     for g in range(group.order):
         if g not in reached:
-            gens += sorted({g, group.inv[g]})
-            reached = group._closure(set(gens))
+            gens += sorted({g, int(group.inv[g])})
+            reached = oracles.closure(group, gens)
     return gens
 
 
@@ -905,6 +905,31 @@ def test_coset_distance_matches_reference_on_dihedral_subgroups():
         outcome(oracles.coset_distance, d_G, (0, 1), 0, 2)
 
 
+@pytest.mark.parametrize("table", [cyclic_table(k) for k in range(1, 9)]
+                         + [dihedral_table(m) for m in (3, 4, 5)])
+def test_right_invariance_matches_full_comparison_on_every_subgroup(table):
+    """One row per u against the full |G| x |G| comparison, on every
+    subgroup, under the discrete and word metrics and an explicit
+    d(g, h) = f(g^-1 h) whose f is symmetric but not conjugation invariant:
+    left invariant, and on the dihedral groups not right invariant for
+    every subgroup."""
+    group = eq.build_group(table)
+    f = 1.0 + np.minimum(np.arange(group.order), group.inv) % 7 / 8.0
+    f[group.identity] = 0.0
+    metrics = {
+        "discrete": eq.group_metric(group, "discrete"),
+        "word": eq.group_metric(group, "word", generators=word_generators(group) or [group.identity]),
+        "explicit": eq.group_metric(group, "explicit", table=f[group.mul[group.inv]]),
+    }
+    verdicts = {}
+    for kind, d_G in metrics.items():
+        for K in group.subgroups():
+            verdicts[kind, K] = d_G.right_invariant_for(K)
+            assert verdicts[kind, K] == oracles.right_invariant(d_G, K)
+    if table in [dihedral_table(m) for m in (3, 4, 5)]:
+        assert not all(v for (kind, _), v in verdicts.items() if kind == "explicit")
+
+
 def test_orbit_blocks_mirror_their_upper_triangle():
     """A left-invariant d_G on C3 that is asymmetric within tolerance,
     f(r) = 1 and f(r^-1) = 1 + 1e-10: each pair x < y of an orbit takes
@@ -913,8 +938,9 @@ def test_orbit_blocks_mirror_their_upper_triangle():
     gs = r["gspace"]
     group = gs.group
     r1 = next(g for g in range(group.order) if g != group.identity)
-    f = {group.identity: 0.0, r1: 1.0, group.inv[r1]: 1.0 + 1e-10}
-    table = [[f[group.mul[group.inv[g]][h]] for h in range(group.order)] for g in range(group.order)]
+    f = np.zeros(group.order)
+    f[r1], f[group.inv[r1]] = 1.0, 1.0 + 1e-10
+    table = f[group.mul[group.inv]]
     d_G = eq.group_metric(group, "explicit", table=table)
     coset = d_G.coset_table(gs.stabilizer(0))
     assert not np.array_equal(coset, coset.T)
@@ -925,6 +951,16 @@ def test_orbit_blocks_mirror_their_upper_triangle():
 # Group tables, permutation closure, action binding and the isometric
 # quotient against the scalar loops in tests/oracles.py: the same error code,
 # message and witness, or equal groups, maps, stabilizers and tables.
+
+
+def assert_same_group(got, ref):
+    """Field by field: the same order, identity and generators, and mul and
+    inv bitwise equal to the reference's, as read-only np.intp arrays."""
+    assert (got.order, got.identity, got.generators) == (ref.order, ref.identity, ref.generators)
+    for table, ref_table in ((got.mul, ref.mul), (got.inv, ref.inv)):
+        assert table.dtype == np.intp and not table.flags.writeable
+        assert table.shape == ref_table.shape
+        assert table.tobytes() == ref_table.astype(np.intp).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -943,7 +979,8 @@ def test_build_group_matches_scalar_on_corrupted_tables(data):
     got, err = result(eq.build_group, table, generators)
     ref, ref_err = result(oracles.build_group, table, generators)
     assert err == ref_err
-    assert got == ref
+    if got is not None:
+        assert_same_group(got, ref)
 
 
 @settings(max_examples=100, deadline=None)
@@ -951,7 +988,29 @@ def test_build_group_matches_scalar_on_corrupted_tables(data):
     lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=3)))
 def test_permutation_closure_matches_scalar(perms):
     group, elems = eq.group_from_permutations(perms)
-    assert (group, elems) == oracles.group_from_permutations(perms)
+    ref, ref_elems = oracles.group_from_permutations(perms)
+    assert elems == ref_elems
+    assert_same_group(group, ref)
+
+
+@pytest.mark.parametrize("table", [cyclic_table(k) for k in range(1, 9)]
+                         + [dihedral_table(m) for m in (3, 4)])
+def test_subgroup_scans_match_scalar_on_every_subset(table):
+    """is_subgroup, is_normal and the closure against the scalar set scans
+    on every subset of the elements (the closure on every nonempty one),
+    and subgroups() lists exactly the subsets the scalar test accepts."""
+    group = eq.build_group(table)
+    accepted = []
+    for bits in range(2 ** group.order):
+        member = (bits >> np.arange(group.order)) & 1 == 1
+        elems = tuple(np.flatnonzero(member).tolist())
+        assert group.is_subgroup(elems) == oracles.is_subgroup(group, elems)
+        assert group.is_normal(elems) == oracles.is_normal(group, elems)
+        if elems:
+            assert np.flatnonzero(group._closure(member)).tolist() == sorted(oracles.closure(group, elems))
+        if oracles.is_subgroup(group, elems):
+            accepted.append(elems)
+    assert group.subgroups() == sorted(accepted, key=lambda t: (len(t), t))
 
 
 def assert_same_binding(space, group, maps):

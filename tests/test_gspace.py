@@ -27,8 +27,38 @@ class TestBuildGroup:
     def test_cyclic_identity_and_inverses(self):
         g = c3()
         assert g.identity == 0
-        assert g.inv == (0, 2, 1)
-        assert g.op(1, 2) == 0
+        assert g.inv.tolist() == [0, 2, 1]
+        assert g.mul[1, 2] == 0
+
+    def test_tables_are_read_only_index_arrays(self):
+        g = c3()
+        for table in (g.mul, g.inv):
+            assert table.dtype == np.intp and not table.flags.writeable
+        with pytest.raises(ValueError):
+            g.mul[0, 0] = 1
+
+    @pytest.mark.parametrize("table,witness", [
+        ([[0, 2 ** 70], [1, 0]], (0, 1)),  # past the index type
+        ([[0, 1], [1, 2]], (1, 1)),
+        ([[0, 1], [-1, 0]], (1, 0)),
+    ])
+    def test_out_of_range_entry_rejected_at_the_first(self, table, witness):
+        from tests import oracles
+
+        for build in (build_group, oracles.build_group):
+            with pytest.raises(ValidationError) as exc:
+                build(table)
+            assert (exc.value.code, str(exc.value), exc.value.witness) == \
+                ("InvalidParams", f"InvalidParams: table entry out of range (witness: {witness})", witness)
+
+    @pytest.mark.parametrize("table", [[], [[0, 1], [1]], [[0, 1]], [[0], [0]]])
+    def test_ragged_or_empty_table_rejected(self, table):
+        from tests import oracles
+
+        for build in (build_group, oracles.build_group):
+            with pytest.raises(ValidationError) as exc:
+                build(table)
+            assert str(exc.value) == "InvalidParams: multiplication table must be square and nonempty"
 
     def test_no_identity_rejected(self):
         with pytest.raises(ValidationError) as exc:
@@ -63,6 +93,10 @@ class TestBuildGroup:
             build_group(table, generators=[2])
         assert exc.value.code == "GeneratorsDontGenerate"
         build_group(table, generators=[1])  # fine
+        build_group([[0]], generators=[])  # the empty word reaches the identity
+        with pytest.raises(ValidationError) as exc:
+            build_group([[0, 1], [1, 0]], generators=[])
+        assert (exc.value.code, exc.value.witness) == ("GeneratorsDontGenerate", 1)
 
     def test_subgroups_of_c4(self):
         table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
@@ -91,7 +125,7 @@ class TestPermutationClosure:
         for a in range(6):
             for b in range(6):
                 composed = tuple(perms[a][perms[b][i]] for i in range(3))
-                assert perms[group.op(a, b)] == composed
+                assert perms[group.mul[a, b]] == composed
 
 
 class TestBuildSpace:

@@ -24,7 +24,7 @@ def test_stage_times_times_every_stage(name, params, n, order):
     stage_times = load("stage_times")
     got_n, got_order, times = stage_times.stage_times(name, params)
     assert (got_n, got_order) == (n, order)
-    assert sorted(times) == sorted(stage_times.STAGES)
+    assert sorted(times) == sorted(set(stage_times.TIME_METRICS) - {"cli.write_s"})
     assert all(t >= 0.0 for t in times.values())
 
 
@@ -32,8 +32,20 @@ def test_stage_times_cover_row_skips_the_orbital_stages():
     stage_times = load("stage_times")
     n, order, times = stage_times.stage_times("circle", {"n": 12, "k": 3}, "cover")
     assert (n, order) == (12, 3)
-    assert sorted(times) == sorted(set(stage_times.STAGES) - {"orbital checks", "balls"})
+    assert sorted(times) == sorted(set(stage_times.TIME_METRICS) - {
+        "orbital.build_s", "orbital.verify_s", "verify.balls_s", "cli.write_s"})
     assert all(t >= 0.0 for t in times.values())
+
+
+def test_stage_times_prints_a_dash_for_a_stage_that_did_not_run(capsys, monkeypatch):
+    stage_times = load("stage_times")
+    monkeypatch.setitem(stage_times.MATRICES, "100", [("circle", {"n": 12, "k": 3}, "cover")])
+    assert stage_times.main(["--size", "100"]) == 0
+    header, _, row = capsys.readouterr().out.splitlines()
+    cells = dict(zip(header.split(" | ")[4:], row.split(" | ")[4:]))
+    assert row.startswith("| circle(12, 3) cover | 12 | 3 | ")
+    assert [m for m, c in cells.items() if c.strip(" |") == "-"] == \
+        ["orbital.build_s", "orbital.verify_s", "verify.balls_s", "cli.write_s"]
 
 
 def test_output_digest_hashes_every_file(tmp_path, monkeypatch):
