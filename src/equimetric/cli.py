@@ -66,7 +66,12 @@ _DEFAULTS = {
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+        return make_config(json.load(f))
+
+
+def make_config(raw) -> dict:
+    """A validated config from its JSON object: the defaults with the given
+    fields over them."""
     if not isinstance(raw, dict):
         raise ValidationError("InvalidParams", "config must be a JSON object")
     unknown = sorted(set(raw) - _TOP_KEYS)
@@ -83,6 +88,7 @@ def validate_config(cfg: dict) -> dict:
     sc = cfg["scenario"]
     if not isinstance(sc, dict) or set(sc) - {"name", "params"} or "name" not in sc:
         raise ValidationError("InvalidParams", "scenario must be {'name': .., 'params': {..}}")
+    cfg["scenario"] = sc = dict(sc)  # the caller's object stays as it was
     sc.setdefault("params", {})
     if cfg["mode"] not in ("general", "cover", "naive"):
         raise ValidationError("InvalidParams", f"unknown mode {cfg['mode']!r}")

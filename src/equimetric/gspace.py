@@ -20,6 +20,11 @@ Validation runs on these arrays and the action array. Each check makes one
 array comparison per group element and raises on the first violation in
 the order of the scalar scan it replaces: row-major over (g, h, x), and per
 element the inverse test before the edges, which are taken in sorted order.
+
+Every metric table (base, quotient, group, lifted, pushforward) goes through
+one axiom scan with one arithmetic, t[i, j] - (t[i, k] + t[k, j]) > tol:
+``_metric_axiom_violations`` collects for a report, ``_check_metric_table``
+raises on its first witness.
 """
 
 from __future__ import annotations
@@ -94,21 +99,26 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     """Validate a multiplication table and return the group.
 
     Scan order is fixed, so the first reported violation is deterministic:
-    entries row-major over (g, h), the least two-sided identity, per g the
-    least two-sided inverse, associativity row-major over (g, h, x).
-    Associativity compares M[M[g]] with M[g][M] one row g at a time, so the
-    temporaries stay O(|G|^2).
+    entries row-major over (g, h), each either not an integer value or out
+    of range, the least two-sided identity, per g the least two-sided
+    inverse, associativity row-major over (g, h, x). Associativity compares
+    M[M[g]] with M[g][M] one row g at a time, so the temporaries stay
+    O(|G|^2).
     """
     n = len(mul_table)
     if n == 0 or any(len(row) != n for row in mul_table):
         raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
-    try:
-        table = np.array(mul_table, dtype=np.intp)
-    except OverflowError:  # an entry past the index type is out of range as well
-        table = np.array([[v if 0 <= v < n else -1 for v in row] for row in mul_table], dtype=np.intp)
-    bad = np.argwhere((table < 0) | (table >= n))
+    values = np.asarray(mul_table)
+    integral = True  # an integer dtype holds integer values only
+    if values.dtype.kind not in "biu":  # floats, or Python ints past the index type
+        values = values.astype(np.float64)
+        integral = np.isfinite(values) & (np.floor(values) == values)
+    bad = np.argwhere(~(integral & (values >= 0) & (values < n)))
     if len(bad):
-        raise ValidationError("InvalidParams", "table entry out of range", tuple(int(v) for v in bad[0]))
+        at = tuple(int(v) for v in bad[0])
+        reason = "out of range" if integral is True or integral[at] else "not an integer"
+        raise ValidationError("InvalidParams", f"table entry {reason}", at)
+    table = values.astype(np.intp)
     ids = np.arange(n)
 
     two_sided = (table == ids).all(axis=1) & (table.T == ids).all(axis=1)
@@ -177,44 +187,85 @@ def group_from_permutations(perms, generator_names=None) -> tuple:
     return group, [tuple(p) for p in table.tolist()]
 
 
-def _check_metric_table(table: np.ndarray, tol: float, code: str = "NotAMetric"):
-    """Raise on the first metric-axiom violation.
+_AXIOM_MESSAGES = {
+    "nonzero_diagonal": "nonzero diagonal",
+    "negative": "negative distance",
+    "asymmetric": "asymmetric",
+    "zero_between_distinct": "zero distance between distinct points",
+    "triangle": "triangle inequality fails",
+}
 
-    Non-finite entries are rejected first (every comparison with NaN is
-    false, so they would pass the axioms silently). The axioms are then
-    scanned one row at a time in the scalar order: per row i the diagonal,
-    then per j the negative, asymmetric and zero tests; the triangle
-    inequality last, row-major over (i, j, k). Extra memory is O(n^2).
-    """
+
+def _axiom_violation_blocks(table: np.ndarray, tol: float):
+    """Yield the metric-axiom violations in scan order, a block at a time,
+    each with its worst residual: the diagonal by i; the pairs i < j in
+    ``triu_indices`` order, each with its negative, asymmetric and zero
+    tests; one block per triangle row i with a violation, over (j, k). A
+    row writes t[i, j] - (t[i, k] + t[k, j]) into one n x n buffer, read
+    against a contiguous copy of the transpose."""
+    n = table.shape[0]
+    diag = np.abs(np.diagonal(table))
+    bad = np.flatnonzero(diag > tol)
+    if bad.size:
+        yield [("nonzero_diagonal", i) for i in bad.tolist()], float(diag[bad].max())
+
+    iu, ju = np.triu_indices(n, 1)
+    upper = table[iu, ju]
+    skew = np.abs(upper - table[ju, iu])
+    negative = upper < -tol
+    asymmetric = skew > tol
+    zero = (-tol <= upper) & (upper <= tol)
+    block = []
+    for p in np.flatnonzero(negative | asymmetric | zero).tolist():
+        i, j = int(iu[p]), int(ju[p])
+        if negative[p]:
+            block.append(("negative", i, j))
+        if asymmetric[p]:
+            block.append(("asymmetric", i, j))
+        if zero[p]:
+            block.append(("zero_between_distinct", i, j))
+    if block:
+        yield block, float(skew[asymmetric].max(initial=0.0))
+
+    tT = np.ascontiguousarray(table.T)
+    gap = np.empty_like(tT)
+    hits = np.empty(tT.shape, dtype=bool)
+    for i in range(n):
+        np.add(table[i], tT, out=gap)
+        np.subtract(table[i][:, None], gap, out=gap)
+        np.greater(gap, tol, out=hits)
+        if hits.any():
+            yield [("triangle", i, j, k) for j, k in np.argwhere(hits).tolist()], float(gap[hits].max())
+
+
+def _metric_axiom_violations(table: np.ndarray, tol: float):
+    """Every metric-axiom violation in scan order, and the worst residual."""
+    v = []
+    resid = 0.0
+    # infinities are legitimate (extended metric on a disconnected lift);
+    # inf - inf evaluates to nan, which never exceeds tol
+    with np.errstate(invalid="ignore"):
+        for block, worst in _axiom_violation_blocks(table, tol):
+            v += block
+            resid = max(resid, worst)
+    return v, resid
+
+
+def _check_metric_table(table: np.ndarray, tol: float):
+    """Raise on a non-finite entry (NaN would pass every axiom silently),
+    else on the first witness of ``_metric_axiom_violations``; the scan
+    stops at the first block that has one."""
     n = table.shape[0]
     if table.shape != (n, n):
-        raise ValidationError(code, "metric table must be square")
+        raise ValidationError("NotAMetric", "metric table must be square")
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         raise ValidationError("NonFinite", "non-finite distance", tuple(int(v) for v in bad[0]))
-    for i in range(n):
-        if abs(table[i, i]) > tol:
-            raise ValidationError(code, "nonzero diagonal", i)
-        row = table[i]
-        negative = row < -tol
-        asymmetric = np.abs(row - table[:, i]) > tol
-        zero = row <= tol
-        zero[i] = False
-        hits = np.flatnonzero(negative | asymmetric | zero)
-        if len(hits):
-            j = int(hits[0])
-            if negative[j]:
-                raise ValidationError(code, "negative distance", (i, j))
-            if asymmetric[j]:
-                raise ValidationError(code, "asymmetric", (i, j))
-            raise ValidationError(code, "zero distance between distinct points", (i, j))
-    # row i: t[i, j] > t[i, k] + t[k, j] + tol over (j, k), same additions
-    # in the same order as the scalar test
-    for i in range(n):
-        hits = table[i][:, None] > table[i][None, :] + table.T + tol
-        if hits.any():
-            j, k = (int(v) for v in np.argwhere(hits)[0])
-            raise ValidationError(code, "triangle inequality fails", (i, j, k))
+    first = next(_axiom_violation_blocks(table, tol), None)
+    if first is not None:
+        kind, *witness = first[0][0]
+        witness = witness[0] if len(witness) == 1 else tuple(witness)
+        raise ValidationError("NotAMetric", _AXIOM_MESSAGES[kind], witness)
 
 
 @dataclass(frozen=True)

@@ -342,9 +342,10 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     ``_BLOCK`` elements together (|S_x| |G| per point for A, |S_x| |G|^2
     for B, |G| for C; a point larger than that is a run of its own), and
     reduce each point's pairs by exact minima and maxima, so the
-    temporaries stay bounded at any n. The coset chain and the translated bound compare
-    their tables once per distinct pair of stabilizers (of domains, for
-    the bound) and emit witnesses per (chart, y) in scan order.
+    temporaries stay bounded at any n. The coset chain compares its tables
+    once per distinct pair of stabilizers and emits witnesses per
+    (chart, y) in scan order. The translated bound cannot fail and is an
+    advisory line with residual 0.
     """
     rep = Report()
     group = gspace.group
@@ -460,29 +461,11 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     rep.add("coset_inequality_chain", FAIL if fails else PASS, fails, resid)
 
     # translated-slice bound: moving within a translated slice is bounded by
-    # the group displacement of the translating element. It cannot fail:
-    # u = e lies in K, so d(g0 K, g g0 K) <= d_G(g0, g g0) holds exactly in
-    # the one-sided and in the two-sided form, and the residual stays 0.
-    # The bound depends on y' only through its stabilizer and the elements
-    # defined at y', so each such pair is compared once.
-    resid = 0.0
-    fails = []
-    bounds = {}
-    in_domain = act[:, :n].T >= 0  # in_domain[y, g]: g.y is defined
-    bound_key = [(gspace.stabilizer(y), in_domain[y].tobytes()) for y in range(n)]
-    for chart in d_O.charts:
-        for yp in sorted(chart.slice_pts):
-            key = bound_key[yp]
-            if key not in bounds:
-                g0 = np.flatnonzero(in_domain[yp])
-                gg0 = mul[:, g0].T  # gg0[i, g] = g g0[i]
-                v = d_G.coset_table(key[0])[g0[:, None], gg0]
-                bound = d_G.table[g0[:, None], gg0]
-                bounds[key] = (float((v - bound).max()),
-                               [(int(g0[i]), int(g)) for i, g in np.argwhere(v > bound + tol)])
-            worst_max, hits = bounds[key]
-            resid = max(resid, worst_max)
-            fails += [(chart.orbit, yp, *hit) for hit in hits]
-    rep.add("translated_motion_bound", FAIL if fails else PASS, fails, max(resid, 0.0))
+    # the group displacement of the translating element. It cannot fail, so
+    # it is advisory: d(g0 K, g g0 K) is a minimum over u in K (over u, v in
+    # K when two-sided) that includes u = e, so it is at most d_G(g0, g g0)
+    # exactly, and the residual is 0.
+    rep.add("translated_motion_bound", ADVISORY,
+            [("u = e lies in K, so the bound holds exactly at tol >= 0",)])
 
     return rep

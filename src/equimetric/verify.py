@@ -16,7 +16,9 @@ running minimum over its probes and one ``searchsorted``, the reverse
 search in rounds over the runs of the quotient prefix
 (``verify_ball_inclusions`` states both arguments).
 
-The O(n^3) axiom scan is vectorised one row at a time; the invariance,
+The metric axioms of rho and of its pushforward are the one scan that
+validates every metric table, ``gspace._metric_axiom_violations``, with
+its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol. The invariance,
 lower-bound, cover-isometry and nearest-neighbour checks are array
 reductions over pairs, and the pushforward is one block minimum per pair of
 orbits. All keep the scalar witness order, and none adds floats in a
@@ -28,56 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace
+from .gspace import SampledGSpace, _metric_axiom_violations
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 from .slices import SliceFamily, subslice, value_grid
-
-
-def _metric_axiom_violations(table: np.ndarray, tol: float):
-    """Violations of the metric axioms and the worst residual, collected
-    rather than raised so they can be reported with witnesses.
-
-    Witness order is the scalar scan order: diagonal by i, then per pair
-    i < j (row-major) the negative, asymmetric and zero tests, then the
-    triangle inequality row-major over (i, j, k). Each triangle row is one
-    n x n comparison, so extra memory stays O(n^2)."""
-    n = table.shape[0]
-    v = []
-    resid = 0.0
-    # infinities are legitimate (extended metric on a disconnected lift);
-    # inf - inf comparisons below evaluate to nan, which never exceeds tol
-    with np.errstate(invalid="ignore"):
-        diag = np.abs(np.diagonal(table))
-        for i in np.flatnonzero(diag > tol).tolist():
-            v.append(("nonzero_diagonal", i))
-            resid = max(resid, float(diag[i]))
-
-        iu, ju = np.triu_indices(n, 1)
-        upper = table[iu, ju]
-        skew = np.abs(upper - table[ju, iu])
-        negative = upper < -tol
-        asymmetric = skew > tol
-        zero = (-tol <= upper) & (upper <= tol)
-        for p in np.flatnonzero(negative | asymmetric | zero).tolist():
-            i, j = int(iu[p]), int(ju[p])
-            if negative[p]:
-                v.append(("negative", i, j))
-            if asymmetric[p]:
-                v.append(("asymmetric", i, j))
-                resid = max(resid, float(skew[p]))
-            if zero[p]:
-                v.append(("zero_between_distinct", i, j))
-
-        for i in range(n):
-            gap = table[i][:, None] - (table[i][None, :] + table.T)
-            hits = gap > tol
-            if hits.any():
-                v.extend(("triangle", i, j, k) for j, k in np.argwhere(hits).tolist())
-                resid = max(resid, float(gap[hits].max()))
-    return v, resid
 
 
 def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,

@@ -127,27 +127,6 @@ def disk_metric(g: int) -> list:
 # require equal codes, witnesses and residuals.
 
 
-def check_metric_table(table: np.ndarray, tol: float, code: str = "NotAMetric"):
-    n = table.shape[0]
-    if table.shape != (n, n):
-        raise ValidationError(code, "metric table must be square")
-    for i in range(n):
-        if abs(table[i, i]) > tol:
-            raise ValidationError(code, "nonzero diagonal", i)
-        for j in range(n):
-            if table[i, j] < -tol:
-                raise ValidationError(code, "negative distance", (i, j))
-            if abs(table[i, j] - table[j, i]) > tol:
-                raise ValidationError(code, "asymmetric", (i, j))
-            if i != j and table[i, j] <= tol:
-                raise ValidationError(code, "zero distance between distinct points", (i, j))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[i, j] > table[i, k] + table[k, j] + tol:
-                    raise ValidationError(code, "triangle inequality fails", (i, j, k))
-
-
 def check_left_invariance(group, table: np.ndarray):
     mul = group.mul.tolist()
     for k in range(group.order):
@@ -201,15 +180,25 @@ def closure(group, seed) -> set:
     return out
 
 
+def _integer_value(v) -> bool:
+    try:
+        return int(v) == v
+    except (ValueError, OverflowError):  # NaN, infinities
+        return False
+
+
 def build_group(mul_table, generators=None) -> FiniteGroup:
-    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
-    n = len(mul)
-    if n == 0 or any(len(row) != n for row in mul):
+    n = len(mul_table)
+    if n == 0 or any(len(row) != n for row in mul_table):
         raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
     for g in range(n):
         for h in range(n):
-            if not 0 <= mul[g][h] < n:
+            v = mul_table[g][h]
+            if not _integer_value(v):
+                raise ValidationError("InvalidParams", "table entry not an integer", (g, h))
+            if not 0 <= int(v) < n:
                 raise ValidationError("InvalidParams", "table entry out of range", (g, h))
+    mul = tuple(tuple(int(v) for v in row) for row in mul_table)
 
     identity = None
     for e in range(n):
@@ -446,7 +435,7 @@ def isometric_quotient_table(gspace, orbits, tol: float = 1e-9) -> np.ndarray:
     for p in range(n):
         for q in range(p + 1, n):
             d[p, q] = d[q, p] = min_over_lifts(gspace, orbits.orbit_members[p], orbits.orbit_members[q])
-    check_metric_table(d, tol)
+    raise_first_axiom_violation(d, tol)
     return d
 
 
@@ -476,6 +465,25 @@ def metric_axiom_violations(table: np.ndarray, tol: float):
                         v.append(("triangle", i, j, k))
                         resid = max(resid, float(gap))
     return v, resid
+
+
+AXIOM_MESSAGES = {
+    "nonzero_diagonal": "nonzero diagonal",
+    "negative": "negative distance",
+    "asymmetric": "asymmetric",
+    "zero_between_distinct": "zero distance between distinct points",
+    "triangle": "triangle inequality fails",
+}
+
+
+def raise_first_axiom_violation(table: np.ndarray, tol: float):
+    """What validating a finite square table raises: NotAMetric on the
+    first violation ``metric_axiom_violations`` collects."""
+    v, _ = metric_axiom_violations(table, tol)
+    if v:
+        kind, *witness = v[0]
+        raise ValidationError("NotAMetric", AXIOM_MESSAGES[kind],
+                              witness[0] if len(witness) == 1 else tuple(witness))
 
 
 def verify_lifted_metric(gspace, quotient, lifted, tol=1e-9, invariance_tol=1e-12, region=None):
@@ -846,8 +854,7 @@ def verify_slice_family(gspace, quotient, family) -> Report:
     rep.add("slice_meets_orbit_once", FAIL if v else PASS, v)
 
     v = list(_condition_ii_violations(gspace, slice_of))
-    rep.add("family_condition_ii", FAIL if v else PASS, list(v))
-    rep.add("neighbour_condition_C", FAIL if v else PASS, list(v))
+    rep.add("family_condition_ii", FAIL if v else PASS, v)
 
     v = []
     for x in range(n):
@@ -1180,24 +1187,8 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
                         fails.append((chart.orbit, y, g1, g2))
     rep.add("coset_inequality_chain", FAIL if fails else PASS, fails, resid)
 
-    # translated-slice bound: moving within a translated slice is bounded by
-    # the group displacement of the translating element
-    resid = 0.0
-    fails = []
-    for chart in d_O.charts:
-        for yp in sorted(chart.slice_pts):
-            K = gspace.stabilizer(yp)
-            for g0 in range(group.order):
-                if gspace.apply(g0, yp) is None:
-                    continue
-                for g in range(group.order):
-                    gg0 = mul[g][g0]
-                    v = coset_distance(K, g0, gg0)
-                    bound = d_G.dist(g0, gg0)
-                    if v - bound > resid:
-                        resid = v - bound
-                    if v > bound + tol:
-                        fails.append((chart.orbit, yp, g0, g))
-    rep.add("translated_motion_bound", FAIL if fails else PASS, fails, max(resid, 0.0))
+    # translated-slice bound: d(g0 K, g g0 K) <= d_G(g0, g g0) holds at u = e
+    rep.add("translated_motion_bound", ADVISORY,
+            [("u = e lies in K, so the bound holds exactly at tol >= 0",)])
 
     return rep

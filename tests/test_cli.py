@@ -6,7 +6,7 @@ import pytest
 
 import equimetric as eq
 from equimetric import ValidationError
-from equimetric.cli import load_config, main
+from equimetric.cli import load_config, main, make_config
 
 
 def write_config(path, **overrides):
@@ -75,6 +75,39 @@ def test_exit_1_on_bad_config(tmp_path):
     bad.write_text("not json")
     assert main(["run", "--config", str(bad)]) == 1
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+SCENARIO = {"name": "circle", "params": {"n": 12, "k": 3}}
+
+
+@pytest.mark.parametrize("raw", [
+    {"scenario": SCENARIO},
+    {"scenario": SCENARIO, "mode": "cover", "tolerance": 1e-6, "group_metric": {"kind": "word"}},
+    {"scenario": {"name": "disk"}},
+    {"scenario": SCENARIO, "bogus": 1},
+    {"mode": "cover"},
+    [SCENARIO],
+    {"scenario": SCENARIO, "mode": "fast"},
+    {"scenario": SCENARIO, "tolerance": float("nan")},
+    {"scenario": SCENARIO, "workers": True},
+])
+def test_make_config_is_load_config_in_memory(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    results = []
+    for build, arg in ((make_config, json.loads(json.dumps(raw))), (load_config, str(path))):
+        try:
+            results.append(build(arg))
+        except ValidationError as exc:
+            results.append((exc.code, str(exc), exc.witness))
+    assert repr(results[0]) == repr(results[1])  # a NaN witness equals no other NaN
+
+
+def test_make_config_leaves_its_argument_as_it_was():
+    raw = {"scenario": {"name": "disk"}}
+    cfg = make_config(raw)
+    assert cfg["scenario"] == {"name": "disk", "params": {}}
+    assert raw == {"scenario": {"name": "disk"}}
 
 
 @pytest.mark.parametrize("key", ["tolerance", "shrink_factor", "enlargement_factor"])

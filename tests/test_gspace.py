@@ -51,6 +51,28 @@ class TestBuildGroup:
             assert (exc.value.code, str(exc.value), exc.value.witness) == \
                 ("InvalidParams", f"InvalidParams: table entry out of range (witness: {witness})", witness)
 
+    @pytest.mark.parametrize("table,witness,reason", [
+        ([[0.0, 1.5], [1.9, 0.2]], (0, 1), "not an integer"),  # read as C2 by truncation before
+        ([[0, float("nan")], [1, 0]], (0, 1), "not an integer"),
+        ([[0, 1], [float("inf"), 0]], (1, 0), "not an integer"),
+        ([[0, 5], [1.5, 0]], (0, 1), "out of range"),  # the first bad entry decides
+        ([[0, 1.5], [5, 0]], (0, 1), "not an integer"),
+        ([[0, 2 ** 70], [0.5, 0]], (0, 1), "out of range"),
+    ])
+    def test_non_integer_entry_rejected_at_the_first(self, table, witness, reason):
+        from tests import oracles
+
+        for build in (build_group, oracles.build_group):
+            with pytest.raises(ValidationError) as exc:
+                build(table)
+            assert (exc.value.code, str(exc.value), exc.value.witness) == \
+                ("InvalidParams", f"InvalidParams: table entry {reason} (witness: {witness})", witness)
+
+    @pytest.mark.parametrize("table", [[[0.0, 1.0], [1.0, 0.0]], np.array([[0, 1], [1, 0]], dtype=np.uint8)])
+    def test_integer_values_of_any_dtype_accepted(self, table):
+        g = build_group(table)
+        assert g.mul.dtype == np.intp and g.mul.tolist() == [[0, 1], [1, 0]]
+
     @pytest.mark.parametrize("table", [[], [[0, 1], [1]], [[0, 1]], [[0], [0]]])
     def test_ragged_or_empty_table_rejected(self, table):
         from tests import oracles

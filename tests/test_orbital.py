@@ -82,6 +82,22 @@ class TestCosetDistance:
                     assert v == two_sided_coset_distance(d, K, a, b)
                     assert v <= d.dist(a, b) + 1e-12
 
+    @pytest.mark.parametrize("table", [cyclic_table(6), dihedral_table(4), dihedral_table(5)])
+    def test_never_exceeds_the_group_distance(self, table):
+        """u = e lies in K, so d(g1 K, g2 K) <= d_G(g1, g2) exactly, in the
+        one-sided and in the two-sided form: translated_motion_bound cannot
+        fail, and is advisory. d(g, h) = f(g^-1 h) with f(x) = f(x^-1)."""
+        g = build_group(table)
+        f = 1.0 + np.arange(g.order) % 7 / 8.0
+        f = np.maximum(f, f[g.inv])
+        f[g.identity] = 0.0
+        d = group_metric(g, "explicit", table=f[g.mul[g.inv]])
+        forms = set()
+        for K in g.subgroups():
+            forms.add(d.right_invariant_for(K))
+            assert (d.coset_table(K) <= d.table).all()
+        assert forms == ({True} if table == cyclic_table(6) else {True, False})
+
     def test_requires_subgroup(self):
         g = build_group(cyclic_table(4))
         d = group_metric(g, "discrete")

@@ -55,3 +55,15 @@ def test_output_digest_hashes_every_file(tmp_path, monkeypatch):
     assert got["exit"] == 0
     assert sorted(got["files"]) == sorted(output_digest.FILES)
     assert all(isinstance(h, str) and len(h) == 64 for h in got["files"].values())
+    result = output_digest.cli.run_pipeline(output_digest.cli.make_config(
+        output_digest.config("circle", {"n": 12, "k": 3}, "general")))
+    assert got["checks"] == {c.name: c.status for c in result["report"].checks}
+    assert "metric_axioms" in got["checks"]
+
+
+def test_output_digest_has_no_checks_without_a_report(tmp_path, monkeypatch):
+    output_digest = load("output_digest")
+    monkeypatch.chdir(tmp_path)
+    got = output_digest.digest(output_digest.config("circle", {"n": 2, "k": 3}, "general"))
+    assert got["exit"] == 1
+    assert got["files"] == dict.fromkeys(output_digest.FILES) and got["checks"] is None

@@ -3,9 +3,11 @@
 Runs each config of `perfbench.workloads.all_configs()`, plus a few larger
 and extra-scale ones, through `equimetric.cli.main(["run", ...])` in this
 process, and writes one JSON object keyed by config id: the exit code,
-stdout, stderr and the sha256 of rho.csv, quotient.csv, slices.txt and
-report.txt (null for a file that was not written). Two trees give the same
-outputs when their digests are equal.
+stdout, stderr, the sha256 of rho.csv, quotient.csv, slices.txt and
+report.txt (null for a file that was not written), and the status of each
+check in report.txt as {name: status} (null without a report), so a diff of
+two digests names the checks that changed. Two trees give the same outputs
+when their digests are equal.
 
 Usage (from the repository root; PYTHONPATH picks the library under test):
   PYTHONPATH=src python3 tools/output_digest.py OUT.json
@@ -49,14 +51,20 @@ def digest(cfg: dict) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["run", "--config", "cfg.json", "--out", "out"])
     files = {}
+    checks = None
     for name in FILES:
         path = os.path.join("out", name)
         files[name] = None
         if os.path.exists(path):
             with open(path, "rb") as f:
-                files[name] = hashlib.sha256(f.read()).hexdigest()
+                data = f.read()
+            files[name] = hashlib.sha256(data).hexdigest()
+            if name == "report.txt":  # NAME<TAB>STATUS<TAB>..., then a "# pass=.." line
+                rows = [line.split("\t") for line in data.decode("utf-8").splitlines()]
+                checks = {row[0]: row[1] for row in rows if not row[0].startswith("#")}
             os.remove(path)
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files,
+            "checks": checks}
 
 
 def main(argv=None) -> int:

@@ -44,7 +44,7 @@ MATRICES = {
 def stage_times(name: str, params: dict, mode: str = "general") -> tuple:
     """(n, |G|, seconds per per-layer time name) for one run in mode
     "general" or "cover"; the stages the run did not make are left out."""
-    cfg = dict(cli._DEFAULTS, **config(name, params, mode))
+    cfg = cli.make_config(config(name, params, mode))
     tracer = Tracer()
     with tracer.installed(cli), tracer.config(label(name, params, mode)):
         result = cli.run_pipeline(cfg)
