@@ -8,8 +8,8 @@ automorphisms of the neighborhood graph.
 The action has one form, the |G| x (n + 1) array of g.x
 (``SampledGSpace.action``, -1 where a partial map is undefined). Per-element
 point maps are only the input format of ``bind_action``, which writes them
-into the array; the stabilizers and the mask of total elements are derived
-from it once, and every stage reads the array.
+into the array; the stabilizers, their classes and the mask of total
+elements are derived from it once, and every stage reads these.
 
 The group has one form as well: ``FiniteGroup.mul``, the |G| x |G| array
 of products, and ``FiniteGroup.inv``, the array of inverses, both read-only
@@ -356,6 +356,10 @@ class SampledGSpace:
     action: np.ndarray = field(repr=False)
     # per point: tuple of the element indices fixing it; derived from action
     stabilizers: tuple = field(init=False, repr=False)
+    # the distinct stabilizers, in the order of their least point
+    stabilizer_classes: tuple = field(init=False, repr=False)
+    # per point: read-only np.intp index of its stabilizer in stabilizer_classes
+    stabilizer_class: np.ndarray = field(init=False, repr=False)
     # per element: does it act on every point; derived from action
     total: np.ndarray = field(init=False, repr=False)
 
@@ -365,7 +369,13 @@ class SampledGSpace:
         fixed = images == np.arange(n)
         total = (images >= 0).all(axis=1)
         total.setflags(write=False)
-        object.__setattr__(self, "stabilizers", tuple(tuple(np.flatnonzero(c).tolist()) for c in fixed.T))
+        stabilizers = tuple(tuple(np.flatnonzero(c).tolist()) for c in fixed.T)
+        classes = {}
+        of = np.array([classes.setdefault(K, len(classes)) for K in stabilizers], dtype=np.intp)
+        of.setflags(write=False)
+        object.__setattr__(self, "stabilizers", stabilizers)
+        object.__setattr__(self, "stabilizer_classes", tuple(classes))
+        object.__setattr__(self, "stabilizer_class", of)
         object.__setattr__(self, "total", total)
 
     @property
@@ -440,11 +450,11 @@ def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSp
         if len(bad):
             raise ValidationError("NotGraphAutomorphism", "edge not preserved", (g, edges[bad[0]]))
 
-    verdicts = {}  # one subgroup test per distinct stabilizer
-    for x, K in enumerate(gspace.stabilizers):
-        if K not in verdicts:
-            verdicts[K] = group.is_subgroup(K)
-        if not verdicts[K]:
-            raise ValidationError("NotHomomorphism", "stabilizer is not a subgroup", x)
+    # one subgroup test per stabilizer class; classes go by least point, so
+    # the least point of the first failing class is the least failing point
+    verdicts = [group.is_subgroup(K) for K in gspace.stabilizer_classes]
+    if not all(verdicts):
+        x = int(np.argmax(gspace.stabilizer_class == verdicts.index(False)))
+        raise ValidationError("NotHomomorphism", "stabilizer is not a subgroup", x)
 
     return gspace

@@ -45,12 +45,13 @@ f > 1 those left once the radii with r * f > K are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
-from .gspace import SampledGSpace, component_of, graph_components
+from .gspace import SampledGSpace, component_of
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
@@ -263,23 +264,22 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
             raise ValidationError("NoOrbitalMetric", "general mode requires an orbital metric")
         if family is None:
             raise ValidationError("InvalidParams", "general mode requires a slice family")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if u in family.slice_of[v] or v in family.slice_of[u]:
-                    dov = d_O.values[u, v]
-                    if np.isnan(dov):
-                        continue
-                    edges.append((u, v, float(d[p[u], p[v]]) + float(dov), "slice"))
-        rows = gspace.action.tolist()
-        for u in range(n):
-            for row in rows:
-                gu = row[u]
-                if gu <= u:  # also where undefined (-1)
-                    continue
-                dov = d_O.values[u, gu]
-                if np.isnan(dov):
-                    continue
-                edges.append((u, gu, float(dov), "orbit"))
+        # slice edges at u < v with u in S_v or v in S_u; an orbit edge per
+        # g and u with g.u > u (not -1), duplicates kept; nan d_O skipped
+        joined = np.zeros((n, n), dtype=bool)
+        joined[family.pairs] = True
+        orbit = np.asarray(p, dtype=np.intp)
+        u, v = np.nonzero(np.triu(joined | joined.T, 1))
+        dov = d_O.values[u, v]
+        keep = ~np.isnan(dov)
+        u, v = u[keep], v[keep]
+        weight = d[orbit[u], orbit[v]] + dov[keep]
+        edges += zip(u.tolist(), v.tolist(), weight.tolist(), repeat("slice"))
+        g, u = np.nonzero(gspace.action[:, :n] > np.arange(n))
+        v = gspace.action[g, u]
+        dov = d_O.values[u, v]
+        keep = ~np.isnan(dov)
+        edges += zip(u[keep].tolist(), v[keep].tolist(), dov[keep].tolist(), repeat("orbit"))
         return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)))
 
     if mode == "cover":
@@ -330,14 +330,16 @@ def _witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) ->
 
 
 def lift_metric(graph: AllowabilityGraph, tol: float = 1e-9) -> LiftedMetric:
+    """Shortest paths over the allowability graph. Every edge weight is
+    finite, so a component is the finite row of rho at its least point; the
+    components go in the order of their least points."""
     n = graph.n_points
     w = graph.weight_matrix()
     rho = apsp(w)
     rho.setflags(write=False)
+    least = np.where(np.isfinite(rho), np.arange(n), n).min(axis=1, initial=n)
+    comps = tuple(tuple(np.flatnonzero(least == x).tolist())
+                  for x in np.flatnonzero(least == np.arange(n)).tolist())
 
-    finite_edges = {(u, v) for u, v, _, _ in graph.edges}
-    comps = graph_components(n, finite_edges)
-
-    return LiftedMetric(rho=rho, mode=graph.mode,
-                        components=tuple(tuple(c) for c in comps),
+    return LiftedMetric(rho=rho, mode=graph.mode, components=comps,
                         graph=graph, tol=tol, _weights=w)

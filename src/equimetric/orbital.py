@@ -4,13 +4,16 @@ The orbital metric assigns an invariant distance to same-orbit pairs (zero
 across orbits). Per chart (one slice per orbit representative) an orbit is
 identified with a coset space G/K of the group through a base point with
 stabilizer K on the slice; the chart metrics are glued with tent-shaped
-partition-of-unity weights on the orbit space.
+partition-of-unity weights on the orbit space. A chart is not stored: chart
+o is read from ``quotient.representative[o]`` and that point's slice, and
+only the weights ``chi`` are kept.
 
 Every coset distance d(g1 K, g2 K) is read from one cached |G| x |G| table
-per stabilizer (``GroupMetric.coset_table``). The gluing is array work: the
-least element sending each base point in use to each point comes from one
-transporter table, and each chart adds its share to all same-orbit pairs in
-one gather, chart after chart, so every sum keeps the order of a scalar loop.
+per stabilizer (``GroupMetric.coset_table``), looked up by the stabilizer
+classes of ``SampledGSpace``. The gluing is array work: the least element
+sending each base point in use to each point comes from one transporter
+table, and each chart adds its share to all same-orbit pairs in one gather,
+chart after chart, so every sum keeps the order of a scalar loop.
 
 The property checks reduce each point to the few values that decide its
 epsilon/delta tests (the least grid rank at which an orbital move reaches
@@ -23,7 +26,6 @@ stay bounded however many points there are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -163,69 +165,45 @@ def coset_distance(d_G: GroupMetric, subgroup, g1: int, g2: int) -> float:
 
 
 @dataclass(frozen=True)
-class Chart:
-    orbit: int  # anchoring orbit
-    anchor: int  # point index of the orbit representative
-    slice_pts: frozenset
-    radius: float
-    base_points: dict  # orbit index -> base point y0 in slice (min index)
-    weights: np.ndarray  # raw tent weight per orbit (before normalization)
-
-
-@dataclass(frozen=True)
 class OrbitalMetric:
-    charts: tuple
     chi: np.ndarray  # n_orbits x n_charts, rows summing to 1
     group_metric: GroupMetric
     values: np.ndarray  # n_points x n_points; zero across orbits; nan = undefined
-
-    def dist(self, x: int, y: int) -> float:
-        v = self.values[x, y]
-        if np.isnan(v):
-            raise ValidationError("InvalidParams", "orbital distance undefined for this pair", (x, y))
-        return float(v)
 
 
 def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
                          family: SliceFamily, d_G: GroupMetric) -> OrbitalMetric:
     """Glue chart coset metrics into one orbital metric.
 
+    Chart o is the slice at the representative of orbit o. On an orbit q it
+    meets, its base point is the least point of the slice on q, and its raw
+    tent weight is the slice radius minus d(o, q) where positive.
+
     Requires, for every stabilizer, either right invariance of the group
     metric or normality of the stabilizer (otherwise the coset identification
     depends on the base point and the construction is rejected). The test
-    runs once per distinct stabilizer; the witness is the least point whose
+    runs once per stabilizer class; the witness is the least point whose
     stabilizer fails it.
     """
     group = gspace.group
-    compatible = {}
-    for x, K in enumerate(gspace.stabilizers):
-        if K not in compatible:
-            compatible[K] = d_G.right_invariant_for(K) or group.is_normal(K)
-        if not compatible[K]:
-            raise ValidationError(
-                "IncompatibleGroupMetric",
-                "group metric is neither right invariant for a stabilizer nor is the stabilizer normal",
-                x,
-            )
+    compatible = [d_G.right_invariant_for(K) or group.is_normal(K) for K in gspace.stabilizer_classes]
+    if not all(compatible):
+        raise ValidationError(
+            "IncompatibleGroupMetric",
+            "group metric is neither right invariant for a stabilizer nor is the stabilizer normal",
+            int(np.argmax(gspace.stabilizer_class == compatible.index(False))),
+        )
 
     n, n_orbits = gspace.n_points, quotient.n_orbits
     orbit = np.asarray(quotient.orbit_of)
     # base[o, q]: the least point of chart o's slice on orbit q (n if none)
     base = np.full((n_orbits, n_orbits), n)
-    for o in range(n_orbits):
-        pts = family.slice_of[quotient.representative[o]]
-        idx = np.fromiter(pts, dtype=np.intp, count=len(pts))
+    for o, anchor in enumerate(quotient.representative):
+        idx = family.members(anchor)
         np.minimum.at(base[o], orbit[idx], idx)
     meets = base < n
     w = np.asarray(family.radius_of_orbit, dtype=np.float64)[:, None] - quotient.d
     raw = np.where(meets & (w > 0), w, 0.0)
-    charts = []
-    for o in range(n_orbits):
-        qs = np.flatnonzero(meets[o])
-        charts.append(Chart(orbit=o, anchor=quotient.representative[o],
-                            slice_pts=family.slice_of[quotient.representative[o]],
-                            radius=family.radius_of_orbit[o],
-                            base_points=dict(zip(qs.tolist(), base[o, qs].tolist())), weights=raw[o]))
 
     total = sum(raw, np.zeros(n_orbits))  # Python's sum: chart after chart
     uncovered = np.flatnonzero(total <= 0)
@@ -236,10 +214,10 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
     # Each chart reads d(g1 K, g2 K) with g1, g2 the least elements sending
     # its base point y0 (stabilizer K) to x and y: transporter[row[y0], x],
     # -1 where no element does, which makes the pair undefined (nan). The
-    # table has a row per base point in use and the coset tables are those
-    # of their stabilizers. One gather per chart covers the pairs x < y of
-    # every orbit it takes part in, and the charts add up in chart order;
-    # (y, x) copies (x, y).
+    # table has a row per base point in use, and the coset tables stacked
+    # are those of their stabilizer classes only. One gather per chart
+    # covers the pairs x < y of every orbit it takes part in, and the charts
+    # add up in chart order; (y, x) copies (x, y).
     on = chi.T > 0  # on[a, q]: chart a takes part on orbit q
     used = np.flatnonzero(np.bincount(base[on], minlength=n))
     row = np.zeros(n, dtype=np.intp)
@@ -249,15 +227,11 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
     transporter = np.full((used.size, n), group.order)
     np.minimum.at(transporter, (i, images[g, i]), g)
     transporter[transporter == group.order] = -1
-    slot = np.zeros(n, dtype=np.intp)  # base point -> its stabilizer's coset table
-    tables, slots = [], {}
-    for y0 in used.tolist():
-        K = gspace.stabilizer(y0)
-        if K not in slots:
-            slots[K] = len(tables)
-            tables.append(d_G.coset_table(K))
-        slot[y0] = slots[K]
-    coset = np.array(tables)
+    cls = gspace.stabilizer_class
+    kept = np.flatnonzero(np.bincount(cls[used], minlength=len(gspace.stabilizer_classes)))
+    slot = np.zeros(len(gspace.stabilizer_classes), dtype=np.intp)  # class -> its stacked coset table
+    slot[kept] = np.arange(kept.size)
+    coset = np.array([d_G.coset_table(gspace.stabilizer_classes[c]) for c in kept.tolist()])
     px, py = np.nonzero(np.triu(orbit[:, None] == orbit, 1))
     pq = orbit[px]
     acc = np.zeros(px.size)
@@ -265,13 +239,13 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
         k = np.flatnonzero(on[a, pq])
         y0 = base[a, pq[k]]
         g1, g2 = transporter[row[y0], px[k]], transporter[row[y0], py[k]]
-        dist = coset[slot[y0], g1, g2]
+        dist = coset[slot[cls[y0]], g1, g2]
         acc[k] += chi[pq[k], a] * np.where((g1 >= 0) & (g2 >= 0), dist, np.nan)
     values = np.zeros((n, n))
     values[px, py] = values[py, px] = acc
 
     values.setflags(write=False)
-    return OrbitalMetric(charts=tuple(charts), chi=chi, group_metric=d_G, values=values)
+    return OrbitalMetric(chi=chi, group_metric=d_G, values=values)
 
 
 def _blocks(sizes):
@@ -286,13 +260,6 @@ def _blocks(sizes):
         total += size
     if start < len(sizes):
         yield start, len(sizes)
-
-
-def _slice_pairs(family: SliceFamily, start: int, stop: int):
-    """The pairs (x, y), y in S_x, of the points start <= x < stop."""
-    slices = family.slice_of[start:stop]
-    x = np.repeat(np.arange(start, stop), [len(s) for s in slices])
-    return x, np.fromiter(chain.from_iterable(slices), dtype=np.intp, count=x.size)
 
 
 def _grid_or(values, fallback):
@@ -342,10 +309,11 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     ``_BLOCK`` elements together (|S_x| |G| per point for A, |S_x| |G|^2
     for B, |G| for C; a point larger than that is a run of its own), and
     reduce each point's pairs by exact minima and maxima, so the
-    temporaries stay bounded at any n. The coset chain compares its tables
-    once per distinct pair of stabilizers and emits witnesses per
-    (chart, y) in scan order. The translated bound cannot fail and is an
-    advisory line with residual 0.
+    temporaries stay bounded at any n; a run's pairs are a slice of
+    ``family.pairs``. The coset chain compares its tables once per pair of
+    stabilizer classes and emits witnesses per (chart, y) in scan order.
+    The translated bound cannot fail and is an advisory line with
+    residual 0.
     """
     rep = Report()
     group = gspace.group
@@ -361,7 +329,9 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     eps_arr, delta_arr = np.array(eps_grid), np.array(delta_grid)
     n_delta = len(delta_grid)
     images = act[:, :n].T.copy()  # images[x, g] = g.x, -1 where undefined
-    n_slice = [len(s) for s in family.slice_of]
+    px, py = family.pairs
+    offsets = family.offsets
+    n_slice = np.diff(offsets)
 
     # Property A: small quotient ball + small group ball => small orbital move.
     # An entry (y, g) counts for delta_i from rank t = #{delta <= key} on,
@@ -373,8 +343,8 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     rank_g = np.searchsorted(delta_arr, d_G.table[e], side="right")
     top0 = np.full(n, -np.inf)
     first = np.full((min(3, len(eps_grid)), n), n_delta)
-    for start, stop in _blocks([k * group.order for k in n_slice]):
-        x, y = _slice_pairs(family, start, stop)
+    for start, stop in _blocks((n_slice * group.order).tolist()):
+        x, y = px[offsets[start] : offsets[stop]], py[offsets[start] : offsets[stop]]
         gy = images[y]
         v = dO[y[:, None], gy]
         ok = (gy >= 0) & ~np.isnan(v)
@@ -397,10 +367,10 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     # tol >= 0 (a > a + tol is false), so those pairs are skipped.
     skip = tol >= 0
     least = np.full(n, np.inf)
-    sizes = [(k - (skip and x in s)) * group.order ** 2
-             for x, (k, s) in enumerate(zip(n_slice, family.slice_of))]
-    for start, stop in _blocks(sizes):
-        x, y = _slice_pairs(family, start, stop)
+    own = np.zeros(n, dtype=np.intp)  # 1 where x lies in S_x
+    own[px[px == py]] = 1
+    for start, stop in _blocks(((n_slice - skip * own) * group.order ** 2).tolist()):
+        x, y = px[offsets[start] : offsets[stop]], py[offsets[start] : offsets[stop]]
         if skip:
             keep = x != y
             x, y = x[keep], y[keep]
@@ -424,16 +394,15 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     # at least delta from e, so the failing deltas are those up to the
     # largest such coset distance (none when no move is small: the grids
     # are positive, so -inf reaches no delta). to_coset depends on x only
-    # through K.
-    stab = {K: i for i, K in enumerate(dict.fromkeys(gspace.stabilizers))}
-    to_coset = np.array([d_G.table[e][mul[:, K]].min(axis=1) for K in stab])
-    stab_of = np.array([stab[K] for K in gspace.stabilizers])
+    # through the class of K.
+    to_coset = np.array([d_G.table[e][mul[:, K]].min(axis=1) for K in gspace.stabilizer_classes])
+    cls = gspace.stabilizer_class
     reach = np.zeros(n, dtype=np.intp)
     for start, stop in _blocks([group.order] * n):
         x = np.arange(start, stop)
         gx = images[x]
         small = (gx >= 0) & (dO[x[:, None], gx] < eps_arr[0])
-        top = np.where(small, to_coset[stab_of[x]], -np.inf).max(axis=1)
+        top = np.where(small, to_coset[cls[x]], -np.inf).max(axis=1)
         reach[start:stop] = np.searchsorted(delta_arr, top, side="right")
     fails, wits = [], []
     for x, c in enumerate(reach.tolist()):
@@ -441,23 +410,22 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
         wits += [(x, delta, eps_grid[0]) for delta in delta_grid[c:3]]
     rep.add("property_C", FAIL if fails else PASS, fails or wits[:3])
 
-    # Coset-metric inequalities per chart: anchor distance <= slice-point
-    # distance <= group distance. The tables depend on (chart, y) only
-    # through the two stabilizers, so each pair is compared once.
-    resid = 0.0
-    fails = []
+    # Coset-metric inequalities per chart (the slice at an orbit's
+    # representative): anchor distance <= slice-point distance <= group
+    # distance. The tables depend on (chart, y) only through the two
+    # stabilizer classes, so each pair of classes is compared once.
+    anchors = np.asarray(quotient.representative, dtype=np.intp)
+    sizes = n_slice[anchors]
+    ys = np.concatenate([family.members(a) for a in anchors.tolist()] + [np.zeros(0, dtype=np.intp)])
+    keys = list(zip(np.repeat(cls[anchors], sizes).tolist(), cls[ys].tolist()))
     chains = {}
-    for chart in d_O.charts:
-        K_anchor = gspace.stabilizer(chart.anchor)
-        for y in sorted(chart.slice_pts):
-            key = (K_anchor, gspace.stabilizer(y))
-            if key not in chains:
-                t_anchor, t_y = d_G.coset_table(key[0]), d_G.coset_table(key[1])
-                worst = np.maximum(t_anchor - t_y, t_y - d_G.table)
-                chains[key] = float(worst.max()), np.argwhere(worst > tol).tolist()
-            worst_max, hits = chains[key]
-            resid = max(resid, worst_max)
-            fails += [(chart.orbit, y, *hit) for hit in hits]
+    for key in dict.fromkeys(keys):
+        t_anchor, t_y = (d_G.coset_table(gspace.stabilizer_classes[c]) for c in key)
+        worst = np.maximum(t_anchor - t_y, t_y - d_G.table)
+        chains[key] = float(worst.max()), np.argwhere(worst > tol).tolist()
+    resid = max([0.0] + [worst_max for worst_max, _ in chains.values()])
+    charts = np.repeat(np.arange(anchors.size), sizes).tolist()
+    fails = [(o, y, *hit) for o, y, key in zip(charts, ys.tolist(), keys) for hit in chains[key][1]]
     rep.add("coset_inequality_chain", FAIL if fails else PASS, fails, resid)
 
     # translated-slice bound: moving within a translated slice is bounded by

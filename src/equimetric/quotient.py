@@ -21,10 +21,6 @@ class Quotient:
     quotient_adjacency: frozenset  # edges on orbit indices, (a, b) with a < b
     d: Optional[np.ndarray] = None  # n_orbits x n_orbits metric table
 
-    def dist(self, x: int, y: int) -> float:
-        """Quotient distance between the orbits of two points."""
-        return float(self.d[self.orbit_of[x], self.orbit_of[y]])
-
     def ball(self, orbit: int, radius: float) -> frozenset:
         """Open metric ball in the orbit space."""
         return frozenset(q for q in range(self.n_orbits) if self.d[orbit, q] < radius)
@@ -66,8 +62,18 @@ def compute_orbits(gspace: SampledGSpace) -> Quotient:
     )
 
 
-def _min_over_lifts(gspace, members_p, members_q) -> float:
-    return float(gspace.space.base_metric[np.ix_(members_p, members_q)].min())
+def orbit_minima(quotient: Quotient, table: np.ndarray) -> np.ndarray:
+    """Entry (a, b), a < b, mirrored: the least table[x, y] over lifts x of a
+    and y of b; zero diagonal. A minimum adds no floats, so it is exact."""
+    k = quotient.n_orbits
+    members = np.argsort(quotient.orbit_of, kind="stable")
+    starts = np.cumsum([0] + [len(m) for m in quotient.orbit_members])[:-1]
+    blocks = np.minimum.reduceat(table[members], starts, axis=0)
+    blocks = np.minimum.reduceat(blocks[:, members], starts, axis=1)
+    i = np.arange(k)
+    out = np.where(i[:, None] < i, blocks, blocks.T)
+    out[i, i] = 0.0
+    return out
 
 
 def quotient_metric(
@@ -80,8 +86,8 @@ def quotient_metric(
     """Attach a metric to the orbit space.
 
     graph: all-pairs shortest path over the quotient adjacency, edge weight
-        min base distance over adjacent lifts.
-    isometric: min base distance over all lift pairs; requires every total
+        ``orbit_minima`` of the base metric.
+    isometric: ``orbit_minima`` of the base metric; requires every total
         element to be a base-metric isometry.
     explicit: validate and adopt the given table.
     """
@@ -101,19 +107,13 @@ def quotient_metric(
                 raise ValidationError(
                     "NotIsometricAction", "total element is not a base-metric isometry", (g, a, b)
                 )
-        d = np.zeros((n, n), dtype=np.float64)
-        for p in range(n):
-            for q in range(p + 1, n):
-                v = _min_over_lifts(gspace, orbits.orbit_members[p], orbits.orbit_members[q])
-                d[p, q] = d[q, p] = v
+        d = orbit_minima(orbits, rho0)
         _check_metric_table(d, tol)
     elif mode == "graph":
-        w = np.full((n, n), np.inf, dtype=np.float64)
-        np.fill_diagonal(w, 0.0)
-        for p, q in sorted(orbits.quotient_adjacency):
-            v = _min_over_lifts(gspace, orbits.orbit_members[p], orbits.orbit_members[q])
-            w[p, q] = w[q, p] = v
-        d = apsp(w)
+        adjacent = np.eye(n, dtype=bool)
+        for p, q in orbits.quotient_adjacency:
+            adjacent[p, q] = adjacent[q, p] = True
+        d = apsp(np.where(adjacent, orbit_minima(orbits, gspace.space.base_metric), np.inf))
         if np.isinf(d).any():
             p, q = map(int, np.argwhere(np.isinf(d))[0])
             raise ValidationError("DisconnectedQuotient", "quotient adjacency is not connected", (p, q))

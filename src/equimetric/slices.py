@@ -39,11 +39,15 @@ component of S_y & P_x is mixed (meets S_x without lying in it) iff it holds
 an edge (a, c) with a in S_x, c not in S_x and both ends in S_y & P_x. The
 verifier collects these border edges of S_x once per x and searches only the
 components that hold one.
+
+Array readers take the slices as ``SliceFamily.pairs``, derived once; the
+builder and the verifier keep the frozensets for their set algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +63,24 @@ class SliceFamily:
     radius_of_orbit: tuple  # orbit -> positive float (open-ball radius)
     construction_log: tuple  # records of radii tried and why each shrank
     degenerate: bool  # every slice is a singleton
+    # read-only np.intp arrays (x, y), y in S_x, ascending; those of x at
+    # offsets[x]:offsets[x + 1]
+    pairs: tuple = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = [len(s) for s in self.slice_of]
+        x = np.repeat(np.arange(len(sizes)), sizes)
+        y = np.fromiter(chain.from_iterable(map(sorted, self.slice_of)), dtype=np.intp, count=x.size)
+        offsets = np.cumsum([0] + sizes, dtype=np.intp)
+        for a in (x, y, offsets):
+            a.setflags(write=False)
+        object.__setattr__(self, "pairs", (x, y))
+        object.__setattr__(self, "offsets", offsets)
+
+    def members(self, x: int) -> np.ndarray:
+        """S_x as an ascending np.intp array."""
+        return self.pairs[1][self.offsets[x] : self.offsets[x + 1]]
 
 
 def value_grid(values) -> list:

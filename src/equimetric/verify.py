@@ -20,8 +20,8 @@ The metric axioms of rho and of its pushforward are the one scan that
 validates every metric table, ``gspace._metric_axiom_violations``, with
 its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol. The invariance,
 lower-bound, cover-isometry and nearest-neighbour checks are array
-reductions over pairs, and the pushforward is one block minimum per pair of
-orbits. All keep the scalar witness order, and none adds floats in a
+reductions over pairs, and the pushforward is ``quotient.orbit_minima`` of
+rho. All keep the scalar witness order, and none adds floats in a
 different order than the scalar loops in ``tests/oracles.py``.
 """
 
@@ -33,7 +33,7 @@ from .errors import ValidationError
 from .gspace import SampledGSpace, _metric_axiom_violations
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
-from .quotient import Quotient
+from .quotient import Quotient, orbit_minima
 from .report import ADVISORY, FAIL, PASS, Report
 from .slices import SliceFamily, subslice, value_grid
 
@@ -273,7 +273,7 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
         q_len, rank, starts1, starts2 = orbit_index(q)
         rho_order = np.argsort(rho[x], kind="stable")
         rho_len = np.searchsorted(rho[x][rho_order], radii)
-        slice_pts = np.fromiter(family.slice_of[x], dtype=np.intp)
+        slice_pts = family.members(x)
         slice_rank = rank[orbit_of[slice_pts]]
         motion = {}
 
@@ -342,16 +342,7 @@ def quotient_consistency(gspace: SampledGSpace, quotient: Quotient,
         rep.add("pushforward_matches_quotient", ADVISORY, [("lift not finite everywhere",)])
         return rep
 
-    # block minima over the orbit-sorted rows and columns; a minimum makes
-    # no float addition, so dp is exact. d'(a, b) reads rho[x in a, y in b]
-    # for a < b, mirrored, as the scalar pushforward does.
-    members = np.argsort(quotient.orbit_of, kind="stable")
-    starts = np.cumsum([0] + [len(m) for m in quotient.orbit_members])[:-1]
-    blocks = np.minimum.reduceat(lifted.rho[members], starts, axis=0)
-    blocks = np.minimum.reduceat(blocks[:, members], starts, axis=1)
-    dp = np.zeros((k, k))
-    iu, ju = np.triu_indices(k, 1)
-    dp[iu, ju] = dp[ju, iu] = blocks[iu, ju]
+    dp = orbit_minima(quotient, lifted.rho)
 
     v, resid = _metric_axiom_violations(dp, tol)
     rep.add("pushforward_is_metric", FAIL if v else PASS, v, resid)

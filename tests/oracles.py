@@ -16,20 +16,25 @@ one component search over its pairs; a grid
 from a Python set searched per grid pair with rebuilt frozensets vs. a
 sorted-array grid searched per centre by a running minimum and in rounds;
 per-pair loops for the cover isometry, nearest neighbours and pushforward
-vs. array reductions and block minima).
+vs. array reductions and block minima; the minimum over lifts per pair of
+orbits vs. one block minimum over orbit-sorted rows and columns; the
+general-mode lift edges from n^2 pair loops over the slice sets vs. one
+mask over the slice pairs; charts as per-orbit records vs. the orbit
+representatives, and a stabilizer per point vs. stabilizer classes).
+The ball-inclusion predicates, the slice cut and the grid fallback are
+scalar copies too, so the reference searches run no library predicate.
 """
 
 import math
 
 import numpy as np
 
-from equimetric import motion_inside_rho_ball, rho_ball_inside_motion
 from equimetric.errors import ValidationError
 from equimetric.gspace import FiniteGroup, graph_components
-from equimetric.orbital import Chart, OrbitalMetric, _grid_or
+from equimetric.orbital import OrbitalMetric
 from equimetric.quotient import Quotient
 from equimetric.report import ADVISORY, FAIL, PASS, Report
-from equimetric.slices import SliceFamily, _candidate_radii, subslice
+from equimetric.slices import SliceFamily, _candidate_radii
 from equimetric.spath import apsp
 
 
@@ -405,12 +410,11 @@ def bind_action(space, group, act_maps) -> tuple:
     return tuple(act), tuple(stabs)
 
 
-def min_over_lifts(gspace, members_p, members_q) -> float:
-    rho0 = gspace.space.base_metric
+def min_over_lifts(table, members_p, members_q) -> float:
     best = float("inf")
     for a in members_p:
         for b in members_q:
-            v = rho0[a, b]
+            v = table[a, b]
             if v < best:
                 best = float(v)
     return best
@@ -434,7 +438,7 @@ def isometric_quotient_table(gspace, orbits, tol: float = 1e-9) -> np.ndarray:
     d = np.zeros((n, n), dtype=np.float64)
     for p in range(n):
         for q in range(p + 1, n):
-            d[p, q] = d[q, p] = min_over_lifts(gspace, orbits.orbit_members[p], orbits.orbit_members[q])
+            d[p, q] = d[q, p] = min_over_lifts(rho0, orbits.orbit_members[p], orbits.orbit_members[q])
     raise_first_axiom_violation(d, tol)
     return d
 
@@ -633,6 +637,50 @@ def inclusion_grid(quotient, d_G, d_O, lifted) -> list:
     grid = value_grid(vals)
     top = (grid[-1] if grid else 0.0) + 1.0
     return grid + [top]
+
+
+def grid_or(values, fallback) -> list:
+    grid = value_grid(values)
+    return grid if grid else [fallback]
+
+
+def group_ball(d_G, radius) -> list:
+    """The g with d_G(e, g) < radius, ascending."""
+    e = d_G.group.identity
+    return [g for g in range(d_G.group.order) if d_G.table[e, g] < radius]
+
+
+def subslice(family, x, quotient, eps) -> frozenset:
+    """The y in S_x with d(p x, p y) < eps; EmptyResult when d(p x, p x)
+    is not below eps (a positive quotient diagonal)."""
+    o = quotient.orbit_of[x]
+    if not quotient.d[o, o] < eps:
+        raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
+    return frozenset(y for y in family.slice_of[x] if quotient.d[o, quotient.orbit_of[y]] < eps)
+
+
+def motion_set(gspace, quotient, family, d_G, x, delta, slice_radius) -> frozenset:
+    """B(delta) . S_x(slice_radius) as a set of g.y."""
+    base = subslice(family, x, quotient, slice_radius)
+    out = set()
+    for g in group_ball(d_G, delta):
+        for y in base:
+            gy = gspace.apply(g, y)
+            if gy is not None:
+                out.add(gy)
+    return frozenset(out)
+
+
+def rho_ball(lifted, x, eps) -> frozenset:
+    return frozenset(y for y in range(lifted.rho.shape[0]) if lifted.rho[x, y] < eps)
+
+
+def motion_inside_rho_ball(gspace, quotient, family, d_G, lifted, x, delta, eps) -> bool:
+    return motion_set(gspace, quotient, family, d_G, x, delta, delta) <= rho_ball(lifted, x, eps)
+
+
+def rho_ball_inside_motion(gspace, quotient, family, d_G, lifted, x, delta, eps) -> bool:
+    return rho_ball(lifted, x, eps) <= motion_set(gspace, quotient, family, d_G, x, delta, eps)
 
 
 def verify_ball_inclusions(gspace, quotient, family, d_G, d_O, lifted) -> Report:
@@ -890,6 +938,34 @@ def verify_slice_family(gspace, quotient, family) -> Report:
     return rep
 
 
+def general_edges(gspace, quotient, family, d_O) -> tuple:
+    """The general-mode allowability edges from pair loops: a slice edge for
+    each u < v with u in S_v or v in S_u, weighing d(p u, p v) + d_O(u, v),
+    and an orbit edge for each point u and element g with g.u > u, one per
+    g; pairs nan in d_O are skipped."""
+    n = gspace.n_points
+    d, p = quotient.d, quotient.orbit_of
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u in family.slice_of[v] or v in family.slice_of[u]:
+                dov = d_O.values[u, v]
+                if np.isnan(dov):
+                    continue
+                edges.append((u, v, float(d[p[u], p[v]]) + float(dov), "slice"))
+    rows = gspace.action.tolist()
+    for u in range(n):
+        for row in rows:
+            gu = row[u]
+            if gu <= u:  # also where undefined (-1)
+                continue
+            dov = d_O.values[u, gu]
+            if np.isnan(dov):
+                continue
+            edges.append((u, gu, float(dov), "orbit"))
+    return tuple(sorted(edges))
+
+
 def _is_elementary(quotient, comp) -> bool:
     orbs = [quotient.orbit_of[p] for p in comp]
     return len(orbs) == len(set(orbs))
@@ -1003,38 +1079,39 @@ def build_orbital_metric(gspace, quotient, family, d_G):
                 x,
             )
 
+    # chart o: the slice at the representative of orbit o, with its base
+    # point (least slice point) on each orbit it meets and its tent weights
     n_orbits = quotient.n_orbits
-    charts = []
+    bases, raws = [], []
     for o in range(n_orbits):
-        anchor = quotient.representative[o]
-        pts = family.slice_of[anchor]
+        pts = family.slice_of[quotient.representative[o]]
         radius = family.radius_of_orbit[o]
-        bases = {}
+        base = {}
         for q in range(n_orbits):
             meet = sorted(pts & set(quotient.orbit_members[q]))
             if meet:
-                bases[q] = meet[0]
+                base[q] = meet[0]
         raw = np.zeros(n_orbits)
         for q in range(n_orbits):
             w = radius - float(quotient.d[o, q])
-            if w > 0 and q in bases:
+            if w > 0 and q in base:
                 raw[q] = w
-        charts.append(Chart(orbit=o, anchor=anchor, slice_pts=pts, radius=radius,
-                            base_points=bases, weights=raw))
+        bases.append(base)
+        raws.append(raw)
 
-    chi = np.zeros((n_orbits, len(charts)))
+    chi = np.zeros((n_orbits, n_orbits))
     for q in range(n_orbits):
-        total = sum(c.weights[q] for c in charts)
+        total = sum(raw[q] for raw in raws)
         if total <= 0:
             raise ValidationError("UncoveredOrbit", "orbit meets no chart", q)
-        for a, c in enumerate(charts):
-            chi[q, a] = c.weights[q] / total
+        for a, raw in enumerate(raws):
+            chi[q, a] = raw[q] / total
 
-    def chart_metric(chart, x, y):
+    def chart_metric(a, x, y):
         q = quotient.orbit_of[x]
-        if quotient.orbit_of[y] != q or q not in chart.base_points:
+        if quotient.orbit_of[y] != q or q not in bases[a]:
             return None
-        y0 = chart.base_points[q]
+        y0 = bases[a][q]
         g1 = _element_sending(gspace, y0, x)
         g2 = _element_sending(gspace, y0, y)
         if g1 is None or g2 is None:
@@ -1045,13 +1122,13 @@ def build_orbital_metric(gspace, quotient, family, d_G):
     values = np.zeros((n, n))
     for q in range(n_orbits):
         members = quotient.orbit_members[q]
-        active = [a for a in range(len(charts)) if chi[q, a] > 0]
+        active = [a for a in range(n_orbits) if chi[q, a] > 0]
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 acc = 0.0
                 ok = True
                 for a in active:
-                    dv = chart_metric(charts[a], x, y)
+                    dv = chart_metric(a, x, y)
                     if dv is None:
                         ok = False
                         break
@@ -1059,7 +1136,7 @@ def build_orbital_metric(gspace, quotient, family, d_G):
                 values[x, y] = values[y, x] = acc if ok else np.nan
 
     values.setflags(write=False)
-    return OrbitalMetric(charts=tuple(charts), chi=chi, group_metric=d_G, values=values)
+    return OrbitalMetric(chi=chi, group_metric=d_G, values=values)
 
 
 def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1e-12) -> Report:
@@ -1071,13 +1148,13 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
     n = gspace.n_points
 
     dO_vals = [v for v in d_O.values.ravel() if not np.isnan(v)]
-    eps_grid = _grid_or(dO_vals, 1.0)
-    delta_grid = _grid_or(
+    eps_grid = grid_or(dO_vals, 1.0)
+    delta_grid = grid_or(
         list(np.asarray(quotient.d).ravel()) + list(d_G.table.ravel()), 1.0
     )
 
     def slice_ball(x, delta):
-        return subslice(family, x, quotient, eps=delta)
+        return subslice(family, x, quotient, delta)
 
     # Property A: small quotient ball + small group ball => small orbital move
     fails, wits = [], []
@@ -1087,7 +1164,7 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
             for delta in reversed(delta_grid):
                 ok = True
                 for y in sorted(slice_ball(x, delta)):
-                    for g in sorted(d_G.ball(delta)):
+                    for g in group_ball(d_G, delta):
                         gy = gspace.apply(g, y)
                         if gy is None:
                             continue
@@ -1171,9 +1248,9 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
     # distance <= group distance
     resid = 0.0
     fails = []
-    for chart in d_O.charts:
-        K_anchor = gspace.stabilizer(chart.anchor)
-        for y in sorted(chart.slice_pts):
+    for o, anchor in enumerate(quotient.representative):
+        K_anchor = gspace.stabilizer(anchor)
+        for y in sorted(family.slice_of[anchor]):
             K_y = gspace.stabilizer(y)
             for g1 in range(group.order):
                 for g2 in range(group.order):
@@ -1184,7 +1261,7 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
                     if worst > resid:
                         resid = worst
                     if worst > tol:
-                        fails.append((chart.orbit, y, g1, g2))
+                        fails.append((o, y, g1, g2))
     rep.add("coset_inequality_chain", FAIL if fails else PASS, fails, resid)
 
     # translated-slice bound: d(g0 K, g g0 K) <= d_G(g0, g g0) holds at u = e

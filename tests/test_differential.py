@@ -1,7 +1,7 @@
 """Differential tests: the row-vectorised checks, the ball-prefix index, the
-slice builder and verifier, the cover small sets and the orbital stage
-against the references in tests/oracles.py, and the join keys against
-graph_components. Equal means the same error code, message and witness, the
+slice builder and verifier, the cover small sets, the orbital stage and the
+general-mode lift edges against the references in tests/oracles.py, and the
+join keys and the lift's components against graph_components. Equal means the same error code, message and witness, the
 same violation list, residual and report lines, or the same slice family and
 construction log."""
 
@@ -346,6 +346,23 @@ def test_planted_lift_defect_matches_scalar_on_a_partial_shift():
     assert report["rho_ball_inside_motion"].witnesses[:4] == [(1, 0.5), (1, 0.75), (1, 1.0), (1, 2.0)]
 
 
+@pytest.mark.parametrize("name,params", [("circle", {"n": 12, "k": 3}), ("shift", {"m": 8, "h": 0.25, "N": 2})])
+def test_inclusion_predicates_match_their_scalar_copies(name, params):
+    """The library's motion_inside_rho_ball and rho_ball_inside_motion,
+    which the ball search replaces, against the copies in tests/oracles.py
+    at every point and at every third radius pair of the grid."""
+    r = pipeline(name, params)
+    args = (r["gspace"], r["quotient"], r["family"], r["d_G"], r["lifted"])
+    grid = oracles.inclusion_grid(r["quotient"], r["d_G"], r["d_O"], r["lifted"])[::3]
+    for x in range(r["gspace"].n_points):
+        for delta in grid:
+            for eps in grid:
+                assert eq.motion_inside_rho_ball(*args, x, delta, eps) == \
+                    oracles.motion_inside_rho_ball(*args, x, delta, eps)
+                assert eq.rho_ball_inside_motion(*args, x, delta, eps) == \
+                    oracles.rho_ball_inside_motion(*args, x, delta, eps)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_random_spaces_match_scalar(seed):
@@ -567,7 +584,19 @@ def test_slice_verifier_matches_reference_on_perturbed_families(seed, data):
         drop = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
         slices[x] = (slices[x] | frozenset(add)) - frozenset(drop)
     radii = [r * data.draw(st.sampled_from([1.0, 0.5, 2.0])) for r in family.radius_of_orbit]
-    assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(slices), radius_of_orbit=tuple(radii)))
+    family = replace(family, slice_of=tuple(slices), radius_of_orbit=tuple(radii))
+    assert_pairs_match(family)
+    assert_same_verdict(gs, quotient, family)
+
+
+def assert_pairs_match(family):
+    """family.pairs, offsets and members against the sorted frozensets."""
+    px, py = family.pairs
+    assert list(zip(px.tolist(), py.tolist())) == [(x, y) for x, s in enumerate(family.slice_of) for y in sorted(s)]
+    assert family.offsets.tolist() == np.cumsum([0] + [len(s) for s in family.slice_of]).tolist()
+    assert [family.members(x).tolist() for x in range(len(family.slice_of))] == [sorted(s) for s in family.slice_of]
+    for a in (px, py, family.offsets):
+        assert a.dtype == np.intp and not a.flags.writeable
 
 
 @pytest.mark.parametrize("name,params,x,planted,check,witnesses", [
@@ -774,12 +803,17 @@ def test_orbital_stage_matches_reference_on_random_spaces(seeds):
 
 
 def test_orbital_stage_matches_reference_on_an_empty_space():
-    """No points: no charts, empty tables and five passing checks."""
+    """No points: no slice pairs, no charts, empty tables and five passing
+    checks; no edges and no lift components."""
     gs = eq.bind_action(eq.build_space(np.zeros((0, 0)), []), eq.build_group([[0]]), [{}])
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
     family = eq.build_slice_family(gs, quotient)
+    assert_pairs_match(family)
+    assert family.offsets.tolist() == [0]
     d_O = assert_orbital_matches(gs, quotient, family, eq.group_metric(gs.group), tols=ORBITAL_TOLS)
     assert d_O.values.shape == d_O.chi.shape == (0, 0)
+    graph = assert_lift_matches(gs, quotient, family, d_O)
+    assert graph.edges == () and eq.lift_metric(graph).components == ()
 
 
 PLANT_BASES = [
@@ -915,6 +949,29 @@ def test_planted_family_matches_reference():
     d_O = assert_orbital_matches(r["gspace"], r["quotient"], family, r["d_G"], tols=ORBITAL_TOLS)
     quotient = replace(r["quotient"], d=r["quotient"].d + 1e-10)
     assert_orbital_reports_match(r["gspace"], quotient, family, d_O, r["d_G"])
+
+
+def test_compatibility_test_names_the_least_point_of_the_first_failing_class():
+    """D5 on the cosets of R = {e, s}, for which the word metric on
+    {r, r^-1, s} is right invariant; R is point 0. Coset gR is fixed by
+    gRg^-1, another reflection subgroup, neither right invariant nor
+    normal, so class 0 passes and the witness is the least point of
+    class 1, as in the scalar scan."""
+    group = eq.build_group(dihedral_table(5))
+    d_G = eq.group_metric(group, "word", generators=[1, 4, 5])
+    R = frozenset(next(K for K in group.subgroups() if len(K) == 2 and d_G.right_invariant_for(K)))
+    mul = group.mul.tolist()
+    cosets = sorted({frozenset(mul[g][h] for h in R) for g in range(group.order)},
+                    key=lambda c: (c != R, sorted(c)))
+    maps = [{i: cosets.index(frozenset(mul[g][h] for h in c)) for i, c in enumerate(cosets)}
+            for g in range(group.order)]
+    gs = eq.bind_action(eq.build_space(1.0 - np.eye(len(cosets)), []), group, maps)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    assert assert_orbital_matches(gs, quotient, family, d_G) is None
+    code, _, witness = result(eq.build_orbital_metric, gs, quotient, family, d_G)[1]
+    assert code == "IncompatibleGroupMetric"
+    assert gs.stabilizer_class[witness] == 1 and gs.stabilizer_classes[0] == tuple(sorted(R))
 
 
 def test_coset_distance_matches_reference_on_dihedral_subgroups():
@@ -1054,6 +1111,10 @@ def assert_same_binding(space, group, maps):
     if got is not None:
         assert np.array_equal(got.action, oracles.action_array(ref[0], space.n_points))
         assert got.stabilizers == ref[1]
+        classes = list(dict.fromkeys(ref[1]))
+        assert got.stabilizer_classes == tuple(classes)
+        assert got.stabilizer_class.tolist() == [classes.index(K) for K in ref[1]]
+        assert got.stabilizer_class.dtype == np.intp and not got.stabilizer_class.flags.writeable
         assert got.total.tolist() == [len(m) == space.n_points for m in ref[0]]
 
 
@@ -1102,6 +1163,18 @@ def test_bind_action_matches_scalar_on_random_involutions(data):
     assert_same_binding(space, group, maps)
 
 
+def test_stabilizer_test_names_the_least_point_of_the_first_failing_class():
+    """C3 on five points: 1 fixes 2 and 3 only, 2 fixes 4 only. The classes
+    by least point are {e} (points 0, 1), {e, 1} (2, 3) and {e, 2} (4); the
+    last two are not subgroups, and the witness is 2, the least point of
+    class 1, as the scalar scan over the points finds."""
+    space = eq.build_space(1.0 - np.eye(5), [])
+    maps = [{x: x for x in range(5)}, {2: 2, 3: 3}, {4: 4}]
+    assert_same_binding(space, eq.build_group(cyclic_table(3)), maps)
+    assert result(eq.bind_action, space, eq.build_group(cyclic_table(3)), maps)[1] == \
+        ("NotHomomorphism", "NotHomomorphism: stabilizer is not a subgroup (witness: 2)", 2)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_action_array_matches_the_maps(name, monkeypatch):
     """The maps each scenario passes to bind_action, against the array."""
@@ -1141,10 +1214,19 @@ def assert_isometric_quotient_matches(gs, tol=1e-9):
     assert err == ref_err
     if got is not None:
         assert got.d.tobytes() == ref.tobytes()
-    members = orbits.orbit_members
-    assert [eq.quotient._min_over_lifts(gs, p, q) for p in members for q in members] == \
-        [oracles.min_over_lifts(gs, p, q) for p in members for q in members]
+    assert_orbit_minima_match(orbits, gs.space.base_metric)
     return err
+
+
+def assert_orbit_minima_match(orbits, table):
+    """orbit_minima against oracles.min_over_lifts at each pair of orbits
+    a < b, mirrored, with a zero diagonal: bitwise equal."""
+    k, members = orbits.n_orbits, orbits.orbit_members
+    ref = np.zeros((k, k))
+    for a in range(k):
+        for b in range(a + 1, k):
+            ref[a, b] = ref[b, a] = oracles.min_over_lifts(table, members[a], members[b])
+    assert eq.quotient.orbit_minima(orbits, table).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -1153,8 +1235,11 @@ def test_isometric_quotient_matches_scalar(name):
 
 
 def test_isometric_quotient_matches_scalar_on_random_spaces():
+    """Also orbit_minima of an asymmetric table, which must read a < b."""
     for seed in range(60):
-        assert assert_isometric_quotient_matches(random_gspace(seed)) is None
+        gs = random_gspace(seed)
+        assert assert_isometric_quotient_matches(gs) is None
+        assert_orbit_minima_match(eq.compute_orbits(gs), np.random.default_rng(seed).random((gs.n_points,) * 2))
 
 
 @pytest.mark.parametrize("tol,want", [
@@ -1188,3 +1273,59 @@ def test_slice_builder_matches_reference_below_a_positive_diagonal(shrink_factor
     else:
         assert (got.slice_of, got.radius_of_orbit, got.construction_log) == \
             (ref.slice_of, ref.radius_of_orbit, ref.construction_log)
+
+
+# The general-mode allowability edges against the pair loops of
+# oracles.general_edges, and the lift's components against graph_components
+# over the edge set: equal edge tuples, equal component tuples.
+
+
+def assert_lift_matches(gs, quotient, family, d_O, mode="general", enlargement=1.0):
+    graph = eq.build_allowability_graph(gs, quotient, family=family, d_O=d_O, mode=mode,
+                                        enlargement_factor=enlargement)
+    if mode == "general":
+        assert graph.edges == oracles.general_edges(gs, quotient, family, d_O)
+    want = graph_components(gs.n_points, {(u, v) for u, v, _, _ in graph.edges})
+    assert eq.lift_metric(graph).components == tuple(tuple(c) for c in want)
+    return graph
+
+
+@pytest.mark.parametrize("name,params", GENERAL_CELLS)
+def test_lift_edges_and_components_match_scalar_on_small_sweep_cells(name, params):
+    r = pipeline(name, dict(params))
+    for mode in ("general", "cover", "naive"):
+        assert_lift_matches(r["gspace"], r["quotient"], r["family"], r["d_O"], mode)
+
+
+def test_lift_edges_and_components_match_scalar_on_random_spaces():
+    for seed in range(100):
+        gs = random_gspace(seed)
+        quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+        family = eq.build_slice_family(gs, quotient)
+        d_O = eq.build_orbital_metric(gs, quotient, family, eq.group_metric(gs.group, "discrete"))
+        for mode in ("general", "cover", "naive"):
+            assert_lift_matches(gs, quotient, family, d_O, mode)
+
+
+def test_lift_edges_match_scalar_on_a_partial_shift_with_nan_pairs():
+    """shift(8, .25, 2), whose d_O is nan at pairs no element joins, and the
+    same with a slice pair and an orbit pair of d_O planted nan: those
+    edges are left out."""
+    r = pipeline("shift", {"m": 8, "h": 0.25, "N": 2})
+    gs, family = r["gspace"], r["family"]
+    assert np.isnan(r["d_O"].values).any()
+    graph = assert_lift_matches(gs, r["quotient"], family, r["d_O"])
+    u, v = next((u, v) for u, v, _, kind in graph.edges if kind == "slice")
+    a, b = next((u, v) for u, v, _, kind in graph.edges if kind == "orbit")
+    values = np.array(r["d_O"].values)
+    values[u, v] = values[v, u] = values[a, b] = values[b, a] = np.nan
+    planted = assert_lift_matches(gs, r["quotient"], family, replace(r["d_O"], values=values))
+    assert {(u, v), (a, b)}.isdisjoint((e[0], e[1]) for e in planted.edges)
+
+
+def test_lift_components_match_scalar_on_a_disconnected_cover():
+    """reflection(2, 1) in cover mode at enlargement 1000: no edges, every
+    point a component of its own."""
+    r = pipeline("reflection", {"m": 2, "h": 1.0}, mode="cover", enlargement=1000.0)
+    assert_lift_matches(r["gspace"], r["quotient"], r["family"], None, "cover", 1000.0)
+    assert len(r["lifted"].components) == r["gspace"].n_points > 1

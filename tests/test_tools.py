@@ -59,6 +59,14 @@ def test_output_digest_hashes_every_file(tmp_path, monkeypatch):
         output_digest.config("circle", {"n": 12, "k": 3}, "general")))
     assert got["checks"] == {c.name: c.status for c in result["report"].checks}
     assert "metric_axioms" in got["checks"]
+    edges = [e[3] for e in result["lifted"].graph.edges]
+    slices = result["family"].slice_of
+    assert {name: got["counts"][name] for name in (
+        "quotient.orbits", "lift.edges.slice", "lift.edges.orbit", "slices.points", "slices.slice_points")} == {
+        "quotient.orbits": result["quotient"].n_orbits, "lift.edges.slice": edges.count("slice"),
+        "lift.edges.orbit": edges.count("orbit"), "slices.points": len(slices),
+        "slices.slice_points": sum(len(s) for s in slices)}
+    assert got["counts"]["cli.bytes_written"] > 0 and got["counts"]["verify.witnesses"] > 0
 
 
 def test_output_digest_has_no_checks_without_a_report(tmp_path, monkeypatch):
@@ -67,3 +75,4 @@ def test_output_digest_has_no_checks_without_a_report(tmp_path, monkeypatch):
     got = output_digest.digest(output_digest.config("circle", {"n": 2, "k": 3}, "general"))
     assert got["exit"] == 1
     assert got["files"] == dict.fromkeys(output_digest.FILES) and got["checks"] is None
+    assert got["counts"] == {}

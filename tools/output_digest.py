@@ -4,10 +4,12 @@ Runs each config of `perfbench.workloads.all_configs()`, plus a few larger
 and extra-scale ones, through `equimetric.cli.main(["run", ...])` in this
 process, and writes one JSON object keyed by config id: the exit code,
 stdout, stderr, the sha256 of rho.csv, quotient.csv, slices.txt and
-report.txt (null for a file that was not written), and the status of each
+report.txt (null for a file that was not written), the status of each
 check in report.txt as {name: status} (null without a report), so a diff of
-two digests names the checks that changed. Two trees give the same outputs
-when their digests are equal.
+two digests names the checks that changed, and the per-layer counters of
+`perfbench.spans.config_counts` (edges by kind, small sets, slice sizes,
+grid sizes, witnesses), read from a traced run, which the files can hide.
+Two trees give the same outputs when their digests are equal.
 
 Usage (from the repository root; PYTHONPATH picks the library under test):
   PYTHONPATH=src python3 tools/output_digest.py OUT.json
@@ -27,6 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)  # for perfbench; the library comes from PYTHONPATH
 
 from equimetric import cli  # noqa: E402
+from perfbench.spans import Tracer, config_counts  # noqa: E402
 from perfbench.workloads import all_configs, config, config_id  # noqa: E402
 
 FILES = ("rho.csv", "quotient.csv", "slices.txt", "report.txt")
@@ -48,8 +51,10 @@ def digest(cfg: dict) -> dict:
     with open("cfg.json", "w", encoding="utf-8") as f:
         json.dump(cfg, f)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    tracer = Tracer()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), tracer.installed(cli):
         code = cli.main(["run", "--config", "cfg.json", "--out", "out"])
+    counts = dict(config_counts(tracer.results, "out"))
     files = {}
     checks = None
     for name in FILES:
@@ -64,7 +69,7 @@ def digest(cfg: dict) -> dict:
                 checks = {row[0]: row[1] for row in rows if not row[0].startswith("#")}
             os.remove(path)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files,
-            "checks": checks}
+            "checks": checks, "counts": counts}
 
 
 def main(argv=None) -> int:
