@@ -35,7 +35,7 @@ from .errors import ValidationError
 from .lift import build_allowability_graph, lift_metric
 from .orbital import build_orbital_metric, group_metric, verify_orbital_properties
 from .quotient import compute_orbits, quotient_metric
-from .report import ADVISORY, FAIL, Report, fmt9
+from .report import ADVISORY, FAIL, Report, fmt9, fmt9_lines
 from .scenarios import (
     generate_scenario,
     scenario_names,
@@ -206,17 +206,14 @@ def write_outputs(cfg: dict, result: dict) -> None:
     gspace, quotient = result["gspace"], result["quotient"]
     labels = _labels(gspace)
 
-    rho = result["lifted"].rho
     with open(os.path.join(out, "rho.csv"), "w", encoding="utf-8") as f:
         f.write(",".join(labels) + "\n")
-        for i in range(gspace.n_points):
-            f.write(",".join(fmt9(float(v)) for v in rho[i]) + "\n")
+        f.writelines(fmt9_lines(result["lifted"].rho))
 
     orbit_labels = [labels[quotient.representative[q]] for q in range(quotient.n_orbits)]
     with open(os.path.join(out, "quotient.csv"), "w", encoding="utf-8") as f:
         f.write(",".join(orbit_labels) + "\n")
-        for a in range(quotient.n_orbits):
-            f.write(",".join(fmt9(float(v)) for v in quotient.d[a]) + "\n")
+        f.writelines(fmt9_lines(quotient.d))
         f.write(",".join(labels) + "\n")
         f.write(",".join(str(q) for q in quotient.orbit_of) + "\n")
 
@@ -224,9 +221,10 @@ def write_outputs(cfg: dict, result: dict) -> None:
     with open(os.path.join(out, "slices.txt"), "w", encoding="utf-8") as f:
         for q in range(quotient.n_orbits):
             f.write(f"orbit {q} radius {fmt9(family.radius_of_orbit[q])}\n")
+        members = [labels[y] for y in family.pairs[1].tolist()]
+        bounds = family.offsets.tolist()
         for x in range(gspace.n_points):
-            members = ",".join(labels[y] for y in sorted(family.slice_of[x]))
-            f.write(f"slice {labels[x]}: {members}\n")
+            f.write(f"slice {labels[x]}: {','.join(members[bounds[x] : bounds[x + 1]])}\n")
         for rec in family.construction_log:
             f.write("log " + " ".join(f"{k}={v}" for k, v in rec) + "\n")
 

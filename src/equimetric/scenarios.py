@@ -23,7 +23,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, bind_action, build_group, build_space, group_from_permutations
+from .gspace import SampledGSpace, _permutation_group, bind_action_array, build_group, build_space
 
 
 def _circle_space(n: int):
@@ -37,9 +37,10 @@ def _circle_space(n: int):
 
 
 def _permutation_gspace(space, perms) -> SampledGSpace:
-    """The space under the group its point permutations generate."""
-    group, elems = group_from_permutations(perms)
-    return bind_action(space, group, [dict(enumerate(p)) for p in elems])
+    """The space under the group its point permutations generate: the
+    group's element table is the action array."""
+    group, table = _permutation_group(perms)
+    return bind_action_array(space, group, table)
 
 
 def circle(n: int, k: int) -> SampledGSpace:
@@ -113,16 +114,12 @@ def shift(m: int, h: float, N: int) -> SampledGSpace:
     space = build_space(metric, edges, labels)
 
     order = 4 * N + 1
-    mul = [[(a + b) % order for b in range(order)] for a in range(order)]
-    group = build_group(mul, generators=[1 % order])
-    act = []
-    for g in range(order):
-        j = g if g <= 2 * N else g - order
-        if abs(j) <= N:
-            act.append({i: i + j * stride for i in range(n) if 0 <= i + j * stride < n})
-        else:
-            act.append({})
-    return bind_action(space, group, act)
+    elems = np.arange(order)
+    group = build_group(np.add.outer(elems, elems) % order, generators=[1 % order])
+    j = np.where(elems <= 2 * N, elems, elems - order)  # the shift of each element
+    images = np.arange(n) + (j * stride)[:, None]
+    images[(np.abs(j) > N)[:, None] | (images < 0) | (images >= n)] = -1
+    return bind_action_array(space, group, images)
 
 
 def shift_acceptance_margin(h: float, N: int) -> float:

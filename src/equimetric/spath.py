@@ -33,14 +33,21 @@ def apsp(weights: np.ndarray) -> np.ndarray:
     first = rows - rows % n  # the flat row where each row's table starts
     dist = np.full((len(rows), n), np.inf)
     dist[rows, rows % n] = 0.0
-    done = np.zeros((len(rows), n), dtype=bool)
+    # 0 where unvisited, inf where visited: dist + penalty is the masked
+    # table, exactly (x + 0.0 = x for x >= 0, x + inf = inf)
+    penalty = np.zeros((len(rows), n))
+    # every step writes into one buffer, allocated once: first the masked
+    # table, then, once u and du are read off it, the relaxed candidates
+    buf = np.empty_like(dist)
     for _ in range(n):
-        masked = np.where(done, np.inf, dist)
-        u = masked.argmin(axis=1)
-        du = masked[rows, u]
-        done[rows, u] = True
+        np.add(dist, penalty, out=buf)
+        u = buf.argmin(axis=1)
+        du = buf[rows, u]
+        penalty[rows, u] = np.inf
         # A row whose reachable vertices are all visited has du = inf, so
         # its candidates are all inf and the minimum leaves it unchanged.
         # A visited v keeps dist[v], since du + w >= du >= dist[v].
-        np.minimum(dist, du[:, None] + flat[first + u], out=dist)
+        np.take(flat, first + u, axis=0, out=buf, mode="clip")  # rows in range: no buffered copy
+        np.add(du[:, None], buf, out=buf)
+        np.minimum(dist, buf, out=dist)
     return dist.reshape(w.shape)

@@ -21,8 +21,11 @@ validates every metric table, ``gspace._metric_axiom_violations``, with
 its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol. The invariance,
 lower-bound, cover-isometry and nearest-neighbour checks are array
 reductions over pairs, and the pushforward is ``quotient.orbit_minima`` of
-rho. All keep the scalar witness order, and none adds floats in a
-different order than the scalar loops in ``tests/oracles.py``.
+rho. The invariance check gathers rho[g.x, g.y] for a block of elements g
+at once from a nan-padded (n + 1) x (n + 1) copy of rho, in blocks capped
+by ``gspace._BLOCK``: a few gathers, not one per element. All keep the
+scalar witness order, and none adds floats in a different order than the
+scalar loops in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, _metric_axiom_violations
+from .gspace import SampledGSpace, _metric_axiom_violations, _row_blocks
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient, orbit_minima
@@ -63,33 +66,52 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
     rep.add("metric_axioms", FAIL if v else PASS, v, resid)
 
     # invariance wherever both endpoints translate; a finite/infinite
-    # mismatch is itself a violation. Per g, one comparison over the pairs
-    # x < y of its domain, witnesses in (g, x, y) order.
-    inside = np.ones(n, dtype=bool)
+    # mismatch is itself a violation. A block of elements g gathers
+    # rho[g.x, g.y] for all pairs from a copy of rho padded with nan, so
+    # the gap |rho[x, y] - rho[g.x, g.y]| is nan exactly where a pair does
+    # not count: an image is undefined, or both distances are infinite
+    # (inf - inf; the copy reads -inf as inf, as ``np.isinf`` does). A nan
+    # in rho itself counts as a gap of inf. The maxima skip nan (fmax), and
+    # so does the witness test; witnesses in (g, x, y) order, x < y. A pair
+    # costs 8 bytes of gap and up to 16 of numpy's gather buffers, so a
+    # block holds _BLOCK / 4 pairs, and is freed before the next is gathered.
+    table = np.where(np.isinf(rho), np.inf, rho)
+    padded = np.full((n + 1, n + 1), np.nan)
+    padded[:n, :n] = table
+    nan_at = np.isnan(padded)
+    nan_at[n, :] = nan_at[:, n] = False
+    has_nan = bool(nan_at.any())
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     if region is not None:
-        inside[:] = False
+        inside = np.zeros(n + 1, dtype=bool)  # slot n: an undefined image
         inside[list(region)] = True
     v = []
     resid = 0.0
     boundary_resid = 0.0
-    for g in range(gspace.group.order):
-        dom = np.flatnonzero(gspace.action[g, :n] >= 0).tolist()
-        img = gspace.action[g, dom]
-        a = rho[np.ix_(dom, dom)]
-        b = rho[np.ix_(img, img)]
-        finite = np.isfinite(a) & np.isfinite(b)
-        gap = np.abs(np.subtract(a, b, out=np.full(a.shape, np.inf), where=finite))
-        pair = np.triu(~(np.isinf(a) & np.isinf(b)), 1)
-        quad = inside[dom] & inside[img]
-        quad = quad[:, None] & quad[None, :]
-        kept = pair & quad
-        if kept.any():
-            resid = max(resid, float(gap[kept].max()))
-            bad = np.argwhere(kept & (gap > invariance_tol)).tolist()
-            v.extend((g, dom[i], dom[j]) for i, j in bad)
-        band = pair & ~quad
-        if band.any():
-            boundary_resid = max(boundary_resid, float(gap[band].max()))
+    for rows in _row_blocks(gspace.group.order, 4 * n * n):
+        img = gspace.action[rows, :n]
+        gap = padded[img[:, :, None], img[:, None, :]]
+        if has_nan:
+            defined = img >= 0
+            lost = nan_at[img[:, :, None], img[:, None, :]] | nan_at[:n, :n]
+            lost &= defined[:, :, None] & defined[:, None, :]
+        with np.errstate(invalid="ignore"):
+            np.subtract(table, gap, out=gap)
+        np.abs(gap, out=gap)
+        if has_nan:
+            gap[lost] = np.inf
+        counted = upper
+        if region is not None:
+            quad = inside[:n] & inside[img]  # x and g.x inside; false where undefined
+            counted = quad[:, :, None] & quad[:, None, :]
+            counted &= upper
+            band = np.logical_xor(upper, counted)  # a pair with an end or image outside
+            boundary_resid = float(np.fmax.reduce(gap, axis=None, where=band, initial=boundary_resid))
+        resid = float(np.fmax.reduce(gap, axis=None, where=counted, initial=resid))
+        bad = gap > invariance_tol
+        bad &= counted
+        v.extend((rows.start + g, x, y) for g, x, y in np.argwhere(bad).tolist())
+        del gap, bad, counted
     rep.add("g_invariance", FAIL if v else PASS, v, resid)
     if region is not None:
         rep.add("g_invariance_boundary_band", ADVISORY, [], boundary_resid)

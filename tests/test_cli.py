@@ -1,12 +1,15 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import equimetric as eq
 from equimetric import ValidationError
 from equimetric.cli import load_config, main, make_config
+from equimetric.report import fmt9_lines
 
 
 def write_config(path, **overrides):
@@ -227,3 +230,23 @@ def test_inf_literal_in_csv(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     assert ",inf" in (out / "rho.csv").read_text()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e-310, 1.7976931348623157e308, 0.1, 123456789.5, 1e16, 9.999999995e-5]
+FLOATS = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.integers(1, 6).flatmap(
+    lambda width: st.lists(st.lists(FLOATS, min_size=width, max_size=width), min_size=1, max_size=4)))
+def test_row_format_matches_fmt9_byte_for_byte(table):
+    """The one-format-per-row writer renders each row as fmt9 joined by
+    commas: random bit patterns (signed nan payloads too), signed zeros,
+    infinities and subnormals."""
+    want = [",".join(eq.fmt9(v) for v in row) + "\n" for row in table]
+    assert list(fmt9_lines(np.array(table, dtype=np.float64))) == want

@@ -1177,12 +1177,134 @@ def test_stabilizer_test_names_the_least_point_of_the_first_failing_class():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_action_array_matches_the_maps(name, monkeypatch):
-    """The maps each scenario passes to bind_action, against the array."""
+    """The action array each scenario passes to bind_action_array, read as
+    maps, against the scalar binding of those maps."""
     calls = []
-    monkeypatch.setattr(eq.scenarios, "bind_action", lambda *args: calls.append(args) or eq.bind_action(*args))
-    eq.generate_scenario(name, SCENARIOS[name])
-    ((space, group, maps),) = calls
+    bind = eq.gspace.bind_action_array
+    monkeypatch.setattr(eq.scenarios, "bind_action_array", lambda *args: calls.append(args) or bind(*args))
+    gs = eq.generate_scenario(name, SCENARIOS[name])
+    ((space, group, images),) = calls
+    maps = [{x: gx for x, gx in enumerate(row) if gx >= 0} for row in np.asarray(images).tolist()]
     assert_same_binding(space, group, maps)
+    assert np.array_equal(gs.action, oracles.action_array(maps, space.n_points))
+
+
+def path_space(n):
+    return eq.build_space(np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float),
+                          [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_space(n):
+    hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return eq.build_space(np.minimum(hops, n - hops).astype(float), [(i, (i + 1) % n) for i in range(n)])
+
+
+def rotations(n):
+    return [{x: (x + g) % n for x in range(n)} for g in range(n)]
+
+
+def planted_binding(defect):
+    """(space, group, maps) with one planted defect whose scalar witness is
+    an element g >= 16. C32 acts on 64 points, so a block of the
+    composition scan holds 16 elements and the witness lies in its second
+    block; at a cap of 1 every element is a block of its own."""
+    if defect == "composition":
+        # elements 1..15 act by empty maps, so their triples never count;
+        # element 16 moves 0 -> 1 -> 2, but 16 + 16 = 0 acts as the identity
+        maps = [{x: x for x in range(64)}] + [{} for _ in range(31)]
+        maps[16] = {0: 1, 1: 2}
+        return path_space(64), eq.build_group(cyclic_table(32)), maps
+    group = eq.build_group(cyclic_table(32), generators=[1])
+    if defect == "inverse":
+        # inv[20] names 11, not 12: the composition scan never reads inv
+        inv = group.inv.copy()
+        inv[[20, 21]] = inv[[21, 20]]
+        inv.setflags(write=False)
+        return cycle_space(32), replace(group, inv=inv), rotations(32)
+    # rotations of a 32-cycle whose edge (0, 1) is missing, each element
+    # but the identity restricted so that none below 16 maps an edge onto
+    # (0, 1); element 16 maps (16, 17) onto it
+    maps = rotations(32)
+    space = eq.build_space(cycle_space(32).base_metric, [(i, i + 1) for i in range(1, 31)] + [(0, 31)])
+    maps[16] = {x: (x + 16) % 32 for x in range(32) if x not in (15, 31)}
+    for g in range(1, 16):  # elements below 16 map no edge onto (0, 1)
+        maps[g] = {x: (x + g) % 32 for x in range(32) if (x + g) % 32 not in (0, 1)}
+        maps[32 - g] = {y: x for x, y in maps[g].items()}
+    return space, group, maps
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("defect", ["composition", "inverse", "edge"])
+def test_bind_action_defects_past_the_first_block_match_scalar(defect, cap, monkeypatch):
+    """A composition mismatch, a non-inverting inverse and an unpreserved
+    edge whose first witness is an element past the first block: the
+    stacked scans raise the scalar scan's error and witness."""
+    if cap is not None:
+        monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    space, group, maps = planted_binding(defect)
+    err = result(eq.bind_action, space, group, maps)[1]
+    assert err == result(oracles.bind_action, space, group, maps)[1]
+    code, witness = {"composition": ("NotHomomorphism", (16, 16, 0)),
+                     "inverse": ("NotHomomorphism", (20, 0)),
+                     "edge": ("NotGraphAutomorphism", None)}[defect]
+    assert err[0] == code
+    assert err[2][0] >= 16 and (witness is None or err[2] == witness)
+
+
+def non_associative_table(k):
+    """Z_k with the entries (a, b) and (a, c) of row a swapped: a loop with
+    the same identity and inverses that is not associative."""
+    table = cyclic_table(k)
+    a, b, c = k - 3, 1, 2
+    table[a][b], table[a][c] = table[a][c], table[a][b]
+    return table
+
+
+@pytest.mark.parametrize("cap", [None, 16 * 16, 1])
+def test_non_associative_table_past_the_first_block_matches_scalar(cap, monkeypatch):
+    """At a cap of |G|^2 every row g is a block of its own, so the witness
+    row lies in a later block."""
+    if cap is not None:
+        monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    table = non_associative_table(16)
+    err = result(eq.build_group, table)[1]
+    assert err == result(oracles.build_group, table)[1]
+    assert err[0] == "NonAssociative" and err[2][0] >= 1
+
+
+def reflection_on_a_sparse_group(n=32, order=16):
+    """C16 on an n-point path: element 8 reflects it, every other element
+    but the identity acts by the empty map. At n = 32 a block of the
+    invariance check holds 8 elements, so element 8 opens the second."""
+    maps = [{x: x for x in range(n)}] + [{} for _ in range(order - 1)]
+    maps[order // 2] = {x: n - 1 - x for x in range(n)}
+    return eq.bind_action(path_space(n), eq.build_group(cyclic_table(order)), maps)
+
+
+@pytest.mark.parametrize("nan", [False, True])
+def test_g_invariance_defect_in_the_second_block_matches_scalar(nan):
+    """A perturbed pair and an infinite one, seen first by element 8, the
+    first of the second block; with a nan entry planted too, which the
+    scalar loop counts as a gap of inf."""
+    gs = reflection_on_a_sparse_group()
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    d_G = eq.group_metric(gs.group, "discrete")
+    d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
+    graph = eq.build_allowability_graph(gs, quotient, family=family, d_O=d_O, mode="general")
+    lifted = eq.lift_metric(graph)
+    rho = lifted.rho.copy()
+    rho[0, 1] = rho[1, 0] = rho[0, 1] + 0.5
+    rho[2, 5] = rho[5, 2] = np.inf
+    if nan:
+        rho[9, 20] = rho[20, 9] = np.nan
+    planted = replace(lifted, rho=rho)
+    for region in (None, frozenset(range(1, 31))):
+        report = eq.verify_lifted_metric(gs, quotient, planted, region=region)
+        assert report.lines() == oracles.verify_lifted_metric(gs, quotient, planted, region=region).lines()
+        check = report["g_invariance"]
+        # a nan distance is a gap of inf under every element, the identity too
+        assert check.status == "fail" and check.witnesses[0][0] == (0 if nan else 8)
 
 
 def assert_same_orbits(gs):

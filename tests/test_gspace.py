@@ -261,6 +261,25 @@ class TestBindAction:
                     messages.add(str(exc).split(" (witness")[0])
         assert messages == {"NotHomomorphism: composition mismatch"}
 
+    @pytest.mark.parametrize("images, witness, reason", [
+        ([[0, 1, 2], [1, 2, -2], [2, 0, 1]], (1, 2), "action image out of range"),
+        ([[0, 1, 2], [1, 2, 0], [3, 0, 1]], (2, 0), "action image out of range"),
+        ([[0, 1, 2], [1, -1, 1], [-1, -1, 0]], 1, "action map not injective"),
+        ([[0, 1, 2], [1, 2, 0]], None, "one row of n images required per group element"),
+    ])
+    def test_action_array_range_and_injectivity_checked(self, images, witness, reason):
+        """An image below -1 would index from the end of the padded array
+        and pass unseen; the array checks name its first (g, x) row-major,
+        and the first row with a repeated defined image. A missing row is
+        refused before either."""
+        import equimetric as eq
+
+        space = build_space(1.0 - np.eye(3), [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValidationError) as exc:
+            eq.gspace.bind_action_array(space, c3(), np.array(images))
+        assert (exc.value.code, exc.value.witness) == ("InvalidParams", witness)
+        assert reason in str(exc.value)
+
     def test_stabilizers_computed(self):
         import equimetric as eq
 

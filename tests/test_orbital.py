@@ -259,3 +259,35 @@ def test_orbital_stage_memory_stays_bounded(name, params):
         tracemalloc.stop()
     assert build_peak <= bound
     assert verify_peak <= bound
+
+
+@pytest.mark.parametrize("name,params", [("reflection", {"m": 50, "h": 1.0}), ("dihedral", {"n": 24})])
+def test_orbital_block_sizes_count_what_each_point_gathers(name, params, monkeypatch):
+    """The sizes handed to ``_blocks`` are what each point gathers: |S_x| |G|
+    pairs for property A, |G|^2 per y in S_x other than x for property B
+    (y = x is skipped at tol >= 0), |G| for property C; and every run totals
+    at most ``_BLOCK`` unless it is a single point."""
+    gs = eq.generate_scenario(name, params)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    d_G = group_metric(gs.group, "discrete")
+    d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
+    calls = []
+    blocks = eq.orbital._blocks
+
+    def recorded(sizes):
+        runs = list(blocks(sizes))
+        calls.append((list(sizes), runs))
+        return iter(runs)
+
+    monkeypatch.setattr(eq.orbital, "_blocks", recorded)
+    eq.verify_orbital_properties(gs, quotient, family, d_O, d_G)
+    order = gs.group.order
+    n_slice = [len(s) for s in family.slice_of]
+    others = [len(s - {x}) for x, s in enumerate(family.slice_of)]
+    assert [sizes for sizes, _ in calls] == [
+        [k * order for k in n_slice], [k * order ** 2 for k in others], [order] * gs.n_points]
+    for sizes, runs in calls:
+        assert [x for run in runs for x in range(*run)] == list(range(gs.n_points))
+        for start, stop in runs:
+            assert sum(sizes[start:stop]) <= eq.orbital._BLOCK or stop - start == 1

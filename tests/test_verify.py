@@ -1,6 +1,8 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import equimetric as eq
 from tests.conftest import pipeline
@@ -122,3 +124,26 @@ def test_region_restricts_invariance_check():
     # without the region, truncation distortion is an honest failure
     full = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])
     assert full["g_invariance"].status == "fail"
+
+
+def test_group_validation_and_invariance_memory_stays_bounded():
+    """The traced peaks of building dihedral(64) (n = 64, |G| = 128) and of
+    its lifted-metric checks stay within 2^20 + 32 (n^2 + |G|^2) bytes: the
+    group, action and invariance checks gather capped blocks of elements,
+    not a |G| x |G| x n table or all elements at once."""
+    tracemalloc.start()
+    try:
+        gs = eq.generate_scenario("dihedral", {"n": 64})
+        build_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    r = pipeline("dihedral", {"n": 64})
+    tracemalloc.start()
+    try:
+        eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2**20 + 32 * (gs.n_points ** 2 + gs.group.order ** 2)
+    assert build_peak <= bound
+    assert verify_peak <= bound

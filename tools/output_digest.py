@@ -38,8 +38,8 @@ EXTRA = (
     [config(name, params, mode) for name, params in
      (("circle", {"n": 96, "k": 4}), ("disk", {"g": 11})) for mode in ("general", "cover")]
     + [config(name, params, "general") for name, params in
-       (("reflection", {"m": 50, "h": 1.0}), ("dihedral", {"n": 24}),
-        ("shift", {"m": 80, "h": 0.25, "N": 3}))]
+       (("reflection", {"m": 50, "h": 1.0}), ("dihedral", {"n": 24}), ("dihedral", {"n": 64}),
+        ("shift", {"m": 80, "h": 0.25, "N": 3}), ("shift", {"m": 40, "h": 0.25, "N": 6}))]
     + [config("circle", {"n": 12, "k": 3}, "general", scale=3.0)]
 )
 
