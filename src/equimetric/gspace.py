@@ -34,6 +34,7 @@ raises on its first witness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -112,6 +113,19 @@ def _row_blocks(rows: int, cells: int):
     own."""
     step = max(1, _BLOCK // max(cells, 1))
     return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _point_blocks(offsets: np.ndarray, cells: int):
+    """Runs (start, stop) of consecutive points whose items, offsets[start]
+    to offsets[stop], hold at most ``_BLOCK`` cells at ``cells`` an item; a
+    point larger than that is a run of its own."""
+    bounds = offsets.tolist()
+    per = max(1, _BLOCK // max(cells, 1))
+    start, n = 0, len(bounds) - 1
+    while start < n:
+        stop = min(max(bisect_right(bounds, bounds[start] + per) - 1, start + 1), n)
+        yield start, stop
+        start = stop
 
 
 def _compact(values: np.ndarray, bound: int) -> np.ndarray:

@@ -260,8 +260,7 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
             raise ValidationError("InvalidParams", "general mode requires a slice family")
         # slice edges at u < v with u in S_v or v in S_u; an orbit edge per
         # g and u with g.u > u (not -1), duplicates kept; nan d_O skipped
-        joined = np.zeros((n, n), dtype=bool)
-        joined[family.pairs] = True
+        joined = family.membership[:, :n]
         orbit = np.asarray(p, dtype=np.intp)
         u, v = np.nonzero(np.triu(joined | joined.T, 1))
         dov = d_O.values[u, v]

@@ -28,12 +28,22 @@ def fmt9(value: float) -> str:
 
 def fmt9_lines(table):
     """Each row of a float table as its ``fmt9`` values joined by commas,
-    with a newline, one row at a time. The values are formatted one by one
-    and joined: one "%" format for the whole row measured faster, but the
-    long strings it grows raised the peak RSS of repeated runs by about
-    0.5 MB."""
-    table = np.asarray(table, dtype=np.float64)
-    return (",".join([_FMT9 % v for v in values.tolist()]) + "\n" for values in table)
+    with a newline, one row at a time.
+
+    A table repeats few values, so each distinct value is formatted once:
+    the sorted int64 view of the table gives the distinct bit patterns, one
+    ``np.searchsorted`` gives each cell the index of its pattern, and each
+    row joins the texts at its indices. Keying on bits, not on float
+    equality, keeps 0.0 apart from -0.0, which is written '-0', and lets a
+    nan match itself. Rows are converted and joined one at a time: one list
+    or string for the whole table raised the peak RSS of repeated runs."""
+    bits = np.ascontiguousarray(table, dtype=np.float64).view(np.int64)
+    keys = np.sort(bits, axis=None)
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    texts = [_FMT9 % v for v in keys.view(np.float64).tolist()]
+    return (",".join([texts[i] for i in row.tolist()]) + "\n" for row in np.searchsorted(keys, bits))
 
 
 @dataclass

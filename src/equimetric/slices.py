@@ -7,11 +7,14 @@ and shrunk jointly until every family condition holds. If no ball radius
 works for an orbit the slices degenerate to singletons, which satisfy every
 condition vacuously.
 
-The builder and the verifier share one scan per condition: the builder
-shrinks on the first hit of the per-orbit scans (orbit meet, translate
-overlap) and of the condition (ii) scan, the verifier reports every hit.
-Openness (*) holds by construction, so only the verifier scans for it.
-Four facts keep each stage to passes over structure built once:
+A family has one stored form, the pairs (x, y) with y in S_x
+(``SliceFamily.pairs`` and ``offsets``), and one table derived from it
+once, ``SliceFamily.membership``. The builder and the verifier share one
+scan order per condition: the builder shrinks on the first hit of the
+per-orbit checks (orbit meet, translate overlap) and of the condition (ii)
+scan, the verifier reports every hit. Openness (*) holds by construction,
+so only the verifier scans for it. Four facts keep each stage to passes
+over structure built once:
 
 Join keys. For an orbit o give each point v the key d(o, p(v)), and for a
 member x of o let b_x(v) be the least, over paths from x to v in the
@@ -20,13 +23,21 @@ ball of radius r around o holds the points of key < r, so the slice of x
 at radius r is S_x(r) = {v : b_x(v) < r}. One union-find sweep over the
 points in (key, index) order gives b_x for every member of o (the nested
 sublevel-set filtration), and each radius the builder tries is a
-searchsorted prefix of x's points in b_x order.
+searchsorted prefix of x's points in b_x order. So S_x(r) meets its orbit
+again exactly when the least b_x over the other members is below r, and
+g.S_x(r) meets S_x(r) exactly when r's prefix is longer than the least
+max(j, k) over the points at places j whose images by g lie at places k:
+the builder reads both thresholds once, before the first candidate, and
+each candidate radius is two comparisons per member. Likewise the
+quotient diameter of each prefix is a running maximum over the orbits in
+join order.
 
-Resume lemma. A shrink only shrinks slices: a smaller radius gives a
+Repeat lemma. A shrink only shrinks slices: a smaller radius gives a
 smaller component, and the singleton fallback keeps only x. Each condition
 (ii) violation (x, y, g) needs y in S_x and S_y meeting S_{g.x}, so a shrink
-creates no violation, none lies before the last one in (x, y, g) order, and
-the scan resumes at the x of the last one.
+creates no violation and none lies before the last one in (x, y, g) order.
+The scan resumes at the last one, (x, y, g) itself, which it re-tests first:
+when it still holds it is the next violation.
 
 Translate-overlap lemma. For a total g, g.S_x is the component of g.x in the
 G-invariant preimage, that is S_{g.x}. Two components meet only if they are
@@ -36,47 +47,73 @@ verifier scans every g, since it judges any family.
 
 Border-edge lemma. With P_x the preimage of the ball of x's radius, a
 component of S_y & P_x is mixed (meets S_x without lying in it) iff it holds
-an edge (a, c) with a in S_x, c not in S_x and both ends in S_y & P_x. The
-verifier collects these border edges of S_x once per x and searches only the
-components that hold one.
+an edge (a, c) with a in S_x, c not in S_x and both ends in S_y & P_x. Such
+a component holds a point of S_y outside S_x, so the verifier looks for
+border edges only at the pairs (x, y) with S_y not inside S_x, and searches
+only the components that hold one.
 
-Array readers take the slices as ``SliceFamily.pairs``, derived once; the
-builder and the verifier keep the frozensets for their set algebra.
+The builder holds each S_x as a prefix length of x's join order and, for
+the condition (ii) scan, as a Python int bitset. The verifier's checks are
+gathers over the pairs and the membership table, in blocks of slices,
+elements or pairs capped by ``gspace._BLOCK``; only openness and
+connectedness search the graph. ``SliceFamily.slice_of``, the slices as frozensets, is a view
+for callers, derived on first access.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, component_of
+from .gspace import SampledGSpace, _point_blocks, _row_blocks, component_of
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceFamily:
-    slice_of: tuple  # point -> frozenset of points
+    # read-only np.intp arrays (x, y), y in S_x, ascending; those of x at
+    # offsets[x]:offsets[x + 1]
+    pairs: tuple = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     radius_of_orbit: tuple  # orbit -> positive float (open-ball radius)
     construction_log: tuple  # records of radii tried and why each shrank
     degenerate: bool  # every slice is a singleton
-    # read-only np.intp arrays (x, y), y in S_x, ascending; those of x at
-    # offsets[x]:offsets[x + 1]
-    pairs: tuple = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    # read-only n x (n + 1) bool table, [x, y] iff y in S_x; the last column
+    # is all False, so that an undefined image (-1) reads False
+    membership: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = [len(s) for s in self.slice_of]
-        x = np.repeat(np.arange(len(sizes)), sizes)
-        y = np.fromiter(chain.from_iterable(map(sorted, self.slice_of)), dtype=np.intp, count=x.size)
-        offsets = np.cumsum([0] + sizes, dtype=np.intp)
-        for a in (x, y, offsets):
+        n = self.offsets.size - 1
+        member = np.zeros((n, n + 1), dtype=bool)
+        member[self.pairs] = True
+        for a in (*self.pairs, self.offsets, member):
             a.setflags(write=False)
-        object.__setattr__(self, "pairs", (x, y))
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "membership", member)
+
+    @classmethod
+    def from_sets(cls, slice_of, radius_of_orbit, construction_log=(), degenerate=None) -> "SliceFamily":
+        """The family with S_x = slice_of[x] (any iterables of points);
+        degenerate defaults to "every slice is a singleton"."""
+        sizes = [len(s) for s in slice_of]
+        x = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        y = np.fromiter(chain.from_iterable(map(sorted, slice_of)), dtype=np.intp, count=x.size)
+        if degenerate is None:
+            degenerate = all(k == 1 for k in sizes)
+        return cls(pairs=(x, y), offsets=np.cumsum([0] + sizes, dtype=np.intp),
+                   radius_of_orbit=tuple(radius_of_orbit), construction_log=tuple(construction_log),
+                   degenerate=degenerate)
+
+    @cached_property
+    def slice_of(self) -> tuple:
+        """point -> frozenset of S_x: a read-only view of the pairs."""
+        y, bounds = self.pairs[1].tolist(), self.offsets.tolist()
+        return tuple(frozenset(y[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def members(self, x: int) -> np.ndarray:
         """S_x as an ascending np.intp array."""
@@ -112,20 +149,28 @@ def _candidate_radii(quotient: Quotient, orbit: int) -> list:
 
 
 def _join_orders(adjacency, key, sources) -> dict:
-    """x -> (points, b) for each source x: the points joined to x, in the
-    order they join, and their join keys b_x, ascending. Points never joined
-    to x are left out.
+    """x -> (points, b, meet) for each source x: the points joined to x, in
+    the order they join, their join keys b_x, ascending, and the least b_x
+    of another source (inf if none joins). Points never joined to x are
+    left out.
 
     One union-find sweep over the points in (key, index) order. When the
     point w joins, each component it bridges meets the others at b = key[w]:
     every path between them runs through w or through points that came
-    later, so no path has a smaller largest key."""
-    parent = list(range(len(adjacency)))
-    active = [False] * len(adjacency)
-    points = {}  # root -> the points of its component
-    held = {}  # root -> the sources in its component
-    joined = {x: [] for x in sources}
-    bvals = {x: [] for x in sources}
+    later, so no path has a smaller largest key. Every table is a flat list
+    indexed by point, read from ``key`` once, and each source records its
+    keys as runs."""
+    n = len(adjacency)
+    keys = key.tolist()
+    parent = list(range(n))
+    active = [False] * n
+    points = [None] * n  # root -> the points of its component
+    held = [None] * n  # root -> the sources in its component
+    joined = [None] * n  # source -> its points in join order
+    runs = [None] * n  # source -> (key, count) per merge
+    meet = {}  # source -> the key at which another source first joins
+    for x in sources:
+        joined[x], runs[x] = [], []
 
     def find(a):
         while parent[a] != a:
@@ -134,70 +179,91 @@ def _join_orders(adjacency, key, sources) -> dict:
         return a
 
     for w in np.argsort(key, kind="stable").tolist():
-        kw = float(key[w])
+        kw = keys[w]
         root = w
         points[w] = [w]
         held[w] = []
-        if w in joined:
+        if joined[w] is not None:
             held[w].append(w)
             joined[w].append(w)
-            bvals[w].append(kw)
+            runs[w].append((kw, 1))
         active[w] = True
         for u in adjacency[w]:
             if not active[u]:
                 continue
-            ru = find(u)
+            ru = parent[u]
+            if parent[ru] != ru:
+                ru = find(ru)
             if ru == root:
                 continue
-            for a, b in ((root, ru), (ru, root)):
-                for x in held[a]:
-                    joined[x] += points[b]
-                    bvals[x] += [kw] * len(points[b])
-            if len(points[root]) < len(points[ru]):
-                root, ru = ru, root
+            mine, theirs = points[root], points[ru]
+            for x in held[root]:
+                joined[x] += theirs
+                runs[x].append((kw, len(theirs)))
+            for x in held[ru]:
+                joined[x] += mine
+                runs[x].append((kw, len(mine)))
+            if held[root] and held[ru]:
+                for x in held[root] + held[ru]:
+                    meet.setdefault(x, kw)
+            if len(mine) < len(theirs):
+                root, ru, mine, theirs = ru, root, theirs, mine
             parent[ru] = root
-            points[root] += points.pop(ru)
-            held[root] += held.pop(ru)
-    return {x: (joined[x], np.array(bvals[x])) for x in sources}
+            mine += theirs
+            held[root] += held[ru]
+            points[ru] = held[ru] = None
+    out = {}
+    for x in sources:
+        b, counts = zip(*runs[x])
+        out[x] = (joined[x], np.repeat(b, counts), meet.get(x, np.inf))
+    return out
 
 
-def _orbit_meet(quotient, x, s):
-    """Least point of s other than x on the orbit of x, or None."""
-    members = quotient.orbit_members[quotient.orbit_of[x]]
-    return next((p for p in members if p != x and p in s), None)
+def _overlap_lengths(moves, orders) -> list:
+    """Per point x (S_x a prefix of its join order orders[x]), per row g of
+    moves (the partial elements' action rows): the least prefix length past
+    which g.S_x meets S_x, or n when g fixes x or no prefix does. With
+    place(p) the place of p in x's order (n when not joined, and for the
+    image -1), a prefix of length s meets its translate iff some place
+    j < s holds a point whose image lies at a place < s, that is iff the
+    least max(j, place(g.p_j)) is below s. Blocks of points, capped by
+    ``_row_blocks``."""
+    n = len(orders)
+    if not moves.size:
+        return [[]] * n
+    out = []
+    for rows in _row_blocks(n, moves.shape[0] * n):
+        block = orders[rows]
+        lengths = [len(pts) for pts in block]
+        flat = np.fromiter(chain.from_iterable(block), dtype=np.intp, count=sum(lengths))
+        row = np.repeat(np.arange(len(block)), lengths)
+        starts = np.cumsum([0] + lengths[:-1])
+        place = np.arange(flat.size) - np.repeat(starts, lengths)
+        at = np.full((len(block), n + 1), n)
+        at[row, flat] = place
+        first = np.minimum.reduceat(np.maximum(at[row, moves[:, flat]], place), starts, axis=1)
+        own = np.arange(rows.start, rows.start + len(block))
+        first[moves[:, own] == own] = n
+        out += first.T.tolist()
+    return out
 
 
-def _translate_overlaps(rows, x, s, elements):
-    """Each g of elements, ascending, with g.s meeting s and g.x != x (or
-    undefined). rows[g] is row g of the action array as a list, so an
-    undefined image reads -1, which no slice holds."""
-    for g in elements:
-        row = rows[g]
-        if row[x] != x and not s.isdisjoint(row[p] for p in s):
-            yield g
-
-
-def _condition_ii_violations(images_of, slice_of, start=0):
-    """Each (x, y, g) with x >= start, y in S_x, g.x defined and != x, and
-    S_y meeting S_{g.x}; x ascending, then y, then g. images_of[x] lists
-    g.x over g, -1 where undefined."""
-    for x in range(start, len(images_of)):
-        moved = [(g, slice_of[gx]) for g, gx in enumerate(images_of[x]) if gx >= 0 and gx != x]
-        if not moved:
-            continue
-        for y in sorted(slice_of[x]):
-            sy = slice_of[y]
-            for g, sgx in moved:
-                if not sy.isdisjoint(sgx):
-                    yield (x, y, g)
-
-
-def _quotient_diameter(quotient, pts):
-    """Largest d(a, b) over orbits a < b that pts meets, 0 for one orbit: one
-    max over the orbit block with all but its upper triangle zeroed."""
-    orbs = np.array(sorted({quotient.orbit_of[p] for p in pts}))
-    upper = np.arange(len(orbs))[:, None] < np.arange(len(orbs))
-    return float(np.where(upper, quotient.d[orbs[:, None], orbs], 0.0).max())
+def _prefix_diameters(d, orbits) -> list:
+    """Entry k: the quotient diameter of the first k + 1 points, whose
+    orbits are given in join order (the largest d(a, b) over the orbits
+    a < b they meet, 0 for one orbit). A running maximum over the orbits in
+    order of first appearance, each adding its largest distance to the ones
+    before it."""
+    srt = np.argsort(orbits, kind="stable")
+    head = np.ones(orbits.size, dtype=bool)
+    head[1:] = orbits[srt[1:]] != orbits[srt[:-1]]
+    first = np.sort(srt[head])  # where each orbit first appears
+    o = orbits[first]
+    block = d[np.minimum.outer(o, o), np.maximum.outer(o, o)]
+    before = np.arange(o.size)[:, None] > np.arange(o.size)
+    step = np.zeros(orbits.size)
+    step[first] = np.where(before, block, 0.0).max(axis=1)
+    return np.maximum.accumulate(step).tolist()
 
 
 def build_slice_family(
@@ -216,6 +282,7 @@ def build_slice_family(
     if shrink_factor <= 0:
         raise ValidationError("InvalidParams", "shrink factor must be positive")
 
+    n = gspace.n_points
     n_orbits = quotient.n_orbits
     log = []
 
@@ -225,97 +292,135 @@ def build_slice_family(
     # candidate stacks per orbit; index points at the radius currently in use
     cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
     orbit_of = np.asarray(quotient.orbit_of)
+    # Per point, from one join-key sweep per orbit: its join order (S_x is
+    # a prefix), b_x in that order, and the least b_x of an orbit mate
+    order, keys, meets = [None] * n, [None] * n, [None] * n
+    for o in range(n_orbits):
+        orders = _join_orders(gspace.space.adjacency, quotient.d[o][orbit_of], quotient.orbit_members[o])
+        for x, (pts, b, meet) in orders.items():
+            order[x], keys[x], meets[x] = pts, b, meet
     partial = np.flatnonzero(~gspace.total).tolist()
-    rows = gspace.action.tolist()
-    # orbit -> per member x: (x, points in join order, |S_x| per candidate,
-    # (mate, b_x(mate)) for the other members)
-    index = {}
+    reach = _overlap_lengths(gspace.action[partial], order)
+    # orbit -> per member x: (x, |S_x| per candidate, the least b_x of a
+    # mate, the least prefix length past which a partial element's
+    # translate of S_x meets it, and that length per partial element)
+    index = [[(x, np.searchsorted(keys[x], cands[o]).tolist(), meets[x], min(reach[x], default=n), reach[x])
+              for x in quotient.orbit_members[o]] for o in range(n_orbits)]
+    size_of = [0] * n  # x -> |S_x|
+    bits = [0] * n  # x -> S_x as a bitset
+    mates = {}  # x -> (b_x(p), p) for the other members p joined to x
 
-    def orbit_index(orbit):
-        """Built once per orbit, on the orbit's first settle."""
-        if orbit not in index:
-            members = quotient.orbit_members[orbit]
-            orders = _join_orders(gspace.space.adjacency, quotient.d[orbit][orbit_of], members)
-            entries = []
-            for x in members:
-                pts, b = orders[x]
-                joined = dict(zip(pts, b.tolist()))
-                mates = [(p, joined.get(p, np.inf)) for p in members if p != x]
-                entries.append((x, pts, np.searchsorted(b, cands[orbit]).tolist(), mates))
-            index[orbit] = entries
-        return index[orbit]
+    def least_mate(x, r):
+        """The least other member of x's orbit in S_x(r); the list is built
+        on x's first orbit meet."""
+        if x not in mates:
+            o = quotient.orbit_of[x]
+            mates[x] = [(k, p) for p, k in zip(order[x], keys[x].tolist()) if quotient.orbit_of[p] == o and p != x]
+        return min(p for k, p in mates[x] if k < r)
 
-    def try_radius(orbit, i):
-        """(slices, None) for the orbit at candidate i, or (None, the first
-        per-orbit violation). S_x is the prefix of x's points in join order
-        with b_x < r; the orbit meet reads b_x at the orbit mates, so S_x is
-        built only once x has passed it."""
+    def rejection(orbit, i):
+        """None if the orbit passes the per-orbit checks at candidate i, else
+        the first violation: per member x, in order, an empty slice raises,
+        then the orbit meet, then a translate overlap by a partial element."""
         r = cands[orbit][i]
-        slices = {}
-        for x, pts, sizes, mates in orbit_index(orbit):
-            if sizes[i] == 0:  # the radius is at or below d(p(x), p(x))
+        for x, sizes, meet, overlap, lengths in index[orbit]:
+            size = sizes[i]
+            if size == 0:  # the radius is at or below d(p(x), p(x))
                 raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-            p = next((p for p, b in mates if b < r), None)
-            if p is not None:
-                return None, ("slice_meets_orbit", (x, p))
-            slices[x] = s = frozenset(pts[: sizes[i]])
+            if meet < r:
+                return "slice_meets_orbit", (x, least_mate(x, r))
             # Total elements cannot overlap here (translate-overlap lemma):
             # g.S_x = S_{g.x}, which meets S_x only if g.x lies in S_x, and
             # the orbit meet has just ruled that out unless g.x = x.
-            g = next(_translate_overlaps(rows, x, s, partial), None)
-            if g is not None:
-                return None, ("translate_overlap", (x, g))
-        return slices, None
+            if overlap < size:
+                return "translate_overlap", (x, next(g for g, t in zip(partial, lengths) if t < size))
+        return None
+
+    def set_size(x, size):
+        """Cut S_x to the prefix of that size; slices only shrink."""
+        pts, old = order[x], size_of[x]
+        if old == 0:
+            s = 0
+            for p in pts[:size]:
+                s |= 1 << p
+        else:
+            s = bits[x]
+            for p in pts[size:old]:
+                s ^= 1 << p
+        bits[x], size_of[x] = s, size
 
     def settle(orbit, start_idx):
         """Largest candidate from start_idx on passing the per-orbit checks.
-        Returns (radius, slices, next_idx); falls back to singletons."""
+        Returns (radius, next_idx) and sets the orbit's slices; falls back to
+        singletons, the first point of each join order."""
         for i in range(start_idx, len(cands[orbit])):
             r = cands[orbit][i]
-            slices, viol = try_radius(orbit, i)
+            viol = rejection(orbit, i)
             if viol is None:
-                return r, slices, i
+                for x, sizes, *_ in index[orbit]:
+                    set_size(x, sizes[i])
+                return r, i
             log.append({"orbit": orbit, "radius": r, "condition": viol[0], "witness": viol[1]})
-        slices = {x: frozenset([x]) for x in quotient.orbit_members[orbit]}
+        for x in quotient.orbit_members[orbit]:
+            set_size(x, 1)
         log.append({"orbit": orbit, "radius": fallback_radius, "condition": "singleton_fallback", "witness": None})
-        return fallback_radius, slices, len(cands[orbit])
+        return fallback_radius, len(cands[orbit])
 
     radii = [None] * n_orbits
     idx = [0] * n_orbits
-    slice_of = {}
     for o in range(n_orbits):
-        r, slices, i = settle(o, 0)
-        radii[o], idx[o] = r, i
-        slice_of.update(slices)
+        radii[o], idx[o] = settle(o, 0)
 
     # Only condition (ii) is scanned jointly; openness (*) cannot fail here.
-    # settle always sets slice_of and radii together for a whole orbit, so
-    # S_x is either the component of x in the graph on
+    # settle always sets the slices and the radius together for a whole
+    # orbit, so S_x is either the component of x in the graph on
     # P_x = p^-1(B(p(x), r_p(x))), or {x} at the singleton fallback. Take y
     # in S_x. Every component C of S_y & P_x is connected inside P_x, so C is
     # a subset of S_x or disjoint from it. In the fallback case, y = x and
     # the cut is {x}.
-    # Each scan resumes at the x of the last violation (resume lemma).
-    diameters = {}  # slice -> _quotient_diameter; slices recur across shrinks
+    moved = [[(g, gx) for g, gx in enumerate(row) if gx >= 0 and gx != x]
+             for x, row in enumerate(gspace.action[:, :n].T.tolist())]
 
-    def diameter(s):
-        if s not in diameters:
-            diameters[s] = _quotient_diameter(quotient, s)
-        return diameters[s]
+    def violation_from(x0, y0, g0):
+        """The first condition (ii) violation (x, y, g) at or after
+        (x0, y0, g0): y in S_x, g.x defined and != x, S_y meeting S_{g.x};
+        x ascending, then y, then g (repeat lemma)."""
+        for x in range(x0, n):
+            images = moved[x]
+            if not images:
+                continue
+            ys = sorted(order[x][: size_of[x]])
+            if x == x0:
+                k = bisect_left(ys, y0)
+                if k < len(ys) and ys[k] == y0:
+                    by = bits[y0]
+                    for g, gx in images:
+                        if g >= g0 and by & bits[gx]:
+                            return x, y0, g
+                    k += 1
+                ys = ys[k:]
+            for y in ys:
+                by = bits[y]
+                for g, gx in images:
+                    if by & bits[gx]:
+                        return x, y, g
+        return None
 
-    images_of = gspace.action[:, : gspace.n_points].T.tolist()
-    resume = 0
-    while True:
-        viol = next(_condition_ii_violations(images_of, slice_of, resume), None)
-        if viol is None:
-            break
+    diameters = {}  # x -> _prefix_diameters of S_x when first needed
+
+    def diameter(x):
+        if x not in diameters:
+            diameters[x] = _prefix_diameters(quotient.d, orbit_of[order[x][: size_of[x]]])
+        return diameters[x][size_of[x] - 1]
+
+    viol = violation_from(0, 0, 0)
+    while viol is not None:
         x, y, _ = viol
-        resume = x
         ox, oy = quotient.orbit_of[x], quotient.orbit_of[y]
         if ox == oy:
             target = ox
         else:
-            dx, dy = diameter(slice_of[x]), diameter(slice_of[y])
+            dx, dy = diameter(x), diameter(y)
             if dx > dy:
                 target = ox
             elif dy > dx:
@@ -329,16 +434,17 @@ def build_slice_family(
             target = oy if target == ox else ox
             log.append({"orbit": target, "radius": radii[target], "condition": "family_condition_ii",
                         "witness": viol})
-        r, slices, i = settle(target, idx[target] + 1)
-        radii[target], idx[target] = r, i
-        slice_of.update(slices)
+        radii[target], idx[target] = settle(target, idx[target] + 1)
+        viol = violation_from(*viol)
 
-    slices_tuple = tuple(slice_of[x] for x in range(gspace.n_points))
-    degenerate = all(len(s) == 1 for s in slices_tuple)
+    ys = chain.from_iterable(sorted(order[x][: size_of[x]]) for x in range(n))
+    degenerate = all(size == 1 for size in size_of)
     if degenerate:
         log.append({"orbit": None, "radius": None, "condition": "DegenerateFamily", "witness": None})
     return SliceFamily(
-        slice_of=slices_tuple,
+        pairs=(np.repeat(np.arange(n, dtype=np.intp), size_of),
+               np.fromiter(ys, dtype=np.intp, count=sum(size_of))),
+        offsets=np.cumsum([0] + size_of, dtype=np.intp),
         radius_of_orbit=tuple(radii),
         construction_log=tuple(tuple(sorted(rec.items())) for rec in log),
         degenerate=degenerate,
@@ -352,91 +458,165 @@ def subslice(family: SliceFamily, x: int, quotient: Quotient, eps: float = None,
         orbit_set = quotient.ball(quotient.orbit_of[x], eps)
     if quotient.orbit_of[x] not in orbit_set:
         raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-    return family.slice_of[x] & quotient.preimage(orbit_set)
+    orbit_of = quotient.orbit_of
+    return frozenset(y for y in family.members(x).tolist() if orbit_of[y] in orbit_set)
+
+
+def _any_per_slice(hits, starts, filled):
+    """(rows, n) bool from a (rows, pairs) one: does any pair (x, y) of S_x
+    hold True, for each point x. starts are the offsets of the nonempty
+    slices (filled), so each reduceat segment runs to the next nonempty
+    slice, which is the end of its own."""
+    if filled.all():
+        return np.logical_or.reduceat(hits, starts, axis=1)
+    out = np.zeros((hits.shape[0], filled.size), dtype=bool)
+    if starts.size:
+        out[:, filled] = np.logical_or.reduceat(hits, starts, axis=1)
+    return out
 
 
 def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: SliceFamily) -> Report:
-    """Exhaustive pass/fail per condition; witnesses are (x, y, g) style."""
+    """Exhaustive pass/fail per condition; witnesses are (x, y, g) style.
+
+    Each check is a gather over the pairs (x, y) and the membership table,
+    in blocks of at most ``gspace._BLOCK`` cells: blocks of slices and of
+    elements g for the translate overlap, the stabilizer invariance and the
+    equivariance, and blocks of pairs for the rest, with the slices packed
+    into bytes for condition (ii) and the nesting statistic. Openness and
+    connectedness search the graph, openness only from the pairs whose
+    gather finds a border edge. The stabilizer check counts h as moving S_x
+    when some image lies outside S_x: an action row is injective where
+    defined, so h.S_x = S_x exactly when every image lies in S_x."""
     rep = Report()
-    slice_of = family.slice_of
     n = gspace.n_points
     adjacency = gspace.space.adjacency
-    elements = range(gspace.group.order)
-    rows = gspace.action.tolist()
+    act = gspace.action
+    px, py = family.pairs
+    member = family.membership
+    sizes = np.diff(family.offsets)
+    filled = sizes > 0
+    points = np.arange(n)
+    orbit_of = np.asarray(quotient.orbit_of, dtype=np.intp)
 
-    v = [(x,) for x in range(n) if x not in slice_of[x]]
+    v = [(x,) for x in np.flatnonzero(~member[points, points]).tolist()]
     rep.add("slice_contains_center", FAIL if v else PASS, v)
 
-    # every g: the family under judgement need not be built from balls
-    v = [(x, g) for x in range(n) for g in _translate_overlaps(rows, x, slice_of[x], elements)]
-    rep.add("slice_translate_overlap", FAIL if v else PASS, v)
+    # One pass over blocks of slices and of elements g, reading g.y for each
+    # pair (x, y); the membership table reads an undefined image (-1) as
+    # outside. Four per-pair tests are reduced per slice at once: g.y in S_x,
+    # g.y outside S_x, g.y undefined, and g.y outside S_{g.x}, which counts
+    # only for a total g (elsewhere g.x may be -1 and is masked).
+    overlap, unstable, unequal = [], [], []
+    order = gspace.group.order
+    for x0, x1 in _point_blocks(family.offsets, 4 * order):
+        lo, hi = family.offsets[x0], family.offsets[x1]
+        bx, by = px[lo:hi], py[lo:hi]
+        full = filled[x0:x1]
+        begin = family.offsets[x0:x1][full] - lo
+        for rows in _row_blocks(order, 4 * (hi - lo)):
+            block = act[rows]
+            img, own = block[:, by], block[:, x0:x1]  # g.y per pair, g.x per point
+            fixed = own == points[x0:x1]
+            inside = member[bx, img]
+            tests = [inside, ~inside, img < 0, ~member[block[:, bx], img]]
+            met, out, undefined, moved = _any_per_slice(np.concatenate(tests), begin, full).reshape(4, len(img), -1)
+            for found, hit in (
+                (overlap, met & ~fixed),  # every g: the family need not be built from balls
+                (unstable, out & fixed & ~undefined),  # h fixing x, defined on S_x, moving some y out
+                # total g: g.S_x = S_{g.x} iff both have one size and every
+                # g.y lies in S_{g.x}
+                (unequal, (moved | (sizes[own] != sizes[x0:x1])) & gspace.total[rows, None]),
+            ):
+                if hit.any():
+                    g, x = hit.nonzero()
+                    found += zip((x + x0).tolist(), (g + rows.start).tolist())
+    rep.add("slice_translate_overlap", FAIL if overlap else PASS, sorted(overlap))
+    rep.add("slice_stabilizer_invariance", FAIL if unstable else PASS, sorted(unstable))
+    unequal.sort(key=lambda w: (w[1], w[0]))
+    rep.add("family_equivariance", FAIL if unequal else PASS, unequal)
 
-    v = []  # h defined on all of S_x (no image -1) and moving it
-    for x in range(n):
-        for h in gspace.stabilizer(x):
-            image = {rows[h][p] for p in slice_of[x]}
-            if -1 not in image and image != slice_of[x]:
-                v.append((x, h))
-    rep.add("slice_stabilizer_invariance", FAIL if v else PASS, v)
-
+    # the least orbit mate of x in S_x: the first such pair of x
     v = []
-    for g in np.flatnonzero(gspace.total).tolist():
-        row = rows[g]
-        for x in range(n):
-            if {row[p] for p in slice_of[x]} != slice_of[row[x]]:
-                v.append((x, g))
-    rep.add("family_equivariance", FAIL if v else PASS, v)
-
-    meets = ((x, _orbit_meet(quotient, x, slice_of[x])) for x in range(n))
-    v = [(x, p) for x, p in meets if p is not None]
+    k = np.flatnonzero((orbit_of[py] == orbit_of[px]) & (py != px))
+    if k.size:
+        first = np.ones(k.size, dtype=bool)
+        first[1:] = px[k[1:]] != px[k[:-1]]
+        v = list(zip(px[k[first]].tolist(), py[k[first]].tolist()))
     rep.add("slice_meets_orbit_once", FAIL if v else PASS, v)
 
-    v = list(_condition_ii_violations(gspace.action[:, :n].T.tolist(), slice_of))
+    # (x, y, g) with g.x defined and != x and S_y meeting S_{g.x}: the rows
+    # of the table packed into bytes, with a zero row n for an undefined
+    # image; blocks of pairs, each against every g
+    width = (n + 7) // 8
+    packed = np.zeros((n + 1, width), dtype=np.uint8)
+    packed[:n] = np.packbits(member[:, :n], axis=1)
+    v = []
+    for block in _row_blocks(px.size, gspace.group.order * width):
+        x, y = px[block], py[block]
+        gx = act[:, x].T
+        hit = (packed[gx] & packed[y][:, None, :]).any(axis=2)
+        hit &= gx != x[:, None]
+        if hit.any():
+            k, g = hit.nonzero()
+            v += zip(x[k].tolist(), y[k].tolist(), g.tolist())
     rep.add("family_condition_ii", FAIL if v else PASS, v)
+
+    # strong nesting variant, reported as a statistic and never asserted: a
+    # pair (x, y) is loose when S_y holds a point outside S_x
+    loose = np.zeros(px.size, dtype=bool)
+    for block in _row_blocks(px.size, width):
+        loose[block] = (packed[py[block]] & ~packed[px[block]]).any(axis=1)
 
     # A component of S_y & P_x is mixed iff it holds a border edge of S_x
     # inside P_x (border-edge lemma), so only those components are searched.
+    # A mixed component holds a point of S_y outside S_x, so only loose
+    # pairs can have one: one gather over the directed edges (a, c) finds
+    # the points x of loose pairs with a border edge, a second one the
+    # loose pairs (x, y) with one inside S_y.
     v = []
-    orbit_of = np.asarray(quotient.orbit_of)
-    in_ball = {}  # orbit -> membership of each point in P_x
-    for x in range(n):
-        o = quotient.orbit_of[x]
-        if o not in in_ball:
-            in_ball[o] = (quotient.d[o][orbit_of] < family.radius_of_orbit[o]).tolist()
-        inside, sx = in_ball[o], slice_of[x]
-        border = [(a, c) for a in sx if inside[a] for c in adjacency[a] if inside[c] and c not in sx]
-        if not border:
-            continue
-        for y in sorted(sx):
-            sy = slice_of[y]
-            starts = [a for a, c in border if a in sy and c in sy]
-            if not starts:
-                continue
-            cut = {p for p in sy if inside[p]}
-            mixed = []
-            for a in starts:
-                if not any(a in comp for comp in mixed):
-                    mixed.append(component_of(adjacency, a, cut))
-            v.extend((x, y, m) for m in sorted(min(comp) for comp in mixed))
+    k = np.flatnonzero(loose)
+    if k.size:
+        in_ball = (quotient.d < np.asarray(family.radius_of_orbit, dtype=np.float64)[:, None])[:, orbit_of]
+        a_end = np.repeat(points, [len(nbrs) for nbrs in adjacency])
+        c_end = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=a_end.size)
+
+        def border(x):
+            held, inside = member[x], in_ball[orbit_of[x]]
+            return held[:, a_end] & ~held[:, c_end] & inside[:, a_end] & inside[:, c_end]
+
+        bordered = np.zeros(n, dtype=bool)
+        bordered[px[k]] = True
+        xs = np.flatnonzero(bordered)
+        for block in _row_blocks(xs.size, n + 4 * a_end.size):
+            bordered[xs[block]] = border(xs[block]).any(axis=1)
+        k = k[bordered[px[k]]]
+        for block in _row_blocks(k.size, 2 * n + 6 * a_end.size):
+            x, y = px[k[block]], py[k[block]]
+            begins = border(x) & member[y][:, a_end] & member[y][:, c_end]
+            for j in np.flatnonzero(begins.any(axis=1)).tolist():
+                sy = family.members(y[j])
+                cut = set(sy[in_ball[orbit_of[x[j]], sy]].tolist())
+                mixed = []
+                for a in a_end[begins[j]].tolist():
+                    if not any(a in comp for comp in mixed):
+                        mixed.append(component_of(adjacency, a, cut))
+                v.extend((int(x[j]), int(y[j]), m) for m in sorted(min(comp) for comp in mixed))
     rep.add("openness_condition_star", FAIL if v else PASS, v)
 
     v = []
-    for x in range(n):
-        s = slice_of[x]
-        if not s or len(component_of(adjacency, min(s), s)) != len(s):
-            v.append((x,))
+    for x0, x1 in _point_blocks(family.offsets, 1):  # the members as ints, a block at a time
+        bounds = (family.offsets[x0 : x1 + 1] - family.offsets[x0]).tolist()
+        ys = py[family.offsets[x0] : family.offsets[x1]].tolist()
+        for x, lo, hi in zip(range(x0, x1), bounds, bounds[1:]):
+            s = ys[lo:hi]
+            if not s or len(component_of(adjacency, s[0], set(s))) != len(s):
+                v.append((x,))
     rep.add("slice_connected", FAIL if v else PASS, v)
 
-    if all(len(s) == 1 for s in slice_of):
+    if (sizes == 1).all():
         rep.add("degenerate_family", ADVISORY, [("all slices are singletons",)])
 
-    # strong nesting variant: reported as a statistic, never asserted
-    pairs = bad = 0
-    for x in range(n):
-        for y in slice_of[x]:
-            pairs += 1
-            if not slice_of[y] <= slice_of[x]:
-                bad += 1
-    rep.add("strong_nesting_statistic", ADVISORY, [], (bad / pairs) if pairs else 0.0)
+    rep.add("strong_nesting_statistic", ADVISORY, [],
+            (int(np.count_nonzero(loose)) / px.size) if px.size else 0.0)
 
     return rep

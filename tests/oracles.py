@@ -834,11 +834,11 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
     degenerate = all(len(s) == 1 for s in slices_tuple)
     if degenerate:
         log.append({"orbit": None, "radius": None, "condition": "DegenerateFamily", "witness": None})
-    return SliceFamily(
-        slice_of=slices_tuple,
-        radius_of_orbit=tuple(radii),
-        construction_log=tuple(tuple(sorted(rec.items())) for rec in log),
-        degenerate=degenerate,
+    return SliceFamily.from_sets(
+        slices_tuple,
+        radii,
+        tuple(tuple(sorted(rec.items())) for rec in log),
+        degenerate,
     )
 
 

@@ -250,3 +250,25 @@ def test_row_format_matches_fmt9_byte_for_byte(table):
     infinities and subnormals."""
     want = [",".join(eq.fmt9(v) for v in row) + "\n" for row in table]
     assert list(fmt9_lines(np.array(table, dtype=np.float64))) == want
+
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Few values, so that a table repeats them: signed zeros, infinities,
+# subnormals, and nan of either sign, quiet and signalling, with payloads.
+POOL = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 0.1, 2.0 / 3.0, 1e16] + [
+    from_bits(b) for b in (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                           0xFFF8000000000456, 0x7FF0000000000001, 0xFFF0000000000789)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.integers(1, 8).flatmap(
+    lambda width: st.lists(st.lists(st.sampled_from(POOL), min_size=width, max_size=width), min_size=1, max_size=8)))
+def test_repeated_values_format_byte_for_byte(table):
+    """fmt9_lines formats each distinct bit pattern once and reuses its
+    text: tables drawn from a small pool repeat values across rows, and
+    0.0 and -0.0, like the nans, must each keep their own rendering."""
+    want = [",".join(eq.fmt9(v) for v in row) + "\n" for row in table]
+    assert list(fmt9_lines(np.array(table, dtype=np.float64))) == want

@@ -5,6 +5,7 @@ join keys and the lift's components against graph_components. Equal means the sa
 same violation list, residual and report lines, or the same slice family and
 construction log."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from equimetric.errors import ValidationError
 from equimetric.gspace import SampledGSpace, _check_metric_table, _metric_axiom_violations, graph_components
 from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
-from equimetric.slices import _join_orders, value_grid
+from equimetric.slices import SliceFamily, _join_orders, value_grid
 from equimetric.verify import _inclusion_grid
 from tests import oracles
 from perfbench.workloads import GRID_CELLS
@@ -313,6 +314,30 @@ def test_nan_isometry_gaps_stay_out_as_in_scalar():
     assert check.line() == "cover_local_isometry\tfail\tinf\t(0, 2);(4, 5);(4, 5);(8, 9);(8, 9)"
 
 
+def test_cover_isometry_gathers_sets_of_several_sizes_at_once():
+    """disk(5) in cover mode, whose small sets hold 1, 3 and 4 points. Gaps
+    at (1, 6), in the set {0, 1, 2, 6}, and at (0, 5), in {0, 1, 5} and in
+    {0, 5, 6, 10}, so named twice; d and rho infinite between the orbits of
+    2 and 6, so the pair (2, 6) of {0, 1, 2, 6} has a NaN gap, in neither
+    the residual nor the witnesses. The one gather keeps the reference's
+    set order, row-major pairs and duplicates."""
+    r = pipeline("disk", {"g": 5}, mode="cover")
+    assert {len(s) for s in r["graph"].small_sets} == {1, 3, 4}
+    orbit = np.asarray(r["quotient"].orbit_of)
+    d, rho = np.array(r["quotient"].d), np.array(r["lifted"].rho)
+    rho[1, 6] = rho[6, 1] = rho[1, 6] + 0.5
+    rho[0, 5] = rho[5, 0] = rho[0, 5] + 1e-6
+    a, b = orbit[2], orbit[6]
+    d[a, b] = d[b, a] = np.inf
+    between = (orbit[:, None] == a) & (orbit == b)
+    rho[between | between.T] = np.inf
+    r["quotient"] = replace(r["quotient"], d=d)
+    r["lifted"] = replace(r["lifted"], rho=rho)
+    assert_lifted_checks_match(r)
+    check = eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"])["cover_local_isometry"]
+    assert check.line() == "cover_local_isometry\tfail\t0.5\t(1, 6);(0, 5);(0, 5)"
+
+
 def test_reverse_inclusion_answered_in_a_later_round():
     """circle(12, 3) with rho(0, 1) = 0: 1 lies in the smallest rho-ball of
     0 but not in S_0(r_0) = {0}, so every column of the reverse search is
@@ -447,6 +472,60 @@ def test_slice_builder_matches_reference_on_random_spaces(seed):
     assert_same_family(random_gspace(seed))
 
 
+def test_condition_ii_scan_resumes_at_the_last_witness():
+    """disk(7), against the oracle's full rescan after every shrink. The
+    witness (0, 2, 1) still holds once orbit 2 has shrunk to 3.0, so the
+    scan finds it again with its first test; after the shrink to 2.5 it is
+    gone, and the next violation (0, 14, 2) has the same x and a later y,
+    which a scan resuming past x would miss. The same happens at x = 1."""
+    family = assert_same_family(eq.generate_scenario("disk", {"g": 7}))
+    shrinks = [(rec["orbit"], rec["radius"], rec["witness"]) for rec in map(dict, family.construction_log)
+               if rec["condition"] == "family_condition_ii"]
+    assert shrinks == [(2, 3.0, (0, 2, 1)), (2, 2.5, (0, 2, 1)), (4, 3.0, (0, 14, 2)), (4, 2.5, (0, 14, 2)),
+                       (3, 3.0, (1, 3, 1)), (3, 2.5, (1, 3, 1)), (1, 3.0, (1, 7, 2)), (1, 2.5, (1, 7, 2))]
+
+
+def partial_triangle():
+    """Orbits {0, 1, 2} and {3, 4, 5} under Z3 acting partially, a = (0 1
+    2)(3 4 5) cut to 0 -> 1 -> 2 and 3 -> 4 -> 5 and a^2 to 0 -> 2 and
+    3 -> 3; edges 0-3, 1-4 and 2-4 and the discrete metric. Not validated:
+    a^2 is not a.a at 3, and the slice stages read any action array."""
+    space = eq.build_space(1.0 - np.eye(6), [(0, 3), (1, 4), (2, 4)])
+    action = np.array([[0, 1, 2, 3, 4, 5, -1], [1, 2, -1, 4, 5, -1, -1], [2, -1, -1, 3, -1, -1, -1]])
+    return SampledGSpace(space, eq.build_group(cyclic_table(3)), action)
+
+
+def test_translate_overlap_of_a_member_comes_before_a_later_members_meet():
+    """partial_triangle at the top radius 2: S_0 = {0, 3} holds no orbit
+    mate but a^2 keeps 3 in it while moving 0, and S_1 = {1, 4, 2} holds the
+    mate 2. Member 0 is checked first, so the rejection is the translate
+    overlap (0, 2), as in the oracle, and not the meet (1, 2)."""
+    family = assert_same_family(partial_triangle())
+    assert dict(family.construction_log[0]) == {
+        "orbit": 0, "radius": 2.0, "condition": "translate_overlap", "witness": (0, 2)}
+
+
+@pytest.mark.parametrize("name,params,orbit,raised,witness", [
+    ("circle", {"n": 12, "k": 3}, 0, 1.2, 0),
+    ("circle", {"n": 12, "k": 3}, 2, 1.2, 2),
+    ("circle", {"n": 40, "k": 4}, 3, 0.5, 3),
+    ("circle", {"n": 40, "k": 4}, 7, 0.9, 7),
+])
+def test_slice_builder_raises_below_one_orbits_positive_diagonal(name, params, orbit, raised, witness):
+    """One orbit's quotient diagonal raised: the candidates at or below it
+    leave every member with an empty slice, and both builders raise
+    EmptyResult at the orbit's least point, once its larger radii are
+    rejected and after the orbits before it have settled."""
+    gs = eq.generate_scenario(name, params)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    bump = np.zeros(quotient.n_orbits)
+    bump[orbit] = raised
+    quotient = replace(quotient, d=quotient.d + np.diag(bump))
+    _, err = result(eq.build_slice_family, gs, quotient)
+    assert err == result(oracles.build_slice_family, gs, quotient)[1]
+    assert err == ("EmptyResult", f"EmptyResult: center orbit not in the quotient set (witness: {witness})", witness)
+
+
 # The join keys, the slice verifier and the cover small sets against
 # graph_components and the edge-set scans kept in tests/oracles.py.
 
@@ -467,13 +546,15 @@ def keyed_graphs(draw):
                                             min_size=1, max_size=4))
 def test_join_key_prefixes_are_components(graph, radii):
     """The prefix of x's points with join key < r is the component of x in
-    the subgraph on the points of key < r, or empty when x itself is out."""
+    the subgraph on the points of key < r, or empty when x itself is out;
+    meet is the least key of another source among x's points."""
     n, edges, key, sources = graph
     adjacency = eq.build_space(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), edges).adjacency
     orders = _join_orders(adjacency, key, sources)
     for x in sources:
-        pts, b = orders[x]
+        pts, b, meet = orders[x]
         assert sorted(pts) == sorted(set(pts)) and np.all(np.diff(b) >= 0)
+        assert meet == min((k for p, k in zip(pts, b.tolist()) if p in sources and p != x), default=np.inf)
         for r in radii:
             comps = graph_components(n, edges, [v for v in range(n) if key[v] < r])
             want = next((set(c) for c in comps if x in c), set())
@@ -534,6 +615,11 @@ def openness_witnesses(report):
     return report["openness_condition_star"].witnesses
 
 
+def with_slices(family, slices):
+    """The family with S_x = slices[x]; radii, log and flag kept."""
+    return SliceFamily.from_sets(slices, family.radius_of_orbit, family.construction_log, family.degenerate)
+
+
 def assert_same_verdict(gs, quotient, family):
     report = eq.verify_slice_family(gs, quotient, family)
     assert report.lines() == oracles.verify_slice_family(gs, quotient, family).lines()
@@ -548,7 +634,7 @@ def test_slice_verifier_matches_reference_on_planted_openness_defects():
     family = eq.build_slice_family(gs, quotient)
     bad = list(family.slice_of)
     bad[0], bad[11] = frozenset({11, 0}), frozenset({10, 11, 0, 1})
-    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
     assert openness_witnesses(report) == [(0, 11, 0)]
 
     gs, quotient = space("circle", {"n": 24, "k": 3})
@@ -556,12 +642,12 @@ def test_slice_verifier_matches_reference_on_planted_openness_defects():
     bad = list(family.slice_of)
     bad[1] = frozenset(range(24))
     bad[0] = frozenset({0, 1, 8, 9, 16, 17})
-    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
     assert [w for w in openness_witnesses(report) if w[:2] == (0, 1)] == [(0, 1, 0), (0, 1, 7), (0, 1, 15)]
     # the arc {23, 0, 1} now lies in S_0; its edge to 2 leaves P_0 and does
     # not make it mixed
     bad[0] = frozenset({23, 0, 1, 8, 9, 16, 17})
-    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
     assert [w for w in openness_witnesses(report) if w[:2] == (0, 1)] == [(0, 1, 7), (0, 1, 15)]
 
 
@@ -584,7 +670,7 @@ def test_slice_verifier_matches_reference_on_perturbed_families(seed, data):
         drop = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
         slices[x] = (slices[x] | frozenset(add)) - frozenset(drop)
     radii = [r * data.draw(st.sampled_from([1.0, 0.5, 2.0])) for r in family.radius_of_orbit]
-    family = replace(family, slice_of=tuple(slices), radius_of_orbit=tuple(radii))
+    family = SliceFamily.from_sets(slices, radii, family.construction_log, family.degenerate)
     assert_pairs_match(family)
     assert_same_verdict(gs, quotient, family)
 
@@ -613,9 +699,99 @@ def test_slice_verifier_matches_reference_on_planted_slice_defects(name, params,
     family = eq.build_slice_family(gs, quotient)
     bad = list(family.slice_of)
     bad[x] = frozenset(planted)
-    report = assert_same_verdict(gs, quotient, replace(family, slice_of=tuple(bad)))
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
     assert report[check].status == "fail"
     assert report[check].witnesses == witnesses
+
+
+def test_slice_verifier_reads_partial_elements_as_the_reference_does():
+    """shift(4, 1, 1), where only the identity is total and +1, -1 are
+    partial (elements 1 and 4), with S_4 = {3, 4, 5}: each partial element
+    moves part of S_4 into itself, and S_4 meets the singletons S_3 and S_5,
+    so (4, 4) fails condition (ii) for both g; then S_0 = {0, 1}, which -1,
+    undefined at 0, still moves in part into itself."""
+    gs, quotient = space("shift", {"m": 4, "h": 1.0, "N": 1})
+    family = eq.build_slice_family(gs, quotient)
+    assert gs.total.tolist() == [True, False, False, False, False]
+    bad = list(family.slice_of)
+    bad[4] = frozenset({3, 4, 5})
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
+    assert report["slice_translate_overlap"].witnesses == [(4, 1), (4, 4)]
+    assert report["family_condition_ii"].witnesses == [
+        (3, 3, 1), (4, 3, 4), (4, 4, 1), (4, 4, 4), (4, 5, 1), (5, 5, 4)]
+    bad = list(family.slice_of)
+    bad[0] = frozenset({0, 1})
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
+    assert report["slice_translate_overlap"].witnesses == [(0, 1), (0, 4)]
+
+
+def test_stabilizer_undefined_on_part_of_the_slice_passes():
+    """reflection(2, 1): the flip fixes 2 and sends S_2 = {2, 3} to {1, 2},
+    a failure; with the flip undefined at 3 it no longer acts on all of
+    S_2, and the check passes, as in the reference."""
+    gs, quotient = space("reflection", {"m": 2, "h": 1.0})
+    family = eq.build_slice_family(gs, quotient)
+    bad = list(family.slice_of)
+    bad[2] = frozenset({2, 3})
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
+    assert report["slice_stabilizer_invariance"].witnesses == [(2, 1)]
+    action = np.array(gs.action)
+    action[1, 3] = -1
+    gs = SampledGSpace(gs.space, gs.group, action)
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
+    assert report["slice_stabilizer_invariance"].status == "pass"
+
+
+def test_equivariance_fails_on_a_smaller_slice_inside_its_translate():
+    """circle(12, 3) with S_0 = {0}: each rotation sends S_0 into S_4 or
+    S_8, which are larger, so only the sizes differ; S_8 and S_4 are sent to
+    {11, 0, 1}, which is not S_0."""
+    gs, quotient = space("circle", {"n": 12, "k": 3})
+    family = eq.build_slice_family(gs, quotient)
+    bad = list(family.slice_of)
+    bad[0] = frozenset({0})
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
+    assert report["family_equivariance"].witnesses == [(0, 1), (8, 1), (0, 2), (4, 2)]
+
+
+@pytest.mark.parametrize("cap", [None, 64, 1])
+def test_slice_verifier_matches_reference_past_the_first_block(cap, monkeypatch):
+    """circle(80, 4) with S_79 grown by its orbit mate 19 and the far point
+    50: at the real cap the condition (ii) pairs span two blocks and those
+    of x = 79 lie in the second; at caps of 64 and 1 every check runs in
+    many blocks."""
+    if cap is not None:
+        monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    gs, quotient = space("circle", {"n": 80, "k": 4})
+    family = eq.build_slice_family(gs, quotient)
+    if cap is None:
+        assert family.pairs[0].size > eq.gspace._BLOCK // (gs.group.order * 10)  # 10 bytes a packed row
+    bad = list(family.slice_of)
+    bad[79] = bad[79] | {19, 50}
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
+    assert [c.name for c in report.checks if c.status == "fail"] == [
+        "slice_translate_overlap", "family_equivariance", "slice_meets_orbit_once", "family_condition_ii",
+        "openness_condition_star", "slice_connected"]
+    assert report["family_condition_ii"].witnesses[-4:] == [(79, 19, 1), (79, 50, 2), (79, 50, 3), (79, 79, 1)]
+
+
+@pytest.mark.parametrize("name,params", [("dihedral", {"n": 64}), ("circle", {"n": 384, "k": 4})])
+def test_slice_verifier_memory_is_bounded_by_its_blocks(name, params):
+    """Peak traced memory of one verifier call: half a MiB for the capped
+    blocks (a block holds at most gspace._BLOCK cells, a few arrays of up
+    to 8 bytes a cell alive at once), a byte a cell of n x n for the tables
+    read whole and 16 bytes a pair for the per-pair masks. An uncapped
+    condition (ii) gather breaks it on circle(384, 4)."""
+    gs, quotient = space(name, params)
+    family = eq.build_slice_family(gs, quotient)
+    bound = 2**19 + gs.n_points ** 2 + 16 * family.pairs[0].size
+    tracemalloc.start()
+    try:
+        eq.verify_slice_family(gs, quotient, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("name,params", SWEEP_CELLS)
@@ -944,8 +1120,7 @@ def test_planted_family_matches_reference():
     """dihedral(4) with S_0 grown by the orbit mate 1: property B and the
     coset chain fail; also with a positive quotient diagonal."""
     r = pipeline("dihedral", {"n": 4})
-    slice_of = tuple(s | {1} if x == 0 else s for x, s in enumerate(r["family"].slice_of))
-    family = replace(r["family"], slice_of=slice_of)
+    family = with_slices(r["family"], [s | {1} if x == 0 else s for x, s in enumerate(r["family"].slice_of)])
     d_O = assert_orbital_matches(r["gspace"], r["quotient"], family, r["d_G"], tols=ORBITAL_TOLS)
     quotient = replace(r["quotient"], d=r["quotient"].d + 1e-10)
     assert_orbital_reports_match(r["gspace"], quotient, family, d_O, r["d_G"])

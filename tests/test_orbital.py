@@ -211,8 +211,9 @@ class TestPlantedOrbitalDefects:
 
     def test_slice_grown_by_orbit_mate_fails_B_and_coset_chain(self):
         r = pipeline("dihedral", {"n": 4})
-        slice_of = tuple(s | {1} if x == 0 else s for x, s in enumerate(r["family"].slice_of))
-        family = replace(r["family"], slice_of=slice_of)
+        family = r["family"]
+        family = eq.SliceFamily.from_sets([s | {1} if x == 0 else s for x, s in enumerate(family.slice_of)],
+                                          family.radius_of_orbit, family.construction_log, family.degenerate)
         d_O = eq.build_orbital_metric(r["gspace"], r["quotient"], family, r["d_G"])
         report = eq.verify_orbital_properties(r["gspace"], r["quotient"], family, d_O, r["d_G"])
         assert report["property_B"].status == "fail"

@@ -1,10 +1,8 @@
 import math
-from dataclasses import replace
-
 import pytest
 
 import equimetric as eq
-from equimetric import build_slice_family, subslice, verify_slice_family
+from equimetric import SliceFamily, build_slice_family, subslice, verify_slice_family
 from equimetric.slices import value_grid
 
 
@@ -37,7 +35,8 @@ def test_planted_bad_slice_is_caught(circle12):
     # widen the slice at point 0 to swallow its own translate at 120 degrees
     bad = list(family.slice_of)
     bad[0] = frozenset(range(0, 5))
-    report = verify_slice_family(gs, quotient, replace(family, slice_of=tuple(bad)))
+    report = verify_slice_family(gs, quotient, SliceFamily.from_sets(
+        bad, family.radius_of_orbit, family.construction_log, family.degenerate))
     fails = all_fail_names(report)
     assert "slice_translate_overlap" in fails or "slice_meets_orbit_once" in fails
     wit = report["slice_meets_orbit_once"].witnesses
@@ -55,7 +54,8 @@ def test_planted_openness_defect_is_caught(circle12):
     bad = list(family.slice_of)
     bad[0] = frozenset({11, 0})
     bad[11] = frozenset({10, 11, 0, 1})
-    report = verify_slice_family(gs, quotient, replace(family, slice_of=tuple(bad)))
+    report = verify_slice_family(gs, quotient, SliceFamily.from_sets(
+        bad, family.radius_of_orbit, family.construction_log, family.degenerate))
     assert report["openness_condition_star"].status == "fail"
     assert report["openness_condition_star"].witnesses == [(0, 11, 0)]
 

@@ -48,6 +48,27 @@ def test_stage_times_prints_a_dash_for_a_stage_that_did_not_run(capsys, monkeypa
         ["orbital.build_s", "orbital.verify_s", "verify.balls_s", "cli.write_s"]
 
 
+def test_stage_times_size_800_lists_its_rows(capsys, monkeypatch):
+    """--size 800 is accepted and prints one row per n~800 scenario, in
+    order; stage_times is replaced, so nothing at n~800 runs."""
+    stage_times = load("stage_times")
+    calls = []
+
+    def fake(name, params, mode="general"):
+        calls.append((name, params, mode))
+        return 0, 1, dict.fromkeys(stage_times.TIME_METRICS, 0.0)
+
+    monkeypatch.setattr(stage_times, "stage_times", fake)
+    assert stage_times.main(["--size", "800"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert calls == [("circle", {"n": 768, "k": 4}, "general"), ("disk", {"g": 29}, "general")]
+    assert [row.split(" | ")[0] for row in rows] == ["| circle(768, 4)", "| disk(29)"]
+    calls.clear()
+    monkeypatch.setattr(stage_times, "MATRICES", {**stage_times.MATRICES, "100": [], "400": []})
+    assert stage_times.main([]) == 0  # all: the 100 and 400 matrices only
+    assert calls == []
+
+
 def test_output_digest_hashes_every_file(tmp_path, monkeypatch):
     output_digest = load("output_digest")
     monkeypatch.chdir(tmp_path)

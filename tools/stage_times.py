@@ -8,11 +8,12 @@ call, and `cli.glue_s` for the rest of the call. Rows run in general mode
 unless their label ends in "cover". A stage that did not run shows "-": a
 cover row builds no orbital metric and runs neither the orbital checks nor
 the ball inclusions, and no row writes outputs (`cli.write_s`). With
---repeat k every scenario runs k times and each cell is the median. Nothing
-is written to disk.
+--repeat k every scenario runs k times and each cell is the median.
+--size 800 runs circle(768, 4) and disk(29); "all" runs the 100 and 400
+matrices only. Nothing is written to disk.
 
 Usage (from the repository root):
-  PYTHONPATH=src python3 tools/stage_times.py [--size 100|400|all] [--repeat k]
+  PYTHONPATH=src python3 tools/stage_times.py [--size 100|400|800|all] [--repeat k]
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ MATRICES = {
             ("disk", {"g": 21}, "general"), ("shift", {"m": 160, "h": 0.25, "N": 3}, "general"),
             ("dihedral", {"n": 64}, "general"),
             ("circle", {"n": 384, "k": 4}, "cover"), ("disk", {"g": 21}, "cover")],
+    # the n~800 rows, left out of "all": each takes several seconds
+    "800": [("circle", {"n": 768, "k": 4}, "general"), ("disk", {"g": 29}, "general")],
 }
 
 
@@ -59,7 +62,8 @@ def label(name: str, params: dict, mode: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", choices=["100", "400", "all"], default="all")
+    parser.add_argument("--size", choices=["100", "400", "800", "all"], default="all",
+                        help="matrix to run; all is 100 and 400")
     parser.add_argument("--repeat", type=int, default=1, help="runs per scenario; cells are medians")
     args = parser.parse_args(argv)
     if args.repeat < 1:
