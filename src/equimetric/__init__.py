@@ -7,7 +7,7 @@ to an invariant metric on the sample — then verifies every property of the
 construction exhaustively.
 """
 
-from .errors import InvalidParams, ValidationError
+from .errors import ValidationError
 from .gspace import (
     FiniteGroup,
     SampledGSpace,
@@ -29,23 +29,14 @@ from .orbital import (
     GroupMetric,
     OrbitalMetric,
     build_orbital_metric,
-    coset_distance,
     group_metric,
     verify_orbital_properties,
 )
 from .quotient import Quotient, compute_orbits, quotient_metric
 from .report import ADVISORY, FAIL, PASS, Check, Report, fmt9
 from .scenarios import generate_scenario, scenario_names
-from .slices import SliceFamily, build_slice_family, subslice, verify_slice_family
-from .verify import (
-    motion_inside_rho_ball,
-    motion_set,
-    quotient_consistency,
-    rho_ball,
-    rho_ball_inside_motion,
-    verify_ball_inclusions,
-    verify_lifted_metric,
-)
+from .slices import SliceFamily, build_slice_family, verify_slice_family
+from .verify import quotient_consistency, verify_ball_inclusions, verify_lifted_metric
 
 __version__ = "0.1.0"
 
@@ -61,7 +52,6 @@ __all__ = [
     "FAIL",
     "FiniteGroup",
     "GroupMetric",
-    "InvalidParams",
     "LiftedMetric",
     "OrbitalMetric",
     "PASS",
@@ -78,7 +68,6 @@ __all__ = [
     "build_slice_family",
     "build_space",
     "compute_orbits",
-    "coset_distance",
     "cover_small_sets",
     "fmt9",
     "generate_scenario",
@@ -86,14 +75,9 @@ __all__ = [
     "group_from_permutations",
     "group_metric",
     "lift_metric",
-    "motion_inside_rho_ball",
-    "motion_set",
     "quotient_consistency",
     "quotient_metric",
-    "rho_ball",
-    "rho_ball_inside_motion",
     "scenario_names",
-    "subslice",
     "verify_ball_inclusions",
     "verify_lifted_metric",
     "verify_orbital_properties",

@@ -122,7 +122,12 @@ def validate_config(cfg: dict) -> dict:
 
 
 def _load_table(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """The table in a CSV file; text that is not rows of numbers of equal
+    length is rejected as InvalidParams, with the path as witness."""
+    try:
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError:
+        raise ValidationError("InvalidParams", "table file must hold rows of numbers of equal length", path) from None
 
 
 def run_pipeline(cfg: dict) -> dict:

@@ -17,8 +17,3 @@ class ValidationError(ValueError):
         if witness is not None:
             message = f"{message} (witness: {witness})"
         super().__init__(f"{code}: {message}")
-
-
-class InvalidParams(ValidationError):
-    def __init__(self, message: str, witness=None):
-        super().__init__("InvalidParams", message, witness)

@@ -134,6 +134,30 @@ def _compact(values: np.ndarray, bound: int) -> np.ndarray:
     return values.astype(np.min_scalar_type(-max(bound, 1)))
 
 
+def _index_array(values: np.ndarray, low: int, high: int, what: str) -> np.ndarray:
+    """values as a new np.intp array, each checked to be an integer value
+    in low .. high - 1. The first entry that is not, row-major, is
+    rejected as "<what> not an integer" or "<what> out of range"."""
+    integral = True  # an integer dtype holds integer values only
+    if values.dtype.kind not in "biu":  # floats, or Python ints past the index type
+        values = values.astype(np.float64)
+        integral = np.isfinite(values) & (np.floor(values) == values)
+    ok = integral & (values >= low) & (values < high)
+    if not ok.all():
+        at = tuple(int(v) for v in np.argwhere(~ok)[0])
+        reason = "out of range" if integral is True or integral[at] else "not an integer"
+        raise ValidationError("InvalidParams", f"{what} {reason}", at)
+    return values.astype(np.intp)
+
+
+def _integer_value(v) -> bool:
+    """Is the Python number v an integer value (2 or 2.0, not 2.5 or nan)?"""
+    try:
+        return int(v) == v
+    except (ValueError, OverflowError):  # nan, infinities
+        return False
+
+
 def build_group(mul_table, generators=None) -> FiniteGroup:
     """Validate a multiplication table and return the group.
 
@@ -151,16 +175,7 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     if values is None or values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
         raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
     n = len(values)
-    integral = True  # an integer dtype holds integer values only
-    if values.dtype.kind not in "biu":  # floats, or Python ints past the index type
-        values = values.astype(np.float64)
-        integral = np.isfinite(values) & (np.floor(values) == values)
-    bad = np.argwhere(~(integral & (values >= 0) & (values < n)))
-    if len(bad):
-        at = tuple(int(v) for v in bad[0])
-        reason = "out of range" if integral is True or integral[at] else "not an integer"
-        raise ValidationError("InvalidParams", f"table entry {reason}", at)
-    table = values.astype(np.intp)
+    table = _index_array(values, 0, n, "table entry")
     ids = np.arange(n)
 
     two_sided = (table == ids).all(axis=1) & (table.T == ids).all(axis=1)
@@ -427,9 +442,8 @@ class SampledGSpace:
     # |G| x (n + 1) array of g.x, -1 where the map is undefined; the last
     # column is all -1, so that an undefined image indexes to -1 again
     action: np.ndarray = field(repr=False)
-    # per point: tuple of the element indices fixing it; derived from action
-    stabilizers: tuple = field(init=False, repr=False)
-    # the distinct stabilizers, in the order of their least point
+    # the distinct stabilizers (tuples of the element indices fixing a
+    # point), in the order of their least point; derived from action
     stabilizer_classes: tuple = field(init=False, repr=False)
     # per point: read-only np.intp index of its stabilizer in stabilizer_classes
     stabilizer_class: np.ndarray = field(init=False, repr=False)
@@ -442,11 +456,10 @@ class SampledGSpace:
         fixed = images == np.arange(n)
         total = (images >= 0).all(axis=1)
         total.setflags(write=False)
-        stabilizers = tuple(tuple(np.flatnonzero(c).tolist()) for c in fixed.T)
         classes = {}
-        of = np.array([classes.setdefault(K, len(classes)) for K in stabilizers], dtype=np.intp)
+        of = np.array([classes.setdefault(tuple(np.flatnonzero(c).tolist()), len(classes)) for c in fixed.T],
+                      dtype=np.intp)
         of.setflags(write=False)
-        object.__setattr__(self, "stabilizers", stabilizers)
         object.__setattr__(self, "stabilizer_classes", tuple(classes))
         object.__setattr__(self, "stabilizer_class", of)
         object.__setattr__(self, "total", total)
@@ -461,22 +474,29 @@ class SampledGSpace:
         return gx if gx >= 0 else None
 
     def stabilizer(self, x: int) -> tuple:
-        return self.stabilizers[x]
+        """The element indices fixing x, ascending."""
+        return self.stabilizer_classes[self.stabilizer_class[x]]
 
 
 def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSpace:
     """Validate an action given as per-element partial injective point maps:
-    each map is checked for range and injectivity, in element order, and
-    written into the action array, which ``bind_action_array`` validates."""
+    each map is checked, in element order, for integer points and images in
+    range, entry by entry, then for injectivity, and written into the action
+    array, which ``bind_action_array`` validates."""
     n = space.n_points
     if len(act_maps) != group.order:
         raise ValidationError("InvalidParams", "one map required per group element")
     A = np.full((group.order, n), -1, dtype=np.intp)
     for g, m in enumerate(act_maps):
-        m = {int(k): int(v) for k, v in dict(m).items()}
+        m = dict(m)
         for k, v in m.items():
+            if not _integer_value(k):
+                raise ValidationError("InvalidParams", "action point not an integer", (g, k))
+            if not _integer_value(v):
+                raise ValidationError("InvalidParams", "action image not an integer", (g, k))
             if not (0 <= k < n and 0 <= v < n):
-                raise ValidationError("InvalidParams", "action image out of range", (g, k))
+                raise ValidationError("InvalidParams", "action image out of range", (g, int(k)))
+        m = {int(k): int(v) for k, v in m.items()}
         if len(set(m.values())) != len(m):
             raise ValidationError("InvalidParams", "action map not injective", g)
         A[g, list(m)] = list(m.values())
@@ -486,8 +506,9 @@ def bind_action(space: SampledSpace, group: FiniteGroup, act_maps) -> SampledGSp
 def bind_action_array(space: SampledSpace, group: FiniteGroup, images: np.ndarray) -> SampledGSpace:
     """Validate an action given as the |G| x n array of g.x (-1 where the
     partial map is undefined) and bind it, padded with the column of -1
-    that ``SampledGSpace`` keeps. Its shape, the range of its images and
-    the injectivity of each row are checked first, over the whole array.
+    that ``SampledGSpace`` keeps. Its shape, its images (integer values in
+    -1 .. n - 1, as ``build_group`` checks its table) and the injectivity of
+    each row are checked first, over the whole array.
 
     The checks gather a block of elements g at once, at most ``_BLOCK``
     cells a block, and the first violation is the one the scalar scan over
@@ -497,10 +518,7 @@ def bind_action_array(space: SampledSpace, group: FiniteGroup, images: np.ndarra
     images = np.asarray(images)
     if images.shape != (group.order, n):
         raise ValidationError("InvalidParams", "one row of n images required per group element")
-    out_of_range = (images < -1) | (images >= n)
-    if out_of_range.any():
-        g, x = np.argwhere(out_of_range)[0].tolist()
-        raise ValidationError("InvalidParams", "action image out of range", (g, x))
+    images = _index_array(images, -1, n, "action image")
     ordered = np.sort(_compact(images, n), axis=1)
     repeated = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
     if repeated.any():

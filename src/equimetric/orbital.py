@@ -18,9 +18,10 @@ chart after chart, so every sum keeps the order of a scalar loop.
 The property checks reduce each point to the few values that decide its
 epsilon/delta tests (the least grid rank at which an orbital move reaches
 an eps, the least breaking slice distance, the largest coset distance of a
-small move) and compare the grids with those. They run over blocks of
-points whose gathers hold at most ``_BLOCK`` elements, so their temporaries
-stay bounded however many points there are.
+small move) and compare the grids with those. They run over runs of
+consecutive points from ``gspace._point_blocks``, whose gathers hold at
+most ``gspace._BLOCK`` elements, the cap every stacked check shares, so
+their temporaries stay bounded however many points there are.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import _BLOCK, FiniteGroup, SampledGSpace, _check_metric_table
+from .gspace import FiniteGroup, SampledGSpace, _check_metric_table, _point_blocks
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 from .slices import SliceFamily, value_grid
@@ -43,14 +44,6 @@ class GroupMetric:
     table: np.ndarray  # order x order
     kind: str  # discrete | word | explicit
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def dist(self, g: int, h: int) -> float:
-        return float(self.table[g, h])
-
-    def ball(self, radius: float) -> frozenset:
-        """Open ball around the identity."""
-        e = self.group.identity
-        return frozenset(g for g in range(self.group.order) if self.table[e, g] < radius)
 
     def right_invariant_for(self, subgroup) -> bool:
         """Exhaustive right-invariance check: d(gu, hu) = d(g, h) for u in K.
@@ -157,11 +150,6 @@ def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,
     return GroupMetric(group=group, table=t, kind=kind)
 
 
-def coset_distance(d_G: GroupMetric, subgroup, g1: int, g2: int) -> float:
-    """Distance between the cosets g1 K and g2 K (see ``GroupMetric.coset_table``)."""
-    return float(d_G.coset_table(subgroup)[g1, g2])
-
-
 @dataclass(frozen=True)
 class OrbitalMetric:
     chi: np.ndarray  # n_orbits x n_charts, rows summing to 1
@@ -246,28 +234,15 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
     return OrbitalMetric(chi=chi, group_metric=d_G, values=values)
 
 
-def _blocks(sizes):
-    """Runs (start, stop) of consecutive points whose sizes, the elements
-    each point gathers, add up to at most _BLOCK; a point larger than that
-    is a run of its own."""
-    start, total = 0, 0
-    for x, size in enumerate(sizes):
-        if total + size > _BLOCK and x > start:
-            yield start, x
-            start, total = x, 0
-        total += size
-    if start < len(sizes):
-        yield start, len(sizes)
-
-
 def _grid_or(values, fallback):
     grid = value_grid(values)
     return grid if grid else [fallback]
 
 
 def _centre_in_ball(quotient: Quotient, x: int, delta: float):
-    """Raise, as ``subslice`` does, when the orbit of x lies outside its own
-    open quotient ball of radius delta (a positive diagonal entry)."""
+    """Raise EmptyResult when the orbit of x lies outside its own open
+    quotient ball of radius delta: d(p x, p x) is not below delta (a
+    positive diagonal entry)."""
     o = quotient.orbit_of[x]
     if not quotient.d[o, o] < delta:
         raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
@@ -300,14 +275,16 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     Pairs that are undefined under a partial action or nan in d_O never
     count. A delta at or below a positive quotient diagonal entry
     d(p x, p x) leaves x outside its own slice ball; the descending A and B
-    searches raise EmptyResult when they reach one, as ``subslice`` does.
+    searches raise EmptyResult at the first delta with d(p x, p x) not
+    below it.
 
     Every check reads the action array ``gspace.action``. Properties A, B
-    and C run over runs of consecutive points whose gathers hold at most
-    ``_BLOCK`` elements together (|S_x| |G| per point for A, |S_x| |G|^2
-    for B, |G| for C; a point larger than that is a run of its own), and
-    reduce each point's pairs by exact minima and maxima, so the
-    temporaries stay bounded at any n; a run's pairs are a slice of
+    and C run over runs of consecutive points (``gspace._point_blocks``)
+    whose gathers hold at most ``gspace._BLOCK`` elements together
+    (|S_x| |G| per point for A, |G|^2 per y in S_x for B, x itself
+    skipped at tol >= 0, |G| for C; a point larger than that is a run of
+    its own), and reduce each point's pairs by exact minima and maxima, so
+    the temporaries stay bounded at any n; a run's pairs are a slice of
     ``family.pairs``. The coset chain compares its tables once per pair of
     stabilizer classes and emits witnesses per (chart, y) in scan order.
     The translated bound cannot fail and is an advisory line with
@@ -341,7 +318,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     rank_g = np.searchsorted(delta_arr, d_G.table[e], side="right")
     top0 = np.full(n, -np.inf)
     first = np.full((min(3, len(eps_grid)), n), n_delta)
-    for start, stop in _blocks((n_slice * group.order).tolist()):
+    for start, stop in _point_blocks(offsets, group.order):
         x, y = px[offsets[start] : offsets[stop]], py[offsets[start] : offsets[stop]]
         gy = images[y]
         v = dO[y[:, None], gy]
@@ -367,7 +344,8 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     least = np.full(n, np.inf)
     own = np.zeros(n, dtype=np.intp)  # 1 where x lies in S_x
     own[px[px == py]] = 1
-    for start, stop in _blocks(((n_slice - skip * own) * group.order ** 2).tolist()):
+    gathered = np.cumsum(np.concatenate([[0], n_slice - skip * own]))  # offsets of the pairs kept
+    for start, stop in _point_blocks(gathered, group.order ** 2):
         x, y = px[offsets[start] : offsets[stop]], py[offsets[start] : offsets[stop]]
         if skip:
             keep = x != y
@@ -396,7 +374,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     to_coset = np.array([d_G.table[e][mul[:, K]].min(axis=1) for K in gspace.stabilizer_classes])
     cls = gspace.stabilizer_class
     reach = np.zeros(n, dtype=np.intp)
-    for start, stop in _blocks([group.order] * n):
+    for start, stop in _point_blocks(np.arange(n + 1), group.order):
         x = np.arange(start, stop)
         gx = images[x]
         small = (gx >= 0) & (dO[x[:, None], gx] < eps_arr[0])

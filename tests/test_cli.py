@@ -162,6 +162,22 @@ def test_mistyped_config_fields_rejected(tmp_path, capsys, overrides, code):
     assert capsys.readouterr().err.startswith(f"error: {code}: ")
 
 
+@pytest.mark.parametrize("text", ["a,b\nc,d\n", "0,1\n1\n"], ids=["letters", "ragged"])
+@pytest.mark.parametrize("key", ["quotient_table", "group_metric"])
+def test_malformed_table_file_rejected(tmp_path, capsys, text, key):
+    """A table file that is not rows of numbers of equal length is a
+    config error naming the file, not a traceback."""
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    overrides = ({"quotient_mode": "explicit", "quotient_table": str(table)} if key == "quotient_table"
+                 else {"group_metric": {"kind": "explicit", "path": str(table)}})
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidParams: table file must hold rows of numbers") and str(table) in err
+    assert "Traceback" not in err
+
+
 def test_radius_below_quotient_diagonal_rejected(tmp_path, capsys):
     """A quotient diagonal of 5e-10 is allowed within tolerance; shrunk by
     1e10 every candidate radius lies at or below it, so the ball around an

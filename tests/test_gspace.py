@@ -266,12 +266,17 @@ class TestBindAction:
         ([[0, 1, 2], [1, 2, 0], [3, 0, 1]], (2, 0), "action image out of range"),
         ([[0, 1, 2], [1, -1, 1], [-1, -1, 0]], 1, "action map not injective"),
         ([[0, 1, 2], [1, 2, 0]], None, "one row of n images required per group element"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1.5, 1]], (2, 1), "action image not an integer"),  # read as 1 before
+        ([[0, 1, 2], [1, 2, float("nan")], [2, 0, 1]], (1, 2), "action image not an integer"),
+        ([[0, 1, 2], [1, 2, 0.5], [2.5, 0, 1]], (1, 2), "action image not an integer"),
+        ([[0, 1, 2], [1, 2, 7.5], [2, 0, 1]], (1, 2), "action image not an integer"),  # and out of range
+        ([[0, 1, 2], [1, 2, 7], [2.5, 0, 1]], (1, 2), "action image out of range"),  # the first decides
     ])
     def test_action_array_range_and_injectivity_checked(self, images, witness, reason):
         """An image below -1 would index from the end of the padded array
-        and pass unseen; the array checks name its first (g, x) row-major,
-        and the first row with a repeated defined image. A missing row is
-        refused before either."""
+        and pass unseen, and a non-integer one was truncated; the array
+        checks name the first such (g, x) row-major, and the first row with
+        a repeated defined image. A missing row is refused before either."""
         import equimetric as eq
 
         space = build_space(1.0 - np.eye(3), [(0, 1), (1, 2), (0, 2)])
@@ -279,6 +284,37 @@ class TestBindAction:
             eq.gspace.bind_action_array(space, c3(), np.array(images))
         assert (exc.value.code, exc.value.witness) == ("InvalidParams", witness)
         assert reason in str(exc.value)
+
+    def test_integer_valued_float_images_accepted(self):
+        import equimetric as eq
+
+        space = build_space(1.0 - np.eye(3), [(0, 1), (1, 2), (0, 2)])
+        images = [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 1.0]]
+        gs = eq.gspace.bind_action_array(space, c3(), np.array(images))
+        assert gs.action.dtype == np.intp
+        assert gs.action[:, :3].tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+    @pytest.mark.parametrize("maps, message, witness", [
+        ([{0: 0, 1: 1}, {0: 1.7, 1: 0.2}], "action image not an integer", (1, 0)),  # was C2 by int()
+        ([{0: 0, 1: 1}, {0: 1, 0.5: 0}], "action point not an integer", (1, 0.5)),
+        ([{0: 0, 1: 1}, {0: 1, 1: float("nan")}], "action image not an integer", (1, 1)),
+        ([{0: 0, 1: 1}, {0.0: 1.0, 1: 0}], None, None),  # integer values are accepted
+    ])
+    def test_non_integer_map_entry_rejected(self, maps, message, witness):
+        from tests import oracles
+
+        space = build_space(1.0 - np.eye(2), [(0, 1)])
+        group = build_group([[0, 1], [1, 0]])
+        for bind in (bind_action, oracles.bind_action):
+            if message is None:
+                bind(space, group, maps)
+                continue
+            with pytest.raises(ValidationError) as exc:
+                bind(space, group, maps)
+            assert (exc.value.code, str(exc.value), exc.value.witness) == \
+                ("InvalidParams", f"InvalidParams: {message} (witness: {witness})", witness)
+        if message is None:
+            assert bind_action(space, group, maps).action[1, :2].tolist() == [1, 0]
 
     def test_stabilizers_computed(self):
         import equimetric as eq

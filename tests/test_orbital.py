@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import equimetric as eq
-from equimetric import ValidationError, build_group, coset_distance, group_metric
+from equimetric import ValidationError, build_group, group_metric
 from tests.conftest import pipeline
 from tests.oracles import two_sided_coset_distance
 from tests.randspaces import cyclic_table, dihedral_table
@@ -19,16 +19,16 @@ class TestGroupMetric:
     def test_discrete_is_biinvariant(self):
         g = build_group(dihedral_table(4))
         d = group_metric(g, "discrete", scale=2.0)
-        assert d.dist(0, 0) == 0.0
-        assert d.dist(1, 5) == 2.0
+        assert d.table[0, 0] == 0.0
+        assert d.table[1, 5] == 2.0
         assert d.right_invariant_for(range(g.order))
 
     def test_word_metric_on_c6(self):
         g = build_group(cyclic_table(6))
         d = group_metric(g, "word", generators=[1, 5])
-        assert d.dist(0, 3) == 3.0
-        assert d.dist(0, 5) == 1.0
-        assert d.dist(2, 4) == 2.0  # left invariance: same as d(0, 2)
+        assert d.table[0, 3] == 3.0
+        assert d.table[0, 5] == 1.0
+        assert d.table[2, 4] == 2.0  # left invariance: same as d(0, 2)
 
     def test_word_metric_needs_inverse_closed_generators(self):
         g = build_group(cyclic_table(6))
@@ -51,12 +51,6 @@ class TestGroupMetric:
         assert exc.value.code == "NonFinite"
         assert exc.value.witness == (0, 1)
 
-    def test_group_ball_is_open(self):
-        g = build_group(cyclic_table(3))
-        d = group_metric(g, "discrete", scale=1.0)
-        assert d.ball(1.0) == frozenset({0})
-        assert d.ball(1.5) == frozenset({0, 1, 2})
-
 
 class TestCosetDistance:
     @pytest.mark.parametrize("table,kind,gens", [
@@ -78,9 +72,9 @@ class TestCosetDistance:
                 continue
             for a in range(g.order):
                 for b in range(g.order):
-                    v = coset_distance(d, K, a, b)
+                    v = float(d.coset_table(K)[a, b])
                     assert v == two_sided_coset_distance(d, K, a, b)
-                    assert v <= d.dist(a, b) + 1e-12
+                    assert v <= d.table[a, b] + 1e-12
 
     @pytest.mark.parametrize("table", [cyclic_table(6), dihedral_table(4), dihedral_table(5)])
     def test_never_exceeds_the_group_distance(self, table):
@@ -102,7 +96,7 @@ class TestCosetDistance:
         g = build_group(cyclic_table(4))
         d = group_metric(g, "discrete")
         with pytest.raises(ValidationError) as exc:
-            coset_distance(d, (0, 1), 0, 2)
+            d.coset_table((0, 1))
         assert exc.value.code == "NotASubgroup"
 
 
@@ -264,24 +258,25 @@ def test_orbital_stage_memory_stays_bounded(name, params):
 
 @pytest.mark.parametrize("name,params", [("reflection", {"m": 50, "h": 1.0}), ("dihedral", {"n": 24})])
 def test_orbital_block_sizes_count_what_each_point_gathers(name, params, monkeypatch):
-    """The sizes handed to ``_blocks`` are what each point gathers: |S_x| |G|
-    pairs for property A, |G|^2 per y in S_x other than x for property B
-    (y = x is skipped at tol >= 0), |G| for property C; and every run totals
-    at most ``_BLOCK`` unless it is a single point."""
+    """The items and cells handed to ``gspace._point_blocks`` count what
+    each point gathers: |S_x| |G| pairs for property A, |G|^2 per y in S_x
+    other than x for property B (y = x is skipped at tol >= 0), |G| for
+    property C; and every run totals at most ``gspace._BLOCK`` unless it is
+    a single point."""
     gs = eq.generate_scenario(name, params)
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
     family = eq.build_slice_family(gs, quotient)
     d_G = group_metric(gs.group, "discrete")
     d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
     calls = []
-    blocks = eq.orbital._blocks
+    blocks = eq.gspace._point_blocks
 
-    def recorded(sizes):
-        runs = list(blocks(sizes))
-        calls.append((list(sizes), runs))
+    def recorded(offsets, cells):
+        runs = list(blocks(offsets, cells))
+        calls.append(((np.diff(offsets) * cells).tolist(), runs))
         return iter(runs)
 
-    monkeypatch.setattr(eq.orbital, "_blocks", recorded)
+    monkeypatch.setattr(eq.orbital, "_point_blocks", recorded)
     eq.verify_orbital_properties(gs, quotient, family, d_O, d_G)
     order = gs.group.order
     n_slice = [len(s) for s in family.slice_of]
@@ -291,4 +286,4 @@ def test_orbital_block_sizes_count_what_each_point_gathers(name, params, monkeyp
     for sizes, runs in calls:
         assert [x for run in runs for x in range(*run)] == list(range(gs.n_points))
         for start, stop in runs:
-            assert sum(sizes[start:stop]) <= eq.orbital._BLOCK or stop - start == 1
+            assert sum(sizes[start:stop]) <= eq.gspace._BLOCK or stop - start == 1

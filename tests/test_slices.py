@@ -2,7 +2,7 @@ import math
 import pytest
 
 import equimetric as eq
-from equimetric import SliceFamily, build_slice_family, subslice, verify_slice_family
+from equimetric import SliceFamily, build_slice_family, verify_slice_family
 from equimetric.slices import value_grid
 
 
@@ -91,14 +91,6 @@ def test_shrink_factor_shrinks_radii(circle12):
     fam8 = build_slice_family(gs, quotient, shrink_factor=8.0)
     assert max(fam8.radius_of_orbit) < min(fam1.radius_of_orbit)
     assert all_fail_names(verify_slice_family(gs, quotient, fam8)) == []
-
-
-def test_subslice_cuts_to_quotient_ball(circle12):
-    gs, quotient, family = circle12
-    cut = subslice(family, 0, quotient, eps=0.55)
-    assert cut == frozenset({11, 0, 1})
-    tiny = subslice(family, 0, quotient, eps=0.1)
-    assert tiny == frozenset({0})
 
 
 def test_construction_log_records_shrinks():

@@ -1,12 +1,14 @@
-"""Smoke tests for the scripts in tools/, which no other test imports: a
-renamed library call would otherwise break them silently."""
+"""Smoke tests for the scripts in tools/ and for the public surface the
+README shows, which no other test imports: a renamed library call would
+otherwise break them silently."""
 
 import importlib.util
 import os
 
 import pytest
 
-TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOOLS = os.path.join(ROOT, "tools")
 
 
 def load(name):
@@ -97,3 +99,17 @@ def test_output_digest_has_no_checks_without_a_report(tmp_path, monkeypatch):
     assert got["exit"] == 1
     assert got["files"] == dict.fromkeys(output_digest.FILES) and got["checks"] is None
     assert got["counts"] == {}
+
+
+def test_readme_library_example_runs_and_every_export_resolves(capsys):
+    """The README's Library block runs as written, and every name in
+    ``equimetric.__all__`` is an attribute of the package."""
+    import equimetric as eq
+
+    with open(os.path.join(ROOT, "README.md")) as f:
+        readme = f.read()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "lifted.witness(0, 4)" in block
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+    assert [name for name in eq.__all__ if not hasattr(eq, name)] == []

