@@ -28,6 +28,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -123,9 +124,13 @@ def validate_config(cfg: dict) -> dict:
 
 def _load_table(path: str) -> np.ndarray:
     """The table in a CSV file; text that is not rows of numbers of equal
-    length is rejected as InvalidParams, with the path as witness."""
+    length is rejected as InvalidParams, with the path as witness. An empty
+    file is an empty table, which the metric check rejects by its shape;
+    numpy's warning that it holds no data is silenced."""
     try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data", category=UserWarning)
+            return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError:
         raise ValidationError("InvalidParams", "table file must hold rows of numbers of equal length", path) from None
 

@@ -29,7 +29,13 @@ by one ``np.searchsorted`` on the keys of its images of a base.
 Every metric table (base, quotient, group, lifted, pushforward) goes through
 one axiom scan with one arithmetic, t[i, j] - (t[i, k] + t[k, j]) > tol:
 ``_metric_axiom_violations`` collects for a report, ``_check_metric_table``
-raises on its first witness.
+raises on its first witness. Its O(n^3) triangle part refutes first and
+confirms after: a block of rows takes the least t[i, k] + t[k, j] over k
+(the min-plus product of the table with itself), which decides exactly
+which rows hold a violation, and only those rows are scanned over (j, k)
+for their witnesses. A table equal to its transpose needs only the columns
+j at or past the block's first row (``_axiom_violation_blocks`` proves
+both).
 """
 
 from __future__ import annotations
@@ -151,10 +157,10 @@ def _index_array(values: np.ndarray, low: int, high: int, what: str) -> np.ndarr
 
 
 def _integer_value(v) -> bool:
-    """Is the Python number v an integer value (2 or 2.0, not 2.5 or nan)?"""
+    """Is v an integer value (2 or 2.0, not 2.5, nan, None or "2")?"""
     try:
         return int(v) == v
-    except (ValueError, OverflowError):  # nan, infinities
+    except (ValueError, OverflowError, TypeError):  # nan, infinities, None, non-numbers
         return False
 
 
@@ -288,9 +294,30 @@ def _axiom_violation_blocks(table: np.ndarray, tol: float):
     """Yield the metric-axiom violations in scan order, a block at a time,
     each with its worst residual: the diagonal by i; the pairs i < j in
     ``triu_indices`` order, each with its negative, asymmetric and zero
-    tests; one block per triangle row i with a violation, over (j, k). A
-    row writes t[i, j] - (t[i, k] + t[k, j]) into one n x n buffer, read
-    against a contiguous copy of the transpose."""
+    tests; one block per triangle row i with a violation, over (j, k).
+
+    The triangle rows are found by refutation, a block of rows at a time
+    (``_row_blocks``, n x n cells a row): m[i, j], the ``np.fmin`` over k
+    of t[i, k] + t[k, j], in one add and one reduction along k. Two facts
+    make it exact:
+
+    - Row i has a violation at column j exactly when t[i, j] - m[i, j] >
+      tol. For a fixed x the rounded x - y never increases as y grows, so
+      the largest gap is the one at the least sum. ``fmin`` skips a NaN sum,
+      whose gap is NaN and never exceeds tol; infinities agree case by case
+      (inf - inf is NaN, and no hit, on both sides).
+    - If the table holds no NaN and equals its transpose bit for bit (0.0
+      against -0.0 is a difference), the gap of (j, i, k) is the gap of
+      (i, j, k) bit for bit, since IEEE addition commutes: violations come
+      in mirrored pairs. A block starting at row lo then reads only the columns j >=
+      lo, and a hit at (i, j) marks both rows i and j; a hit at j < lo is
+      the mirror of one that an earlier block marked. Any other table
+      reads every column.
+
+    Once a block is refuted, each of its marked rows is rescanned, in
+    ascending order: it writes t[i, j] - (t[i, k] + t[k, j]) into one n x n
+    buffer, read against a contiguous copy of the transpose, and yields
+    its witnesses in (j, k) order. An unmarked row has no violation."""
     n = table.shape[0]
     diag = np.abs(np.diagonal(table))
     bad = np.flatnonzero(diag > tol)
@@ -316,13 +343,28 @@ def _axiom_violation_blocks(table: np.ndarray, tol: float):
         yield block, float(skew[asymmetric].max(initial=0.0))
 
     tT = np.ascontiguousarray(table.T)
+    mirrored = bool((table == tT).all()) and np.array_equal(np.signbit(table), np.signbit(tT))
+    marked = np.zeros(n, dtype=bool)
     gap = np.empty_like(tT)
     hits = np.empty(tT.shape, dtype=bool)
-    for i in range(n):
-        np.add(table[i], tT, out=gap)
-        np.subtract(table[i][:, None], gap, out=gap)
-        np.greater(gap, tol, out=hits)
-        if hits.any():
+    sums = None
+    for rows in _row_blocks(n, n * n):
+        lo, hi = rows.start, min(rows.stop, n)
+        cols = lo if mirrored else 0
+        if sums is None:  # the first block is the largest: t[i, k] + t[k, j] over (i, j, k)
+            sums = np.empty((hi - lo) * n * n, dtype=tT.dtype)
+        block = sums[: (hi - lo) * (n - cols) * n].reshape(hi - lo, n - cols, n)
+        np.add(table[rows, None, :], tT[None, cols:, :], out=block)
+        least = np.fmin.reduce(block, axis=-1)
+        hit = np.subtract(table[rows, cols:], least, out=least) > tol
+        if hit.any():
+            marked[lo:hi] |= hit.any(axis=1)
+            if mirrored:
+                marked[cols:] |= hit.any(axis=0)
+        for i in (lo + np.flatnonzero(marked[lo:hi])).tolist():
+            np.add(table[i], tT, out=gap)
+            np.subtract(table[i][:, None], gap, out=gap)
+            np.greater(gap, tol, out=hits)
             yield [("triangle", i, j, k) for j, k in np.argwhere(hits).tolist()], float(gap[hits].max())
 
 

@@ -40,6 +40,17 @@ stacked apsp per set size. A centre accepts the same radius as the scalar
 scan, and the rounds decide only orbit sets that the scan tests, with its
 short cut at the first non-convex component: all of them at f <= 1, and at
 f > 1 those left once the radii with r * f > K are dropped.
+
+An image is convex when no entry of its internal shortest-path table is
+off d by more than tol. The asked-for sets of one size are decided in two
+steps. Refute: the two rows of each set's diameter pair (the first argmax
+of d over the set, row-major), from one stacked ``apsp(..., sources=)``
+blocked by its own 2 * size cells a set. These are bitwise rows of the
+full table, so a row off by more than tol decides "non-convex" exactly,
+and a convex set is never refuted. Confirm: the full table of each set
+left, by one stacked apsp as before. When the full tables of all the
+sets fit one ``gspace._BLOCK`` block the refutation is skipped: one call
+is then cheaper than two.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
+from . import gspace as _gspace  # its _BLOCK is read at call time
 from .gspace import SampledGSpace, _row_blocks, component_of
 from .orbital import OrbitalMetric
 from .quotient import Quotient
@@ -162,9 +174,11 @@ def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
     """mask -> whether the quotient image with that orbit set carries its
     global distances internally; otherwise chains through a component can
     move far in the space while the quotient thinks they moved a little
-    (the shortcut behind the pseudometric degeneracy). One stacked apsp per
-    orbit-set size, over each set's orbits in ascending order."""
-    d, k = quotient.d, quotient.n_orbits
+    (the shortcut behind the pseudometric degeneracy). Per orbit-set size,
+    over each set's orbits in ascending order, refuted by the diameter rows
+    unless the full tables fit one block, then confirmed by the full table
+    (see "Convexity in rounds" above)."""
+    d, k = np.ascontiguousarray(quotient.d), quotient.n_orbits
     w = np.full((k, k), np.inf)
     np.fill_diagonal(w, 0.0)
     for a, b in quotient.quotient_adjacency:
@@ -178,10 +192,23 @@ def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
         raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in group), np.uint8)
         bits = np.unpackbits(raw.reshape(len(group), nbytes), axis=1, bitorder="little")
         orbs = np.nonzero(bits)[1].reshape(len(group), size)
-        for rows in _row_blocks(len(group), size * size):  # 1 << 18 cells ran circle(384, 4) twice as slow
-            block = orbs[rows, :, None], orbs[rows, None, :]
-            off = np.abs(apsp(w[block]) - d[block]) > tol
-            out.update(zip(group[rows], (~off.any(axis=(1, 2))).tolist()))
+        convex = np.ones(len(group), dtype=bool)
+        if len(group) * size * size > _gspace._BLOCK:
+            # refute by the rows of each set's diameter pair, the first
+            # argmax of d over the set, row-major: rows of its full table
+            for rows in _row_blocks(len(group), 2 * size):
+                cells = orbs[rows, :, None] * k + orbs[rows, None, :]  # flat (a, b) of each sub-table
+                sub = d.take(cells)
+                ends = np.stack(np.divmod(sub.reshape(len(sub), -1).argmax(axis=1), size), axis=1)
+                want = np.take_along_axis(sub, ends[:, :, None], axis=1)
+                convex[rows] = ~(np.abs(apsp(w.take(cells), ends) - want) > tol).any(axis=(1, 2))
+        # confirm: the full table of every set not refuted
+        left = np.flatnonzero(convex)
+        for rows in _row_blocks(len(left), size * size):  # 1 << 18 cells ran circle(384, 4) twice as slow
+            sets = orbs[left[rows]]
+            cells = sets[:, :, None] * k + sets[:, None, :]
+            convex[left[rows]] = ~(np.abs(apsp(w.take(cells)) - d.take(cells)) > tol).any(axis=(1, 2))
+        out.update(zip(group, convex.tolist()))
     return out
 
 

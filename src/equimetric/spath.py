@@ -11,7 +11,11 @@ scalar form as the reference).
 The input is one n x n table or a stack of them, shape (..., n, n). The
 rows of all tables run side by side and each row reads only its own table,
 so every table of a stack gets the same distances, bit for bit, as a call
-on that table alone.
+on that table alone. For the same reason a call with ``sources`` (..., s),
+a row of source vertices per table, returns the rows of those sources
+only, shape (..., s, n), each bitwise equal to that row of the full table:
+a repeated source gets the same row twice. The search still takes n steps,
+so s sources cost s / n of the full call.
 
 Precondition: every weight is nonnegative, or ``inf`` where there is no
 edge; no NaN. With a negative weight the result is not a shortest-path
@@ -23,16 +27,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def apsp(weights: np.ndarray) -> np.ndarray:
+def apsp(weights: np.ndarray, sources: np.ndarray = None) -> np.ndarray:
     """Shortest-path distances between all vertex pairs of each n x n table
-    of a (..., n, n) stack; ``inf`` where no path exists."""
+    of a (..., n, n) stack; ``inf`` where no path exists. With ``sources``,
+    an integer array (..., s) broadcast against the stack's leading axes,
+    only the rows of those sources, shape (..., s, n)."""
     w = np.ascontiguousarray(weights, dtype=np.float64)
     n = w.shape[-1]
-    rows = np.arange(int(np.prod(w.shape[:-1])))
-    flat = w.reshape(len(rows), n)  # row i is row i % n of table i // n
-    first = rows - rows % n  # the flat row where each row's table starts
+    if sources is None:
+        sources = np.arange(n)
+    sources = np.asarray(sources, dtype=np.intp)
+    sources = np.broadcast_to(sources, w.shape[:-2] + sources.shape[-1:])
+    tables, s = int(np.prod(w.shape[:-2])), sources.shape[-1]
+    rows = np.arange(tables * s)
+    flat = w.reshape(tables * n, n)  # flat row t * n + v is row v of table t
+    first = np.repeat(np.arange(tables) * n, s)  # the flat row where each row's table starts
     dist = np.full((len(rows), n), np.inf)
-    dist[rows, rows % n] = 0.0
+    dist[rows, sources.reshape(-1)] = 0.0
     # 0 where unvisited, inf where visited: dist + penalty is the masked
     # table, exactly (x + 0.0 = x for x >= 0, x + inf = inf)
     penalty = np.zeros((len(rows), n))
@@ -50,4 +61,4 @@ def apsp(weights: np.ndarray) -> np.ndarray:
         np.take(flat, first + u, axis=0, out=buf, mode="clip")  # rows in range: no buffered copy
         np.add(du[:, None], buf, out=buf)
         np.minimum(dist, buf, out=dist)
-    return dist.reshape(w.shape)
+    return dist.reshape(sources.shape + (n,))

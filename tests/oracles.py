@@ -188,7 +188,7 @@ def closure(group, seed) -> set:
 def _integer_value(v) -> bool:
     try:
         return int(v) == v
-    except (ValueError, OverflowError):  # NaN, infinities
+    except (ValueError, OverflowError, TypeError):  # NaN, infinities, None, non-numbers
         return False
 
 

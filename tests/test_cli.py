@@ -178,6 +178,22 @@ def test_malformed_table_file_rejected(tmp_path, capsys, text, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["quotient_table", "group_metric"])
+def test_empty_table_file_rejected_with_one_error_line(tmp_path, capsys, recwarn, key):
+    """An empty table file is an empty table, refused by its shape; numpy's
+    warning that the file holds no data, which a command line run prints
+    on stderr, is not raised."""
+    table = tmp_path / "t.csv"
+    table.write_text("")
+    overrides = ({"quotient_mode": "explicit", "quotient_table": str(table)} if key == "quotient_table"
+                 else {"mode": "general", "group_metric": {"kind": "explicit", "path": str(table)}})
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    what = "explicit table" if key == "quotient_table" else "group metric table"
+    assert capsys.readouterr().err == f"error: NotAMetric: {what} has wrong shape\n"
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_radius_below_quotient_diagonal_rejected(tmp_path, capsys):
     """A quotient diagonal of 5e-10 is allowed within tolerance; shrunk by
     1e10 every candidate radius lies at or below it, so the ball around an

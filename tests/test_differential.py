@@ -128,6 +128,90 @@ def test_planted_tables_raise_the_first_collected_violation(t, tol, want, violat
     assert outcome(eq.group_metric, c3, "explicit", 1.0, None, t, tol) == error
 
 
+def line_table(n):
+    x = np.arange(float(n))
+    return np.abs(np.subtract.outer(x, x))
+
+
+def later_row_below_the_diagonal():
+    """A line on six points with d(1, 4) raised: the triangle hits lie in
+    rows 1 and 4, and row 4's only hit columns, j = 1, lie left of its
+    block, so only the mirror mark of row 1's block finds row 4."""
+    t = line_table(6)
+    t[1, 4] = t[4, 1] = 4.5
+    return t
+
+
+def signed_zero_pair():
+    """0.0 against -0.0 at (0, 1): equal values but not equal bits, so the
+    scan reads every column; plus a triangle hit at (2, 3)."""
+    t = line_table(4)
+    t[0, 1], t[1, 0] = -0.0, 0.0
+    t[2, 3] = t[3, 2] = 2.5
+    return t
+
+
+def infinite_entries():
+    """Two lines with inf between them (the rho of a disconnected lift) and
+    one raised pair inside the second: inf - inf is NaN on every path."""
+    t = np.full((5, 5), np.inf)
+    t[:2, :2] = line_table(2)
+    t[2:, 2:] = line_table(3)
+    t[2, 4] = t[4, 2] = 3.0
+    return t
+
+
+def nan_entries():
+    """A line with d(0, 2) raised to 5 and a NaN at (1, 2): row 0's one hit,
+    (0, 2, 3), shares its column with the NaN sum t[0, 1] + t[1, 2], which
+    a minimum that kept NaN would take as the least."""
+    t = line_table(5)
+    t[0, 2] = t[2, 0] = 5.0
+    t[1, 2] = np.nan
+    return t
+
+
+# caps of a row a block and of a few rows a block (two at n = 7, four at
+# n = 5); the hypothesis tests above run at the default cap
+SCAN_CAPS = [1, 100]
+SCAN_PLANTS = [later_row_below_the_diagonal(), signed_zero_pair(), infinite_entries(), nan_entries(),
+               ROUNDING, ROWS_0_AND_2]
+
+
+@pytest.mark.parametrize("cap", SCAN_CAPS)
+@settings(max_examples=150, deadline=None)
+@given(t=planted_tables(), tol=TOLS)
+def test_triangle_refutation_matches_scalar_at_every_block_cap(cap, t, tol):
+    """The refute-then-rescan scan at a row a block and at a few rows a
+    block collects and raises what the scalar scan does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq.gspace, "_BLOCK", cap)
+        assert _metric_axiom_violations(t, tol) == oracles.metric_axiom_violations(t, tol)
+        if np.isfinite(t).all():
+            assert outcome(_check_metric_table, t, tol) == outcome(oracles.raise_first_axiom_violation, t, tol)
+
+
+@pytest.mark.parametrize("cap", SCAN_CAPS + [None])
+@pytest.mark.parametrize("t", SCAN_PLANTS, ids=["later_row", "signed_zero", "inf", "nan", "rounding", "rows_0_2"])
+def test_triangle_refutation_matches_scalar_on_planted_tables(t, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    v, resid = _metric_axiom_violations(t, 1e-9)
+    assert (v, resid) == oracles.metric_axiom_violations(t, 1e-9)
+    assert any(w[0] == "triangle" for w in v)
+    if np.isfinite(t).all():
+        assert outcome(_check_metric_table, t, 1e-9) == outcome(oracles.raise_first_axiom_violation, t, 1e-9)
+
+
+def test_triangle_refutation_marks_the_later_row_by_its_mirror(monkeypatch):
+    """Row 4 of the planted line is found although its block reads only
+    the columns from 4 on: its witnesses follow row 1's."""
+    monkeypatch.setattr(eq.gspace, "_BLOCK", 1)
+    v, _ = _metric_axiom_violations(later_row_below_the_diagonal(), 1e-9)
+    assert sorted({w[1] for w in v}) == [1, 4]
+    assert v[-1] == ("triangle", 4, 1, 3)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_left_invariance_matches_scalar(data):
@@ -790,11 +874,10 @@ def test_cover_small_sets_match_reference_on_small_sweep_cells(name, params):
         assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
 
 
-def test_cover_small_sets_match_reference_on_non_convex_images():
+def non_convex_path():
     """Five points on a path, the trivial group, and an explicit quotient
     table with d(2, 4) = 1.5 < d(2, 3) + d(3, 4): an image holding 2, 3 and 4
-    is not convex. Around orbit 0 the four points {0, 1, 2, 3} are accepted;
-    around orbit 2 the four points {1, 2, 3, 4} are not."""
+    is not convex."""
     x = np.arange(5.0)
     d = np.abs(np.subtract.outer(x, x))
     d[2, 4] = d[4, 2] = 1.5
@@ -802,7 +885,13 @@ def test_cover_small_sets_match_reference_on_non_convex_images():
     d[1, 4] = d[4, 1] = 2.5
     path = eq.build_space(d, [(i, i + 1) for i in range(4)])
     gs = eq.bind_action(path, eq.build_group([[0]]), [{i: i for i in range(5)}])
-    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=d)
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=d)
+
+
+def test_cover_small_sets_match_reference_on_non_convex_images():
+    """Around orbit 0 of the non-convex path the four points {0, 1, 2, 3}
+    are accepted; around orbit 2 the four points {1, 2, 3, 4} are not."""
+    gs, quotient = non_convex_path()
     sets = eq.cover_small_sets(gs, quotient)
     assert sets == oracles.cover_small_sets(gs, quotient)
     assert sets == (frozenset({0, 1, 2, 3}), frozenset({3, 4}))
@@ -819,6 +908,61 @@ def test_cover_small_sets_match_reference_on_random_spaces(seed, data):
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
     for factor in (1.0, 1.5, 1000.0):
         assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
+
+
+def diameter_rows_agree_but_not_convex():
+    """Four orbits of the trivial group: 0 and 3 are joined directly and
+    through 1 and through 2, each leg of length 1, and d(1, 2) = 1.5 is
+    shorter than the path 1-0-2. The diameter pair (0, 3) has rows equal to
+    d, so only the full table finds the image of all four non-convex."""
+    d = np.array([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.5, 1.0], [1.0, 1.5, 0.0, 1.0], [2.0, 1.0, 1.0, 0.0]])
+    graph = eq.build_space(d, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    gs = eq.bind_action(graph, eq.build_group([[0]]), [{i: i for i in range(4)}])
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=d)
+
+
+def test_cover_convexity_confirms_what_the_diameter_rows_leave(monkeypatch):
+    """With the cap at 1 every orbit set is refuted first. The set of all
+    four orbits survives its diameter rows and is decided non-convex by the
+    full table, as the reference decides it."""
+    gs, quotient = diameter_rows_agree_but_not_convex()
+    w = np.where(np.eye(4, dtype=bool), 0.0, np.inf)
+    for a, b in quotient.quotient_adjacency:
+        w[a, b] = w[b, a] = quotient.d[a, b]
+    internal = eq.spath.apsp(w)
+    assert (internal[[0, 3]] == quotient.d[[0, 3]]).all() and internal[1, 2] == 2.0
+    monkeypatch.setattr(eq.gspace, "_BLOCK", 1)
+    assert lift._convex_images(quotient, [0b1111], 1e-9) == {0b1111: False}
+    assert eq.cover_small_sets(gs, quotient) == oracles.cover_small_sets(gs, quotient)
+
+
+@pytest.mark.parametrize("name,params", SWEEP_CELLS)
+def test_cover_refutation_matches_reference_on_small_sweep_cells(name, params, monkeypatch):
+    """With the cap at 1 every orbit-set size is refuted by its diameter
+    rows before its full tables are confirmed."""
+    monkeypatch.setattr(eq.gspace, "_BLOCK", 1)
+    gs, quotient = space(name, dict(params))
+    for factor in (1.0, 1.5, 1000.0):
+        assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
+
+
+def test_cover_refutation_matches_reference_on_non_convex_images(monkeypatch):
+    monkeypatch.setattr(eq.gspace, "_BLOCK", 1)
+    gs, quotient = non_convex_path()
+    assert eq.cover_small_sets(gs, quotient) == oracles.cover_small_sets(gs, quotient)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_cover_refutation_matches_reference_on_random_spaces(seed, data):
+    gs = random_gspace(seed)
+    if data.draw(st.booleans()):
+        gs = drop_images(gs, data)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq.gspace, "_BLOCK", 1)
+        for factor in (1.0, 1.5, 1000.0):
+            assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
 
 
 def test_cover_enlarged_radius_may_equal_the_merge_key():

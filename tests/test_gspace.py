@@ -299,6 +299,10 @@ class TestBindAction:
         ([{0: 0, 1: 1}, {0: 1, 0.5: 0}], "action point not an integer", (1, 0.5)),
         ([{0: 0, 1: 1}, {0: 1, 1: float("nan")}], "action image not an integer", (1, 1)),
         ([{0: 0, 1: 1}, {0.0: 1.0, 1: 0}], None, None),  # integer values are accepted
+        ([{0: 0, 1: 1}, {0: 1, 1: None}], "action image not an integer", (1, 1)),  # was a bare TypeError
+        ([{0: 0, 1: 1}, {0: 1, None: 0}], "action point not an integer", (1, None)),
+        ([{0: 0, 1: 1}, {0: 1, 1: "0"}], "action image not an integer", (1, 1)),
+        ([{0: 0, 1: 1}, {0: 1, "1": 0}], "action point not an integer", (1, "1")),
     ])
     def test_non_integer_map_entry_rejected(self, maps, message, witness):
         from tests import oracles

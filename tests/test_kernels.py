@@ -92,6 +92,49 @@ def test_stacked_apsp_matches_each_table_bitwise(stack):
             assert got[idx][s].tobytes() == dijkstra(stack[idx], s).tobytes()
 
 
+@st.composite
+def sourced_weights(draw):
+    """(weights, sources): one table or a stack, as by weight_matrices and
+    weight_stacks, and up to six sources drawn with repeats, either one
+    list for every table or a list per table."""
+    if draw(st.booleans()):
+        w = draw(weight_matrices(st.integers(min_value=1, max_value=40)))
+    else:
+        w = draw(weight_stacks().filter(lambda stack: stack.shape[-1] > 0))
+    n = w.shape[-1]
+    per_table = w.ndim > 2 and draw(st.booleans())
+    count = draw(st.integers(min_value=0, max_value=6))
+    shape = (w.shape[:-2] if per_table else ()) + (count,)
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return w, np.array(picks, dtype=np.intp).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sourced_weights())
+def test_apsp_sources_are_rows_of_the_full_table_bitwise(case):
+    """Each row of a call with sources is, byte for byte, the row of that
+    source in the full call on its table: inf weights, repeated sources and
+    a source list per table included."""
+    w, sources = case
+    full = apsp(w)
+    got = apsp(w, sources)
+    per = np.broadcast_to(sources, w.shape[:-2] + sources.shape[-1:])
+    assert got.shape == per.shape + (w.shape[-1],)
+    for idx in np.ndindex(per.shape):
+        assert got[idx].tobytes() == full[idx[:-1]][per[idx]].tobytes()
+
+
+def test_apsp_sources_repeat_and_keep_tables_apart():
+    """Source 2 twice on a path whose last vertex is cut off, next to a
+    table with no edges: the same row twice, and inf where no path is."""
+    path = np.array([[0.0, 1.0, np.inf, np.inf], [1.0, 0.0, 0.5, np.inf],
+                     [np.inf, 0.5, 0.0, np.inf], [np.inf, np.inf, np.inf, 0.0]])
+    empty = np.where(np.eye(4, dtype=bool), 0.0, np.inf)
+    got = apsp(np.stack([path, empty]), np.array([[2, 2], [3, 0]]))
+    assert got[0].tolist() == [[1.5, 0.5, 0.0, np.inf]] * 2
+    assert got[1].tolist() == [[np.inf, np.inf, np.inf, 0.0], [0.0, np.inf, np.inf, np.inf]]
+
+
 def test_stacked_apsp_keeps_tables_apart():
     """A table whose vertices share no edge stays inf off the diagonal next
     to a connected one: no row relaxes through another table's weights."""

@@ -9,8 +9,8 @@ unless their label ends in "cover". A stage that did not run shows "-": a
 cover row builds no orbital metric and runs neither the orbital checks nor
 the ball inclusions, and no row writes outputs (`cli.write_s`). With
 --repeat k every scenario runs k times and each cell is the median.
---size 800 runs circle(768, 4) and disk(29); "all" runs the 100 and 400
-matrices only. Nothing is written to disk.
+--size 800 runs circle(768, 4), disk(29) and circle(768, 4) cover; "all"
+runs the 100 and 400 matrices only. Nothing is written to disk.
 
 Usage (from the repository root):
   PYTHONPATH=src python3 tools/stage_times.py [--size 100|400|800|all] [--repeat k]
@@ -40,7 +40,8 @@ MATRICES = {
             ("dihedral", {"n": 64}, "general"),
             ("circle", {"n": 384, "k": 4}, "cover"), ("disk", {"g": 21}, "cover")],
     # the n~800 rows, left out of "all": each takes several seconds
-    "800": [("circle", {"n": 768, "k": 4}, "general"), ("disk", {"g": 29}, "general")],
+    "800": [("circle", {"n": 768, "k": 4}, "general"), ("disk", {"g": 29}, "general"),
+            ("circle", {"n": 768, "k": 4}, "cover")],
 }
 
 
