@@ -36,6 +36,17 @@ which rows hold a violation, and only those rows are scanned over (j, k)
 for their witnesses. A table equal to its transpose needs only the columns
 j at or past the block's first row (``_axiom_violation_blocks`` proves
 both).
+
+Symmetry. If t[pi i, pi j] has the bits of t[i, j] for a point
+permutation pi, so does everything computed from t entry by entry with the
+same float operations. ``_orbit_minima`` tests this for a set of
+permutations and returns the least point of each orbit of their group, and
+two stages use those rows alone. The lift (``lift.lift_metric``): dense
+Dijkstra's table does not depend on its tie rule (``spath``), so row pi x
+is row x moved by pi, bit for bit. The axiom scan: the gap at (i, j, k) is
+the gap at (pi i, pi j, pi k) bit for bit, so the rows holding a triangle
+violation are a union of orbits, and an orbit-minimum row holds one
+whenever any row does.
 """
 
 from __future__ import annotations
@@ -281,6 +292,51 @@ def group_from_permutations(perms, generator_names=None) -> tuple:
     return group, [tuple(p) for p in rows.tolist()]
 
 
+def _orbit_minima(table: np.ndarray, perms) -> Optional[np.ndarray]:
+    """The least point of each orbit of the group the permutations (k x n
+    integers, p[x] the image of x) generate, ascending, when the n x n
+    table is bitwise invariant under each: table[p[i], p[j]] has the int64
+    bits of table[i, j], so 0.0 against -0.0, or two NaN payloads, count as
+    a change. None otherwise, when a row is not a bijection of range(n), or
+    when every orbit is one point. None at once with no permutation, or
+    when n^3 cells, a whole triangle scan or dense Dijkstra, fit one
+    ``_BLOCK`` block, which then costs less than the tests.
+
+    Orbits by labels: each point starts as its own; a round takes the least
+    label over p and its inverse, then the label of the label, until
+    nothing changes. A label stays a point of the orbit at or below the
+    point, and at the fixpoint it is constant on every cycle of every p,
+    so it is the orbit's least point. The table is compared at most
+    ``_BLOCK`` cells a block."""
+    perms = np.asarray(perms)
+    n = table.shape[0]
+    if not perms.size or n ** 3 <= _BLOCK:
+        return None
+    if table.shape != (n, n) or perms.ndim != 2 or perms.shape[1] != n or perms.dtype.kind not in "iu":
+        return None
+    ids = np.arange(n)
+    inverse = np.argsort(perms, axis=1)
+    if not (np.take_along_axis(perms, inverse, axis=1) == ids).all():
+        return None
+    both = np.concatenate([perms, inverse])
+    label = ids
+    while True:
+        new = np.minimum(label, label[both].min(axis=0))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    minima = np.flatnonzero(label == ids)
+    if len(minima) == n:
+        return None
+    bits = table.view(np.int64)
+    for p in perms:
+        for rows in _row_blocks(n, n):
+            if not np.array_equal(bits[p[rows]][:, p], bits[rows]):
+                return None
+    return minima
+
+
 _AXIOM_MESSAGES = {
     "nonzero_diagonal": "nonzero diagonal",
     "negative": "negative distance",
@@ -290,16 +346,17 @@ _AXIOM_MESSAGES = {
 }
 
 
-def _axiom_violation_blocks(table: np.ndarray, tol: float):
+def _axiom_violation_blocks(table: np.ndarray, tol: float, rows=None):
     """Yield the metric-axiom violations in scan order, a block at a time,
     each with its worst residual: the diagonal by i; the pairs i < j in
     ``triu_indices`` order, each with its negative, asymmetric and zero
     tests; one block per triangle row i with a violation, over (j, k).
 
-    The triangle rows are found by refutation, a block of rows at a time
-    (``_row_blocks``, n x n cells a row): m[i, j], the ``np.fmin`` over k
-    of t[i, k] + t[k, j], in one add and one reduction along k. Two facts
-    make it exact:
+    The triangle rows are found by refutation, a block of rows at a time,
+    each block at most ``_BLOCK`` of the cells it reads (a row larger than
+    that is a block of its own): m[i, j], the ``np.fmin`` over k of t[i, k]
+    + t[k, j], in one add and one reduction along k. Two facts make it
+    exact:
 
     - Row i has a violation at column j exactly when t[i, j] - m[i, j] >
       tol. For a fixed x the rounded x - y never increases as y grows, so
@@ -313,6 +370,13 @@ def _axiom_violation_blocks(table: np.ndarray, tol: float):
       lo, and a hit at (i, j) marks both rows i and j; a hit at j < lo is
       the mirror of one that an earlier block marked. Any other table
       reads every column.
+
+    ``rows``, when given, holds a row of each orbit of a group of point
+    permutations that keeps the table bitwise (``_orbit_minima``, or one
+    row for a transitive group). The rows with a triangle violation are a
+    union of orbits (module docstring), so if these rows, refuted first
+    over every column, hold none, no row does. On any hit the scan runs as
+    without them, with the same witnesses and residuals.
 
     Once a block is refuted, each of its marked rows is rescanned, in
     ascending order: it writes t[i, j] - (t[i, k] + t[k, j]) into one n x n
@@ -343,20 +407,29 @@ def _axiom_violation_blocks(table: np.ndarray, tol: float):
         yield block, float(skew[asymmetric].max(initial=0.0))
 
     tT = np.ascontiguousarray(table.T)
+    # t[i, k] + t[k, j] over (i, j, k) of the largest block
+    sums = np.empty(min(n ** 3, max(_BLOCK, n * n)), dtype=tT.dtype)
+
+    def refuted(t, cols):
+        """t[i, j] - m[i, j] > tol over the rows t of the table and the
+        columns j >= cols."""
+        block = sums[: len(t) * (n - cols) * n].reshape(len(t), n - cols, n)
+        np.add(t[:, None, :], tT[None, cols:, :], out=block)
+        least = np.fmin.reduce(block, axis=-1)
+        return np.subtract(t[:, cols:], least, out=least) > tol
+
+    if rows is not None and not any(refuted(table[rows[b]], 0).any() for b in _row_blocks(len(rows), n * n)):
+        return
     mirrored = bool((table == tT).all()) and np.array_equal(np.signbit(table), np.signbit(tT))
     marked = np.zeros(n, dtype=bool)
     gap = np.empty_like(tT)
     hits = np.empty(tT.shape, dtype=bool)
-    sums = None
-    for rows in _row_blocks(n, n * n):
-        lo, hi = rows.start, min(rows.stop, n)
+    hi = 0
+    while hi < n:
+        lo = hi
         cols = lo if mirrored else 0
-        if sums is None:  # the first block is the largest: t[i, k] + t[k, j] over (i, j, k)
-            sums = np.empty((hi - lo) * n * n, dtype=tT.dtype)
-        block = sums[: (hi - lo) * (n - cols) * n].reshape(hi - lo, n - cols, n)
-        np.add(table[rows, None, :], tT[None, cols:, :], out=block)
-        least = np.fmin.reduce(block, axis=-1)
-        hit = np.subtract(table[rows, cols:], least, out=least) > tol
+        hi = min(n, lo + max(1, _BLOCK // ((n - cols) * n)))
+        hit = refuted(table[lo:hi], cols)
         if hit.any():
             marked[lo:hi] |= hit.any(axis=1)
             if mirrored:
@@ -368,30 +441,32 @@ def _axiom_violation_blocks(table: np.ndarray, tol: float):
             yield [("triangle", i, j, k) for j, k in np.argwhere(hits).tolist()], float(gap[hits].max())
 
 
-def _metric_axiom_violations(table: np.ndarray, tol: float):
-    """Every metric-axiom violation in scan order, and the worst residual."""
+def _metric_axiom_violations(table: np.ndarray, tol: float, rows=None):
+    """Every metric-axiom violation in scan order, and the worst residual;
+    ``rows`` as in ``_axiom_violation_blocks``."""
     v = []
     resid = 0.0
     # infinities are legitimate (extended metric on a disconnected lift);
     # inf - inf evaluates to nan, which never exceeds tol
     with np.errstate(invalid="ignore"):
-        for block, worst in _axiom_violation_blocks(table, tol):
+        for block, worst in _axiom_violation_blocks(table, tol, rows):
             v += block
             resid = max(resid, worst)
     return v, resid
 
 
-def _check_metric_table(table: np.ndarray, tol: float):
+def _check_metric_table(table: np.ndarray, tol: float, rows=None):
     """Raise on a non-finite entry (NaN would pass every axiom silently),
     else on the first witness of ``_metric_axiom_violations``; the scan
-    stops at the first block that has one."""
+    stops at the first block that has one. ``rows`` as in
+    ``_axiom_violation_blocks``."""
     n = table.shape[0]
     if table.shape != (n, n):
         raise ValidationError("NotAMetric", "metric table must be square")
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         raise ValidationError("NonFinite", "non-finite distance", tuple(int(v) for v in bad[0]))
-    first = next(_axiom_violation_blocks(table, tol), None)
+    first = next(_axiom_violation_blocks(table, tol, rows), None)
     if first is not None:
         kind, *witness = first[0][0]
         witness = witness[0] if len(witness) == 1 else tuple(witness)
@@ -415,11 +490,15 @@ class SampledSpace:
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in nbrs))
 
 
-def build_space(base_metric, edges, labels=None, tol: float = 1e-9) -> SampledSpace:
-    """Validate base metric axioms (exhaustively) and the edge set."""
+def build_space(base_metric, edges, labels=None, tol: float = 1e-9, perms=None) -> SampledSpace:
+    """Validate base metric axioms (exhaustively) and the edge set.
+
+    ``perms``, point permutations of the action to come, let the triangle
+    scan refute the orbit-minimum rows first (``_orbit_minima``); nothing
+    about them is assumed, and the action is validated when it is bound."""
     table = np.asarray(base_metric, dtype=np.float64)
     n = table.shape[0]
-    _check_metric_table(table, tol)
+    _check_metric_table(table, tol, None if perms is None else _orbit_minima(table, perms))
     norm = set()
     for u, v in edges:
         u, v = int(u), int(v)
@@ -491,6 +570,12 @@ class SampledGSpace:
     stabilizer_class: np.ndarray = field(init=False, repr=False)
     # per element: does it act on every point; derived from action
     total: np.ndarray = field(init=False, repr=False)
+    # read-only np.intp array: a generating set of the total elements, each
+    # the first element outside the subgroup of those before; empty when
+    # only the identity is total, or when two totals have a partial product
+    # (then they form no group). Tables are tested for bitwise invariance
+    # under these elements' point maps (``_orbit_minima``).
+    total_generators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n_points
@@ -498,6 +583,17 @@ class SampledGSpace:
         fixed = images == np.arange(n)
         total = (images >= 0).all(axis=1)
         total.setflags(write=False)
+        group, T = self.group, np.flatnonzero(total)
+        gens = []
+        if total.all() or total[group.mul[np.ix_(T, T)]].all():
+            member = group._mask([group.identity])
+            for g in T.tolist():
+                if not member[g]:
+                    gens.append(g)
+                    member = group._closure(member | group._mask([g]))
+        gens = np.array(gens, dtype=np.intp)
+        gens.setflags(write=False)
+        object.__setattr__(self, "total_generators", gens)
         classes = {}
         of = np.array([classes.setdefault(tuple(np.flatnonzero(c).tolist()), len(classes)) for c in fixed.T],
                       dtype=np.intp)

@@ -63,7 +63,7 @@ import numpy as np
 from .spath import apsp
 from .errors import ValidationError
 from . import gspace as _gspace  # its _BLOCK is read at call time
-from .gspace import SampledGSpace, _row_blocks, component_of
+from .gspace import SampledGSpace, _orbit_minima, _row_blocks, component_of
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
@@ -75,6 +75,9 @@ class AllowabilityGraph:
     mode: str
     edges: tuple  # (u, v, weight, kind) with u < v
     small_sets: tuple = ()  # cover mode: the accepted elementary components
+    # the G-space the graph was built on: ``lift_metric`` takes its total
+    # elements as the symmetries the weights may have
+    gspace: SampledGSpace = field(default=None, compare=False, repr=False)
 
     def weight_matrix(self) -> np.ndarray:
         w = np.full((self.n_points, self.n_points), np.inf)
@@ -300,7 +303,7 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
         dov = d_O.values[u, v]
         keep = ~np.isnan(dov)
         edges += zip(u[keep].tolist(), v[keep].tolist(), dov[keep].tolist(), repeat("orbit"))
-        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)))
+        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), gspace=gspace)
 
     if mode == "cover":
         sets = cover_small_sets(gspace, quotient, enlargement_factor, tol)
@@ -312,14 +315,14 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
                     if (u, v) not in seen:
                         seen.add((u, v))
                         edges.append((u, v, float(d[p[u], p[v]]), "cover"))
-        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), small_sets=sets)
+        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), small_sets=sets, gspace=gspace)
 
     if mode == "naive":
         for u in range(n):
             for v in range(u + 1, n):
                 if p[u] != p[v]:
                     edges.append((u, v, float(d[p[u], p[v]]), "naive-elementary"))
-        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)))
+        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), gspace=gspace)
 
     raise ValidationError("InvalidParams", f"unknown lift mode {mode!r}")
 
@@ -352,10 +355,32 @@ def _witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) ->
 def lift_metric(graph: AllowabilityGraph, tol: float = 1e-9) -> LiftedMetric:
     """Shortest paths over the allowability graph. Every edge weight is
     finite, so a component is the finite row of rho at its least point; the
-    components go in the order of their least points."""
+    components go in the order of their least points.
+
+    Symmetry. When the weights are bitwise invariant under the total
+    elements' generators (``SampledGSpace.total_generators``), they are
+    invariant under every total element g, and so is the table: row g.m is
+    row m moved by g, rho[g.m, y] = rho[m, g^-1.y], bit for bit, since dense
+    Dijkstra's table does not depend on its tie rule (``spath``). So only
+    the rows of the orbit minima m are searched (``apsp(..., sources=)``),
+    and each total element g writes the rows g.m from them, a block of
+    elements at a time (at most ``_BLOCK`` cells): every point is some g.m,
+    and g runs over the group that was tested. Otherwise, without a
+    G-space, or when the whole search fits one block (``_orbit_minima``),
+    every row is searched."""
     n = graph.n_points
     w = graph.weight_matrix()
-    rho = apsp(w)
+    gs = graph.gspace
+    minima = None if gs is None else _orbit_minima(w, gs.action[gs.total_generators, :n])
+    if minima is None:
+        rho = apsp(w)
+    else:
+        rows = apsp(w, sources=minima)
+        rho = np.empty((n, n))
+        totals = np.flatnonzero(gs.total)
+        for block in _row_blocks(len(totals), len(minima) * n):  # rows g.m of a block of elements g
+            g = totals[block]
+            rho[gs.action[g][:, minima]] = rows[:, gs.action[gs.group.inv[g], :n]].swapaxes(0, 1)
     rho.setflags(write=False)
     least = np.where(np.isfinite(rho), np.arange(n), n).min(axis=1, initial=n)
     comps = tuple(tuple(np.flatnonzero(least == x).tolist())

@@ -26,19 +26,34 @@ from .errors import ValidationError
 from .gspace import SampledGSpace, _permutation_group, bind_action_array, build_group, build_space
 
 
-def _circle_space(n: int):
+def _circle_space(n: int) -> tuple:
+    """(metric, edges, labels) of n points on the unit circle."""
     step = 2.0 * math.pi / n
     i = np.arange(n)
     hops = np.abs(i[:, None] - i)  # integers convert exactly: one multiply per entry
     metric = np.minimum(hops, n - hops) * step
     edges = [(i, (i + 1) % n) for i in range(n)]
     labels = [f"{360.0 * i / n:g}deg" for i in range(n)]
-    return build_space(metric, edges, labels)
+    return metric, edges, labels
 
 
-def _permutation_gspace(space, perms) -> SampledGSpace:
-    """The space under the group its point permutations generate: the
-    group's element table is the action array."""
+def _line_space(m: int, h: float) -> tuple:
+    """(metric, edges, labels) of 2m + 1 points at spacing h on a line: the
+    positions (i - m) * h and their distances |a - b|, one float operation
+    an entry, as a scalar loop over floats makes them (an integer h is
+    taken as a float, so a large one cannot wrap around)."""
+    n = 2 * m + 1
+    pos = (np.arange(n) - m) * float(h)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return np.abs(pos[:, None] - pos), edges, [f"{p:g}" for p in pos.tolist()]
+
+
+def _permutation_gspace(space: tuple, perms) -> SampledGSpace:
+    """The space (metric, edges, labels) under the group its point
+    permutations generate: the base metric is checked with their orbit
+    minima (``build_space``), and the group's element table is the action
+    array."""
+    space = build_space(*space, perms=perms)
     group, table = _permutation_group(perms)
     return bind_action_array(space, group, table)
 
@@ -46,32 +61,25 @@ def _permutation_gspace(space, perms) -> SampledGSpace:
 def circle(n: int, k: int) -> SampledGSpace:
     if n < 3 or k < 1 or n % k != 0:
         raise ValidationError("InvalidParams", "circle requires n >= 3 and k dividing n", (n, k))
-    space = _circle_space(n)
     shift_by = n // k
     rot = tuple((i + shift_by) % n for i in range(n))
-    return _permutation_gspace(space, [rot])
+    return _permutation_gspace(_circle_space(n), [rot])
 
 
 def reflection(m: int, h: float) -> SampledGSpace:
     if m < 1 or h <= 0:
         raise ValidationError("InvalidParams", "reflection requires m >= 1 and positive spacing", (m, h))
     n = 2 * m + 1
-    pos = [(i - m) * h for i in range(n)]
-    metric = [[abs(a - b) for b in pos] for a in pos]
-    edges = [(i, i + 1) for i in range(n - 1)]
-    labels = [f"{p:g}" for p in pos]
-    space = build_space(metric, edges, labels)
     neg = tuple(n - 1 - i for i in range(n))
-    return _permutation_gspace(space, [neg])
+    return _permutation_gspace(_line_space(m, h), [neg])
 
 
 def dihedral(n: int) -> SampledGSpace:
     if n < 3:
         raise ValidationError("InvalidParams", "dihedral requires n >= 3", n)
-    space = _circle_space(n)
     rot = tuple((i + 1) % n for i in range(n))
     flip = tuple((n - i) % n for i in range(n))
-    return _permutation_gspace(space, [rot, flip])
+    return _permutation_gspace(_circle_space(n), [rot, flip])
 
 
 def disk(g: int) -> SampledGSpace:
@@ -93,9 +101,8 @@ def disk(g: int) -> SampledGSpace:
             if (x + dx, y + dy) in index:
                 edges.append((i, index[(x + dx, y + dy)]))
     labels = [f"({x},{y})" for x, y in coords]
-    space = build_space(metric, edges, labels)
     rot = tuple(index[(-y, x)] for x, y in coords)
-    return _permutation_gspace(space, [rot])
+    return _permutation_gspace((metric, edges, labels), [rot])
 
 
 def shift(m: int, h: float, N: int) -> SampledGSpace:
@@ -107,11 +114,7 @@ def shift(m: int, h: float, N: int) -> SampledGSpace:
     n = 2 * m + 1
     if N * stride >= n:
         raise ValidationError("InvalidParams", "largest shift leaves no point in the sample", (m, h, N))
-    pos = [(i - m) * h for i in range(n)]
-    metric = [[abs(a - b) for b in pos] for a in pos]
-    edges = [(i, i + 1) for i in range(n - 1)]
-    labels = [f"{p:g}" for p in pos]
-    space = build_space(metric, edges, labels)
+    space = build_space(*_line_space(m, h))
 
     order = 4 * N + 1
     elems = np.arange(order)

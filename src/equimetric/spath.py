@@ -17,6 +17,15 @@ only, shape (..., s, n), each bitwise equal to that row of the full table:
 a repeated source gets the same row twice. The search still takes n steps,
 so s sources cost s / n of the full call.
 
+The table does not depend on the tie rule. Each final ``dist[v]`` is the
+least ``dist[u] + w[u, v]`` over the vertices u settled before v. Every u
+with ``dist[u] < dist[v]`` is settled before v whatever the tie rule, and a
+u settled later has ``dist[u] >= dist[v]``, so it cannot lower ``dist[v]``:
+a + b >= a in IEEE arithmetic when b >= 0. Hence a point permutation pi
+that keeps every weight bit for bit (``w[pi u, pi v] == w[u, v]``) moves
+the table onto itself bit for bit: row pi s is row s moved by pi.
+``lift.lift_metric`` searches one source per orbit for that reason.
+
 Precondition: every weight is nonnegative, or ``inf`` where there is no
 edge; no NaN. With a negative weight the result is not a shortest-path
 table.

@@ -18,7 +18,9 @@ search in rounds over the runs of the quotient prefix
 
 The metric axioms of rho and of its pushforward are the one scan that
 validates every metric table, ``gspace._metric_axiom_violations``, with
-its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol. The invariance,
+its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol; rho's refutes its
+orbit-minimum rows first when it is bitwise invariant under the total
+elements (``gspace._orbit_minima``). The invariance,
 lower-bound, cover-isometry and nearest-neighbour checks are array
 reductions over pairs, and the pushforward is ``quotient.orbit_minima`` of
 rho. The invariance check gathers rho[g.x, g.y] for a block of elements g
@@ -35,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, _metric_axiom_violations, _row_blocks
+from .gspace import SampledGSpace, _metric_axiom_violations, _orbit_minima, _row_blocks
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient, orbit_minima
@@ -64,7 +66,10 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
         rep.add("lift_connected", FAIL, [tuple(c[0] for c in lifted.components)])
         return rep
 
-    v, resid = _metric_axiom_violations(rho, tol)
+    # the orbit-minimum rows refute first when rho is bitwise invariant
+    # under the total elements' generators; either way the same violations
+    minima = _orbit_minima(rho, gspace.action[gspace.total_generators, :n])
+    v, resid = _metric_axiom_violations(rho, tol, minima)
     rep.add("metric_axioms", FAIL if v else PASS, v, resid)
 
     # invariance wherever both endpoints translate; a finite/infinite

@@ -127,6 +127,14 @@ def disk_metric(g: int) -> list:
     return [[math.hypot(a[0] - b[0], a[1] - b[1]) for b in coords] for a in coords]
 
 
+def line_space(m: int, h: float) -> tuple:
+    """(metric, labels) of 2m + 1 line points at spacing h, one Python
+    float operation per position and per distance, as `scenarios.reflection`
+    and `scenarios.shift` built them before they became numpy expressions."""
+    pos = [(i - m) * h for i in range(2 * m + 1)]
+    return [[abs(a - b) for b in pos] for a in pos], [f"{p:g}" for p in pos]
+
+
 # Scalar references for the row-vectorised checks in the library: the
 # loops the library ran before vectorisation, so the differential tests can
 # require equal codes, witnesses and residuals.

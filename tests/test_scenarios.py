@@ -30,6 +30,17 @@ def test_disk_metric_matches_scalar_reference_bitwise(g):
     assert got.tobytes() == np.array(oracles.disk_metric(g), dtype=np.float64).tobytes()
 
 
+@pytest.mark.parametrize("name,params", [
+    ("reflection", {"m": 3, "h": 1.0}), ("reflection", {"m": 25, "h": 0.1}), ("reflection", {"m": 50, "h": 2}),
+    ("reflection", {"m": 200, "h": 0.3}), ("shift", {"m": 40, "h": 0.25, "N": 3}), ("shift", {"m": 8, "h": 0.5, "N": 2}),
+])
+def test_line_metric_and_labels_match_scalar_reference_bitwise(name, params):
+    space = generate_scenario(name, params).space
+    metric, labels = oracles.line_space(params["m"], params["h"])
+    assert space.base_metric.tobytes() == np.array(metric, dtype=np.float64).tobytes()
+    assert space.labels == tuple(labels)
+
+
 def test_circle_requires_divisor():
     with pytest.raises(ValidationError) as exc:
         generate_scenario("circle", {"n": 12, "k": 5})

@@ -3,6 +3,7 @@ README shows, which no other test imports: a renamed library call would
 otherwise break them silently."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -70,6 +71,44 @@ def test_stage_times_size_800_lists_its_rows(capsys, monkeypatch):
     monkeypatch.setattr(stage_times, "MATRICES", {**stage_times.MATRICES, "100": [], "400": []})
     assert stage_times.main([]) == 0  # all: the 100 and 400 matrices only
     assert calls == []
+
+
+def test_stage_times_json_records_the_rows_run_and_keeps_the_others(tmp_path, monkeypatch):
+    """--json merges: a second run of one size replaces its rows and keeps
+    the rows of the other, and every row carries its spread and facts."""
+    stage_times = load("stage_times")
+    seconds = iter(range(1, 100))
+
+    def fake(name, params, mode="general"):
+        return 7, 2, {"scenarios.generate_s": float(next(seconds)), "lift.metric_s": 0.5}
+
+    monkeypatch.setattr(stage_times, "stage_times", fake)
+    monkeypatch.setattr(stage_times, "MATRICES", {
+        "100": [("circle", {"n": 12, "k": 3}, "general")], "400": [("dihedral", {"n": 8}, "cover")], "800": []})
+    path = tmp_path / "bench.json"
+    assert stage_times.main(["--size", "all", "--repeat", "3", "--json", str(path)]) == 0
+    assert stage_times.main(["--size", "400", "--json", str(path)]) == 0
+    got = json.loads(path.read_text())
+    assert got["matrix"] == json.loads(json.dumps(stage_times.MATRICES))
+    assert list(got["rows"]) == ["circle(12, 3)", "dihedral(8) cover"]
+    first, second = got["rows"]["circle(12, 3)"], got["rows"]["dihedral(8) cover"]
+    assert (first["size"], first["n"], first["group_order"], first["repeat"]) == ("100", 7, 2, 3)
+    assert first["stages"] == {"scenarios.generate_s": {"median": 2.0, "min": 1.0, "max": 3.0},
+                               "lift.metric_s": {"median": 0.5, "min": 0.5, "max": 0.5}}
+    assert first["total_s"] == {"median": 2.5, "min": 1.5, "max": 3.5}
+    assert second["repeat"] == 1 and second["stages"]["scenarios.generate_s"]["median"] == 7.0
+    assert {"python", "numpy", "cpus", "commit"} <= set(first)
+
+
+def test_bench_pipeline_json_holds_the_tools_matrix():
+    """The committed record was made on the matrix stage_times runs, and
+    holds a row of it for each size."""
+    stage_times = load("stage_times")
+    with open(os.path.join(ROOT, "BENCH_pipeline.json"), encoding="utf-8") as f:
+        got = json.load(f)
+    assert got["matrix"] == json.loads(json.dumps(stage_times.MATRICES))
+    labels = {size: [stage_times.label(*row) for row in rows] for size, rows in stage_times.MATRICES.items()}
+    assert sorted(got["rows"]) == sorted(label for rows in labels.values() for label in rows)
 
 
 def test_output_digest_hashes_every_file(tmp_path, monkeypatch):

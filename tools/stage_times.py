@@ -10,18 +10,31 @@ cover row builds no orbital metric and runs neither the orbital checks nor
 the ball inclusions, and no row writes outputs (`cli.write_s`). With
 --repeat k every scenario runs k times and each cell is the median.
 --size 800 runs circle(768, 4), disk(29) and circle(768, 4) cover; "all"
-runs the 100 and 400 matrices only. Nothing is written to disk.
+runs the 100 and 400 matrices only.
+
+With --json PATH the rows run are also recorded in PATH (the repository
+keeps `BENCH_pipeline.json`): the whole matrix, and per row n, |G|, the
+median, min and max over the repeats of each stage and of the total, the
+repeat count, the Python and numpy versions, the core count and the commit
+(`git describe --always --dirty`). Rows already in PATH that this run did
+not make are kept, so one file holds the runs of several --size values.
+Nothing else is written to disk.
 
 Usage (from the repository root):
-  PYTHONPATH=src python3 tools/stage_times.py [--size 100|400|800|all] [--repeat k]
+  PYTHONPATH=src python3 tools/stage_times.py [--size 100|400|800|all] [--repeat k] [--json PATH]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
 import statistics
+import subprocess
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)  # for perfbench; the library comes from PYTHONPATH
@@ -61,11 +74,46 @@ def label(name: str, params: dict, mode: str) -> str:
     return f"{name}({', '.join(str(v) for v in params.values())})" + (" cover" if mode == "cover" else "")
 
 
+def spread(values) -> dict:
+    """Median, min and max of a row's seconds, to the microsecond."""
+    values = list(values)
+    return {k: round(v, 6) for k, v in
+            (("median", statistics.median(values)), ("min", min(values)), ("max", max(values)))}
+
+
+def environment() -> dict:
+    """The facts a timing depends on besides the code: versions, cores and
+    the commit (None outside a git checkout)."""
+    try:
+        commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, check=True,
+                                capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "cpus": os.cpu_count(), "commit": commit}
+
+
+def write_json(path: str, rows: dict) -> None:
+    """Merge rows (label -> record) into the file at path: the matrix is
+    rewritten whole, each row run replaces its old record, and a recorded
+    row that left the matrix is dropped."""
+    old = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            old = json.load(f)["rows"]
+    old.update(rows)
+    labels = [label(*row) for size in MATRICES for row in MATRICES[size]]
+    out = {"matrix": MATRICES, "rows": {k: old[k] for k in labels if k in old}}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(out, f, indent=1)
+        f.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", choices=["100", "400", "800", "all"], default="all",
                         help="matrix to run; all is 100 and 400")
     parser.add_argument("--repeat", type=int, default=1, help="runs per scenario; cells are medians")
+    parser.add_argument("--json", metavar="PATH", help="also record the rows run in PATH")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -73,6 +121,8 @@ def main(argv=None) -> int:
 
     print("| scenario | n | \\|G\\| | total | " + " | ".join(TIME_METRICS) + " |")
     print("|---" * (4 + len(TIME_METRICS)) + "|")
+    env = environment() if args.json else {}
+    records = {}
     for size in sizes:
         for name, params, mode in MATRICES[size]:
             runs = [stage_times(name, params, mode) for _ in range(args.repeat)]
@@ -82,6 +132,12 @@ def main(argv=None) -> int:
             total = statistics.median(sum(r[2].values()) for r in runs)
             print(f"| {label(name, params, mode)} | {n} | {order} | {total:.2f} | "
                   + " | ".join(cells) + " |", flush=True)
+            records[label(name, params, mode)] = {
+                "size": size, "n": n, "group_order": order, "repeat": args.repeat, **env,
+                "total_s": spread(sum(r[2].values()) for r in runs),
+                "stages": {m: spread(r[2][m] for r in runs) for m in TIME_METRICS if m in runs[0][2]}}
+    if args.json:
+        write_json(args.json, records)
     return 0
 
 
