@@ -15,7 +15,6 @@ from .gspace import (
     bind_action,
     build_group,
     build_space,
-    graph_components,
     group_from_permutations,
 )
 from .lift import (
@@ -71,7 +70,6 @@ __all__ = [
     "cover_small_sets",
     "fmt9",
     "generate_scenario",
-    "graph_components",
     "group_from_permutations",
     "group_metric",
     "lift_metric",

@@ -220,12 +220,12 @@ def write_outputs(cfg: dict, result: dict) -> None:
         f.write(",".join(labels) + "\n")
         f.writelines(fmt9_lines(result["lifted"].rho))
 
-    orbit_labels = [labels[quotient.representative[q]] for q in range(quotient.n_orbits)]
+    orbit_labels = [labels[x] for x in quotient.representative.tolist()]
     with open(os.path.join(out, "quotient.csv"), "w", encoding="utf-8") as f:
         f.write(",".join(orbit_labels) + "\n")
         f.writelines(fmt9_lines(quotient.d))
         f.write(",".join(labels) + "\n")
-        f.write(",".join(str(q) for q in quotient.orbit_of) + "\n")
+        f.write(",".join(map(str, quotient.orbit_of.tolist())) + "\n")
 
     family = result["family"]
     with open(os.path.join(out, "slices.txt"), "w", encoding="utf-8") as f:

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -337,6 +338,16 @@ def _orbit_minima(table: np.ndarray, perms) -> Optional[np.ndarray]:
     return minima
 
 
+def _total_minima(gspace: SampledGSpace, table: np.ndarray) -> Optional[np.ndarray]:
+    """``_orbit_minima`` of an n x n table under the point maps of the total
+    elements' generators. None at once when n^3 cells fit one ``_BLOCK``
+    block, before the generators are derived."""
+    n = gspace.n_points
+    if n ** 3 <= _BLOCK:
+        return None
+    return _orbit_minima(table, gspace.action[gspace.total_generators, :n])
+
+
 _AXIOM_MESSAGES = {
     "nonzero_diagonal": "nonzero diagonal",
     "negative": "negative distance",
@@ -515,35 +526,6 @@ def build_space(base_metric, edges, labels=None, tol: float = 1e-9, perms=None) 
     return SampledSpace(n_points=n, base_metric=table, edges=frozenset(norm), labels=labels)
 
 
-def graph_components(n_points: int, edges, subset=None) -> list:
-    """Connected components (sorted lists) of the induced subgraph on subset."""
-    if subset is None:
-        subset = range(n_points)
-    alive = set(subset)
-    adj = {u: [] for u in alive}
-    for a, b in edges:
-        if a in alive and b in alive:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = set()
-    comps = []
-    for start in sorted(alive):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def component_of(adjacency, start: int, alive) -> set:
     """The points joined to start by paths through alive (start included)."""
     seen = {start}
@@ -570,12 +552,6 @@ class SampledGSpace:
     stabilizer_class: np.ndarray = field(init=False, repr=False)
     # per element: does it act on every point; derived from action
     total: np.ndarray = field(init=False, repr=False)
-    # read-only np.intp array: a generating set of the total elements, each
-    # the first element outside the subgroup of those before; empty when
-    # only the identity is total, or when two totals have a partial product
-    # (then they form no group). Tables are tested for bitwise invariance
-    # under these elements' point maps (``_orbit_minima``).
-    total_generators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n_points
@@ -583,17 +559,6 @@ class SampledGSpace:
         fixed = images == np.arange(n)
         total = (images >= 0).all(axis=1)
         total.setflags(write=False)
-        group, T = self.group, np.flatnonzero(total)
-        gens = []
-        if total.all() or total[group.mul[np.ix_(T, T)]].all():
-            member = group._mask([group.identity])
-            for g in T.tolist():
-                if not member[g]:
-                    gens.append(g)
-                    member = group._closure(member | group._mask([g]))
-        gens = np.array(gens, dtype=np.intp)
-        gens.setflags(write=False)
-        object.__setattr__(self, "total_generators", gens)
         classes = {}
         of = np.array([classes.setdefault(tuple(np.flatnonzero(c).tolist()), len(classes)) for c in fixed.T],
                       dtype=np.intp)
@@ -605,6 +570,24 @@ class SampledGSpace:
     @property
     def n_points(self) -> int:
         return self.space.n_points
+
+    @cached_property
+    def total_generators(self) -> np.ndarray:
+        """Read-only np.intp generators of the total elements, each the first
+        outside the subgroup of those before; empty when only the identity is
+        total or two totals have a partial product (no group). Derived on
+        first use, by ``_total_minima``."""
+        group, T = self.group, np.flatnonzero(self.total)
+        gens = []
+        if self.total.all() or self.total[group.mul[np.ix_(T, T)]].all():
+            member = group._mask([group.identity])
+            for g in T.tolist():
+                if not member[g]:
+                    gens.append(g)
+                    member = group._closure(member | group._mask([g]))
+        gens = np.array(gens, dtype=np.intp)
+        gens.setflags(write=False)
+        return gens
 
     def apply(self, g: int, x: int):
         """g.x, or None when the partial map is undefined at x."""

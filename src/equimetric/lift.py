@@ -63,7 +63,7 @@ import numpy as np
 from .spath import apsp
 from .errors import ValidationError
 from . import gspace as _gspace  # its _BLOCK is read at call time
-from .gspace import SampledGSpace, _orbit_minima, _row_blocks, component_of
+from .gspace import SampledGSpace, _row_blocks, _total_minima, component_of
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
@@ -122,7 +122,9 @@ def _sweep(adjacency, orbit_of, key, radii) -> tuple:
     merge that puts one orbit into a component twice (inf if none); parts[i]
     holds the distinct orbit sets, as bit masks, of the components of
     {key < radii[i]} with more than two orbits, in the order of their least
-    points, for each ascending radius up to limit.
+    points, for each ascending radius up to limit. orbit_of is a list of
+    Python ints: a numpy integer would shift a mask of 64 or more orbits
+    out of its width.
 
     One union-find sweep over the points in (key, index) order; a radius is
     recorded when the sweep reaches the first point of key >= it."""
@@ -184,8 +186,8 @@ def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
     d, k = np.ascontiguousarray(quotient.d), quotient.n_orbits
     w = np.full((k, k), np.inf)
     np.fill_diagonal(w, 0.0)
-    for a, b in quotient.quotient_adjacency:
-        w[a, b] = w[b, a] = d[a, b]
+    a, b = np.nonzero(np.triu(quotient.adjacency))  # d[a, b], a < b, both ways
+    w[a, b] = w[b, a] = d[a, b]
     nbytes = (k + 7) // 8
     by_size = {}
     for m in masks:
@@ -225,14 +227,14 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
     if quotient.d is None:
         raise ValidationError("InvalidParams", "quotient metric required for cover mode")
     adjacency = gspace.space.adjacency
-    orbit_of = np.asarray(quotient.orbit_of)
-    keys = quotient.d[:, orbit_of]  # row q: d(q, p(v)) per point v
+    keys = quotient.d[:, quotient.orbit_of]  # row q: d(q, p(v)) per point v
+    orbit_of = quotient.orbit_of.tolist()  # Python ints: masks past 63 orbits
 
     # per centre, its elementary radii ascending, each with its parts
     todo = {}
     for q in range(quotient.n_orbits):
         radii = _candidate_radii(quotient, q)[::-1]
-        limit, parts = _sweep(adjacency, quotient.orbit_of, keys[q], radii)
+        limit, parts = _sweep(adjacency, orbit_of, keys[q], radii)
         todo[q] = [(r, masks) for r, masks in zip(radii, parts)
                    if enlargement_factor <= 1.0 or r * enlargement_factor <= limit]
 
@@ -280,7 +282,7 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
                              tol: float = 1e-9) -> AllowabilityGraph:
     n = gspace.n_points
     d = quotient.d
-    p = quotient.orbit_of
+    orbit = quotient.orbit_of
     edges = []
 
     if mode == "general":
@@ -291,7 +293,6 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
         # slice edges at u < v with u in S_v or v in S_u; an orbit edge per
         # g and u with g.u > u (not -1), duplicates kept; nan d_O skipped
         joined = family.membership[:, :n]
-        orbit = np.asarray(p, dtype=np.intp)
         u, v = np.nonzero(np.triu(joined | joined.T, 1))
         dov = d_O.values[u, v]
         keep = ~np.isnan(dov)
@@ -307,21 +308,14 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
 
     if mode == "cover":
         sets = cover_small_sets(gspace, quotient, enlargement_factor, tol)
-        seen = set()
-        for s in sets:
-            pts = sorted(s)
-            for i, u in enumerate(pts):
-                for v in pts[i + 1 :]:
-                    if (u, v) not in seen:
-                        seen.add((u, v))
-                        edges.append((u, v, float(d[p[u], p[v]]), "cover"))
+        p = orbit.tolist()
+        pairs = {(u, v) for s in sets for u in s for v in s if u < v}
+        edges = [(u, v, float(d[p[u], p[v]]), "cover") for u, v in pairs]
         return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), small_sets=sets, gspace=gspace)
 
     if mode == "naive":
-        for u in range(n):
-            for v in range(u + 1, n):
-                if p[u] != p[v]:
-                    edges.append((u, v, float(d[p[u], p[v]]), "naive-elementary"))
+        u, v = np.nonzero(np.triu(orbit[:, None] != orbit, 1))
+        edges = zip(u.tolist(), v.tolist(), d[orbit[u], orbit[v]].tolist(), repeat("naive-elementary"))
         return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), gspace=gspace)
 
     raise ValidationError("InvalidParams", f"unknown lift mode {mode!r}")
@@ -366,12 +360,12 @@ def lift_metric(graph: AllowabilityGraph, tol: float = 1e-9) -> LiftedMetric:
     and each total element g writes the rows g.m from them, a block of
     elements at a time (at most ``_BLOCK`` cells): every point is some g.m,
     and g runs over the group that was tested. Otherwise, without a
-    G-space, or when the whole search fits one block (``_orbit_minima``),
+    G-space, or when the whole search fits one block (``_total_minima``),
     every row is searched."""
     n = graph.n_points
     w = graph.weight_matrix()
     gs = graph.gspace
-    minima = None if gs is None else _orbit_minima(w, gs.action[gs.total_generators, :n])
+    minima = None if gs is None else _total_minima(gs, w)
     if minima is None:
         rho = apsp(w)
     else:

@@ -185,10 +185,10 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
         )
 
     n, n_orbits = gspace.n_points, quotient.n_orbits
-    orbit = np.asarray(quotient.orbit_of)
+    orbit = quotient.orbit_of
     # base[o, q]: the least point of chart o's slice on orbit q (n if none)
     base = np.full((n_orbits, n_orbits), n)
-    for o, anchor in enumerate(quotient.representative):
+    for o, anchor in enumerate(quotient.representative.tolist()):
         idx = family.members(anchor)
         np.minimum.at(base[o], orbit[idx], idx)
     meets = base < n
@@ -252,9 +252,12 @@ def _centre_in_ball(quotient: Quotient, x: int, delta: float):
         raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
 
 
+_TOL = 1e-12  # of property B's breaking test and the coset inequality chain
+
+
 def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
                               family: SliceFamily, d_O: OrbitalMetric,
-                              d_G: GroupMetric, tol: float = 1e-12) -> Report:
+                              d_G: GroupMetric) -> Report:
     """Subcontinuity properties A/B/C and the coset-metric inequalities.
 
     The continuum epsilon/delta quantifiers range over (0, inf); on a finite
@@ -269,7 +272,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
        max(d(p x, p y), d_G(e, g)) < delta; delta works for eps iff
        M(delta) < eps, and the largest working delta is reported.
     B: b, the least d(p x, p y) over the y in S_x that break minimality
-       (some g1, g2 with d_O(g1 x, g2 x) > d_O(g1 y, g2 y) + tol); a delta
+       (some g1, g2 with d_O(g1 x, g2 x) > d_O(g1 y, g2 y) + _TOL); a delta
        works iff delta <= b.
     C: m(delta), the least d_O(x, g.x) over the g whose coset gK (K the
        stabilizer of x) stays at least delta from e, min over u in K of
@@ -286,7 +289,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     and C run over runs of consecutive points (``gspace._point_blocks``)
     whose gathers hold at most ``gspace._BLOCK`` elements together
     (|S_x| |G| per point for A, |G|^2 per y in S_x for B, x itself
-    skipped at tol >= 0, |G| for C; a point larger than that is a run of
+    skipped, |G| for C; a point larger than that is a run of
     its own), and reduce each point's pairs by exact minima and maxima, so
     the temporaries stay bounded at any n; a run's pairs are a slice of
     ``family.pairs``. The coset chain compares its tables once per pair of
@@ -301,7 +304,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     act = gspace.action
     mul = group.mul
     dq, dO = quotient.d, d_O.values
-    orbit = np.asarray(quotient.orbit_of)
+    orbit = quotient.orbit_of
 
     eps_grid = _grid_or(dO[~np.isnan(dO)], 1.0)
     delta_grid = _grid_or(np.concatenate([dq.ravel(), d_G.table.ravel()]), 1.0)
@@ -342,23 +345,21 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
 
     # Property B: orbital distance is minimal at the slice center. A block
     # of pairs (x, y) is one gather, vy[i, g1, g2] = d_O(g1 y_i, g2 y_i),
-    # pairs with an undefined image masked out. y = x cannot break it when
-    # tol >= 0 (a > a + tol is false), so those pairs are skipped.
-    skip = tol >= 0
+    # pairs with an undefined image masked out. y = x cannot break it
+    # (a > a + _TOL is false), so those pairs are skipped.
     least = np.full(n, np.inf)
     own = np.zeros(n, dtype=np.intp)  # 1 where x lies in S_x
     own[px[px == py]] = 1
-    gathered = np.cumsum(np.concatenate([[0], n_slice - skip * own]))  # offsets of the pairs kept
+    gathered = np.cumsum(np.concatenate([[0], n_slice - own]))  # offsets of the pairs kept
     for start, stop in _point_blocks(gathered, group.order ** 2):
         x, y = px[offsets[start] : offsets[stop]], py[offsets[start] : offsets[stop]]
-        if skip:
-            keep = x != y
-            x, y = x[keep], y[keep]
+        keep = x != y
+        x, y = x[keep], y[keep]
         ax, ay = images[x], images[y]
         vx = dO[ax[:, :, None], ax[:, None, :]]
         vy = dO[ay[:, :, None], ay[:, None, :]]
         defined = (ax >= 0) & (ay >= 0)
-        broken = ((vx > vy + tol) & defined[:, :, None] & defined[:, None, :]).any(axis=(1, 2))
+        broken = ((vx > vy + _TOL) & defined[:, :, None] & defined[:, None, :]).any(axis=(1, 2))
         np.minimum.at(least, x[broken], dq[orbit[x[broken]], orbit[y[broken]]])
     fails, wits = [], []
     for x, c in enumerate(np.searchsorted(delta_arr, least, side="right").tolist()):  # deltas <= b
@@ -394,7 +395,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     # representative): anchor distance <= slice-point distance <= group
     # distance. The tables depend on (chart, y) only through the two
     # stabilizer classes, so each pair of classes is compared once.
-    anchors = np.asarray(quotient.representative, dtype=np.intp)
+    anchors = quotient.representative
     sizes = n_slice[anchors]
     ys = np.concatenate([family.members(a) for a in anchors.tolist()] + [np.zeros(0, dtype=np.intp)])
     keys = list(zip(np.repeat(cls[anchors], sizes).tolist(), cls[ys].tolist()))
@@ -402,7 +403,7 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     for key in dict.fromkeys(keys):
         t_anchor, t_y = (d_G.coset_table(gspace.stabilizer_classes[c]) for c in key)
         worst = np.maximum(t_anchor - t_y, t_y - d_G.table)
-        chains[key] = float(worst.max()), np.argwhere(worst > tol).tolist()
+        chains[key] = float(worst.max()), np.argwhere(worst > _TOL).tolist()
     resid = max([0.0] + [worst_max for worst_max, _ in chains.values()])
     charts = np.repeat(np.arange(anchors.size), sizes).tolist()
     fails = [(o, y, *hit) for o, y, key in zip(charts, ys.tolist(), keys) for hit in chains[key][1]]

@@ -291,12 +291,14 @@ def build_slice_family(
 
     # candidate stacks per orbit; index points at the radius currently in use
     cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
-    orbit_of = np.asarray(quotient.orbit_of)
+    # Python ints for the loops, whose points and orbits reach witnesses and the log
+    orbit_list, reps = quotient.orbit_of.tolist(), quotient.representative.tolist()
+    members = [quotient.members(o).tolist() for o in range(n_orbits)]
     # Per point, from one join-key sweep per orbit: its join order (S_x is
     # a prefix), b_x in that order, and the least b_x of an orbit mate
     order, keys, meets = [None] * n, [None] * n, [None] * n
     for o in range(n_orbits):
-        orders = _join_orders(gspace.space.adjacency, quotient.d[o][orbit_of], quotient.orbit_members[o])
+        orders = _join_orders(gspace.space.adjacency, quotient.d[o][quotient.orbit_of], members[o])
         for x, (pts, b, meet) in orders.items():
             order[x], keys[x], meets[x] = pts, b, meet
     partial = np.flatnonzero(~gspace.total).tolist()
@@ -305,7 +307,7 @@ def build_slice_family(
     # mate, the least prefix length past which a partial element's
     # translate of S_x meets it, and that length per partial element)
     index = [[(x, np.searchsorted(keys[x], cands[o]).tolist(), meets[x], min(reach[x], default=n), reach[x])
-              for x in quotient.orbit_members[o]] for o in range(n_orbits)]
+              for x in members[o]] for o in range(n_orbits)]
     size_of = [0] * n  # x -> |S_x|
     bits = [0] * n  # x -> S_x as a bitset
     mates = {}  # x -> (b_x(p), p) for the other members p joined to x
@@ -314,8 +316,8 @@ def build_slice_family(
         """The least other member of x's orbit in S_x(r); the list is built
         on x's first orbit meet."""
         if x not in mates:
-            o = quotient.orbit_of[x]
-            mates[x] = [(k, p) for p, k in zip(order[x], keys[x].tolist()) if quotient.orbit_of[p] == o and p != x]
+            o = orbit_list[x]
+            mates[x] = [(k, p) for p, k in zip(order[x], keys[x].tolist()) if orbit_list[p] == o and p != x]
         return min(p for k, p in mates[x] if k < r)
 
     def rejection(orbit, i):
@@ -361,7 +363,7 @@ def build_slice_family(
                     set_size(x, sizes[i])
                 return r, i
             log.append({"orbit": orbit, "radius": r, "condition": viol[0], "witness": viol[1]})
-        for x in quotient.orbit_members[orbit]:
+        for x in members[orbit]:
             set_size(x, 1)
         log.append({"orbit": orbit, "radius": fallback_radius, "condition": "singleton_fallback", "witness": None})
         return fallback_radius, len(cands[orbit])
@@ -410,13 +412,13 @@ def build_slice_family(
 
     def diameter(x):
         if x not in diameters:
-            diameters[x] = _prefix_diameters(quotient.d, orbit_of[order[x][: size_of[x]]])
+            diameters[x] = _prefix_diameters(quotient.d, quotient.orbit_of[order[x][: size_of[x]]])
         return diameters[x][size_of[x] - 1]
 
     viol = violation_from(0, 0, 0)
     while viol is not None:
         x, y, _ = viol
-        ox, oy = quotient.orbit_of[x], quotient.orbit_of[y]
+        ox, oy = orbit_list[x], orbit_list[y]
         if ox == oy:
             target = ox
         else:
@@ -426,7 +428,7 @@ def build_slice_family(
             elif dy > dx:
                 target = oy
             else:
-                target = ox if quotient.representative[ox] < quotient.representative[oy] else oy
+                target = ox if reps[ox] < reps[oy] else oy
         log.append({"orbit": target, "radius": radii[target], "condition": "family_condition_ii",
                     "witness": viol})
         if idx[target] >= len(cands[target]):
@@ -478,7 +480,7 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     sizes = np.diff(family.offsets)
     filled = sizes > 0
     points = np.arange(n)
-    orbit_of = np.asarray(quotient.orbit_of, dtype=np.intp)
+    orbit_of = quotient.orbit_of
 
     v = [(x,) for x in np.flatnonzero(~member[points, points]).tolist()]
     rep.add("slice_contains_center", FAIL if v else PASS, v)

@@ -20,7 +20,7 @@ The metric axioms of rho and of its pushforward are the one scan that
 validates every metric table, ``gspace._metric_axiom_violations``, with
 its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol; rho's refutes its
 orbit-minimum rows first when it is bitwise invariant under the total
-elements (``gspace._orbit_minima``). The invariance,
+elements (``gspace._total_minima``). The invariance,
 lower-bound, cover-isometry and nearest-neighbour checks are array
 reductions over pairs, and the pushforward is ``quotient.orbit_minima`` of
 rho. The invariance check gathers rho[g.x, g.y] for a block of elements g
@@ -37,7 +37,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, _metric_axiom_violations, _orbit_minima, _row_blocks
+from .gspace import SampledGSpace, _metric_axiom_violations, _row_blocks, _total_minima
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient, orbit_minima
@@ -45,18 +45,21 @@ from .report import ADVISORY, FAIL, PASS, Report
 from .slices import SliceFamily, value_grid
 
 
+_INVARIANCE_TOL = 1e-12  # the largest |rho[x, y] - rho[g.x, g.y]| allowed
+
+
 def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
-                         lifted: LiftedMetric, tol: float = 1e-9,
-                         invariance_tol: float = 1e-12, region=None) -> Report:
+                         lifted: LiftedMetric, tol: float = 1e-9, region=None) -> Report:
     """All checks are exhaustive. ``region`` (a set of point indices, for
     truncated partial-action samples) restricts the pass/fail invariance
     check to quadruples inside it; pairs touching the excluded boundary band
-    are reported as a separate advisory residual."""
+    are reported as a separate advisory residual. The invariance check
+    allows ``_INVARIANCE_TOL``, the others ``tol``."""
     rep = Report()
     rho = lifted.rho
     n = gspace.n_points
     d = quotient.d
-    p = quotient.orbit_of
+    orbit = quotient.orbit_of
 
     iu, ju = np.triu_indices(n, 1)
     if not np.isfinite(rho[iu, ju]).any():
@@ -68,7 +71,7 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
 
     # the orbit-minimum rows refute first when rho is bitwise invariant
     # under the total elements' generators; either way the same violations
-    minima = _orbit_minima(rho, gspace.action[gspace.total_generators, :n])
+    minima = _total_minima(gspace, rho)
     v, resid = _metric_axiom_violations(rho, tol, minima)
     rep.add("metric_axioms", FAIL if v else PASS, v, resid)
 
@@ -115,7 +118,7 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
             band = np.logical_xor(upper, counted)  # a pair with an end or image outside
             boundary_resid = float(np.fmax.reduce(gap, axis=None, where=band, initial=boundary_resid))
         resid = float(np.fmax.reduce(gap, axis=None, where=counted, initial=resid))
-        bad = gap > invariance_tol
+        bad = gap > _INVARIANCE_TOL
         bad &= counted
         v.extend((rows.start + g, x, y) for g, x, y in np.argwhere(bad).tolist())
         del gap, bad, counted
@@ -124,7 +127,6 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
         rep.add("g_invariance_boundary_band", ADVISORY, [], boundary_resid)
 
     # an inf - inf gap is NaN and enters neither the residual nor the witnesses
-    orbit = np.asarray(p)
     with np.errstate(invalid="ignore"):
         gap = d[orbit[iu], orbit[ju]] - rho[iu, ju]
     above = gap[gap > 0]
@@ -247,7 +249,7 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
     n = gspace.n_points
     radii = _inclusion_grid(quotient, d_G, d_O, lifted)
     rho = lifted.rho
-    orbit_of = np.asarray(quotient.orbit_of)
+    orbit_of = quotient.orbit_of
 
     identity_row = d_G.table[d_G.group.identity]
     group_order = np.argsort(identity_row, kind="stable")
@@ -271,8 +273,7 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
         return per_orbit[q]
 
     fails1, wits1, fails2, wits2 = [], [], [], []
-    for x in range(n):
-        q = quotient.orbit_of[x]
+    for x, q in enumerate(orbit_of.tolist()):
         q_len, rank, starts1, starts2 = orbit_index(q)
         rho_order = np.argsort(rho[x], kind="stable")
         rho_len = np.searchsorted(rho[x][rho_order], radii)

@@ -12,7 +12,11 @@ point; scalar group, action and isometry loops vs. one table comparison per
 element over the action array; scalar subgroup, normality and closure
 scans over sets vs. gathers from the group's product and inverse arrays;
 per-element point maps and a union-find over them vs. the action array and
-one component search over its pairs; a grid
+the labelling rounds over it, with the orbits as tuples and the quotient
+adjacency as a set of pairs vs. index arrays and a bool table; a depth-first
+component search (``graph_components``) and Python sets for quotient balls
+and their preimages (``ball``, ``preimage``) vs. the library's union-find
+sweeps and key rows; a grid
 from a Python set searched per grid pair with rebuilt frozensets vs. a
 sorted-array grid searched per centre by a running minimum and in rounds;
 per-pair loops for the cover isometry, nearest neighbours and pushforward
@@ -26,13 +30,13 @@ scalar copies too, so the reference searches run no library predicate.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from equimetric.errors import ValidationError
-from equimetric.gspace import FiniteGroup, graph_components
+from equimetric.gspace import FiniteGroup
 from equimetric.orbital import OrbitalMetric
-from equimetric.quotient import Quotient
 from equimetric.report import ADVISORY, FAIL, PASS, Report
 from equimetric.slices import SliceFamily, _candidate_radii
 from equimetric.spath import apsp
@@ -317,7 +321,68 @@ class ActionMaps:
         return tuple(g for g in range(self.group.order) if self.act[g].get(x) == x)
 
 
-def compute_orbits(gspace) -> Quotient:
+def graph_components(n_points: int, edges, subset=None) -> list:
+    """Connected components (sorted lists) of the induced subgraph on subset,
+    by a depth-first search from each unseen point in ascending order."""
+    if subset is None:
+        subset = range(n_points)
+    alive = set(subset)
+    adj = {u: [] for u in alive}
+    for a, b in edges:
+        if a in alive and b in alive:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = set()
+    comps = []
+    for start in sorted(alive):
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def members(quotient, orbit) -> tuple:
+    """The points of an orbit of a library ``Quotient``, as Python ints."""
+    return tuple(quotient.members(orbit).tolist())
+
+
+def adjacent_pairs(quotient) -> frozenset:
+    """The pairs (a, b), a < b, of orbits the quotient adjacency joins."""
+    return frozenset(map(tuple, np.argwhere(np.triu(quotient.adjacency)).tolist()))
+
+
+def ball(quotient, orbit: int, radius: float) -> frozenset:
+    """Open metric ball in the orbit space."""
+    return frozenset(q for q in range(quotient.n_orbits) if quotient.d[orbit, q] < radius)
+
+
+def preimage(quotient, orbits) -> frozenset:
+    wanted = set(orbits)
+    return frozenset(x for x, q in enumerate(quotient.orbit_of.tolist()) if q in wanted)
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """The orbit partition as the quotient held it before its index arrays."""
+
+    n_orbits: int
+    orbit_of: tuple  # point -> orbit index
+    representative: tuple  # orbit -> least point
+    orbit_members: tuple  # orbit -> sorted tuple of points
+    quotient_adjacency: frozenset  # (a, b), a < b, for orbits an edge joins
+
+
+def compute_orbits(gspace) -> Orbits:
     """Orbits by union-find over the pairs (x, g.x) of the maps, numbered by
     least member, and the quotient adjacency."""
     maps = ActionMaps(gspace)
@@ -355,7 +420,7 @@ def compute_orbits(gspace) -> Quotient:
         if pa != pb:
             qadj.add((min(pa, pb), max(pa, pb)))
 
-    return Quotient(
+    return Orbits(
         n_orbits=len(roots),
         orbit_of=orbit_of,
         representative=tuple(m[0] for m in members),
@@ -451,7 +516,7 @@ def isometric_quotient_table(gspace, orbits, tol: float = 1e-9) -> np.ndarray:
     d = np.zeros((n, n), dtype=np.float64)
     for p in range(n):
         for q in range(p + 1, n):
-            d[p, q] = d[q, p] = min_over_lifts(rho0, orbits.orbit_members[p], orbits.orbit_members[q])
+            d[p, q] = d[q, p] = min_over_lifts(rho0, members(orbits, p), members(orbits, q))
     raise_first_axiom_violation(d, tol)
     return d
 
@@ -512,7 +577,7 @@ def verify_lifted_metric(gspace, quotient, lifted, tol=1e-9, invariance_tol=1e-1
     rho = lifted.rho
     n = gspace.n_points
     d = quotient.d
-    p = quotient.orbit_of
+    p = quotient.orbit_of.tolist()
     if not any(np.isfinite(rho[i, j]) for i in range(n) for j in range(i + 1, n)):
         for name in ("metric_axioms", "g_invariance", "lower_bound_quotient",
                      "cover_local_isometry", "nearest_neighbor_compatibility"):
@@ -610,8 +675,8 @@ def quotient_consistency(gspace, quotient, lifted, tol: float = 1e-9) -> Report:
         for b in range(a + 1, k):
             best = min(
                 float(lifted.rho[x, y])
-                for x in quotient.orbit_members[a]
-                for y in quotient.orbit_members[b]
+                for x in members(quotient, a)
+                for y in members(quotient, b)
             )
             dp[a, b] = dp[b, a] = best
 
@@ -666,10 +731,11 @@ def group_ball(d_G, radius) -> list:
 def subslice(family, x, quotient, eps) -> frozenset:
     """The y in S_x with d(p x, p y) < eps; EmptyResult when d(p x, p x)
     is not below eps (a positive quotient diagonal)."""
-    o = quotient.orbit_of[x]
+    orbit_of = quotient.orbit_of.tolist()
+    o = orbit_of[x]
     if not quotient.d[o, o] < eps:
         raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-    return frozenset(y for y in family.slice_of[x] if quotient.d[o, quotient.orbit_of[y]] < eps)
+    return frozenset(y for y in family.slice_of[x] if quotient.d[o, orbit_of[y]] < eps)
 
 
 def motion_set(gspace, quotient, family, d_G, x, delta, slice_radius) -> frozenset:
@@ -738,18 +804,19 @@ def verify_ball_inclusions(gspace, quotient, family, d_G, d_O, lifted) -> Report
 
 
 def _slice_at(gspace, quotient, x, radius):
-    ball = quotient.ball(quotient.orbit_of[x], radius)
-    if quotient.orbit_of[x] not in ball:  # radius at or below d(p(x), p(x))
+    o = int(quotient.orbit_of[x])
+    near = ball(quotient, o, radius)
+    if o not in near:  # radius at or below d(p(x), p(x))
         raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-    comps = graph_components(gspace.n_points, gspace.space.edges, quotient.preimage(ball))
+    comps = graph_components(gspace.n_points, gspace.space.edges, preimage(quotient, near))
     return next(frozenset(c) for c in comps if x in c)
 
 
 def _per_orbit_violation(gspace, quotient, orbit, slices):
-    members = set(quotient.orbit_members[orbit])
-    for x in quotient.orbit_members[orbit]:
+    mates = set(members(quotient, orbit))
+    for x in members(quotient, orbit):
         s = slices[x]
-        inter = sorted(s & members)
+        inter = sorted(s & mates)
         if inter != [x]:
             return ("slice_meets_orbit", (x, [p for p in inter if p != x][0]))
         for g in range(gspace.group.order):
@@ -760,7 +827,7 @@ def _per_orbit_violation(gspace, quotient, orbit, slices):
 
 
 def _quotient_diameter(quotient, pts):
-    orbs = sorted({quotient.orbit_of[p] for p in pts})
+    orbs = sorted({int(quotient.orbit_of[p]) for p in pts})
     best = 0.0
     for i, a in enumerate(orbs):
         for b in orbs[i + 1 :]:
@@ -781,12 +848,12 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
     def settle(orbit, start_idx):
         for i in range(start_idx, len(cands[orbit])):
             r = cands[orbit][i]
-            slices = {x: _slice_at(gspace, quotient, x, r) for x in quotient.orbit_members[orbit]}
+            slices = {x: _slice_at(gspace, quotient, x, r) for x in members(quotient, orbit)}
             viol = _per_orbit_violation(gspace, quotient, orbit, slices)
             if viol is None:
                 return r, slices, i
             log.append({"orbit": orbit, "radius": r, "condition": viol[0], "witness": viol[1]})
-        slices = {x: frozenset([x]) for x in quotient.orbit_members[orbit]}
+        slices = {x: frozenset([x]) for x in members(quotient, orbit)}
         log.append({"orbit": orbit, "radius": fallback_radius, "condition": "singleton_fallback", "witness": None})
         return fallback_radius, slices, len(cands[orbit])
 
@@ -809,8 +876,8 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
                         continue
                     if (sy & slice_of[gx]) and gx != x:
                         return ("family_condition_ii", (x, y, g), x, y)
-                ball = quotient.ball(quotient.orbit_of[x], radii[quotient.orbit_of[x]])
-                cut = sorted(sy & quotient.preimage(ball))
+                ox = int(quotient.orbit_of[x])
+                cut = sorted(sy & preimage(quotient, ball(quotient, ox, radii[ox])))
                 inter = sx & sy
                 for comp in graph_components(gspace.n_points, gspace.space.edges, cut):
                     hit = inter & set(comp)
@@ -823,7 +890,7 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
         if viol is None:
             break
         cond, witness, x, y = viol
-        ox, oy = quotient.orbit_of[x], quotient.orbit_of[y]
+        ox, oy = int(quotient.orbit_of[x]), int(quotient.orbit_of[y])
         if ox == oy:
             target = ox
         else:
@@ -869,8 +936,8 @@ def _translate_overlaps(gspace, x, s):
 
 
 def _orbit_meet(quotient, x, s):
-    members = quotient.orbit_members[quotient.orbit_of[x]]
-    return next((p for p in members if p != x and p in s), None)
+    mates = members(quotient, quotient.orbit_of[x])
+    return next((p for p in mates if p != x and p in s), None)
 
 
 def _condition_ii_violations(gspace, slice_of):
@@ -919,9 +986,8 @@ def verify_slice_family(gspace, quotient, family) -> Report:
 
     v = []
     for x in range(n):
-        rx = family.radius_of_orbit[quotient.orbit_of[x]]
-        ball = quotient.ball(quotient.orbit_of[x], rx)
-        pre = quotient.preimage(ball)
+        ox = int(quotient.orbit_of[x])
+        pre = preimage(quotient, ball(quotient, ox, family.radius_of_orbit[ox]))
         for y in sorted(slice_of[x]):
             cut = sorted(slice_of[y] & pre)
             inter = slice_of[x] & slice_of[y]
@@ -957,7 +1023,7 @@ def general_edges(gspace, quotient, family, d_O) -> tuple:
     and an orbit edge for each point u and element g with g.u > u, one per
     g; pairs nan in d_O are skipped."""
     n = gspace.n_points
-    d, p = quotient.d, quotient.orbit_of
+    d, p = quotient.d, quotient.orbit_of.tolist()
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -980,19 +1046,19 @@ def general_edges(gspace, quotient, family, d_O) -> tuple:
 
 
 def _is_elementary(quotient, comp) -> bool:
-    orbs = [quotient.orbit_of[p] for p in comp]
+    orbs = [int(quotient.orbit_of[p]) for p in comp]
     return len(orbs) == len(set(orbs))
 
 
 def _image_is_convex(quotient, comp, tol: float) -> bool:
-    orbs = sorted({quotient.orbit_of[p] for p in comp})
+    orbs = sorted({int(quotient.orbit_of[p]) for p in comp})
     k = len(orbs)
     if k <= 2:
         return True
     pos = {q: i for i, q in enumerate(orbs)}
     w = np.full((k, k), np.inf)
     np.fill_diagonal(w, 0.0)
-    for a, b in quotient.quotient_adjacency:
+    for a, b in adjacent_pairs(quotient):
         if a in pos and b in pos:
             w[pos[a], pos[b]] = w[pos[b], pos[a]] = quotient.d[a, b]
     internal = apsp(w)
@@ -1007,14 +1073,14 @@ def cover_small_sets(gspace, quotient, enlargement_factor: float = 1.0, tol: flo
     sets = set()
     for q in range(quotient.n_orbits):
         for r in _candidate_radii(quotient, q):
-            pre = quotient.preimage(quotient.ball(q, r))
+            pre = preimage(quotient, ball(quotient, q, r))
             comps = graph_components(gspace.n_points, gspace.space.edges, pre)
             if not all(_is_elementary(quotient, c) for c in comps):
                 continue
             if not all(_image_is_convex(quotient, c, tol) for c in comps):
                 continue
             if enlargement_factor > 1.0:
-                big = quotient.preimage(quotient.ball(q, r * enlargement_factor))
+                big = preimage(quotient, ball(quotient, q, r * enlargement_factor))
                 big_comps = graph_components(gspace.n_points, gspace.space.edges, big)
                 if not all(_is_elementary(quotient, c) for c in big_comps):
                     continue
@@ -1097,11 +1163,11 @@ def build_orbital_metric(gspace, quotient, family, d_G):
     n_orbits = quotient.n_orbits
     bases, raws = [], []
     for o in range(n_orbits):
-        pts = family.slice_of[quotient.representative[o]]
+        pts = family.slice_of[int(quotient.representative[o])]
         radius = family.radius_of_orbit[o]
         base = {}
         for q in range(n_orbits):
-            meet = sorted(pts & set(quotient.orbit_members[q]))
+            meet = sorted(pts & set(members(quotient, q)))
             if meet:
                 base[q] = meet[0]
         raw = np.zeros(n_orbits)
@@ -1120,9 +1186,11 @@ def build_orbital_metric(gspace, quotient, family, d_G):
         for a, raw in enumerate(raws):
             chi[q, a] = raw[q] / total
 
+    orbit_of = quotient.orbit_of.tolist()
+
     def chart_metric(a, x, y):
-        q = quotient.orbit_of[x]
-        if quotient.orbit_of[y] != q or q not in bases[a]:
+        q = orbit_of[x]
+        if orbit_of[y] != q or q not in bases[a]:
             return None
         y0 = bases[a][q]
         g1 = _element_sending(gspace, y0, x)
@@ -1134,10 +1202,10 @@ def build_orbital_metric(gspace, quotient, family, d_G):
     n = gspace.n_points
     values = np.zeros((n, n))
     for q in range(n_orbits):
-        members = quotient.orbit_members[q]
+        mates = members(quotient, q)
         active = [a for a in range(n_orbits) if chi[q, a] > 0]
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
+        for i, x in enumerate(mates):
+            for y in mates[i + 1 :]:
                 acc = 0.0
                 ok = True
                 for a in active:
@@ -1261,7 +1329,7 @@ def verify_orbital_properties(gspace, quotient, family, d_O, d_G, tol: float = 1
     # distance <= group distance
     resid = 0.0
     fails = []
-    for o, anchor in enumerate(quotient.representative):
+    for o, anchor in enumerate(quotient.representative.tolist()):
         K_anchor = gspace.stabilizer(anchor)
         for y in sorted(family.slice_of[anchor]):
             K_y = gspace.stabilizer(y)

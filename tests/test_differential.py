@@ -1,7 +1,7 @@
 """Differential tests: the row-vectorised checks, the ball-prefix index, the
 slice builder and verifier, the cover small sets, the orbital stage and the
 general-mode lift edges against the references in tests/oracles.py, and the
-join keys and the lift's components against graph_components. Equal means the same error code, message and witness, the
+join keys and the lift's components against oracles.graph_components. Equal means the same error code, message and witness, the
 same violation list, residual and report lines, or the same slice family and
 construction log."""
 
@@ -13,14 +13,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import equimetric as eq
-from equimetric import lift
+from equimetric import lift, orbital
 from equimetric.errors import ValidationError
-from equimetric.gspace import SampledGSpace, _check_metric_table, _metric_axiom_violations, graph_components
+from equimetric.gspace import SampledGSpace, _check_metric_table, _metric_axiom_violations
 from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
 from equimetric.slices import SliceFamily, _join_orders, value_grid
 from equimetric.verify import _inclusion_grid
 from tests import oracles
+from tests.oracles import graph_components
 from perfbench.workloads import GRID_CELLS
 from tests.conftest import pipeline
 from tests.randspaces import cyclic_table, dihedral_table, random_gspace
@@ -897,6 +898,15 @@ def test_cover_small_sets_match_reference_on_non_convex_images():
     assert sets == (frozenset({0, 1, 2, 3}), frozenset({3, 4}))
 
 
+def test_cover_small_sets_match_reference_past_64_orbits():
+    """circle(130, 2) has 65 orbits, so the orbit-set masks of its sweeps
+    and convexity rounds pass bit 63, where a numpy integer shift would
+    lose them."""
+    gs, quotient = space("circle", {"n": 130, "k": 2})
+    assert quotient.n_orbits == 65
+    assert eq.cover_small_sets(gs, quotient) == oracles.cover_small_sets(gs, quotient)
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
 def test_cover_small_sets_match_reference_on_random_spaces(seed, data):
@@ -927,7 +937,7 @@ def test_cover_convexity_confirms_what_the_diameter_rows_leave(monkeypatch):
     full table, as the reference decides it."""
     gs, quotient = diameter_rows_agree_but_not_convex()
     w = np.where(np.eye(4, dtype=bool), 0.0, np.inf)
-    for a, b in quotient.quotient_adjacency:
+    for a, b in oracles.adjacent_pairs(quotient):
         w[a, b] = w[b, a] = quotient.d[a, b]
     internal = eq.spath.apsp(w)
     assert (internal[[0, 3]] == quotient.d[[0, 3]]).all() and internal[1, 2] == 2.0
@@ -1065,9 +1075,13 @@ def assert_orbital_matches(gs, quotient, family, d_G, tols=(1e-12,)):
 
 
 def assert_orbital_reports_match(gs, quotient, family, d_O, d_G, tol=1e-12):
-    args = (gs, quotient, family, d_O, d_G, tol)
-    report, err = result(eq.verify_orbital_properties, *args)
-    ref, ref_err = result(oracles.verify_orbital_properties, *args)
+    """The checks with their tolerance ``orbital._TOL`` set to tol against
+    the reference at tol."""
+    args = (gs, quotient, family, d_O, d_G)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbital, "_TOL", tol)
+        report, err = result(eq.verify_orbital_properties, *args)
+    ref, ref_err = result(oracles.verify_orbital_properties, *args, tol)
     assert err == ref_err
     if report is not None:
         assert report.lines() == ref.lines()
@@ -1079,9 +1093,9 @@ def assert_orbital_reports_match(gs, quotient, family, d_O, d_G, tol=1e-12):
 
 GENERAL_CELLS = sorted({(name, tuple(sorted(params.items())))
                         for name, params, mode in GRID_CELLS if mode == "general"})
-# a negative tol lets the pair y = x break property B, which the checks
-# skip only for tol >= 0
-ORBITAL_TOLS = (-1e-12, 0.0, 1e-12, 1e-3)
+# the checks skip the pair y = x for property B, which no tolerance >= 0
+# lets break
+ORBITAL_TOLS = (0.0, 1e-12, 1e-3)
 
 
 @pytest.mark.parametrize("name,params", GENERAL_CELLS)
@@ -1132,7 +1146,7 @@ ORBITAL_PLANTS = ("zero", "nan", "scaled", "diagonal", "large")
 def plant_orbital(values, quotient, kind, which=0, size=0.5):
     """Plant one defect on the pair (x, y) of the first orbit with two or
     more points, x its least member and y the member `which` steps on."""
-    members = next(m for m in quotient.orbit_members if len(m) > 1)
+    members = next(m for m in map(quotient.members, range(quotient.n_orbits)) if len(m) > 1).tolist()
     x, y = members[0], members[1 + which % (len(members) - 1)]
     values = np.array(values)
     if kind == "zero":
@@ -1169,7 +1183,7 @@ def test_orbital_checks_match_reference_one_item_per_block(name, params, monkeyp
     family = eq.build_slice_family(gs, quotient)
     d_G = eq.group_metric(gs.group, "discrete")
     d_O = assert_orbital_matches(gs, quotient, family, d_G, tols=ORBITAL_TOLS)
-    if d_O is None or all(len(m) == 1 for m in quotient.orbit_members):
+    if d_O is None or quotient.n_orbits == gs.n_points:  # every orbit a single point
         return
     plants = [plant_orbital(d_O.values, quotient, kind) for kind in ORBITAL_PLANTS]
     plants.append(np.array(d_O.values))
@@ -1186,7 +1200,7 @@ def test_orbital_checks_match_reference_one_item_per_block(name, params, monkeyp
 def test_planted_orbital_values_match_reference_on_random_spaces(seed, word, kind, which, size, tol):
     gs = random_gspace(seed)
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
-    if all(len(m) == 1 for m in quotient.orbit_members):
+    if quotient.n_orbits == gs.n_points:  # every orbit a single point
         return
     family = eq.build_slice_family(gs, quotient)
     if word:
@@ -1610,9 +1624,21 @@ def test_g_invariance_defect_in_the_second_block_matches_scalar(nan):
 
 
 def assert_same_orbits(gs):
-    """orbit_of, orbit_members, representative and quotient_adjacency (and
-    n_orbits) equal to the union-find over the maps."""
-    assert eq.compute_orbits(gs) == oracles.compute_orbits(gs)
+    """n_orbits, orbit_of, representative, the members of each orbit and
+    the adjacency table equal to the union-find over the maps, field by
+    field, and every index array read-only."""
+    got, want = eq.compute_orbits(gs), oracles.compute_orbits(gs)
+    k = want.n_orbits
+    assert got.n_orbits == k
+    assert got.orbit_of.tolist() == list(want.orbit_of)
+    assert got.representative.tolist() == list(want.representative)
+    assert tuple(oracles.members(got, o) for o in range(k)) == want.orbit_members
+    assert got.offsets.tolist() == np.cumsum([0] + [len(m) for m in want.orbit_members]).tolist()
+    assert oracles.adjacent_pairs(got) == want.quotient_adjacency
+    assert got.adjacency.shape == (k, k) and (got.adjacency == got.adjacency.T).all()
+    assert not got.adjacency.diagonal().any()
+    for name in ("orbit_of", "representative", "order", "offsets", "adjacency"):
+        assert not getattr(got, name).flags.writeable, name
 
 
 @settings(max_examples=150, deadline=None)
@@ -1631,6 +1657,11 @@ def test_orbits_match_union_find_on_small_sweep_shifts(params):
     assert_same_orbits(eq.generate_scenario("shift", dict(params)))
 
 
+@pytest.mark.parametrize("name,params", SWEEP_CELLS)
+def test_orbits_match_union_find_on_perfbench_grid(name, params):
+    assert_same_orbits(eq.generate_scenario(name, dict(params)))
+
+
 def assert_isometric_quotient_matches(gs, tol=1e-9):
     orbits = eq.compute_orbits(gs)
     got, err = result(eq.quotient_metric, gs, orbits, "isometric", None, tol)
@@ -1645,7 +1676,8 @@ def assert_isometric_quotient_matches(gs, tol=1e-9):
 def assert_orbit_minima_match(orbits, table):
     """orbit_minima against oracles.min_over_lifts at each pair of orbits
     a < b, mirrored, with a zero diagonal: bitwise equal."""
-    k, members = orbits.n_orbits, orbits.orbit_members
+    k = orbits.n_orbits
+    members = [oracles.members(orbits, o) for o in range(k)]
     ref = np.zeros((k, k))
     for a in range(k):
         for b in range(a + 1, k):

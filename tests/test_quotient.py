@@ -5,6 +5,7 @@ import pytest
 
 import equimetric as eq
 from equimetric import ValidationError
+from tests import oracles
 
 
 def test_circle_orbits_are_residue_classes(circle12):
@@ -12,7 +13,7 @@ def test_circle_orbits_are_residue_classes(circle12):
     assert quotient.n_orbits == 4
     for x in range(12):
         assert quotient.orbit_of[x] == x % 4
-    assert quotient.representative == (0, 1, 2, 3)
+    assert quotient.representative.tolist() == [0, 1, 2, 3]
 
 
 def test_graph_mode_distances_on_circle(circle12):
@@ -53,10 +54,11 @@ def test_separation_of_distinct_orbits(circle12):
 def test_disk_orbit_structure():
     gs = eq.generate_scenario("disk", {"g": 3})
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
-    sizes = sorted(len(m) for m in quotient.orbit_members)
+    orbit_members = [quotient.members(o).tolist() for o in range(quotient.n_orbits)]
+    sizes = sorted(len(m) for m in orbit_members)
     assert sizes == [1, 4, 4]  # center, edge midpoints, corners
-    center = next(i for i, m in enumerate(quotient.orbit_members) if len(m) == 1)
-    fixed_point = quotient.orbit_members[center][0]
+    center = next(i for i, m in enumerate(orbit_members) if len(m) == 1)
+    fixed_point = orbit_members[center][0]
     assert len(gs.stabilizer(fixed_point)) == 4
 
 
@@ -65,11 +67,36 @@ def test_partial_action_orbits_are_translation_components():
     orbits = eq.compute_orbits(gs)
     # shifts move 2 indices; orbits are the two index parities
     assert orbits.n_orbits == 2
-    assert orbits.orbit_of == tuple(i % 2 for i in range(9))
+    assert orbits.orbit_of.tolist() == [i % 2 for i in range(9)]
 
 
 def test_ball_and_preimage(circle12):
+    """The open ball is a row of d below the radius, and the preimage of an
+    orbit its members; the oracles' set forms agree."""
     _, quotient, _ = circle12
-    ball = quotient.ball(0, math.pi / 6 + 1e-9)
-    assert ball == frozenset({0, 1, 3})
-    assert quotient.preimage({0}) == frozenset({0, 4, 8})
+    radius = math.pi / 6 + 1e-9
+    assert np.flatnonzero(quotient.d[0] < radius).tolist() == [0, 1, 3]
+    assert quotient.members(0).tolist() == [0, 4, 8]
+    assert oracles.ball(quotient, 0, radius) == frozenset({0, 1, 3})
+    assert oracles.preimage(quotient, {0}) == frozenset({0, 4, 8})
+
+
+def test_quotient_fields_are_read_only_index_arrays(circle12):
+    """orbit_of, representative, order and offsets are np.intp arrays and
+    the adjacency a symmetric bool table with a False diagonal; none can
+    be written."""
+    _, quotient, _ = circle12
+    for name in ("orbit_of", "representative", "order", "offsets", "adjacency"):
+        a = getattr(quotient, name)
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    for a in (quotient.orbit_of, quotient.representative, quotient.order, quotient.offsets):
+        assert a.dtype == np.intp
+    assert quotient.order.tolist() == [0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11]
+    assert quotient.offsets.tolist() == [0, 3, 6, 9, 12]
+    adjacency = quotient.adjacency
+    assert adjacency.dtype == bool and adjacency.shape == (4, 4)
+    assert (adjacency == adjacency.T).all() and not adjacency.diagonal().any()
+    # the quotient of circle(12, 3) is a 4-cycle
+    assert adjacency.sum(axis=1).tolist() == [2, 2, 2, 2] and not adjacency[0, 2] and not adjacency[1, 3]

@@ -78,7 +78,7 @@ def test_disk_family_fixed_point():
     report = verify_slice_family(gs, quotient, family)
     assert all_fail_names(report) == []
     # the center's slice is stabilized by the whole group
-    center = quotient.orbit_members[quotient.orbit_of[4]]
+    center = quotient.members(quotient.orbit_of[4])
     fixed = [x for x in range(9) if len(gs.stabilizer(x)) == 4][0]
     s = family.slice_of[fixed]
     for g in range(gs.group.order):

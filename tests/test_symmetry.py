@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import equimetric as eq
+from equimetric import cli
 from equimetric.gspace import _check_metric_table, _metric_axiom_violations, _orbit_minima, bind_action_array
 from equimetric.lift import AllowabilityGraph
 from equimetric.orbital import _check_left_invariance
@@ -153,6 +154,19 @@ def test_total_generators_generate_the_totals(name, params, gens):
     assert len(gs.total_generators) == gens
     reached = group._closure(group._mask([group.identity, *gs.total_generators.tolist()]))
     assert (reached == gs.total).all()
+
+
+@pytest.mark.parametrize("mode", ["general", "cover", "naive"])
+def test_small_pipeline_never_derives_total_generators(mode):
+    """circle(12, 3): n^3 = 1728 cells fit one block, so neither the lift
+    nor the lifted-metric checks derive the generators; reading them
+    derives them then."""
+    gs = cli.run_pipeline(cli.make_config({
+        "scenario": {"name": "circle", "params": {"n": 12, "k": 3}}, "mode": mode}))["gspace"]
+    assert gs.n_points ** 3 <= eq.gspace._BLOCK
+    assert "total_generators" not in vars(gs)
+    assert gs.total_generators.tolist() == [1]
+    assert "total_generators" in vars(gs)
 
 
 def circle_table(n=12):

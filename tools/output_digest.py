@@ -42,8 +42,9 @@ EXTRA = (
         ("shift", {"m": 80, "h": 0.25, "N": 3}), ("shift", {"m": 40, "h": 0.25, "N": 6}))]
     + [config("circle", {"n": 12, "k": 3}, "general", scale=3.0)]
     # the cheapest cover configs whose convexity rounds outgrow one block,
-    # so their orbit sets are refuted by diameter rows first
-    + [config("circle", params, "cover") for params in ({"n": 160, "k": 4}, {"n": 120, "k": 2})]
+    # so their orbit sets are refuted by diameter rows first; circle(130, 2)
+    # has 65 orbits, so its orbit-set masks pass 64 bits
+    + [config("circle", params, "cover") for params in ({"n": 160, "k": 4}, {"n": 120, "k": 2}, {"n": 130, "k": 2})]
 )
 
 
