@@ -35,22 +35,28 @@ set, so each orbit set is decided once. The centres walk down their
 elementary radii together: in each round every open centre passes the
 components already decided convex, in the order of their least points,
 moves to its next radius at one decided non-convex, and otherwise asks for
-the first undecided one. The asked-for orbit sets are decided by one
-stacked apsp per set size. A centre accepts the same radius as the scalar
-scan, and the rounds decide only orbit sets that the scan tests, with its
-short cut at the first non-convex component: all of them at f <= 1, and at
-f > 1 those left once the radii with r * f > K are dropped.
+the first undecided one, unless its last non-convex set refutes it
+(Inheritance). Asked-for sets are decided by one stacked apsp per size. A
+centre accepts the same radius as the scalar scan, and the rounds decide
+only orbit sets that the scan tests, with its short cut at the first
+non-convex component: all of them at f <= 1, and at f > 1 those left once
+the radii with r * f > K are dropped.
 
 An image is convex when no entry of its internal shortest-path table is
-off d by more than tol. The asked-for sets of one size are decided in two
-steps. Refute: the two rows of each set's diameter pair (the first argmax
-of d over the set, row-major), from one stacked ``apsp(..., sources=)``
-blocked by its own 2 * size cells a set. These are bitwise rows of the
-full table, so a row off by more than tol decides "non-convex" exactly,
-and a convex set is never refuted. Confirm: the full table of each set
-left, by one stacked apsp as before. When the full tables of all the
-sets fit one ``gspace._BLOCK`` block the refutation is skipped: one call
-is then cheaper than two.
+off d by more than tol. Refute: the rows of each set's diameter pair (the
+first argmax of d over it, row-major), by ``apsp(..., sources=)``; they are
+bitwise rows of the full table. Confirm: the full table of each set left.
+When all the full tables fit one ``gspace._BLOCK`` block, the refutation
+is skipped: one call is cheaper than two.
+
+Inheritance. A set decided non-convex keeps its above rows: (a, mask of
+the c with dist(a, c) - d(a, c) > tol), from the rows that decided it.
+An apsp entry is the least, over paths, of the left-to-right float sums
+(``spath``), so removing orbits never lowers it, bit for bit: a subset
+holding a and such a c is non-convex. A centre's next set m within its
+last non-convex set is so refuted, with no apsp, and keeps those rows
+restricted to m. Only "above" inherits: an explicit table's row may fall
+below d by more than tol where a subset's does not.
 """
 
 from __future__ import annotations
@@ -80,11 +86,18 @@ class AllowabilityGraph:
     gspace: SampledGSpace = field(default=None, compare=False, repr=False)
 
     def weight_matrix(self) -> np.ndarray:
-        w = np.full((self.n_points, self.n_points), np.inf)
+        """Per pair its least edge weight, the first of equal ones (-0.0)."""
+        n, m = self.n_points, len(self.edges)
+        w = np.full((n, n), np.inf)
         np.fill_diagonal(w, 0.0)
-        for u, v, weight, _ in self.edges:
-            if weight < w[u, v]:
-                w[u, v] = w[v, u] = weight
+        key = np.fromiter((e[0] * n + e[1] for e in self.edges), np.intp, m)
+        weight = np.fromiter((e[2] for e in self.edges), float, m)
+        order = np.lexsort((weight, key))  # stable: ties keep order
+        key, weight = key[order], weight[order]
+        first = np.ones(m, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        u, v = np.divmod(key[first], n)
+        w[u, v] = w[v, u] = weight[first]
         return w
 
 
@@ -127,13 +140,15 @@ def _sweep(adjacency, orbit_of, key, radii) -> tuple:
     out of its width.
 
     One union-find sweep over the points in (key, index) order; a radius is
-    recorded when the sweep reaches the first point of key >= it."""
+    recorded when the sweep reaches the first point of key >= it, reusing
+    the last if no merge since grew ``big``."""
     n = len(adjacency)
     parent = list(range(n))
     # read at roots; mask is 0 until the point is swept
     mask, size, least = [0] * n, [1] * n, list(range(n))
     big = set()  # roots of components with more than two orbits
     parts = []
+    grown = True
 
     def find(a):
         while parent[a] != a:
@@ -142,8 +157,13 @@ def _sweep(adjacency, orbit_of, key, radii) -> tuple:
         return a
 
     def record():
-        ranked = sorted((least[r], mask[r]) for r in big)
-        parts.append(tuple(dict.fromkeys(m for _, m in ranked)))
+        nonlocal grown
+        if grown:
+            ranked = sorted((least[r], mask[r]) for r in big)
+            parts.append(tuple(dict.fromkeys(m for _, m in ranked)))
+        else:
+            parts.append(parts[-1])
+        grown = False
 
     order = np.argsort(key, kind="stable")
     nxt = radii[0] if radii else np.inf
@@ -170,24 +190,30 @@ def _sweep(adjacency, orbit_of, key, radii) -> tuple:
             big.discard(ru)
             if size[root] > 2:
                 big.add(root)
+                grown = True
     while len(parts) < len(radii):
         record()
     return np.inf, parts
 
 
-def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
-    """mask -> whether the quotient image with that orbit set carries its
-    global distances internally; otherwise chains through a component can
-    move far in the space while the quotient thinks they moved a little
-    (the shortcut behind the pseudometric degeneracy). Per orbit-set size,
-    over each set's orbits in ascending order, refuted by the diameter rows
-    unless the full tables fit one block, then confirmed by the full table
-    (see "Convexity in rounds" above)."""
+def _above_rows(found, index, orbs, ends, gap, tol: float) -> None:
+    """found[i] = the above rows of each set i of index off d by more than
+    tol (gap = dist - d) in its rows, of orbits ends."""
+    bad = np.flatnonzero((np.abs(gap) > tol).any(axis=(1, 2)))
+    above = gap[bad] > tol
+    full = np.zeros((*above.shape[:2], orbs.max() + 1), bool)
+    np.put_along_axis(full, np.broadcast_to(orbs[index[bad], None], above.shape), above, axis=2)
+    packed = np.packbits(full, axis=2, bitorder="little")
+    for i, rows, masks, hit in zip(index[bad].tolist(), ends[bad].tolist(), packed, above.any(axis=2).tolist()):
+        found[i] = [(a, int.from_bytes(m.tobytes(), "little")) for a, m, h in zip(rows, masks, hit) if h]
+
+
+def _convex_images(quotient: Quotient, w: np.ndarray, masks, tol: float) -> dict:
+    """mask -> None if the quotient image with that orbit set carries its
+    distances internally, else its above rows: a chain through it can move
+    far while the quotient thinks it moved a little. w: the quotient's edge
+    weights."""
     d, k = np.ascontiguousarray(quotient.d), quotient.n_orbits
-    w = np.full((k, k), np.inf)
-    np.fill_diagonal(w, 0.0)
-    a, b = np.nonzero(np.triu(quotient.adjacency))  # d[a, b], a < b, both ways
-    w[a, b] = w[b, a] = d[a, b]
     nbytes = (k + 7) // 8
     by_size = {}
     for m in masks:
@@ -197,24 +223,31 @@ def _convex_images(quotient: Quotient, masks, tol: float) -> dict:
         raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in group), np.uint8)
         bits = np.unpackbits(raw.reshape(len(group), nbytes), axis=1, bitorder="little")
         orbs = np.nonzero(bits)[1].reshape(len(group), size)
-        convex = np.ones(len(group), dtype=bool)
+        found = [None] * len(group)
         if len(group) * size * size > _gspace._BLOCK:
-            # refute by the rows of each set's diameter pair, the first
-            # argmax of d over the set, row-major: rows of its full table
             for rows in _row_blocks(len(group), 2 * size):
                 cells = orbs[rows, :, None] * k + orbs[rows, None, :]  # flat (a, b) of each sub-table
                 sub = d.take(cells)
                 ends = np.stack(np.divmod(sub.reshape(len(sub), -1).argmax(axis=1), size), axis=1)
                 want = np.take_along_axis(sub, ends[:, :, None], axis=1)
-                convex[rows] = ~(np.abs(apsp(w.take(cells), ends) - want) > tol).any(axis=(1, 2))
+                _above_rows(found, np.arange(len(group))[rows], orbs, np.take_along_axis(orbs[rows], ends, axis=1),
+                            apsp(w.take(cells), ends) - want, tol)
         # confirm: the full table of every set not refuted
-        left = np.flatnonzero(convex)
+        left = np.flatnonzero([f is None for f in found])
         for rows in _row_blocks(len(left), size * size):  # 1 << 18 cells ran circle(384, 4) twice as slow
             sets = orbs[left[rows]]
             cells = sets[:, :, None] * k + sets[:, None, :]
-            convex[left[rows]] = ~(np.abs(apsp(w.take(cells)) - d.take(cells)) > tol).any(axis=(1, 2))
-        out.update(zip(group, convex.tolist()))
+            _above_rows(found, left[rows], orbs, sets, apsp(w.take(cells)) - d.take(cells), tol)
+        out.update(zip(group, found))
     return out
+
+
+def _inherited(rows, parent: int, m: int):
+    """parent's above rows restricted to m if they refute m, else None."""
+    if m & parent != m:
+        return None
+    kept = [(a, c & m) for a, c in rows if m >> a & 1 and c & m]
+    return kept or None
 
 
 def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
@@ -229,6 +262,10 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
     adjacency = gspace.space.adjacency
     keys = quotient.d[:, quotient.orbit_of]  # row q: d(q, p(v)) per point v
     orbit_of = quotient.orbit_of.tolist()  # Python ints: masks past 63 orbits
+    w = np.full((quotient.n_orbits,) * 2, np.inf)
+    np.fill_diagonal(w, 0.0)
+    a, b = np.nonzero(np.triu(quotient.adjacency))  # d[a, b], a < b, both ways
+    w[a, b] = w[b, a] = quotient.d[a, b]
 
     # per centre, its elementary radii ascending, each with its parts
     todo = {}
@@ -238,26 +275,30 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
         todo[q] = [(r, masks) for r, masks in zip(radii, parts)
                    if enlargement_factor <= 1.0 or r * enlargement_factor <= limit]
 
-    # descending rounds: each open centre walks down its radii while the
-    # orbit sets met are decided, and asks for the first undecided one
-    convex, accepted = {}, {}
+    # descending rounds. found: orbit set -> None if convex, else its above
+    # rows; last: centre -> its last non-convex set
+    found, accepted, last = {}, {}, {}
     while todo:
         wanted = {}
         for q, stack in list(todo.items()):
             while stack:
                 r, masks = stack[-1]
-                m = next((m for m in masks if not convex.get(m, False)), None)
+                m = next((m for m in masks if m not in found or found[m] is not None), None)
                 if m is None:
                     accepted[q] = r
                     break
-                if m in convex:
-                    stack.pop()
-                else:
-                    wanted[m] = None
-                    break
+                if m not in found:
+                    rows = _inherited(found[last[q]], last[q], m) if q in last else None
+                    if rows is None:
+                        wanted[m] = None
+                        break
+                    found[m] = rows
+                    wanted.pop(m, None)
+                last[q] = m
+                stack.pop()
             if q in accepted or not stack:
                 del todo[q]
-        convex.update(_convex_images(quotient, wanted, tol))
+        found.update(_convex_images(quotient, w, wanted, tol))
 
     sets = set()
     for q, r in accepted.items():
@@ -308,10 +349,12 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
 
     if mode == "cover":
         sets = cover_small_sets(gspace, quotient, enlargement_factor, tol)
-        p = orbit.tolist()
-        pairs = {(u, v) for s in sets for u in s for v in s if u < v}
-        edges = [(u, v, float(d[p[u], p[v]]), "cover") for u, v in pairs]
-        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), small_sets=sets, gspace=gspace)
+        joined = np.zeros((n, n), dtype=bool)
+        for s in sets:
+            joined[np.ix_(list(s), list(s))] = True
+        u, v = np.nonzero(np.triu(joined, 1))  # row-major: the sorted order
+        edges = zip(u.tolist(), v.tolist(), d[orbit[u], orbit[v]].tolist(), repeat("cover"))
+        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(edges), small_sets=sets, gspace=gspace)
 
     if mode == "naive":
         u, v = np.nonzero(np.triu(orbit[:, None] != orbit, 1))

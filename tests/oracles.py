@@ -1045,6 +1045,26 @@ def general_edges(gspace, quotient, family, d_O) -> tuple:
     return tuple(sorted(edges))
 
 
+def cover_edges(quotient, sets) -> tuple:
+    """The cover-mode allowability edges from the pairs of each small set:
+    one edge per pair u < v that shares a set, weighing d(p u, p v), in
+    sorted order."""
+    d, p = quotient.d, quotient.orbit_of.tolist()
+    pairs = {(u, v) for s in sets for u in s for v in s if u < v}
+    return tuple(sorted((u, v, float(d[p[u], p[v]]), "cover") for u, v in pairs))
+
+
+def weight_matrix(graph) -> np.ndarray:
+    """The lift's weight table from a loop over the edges in order, which
+    replaces a pair's weight only by a strictly smaller one."""
+    w = np.full((graph.n_points, graph.n_points), np.inf)
+    np.fill_diagonal(w, 0.0)
+    for u, v, weight, _ in graph.edges:
+        if weight < w[u, v]:
+            w[u, v] = w[v, u] = weight
+    return w
+
+
 def _is_elementary(quotient, comp) -> bool:
     orbs = [int(quotient.orbit_of[p]) for p in comp]
     return len(orbs) == len(set(orbs))

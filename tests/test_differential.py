@@ -942,8 +942,43 @@ def test_cover_convexity_confirms_what_the_diameter_rows_leave(monkeypatch):
     internal = eq.spath.apsp(w)
     assert (internal[[0, 3]] == quotient.d[[0, 3]]).all() and internal[1, 2] == 2.0
     monkeypatch.setattr(eq.gspace, "_BLOCK", 1)
-    assert lift._convex_images(quotient, [0b1111], 1e-9) == {0b1111: False}
+    # non-convex, with the above rows of the full table: orbits 1 and 2
+    assert lift._convex_images(quotient, w, [0b1111], 1e-9) == {0b1111: [(1, 0b0100), (2, 0b0010)]}
     assert eq.cover_small_sets(gs, quotient) == oracles.cover_small_sets(gs, quotient)
+
+
+def shortcut_below_d():
+    """Five points on a cycle, the trivial group: a = 0, x = 1, c = 2 and
+    the route c - 3 - 4 - a. The explicit table meets the triangle
+    inequality within tol = 1e-9, but not along three steps: the route
+    adds to 3 - 0.5e-9, 1.4e-9 below d(a, c) = 3 + 0.9e-9, while a - x - c
+    adds to 3. Around x the whole cycle is non-convex only by falling
+    below d, and its subset {a, x, c} is convex."""
+    e = 1e-9
+    d = np.zeros((5, 5))
+    for (i, j), v in {(0, 1): 1.5, (1, 2): 1.5, (0, 2): 3 + 0.9 * e, (2, 3): 1 - 0.5 * e, (3, 4): 1.0,
+                      (0, 4): 1.0, (0, 3): 2 + 0.7 * e, (2, 4): 2 + 0.2 * e, (1, 3): 2.5, (1, 4): 2.5}.items():
+        d[i, j] = d[j, i] = v
+    cycle = eq.build_space(d, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    gs = eq.bind_action(cycle, eq.build_group([[0]]), [{i: i for i in range(5)}])
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=d)
+
+
+@pytest.mark.parametrize("cap", [1, eq.gspace._BLOCK])
+def test_cover_inherits_only_rows_above_d(cap, monkeypatch):
+    """The whole cycle is decided non-convex with no above row, so nothing
+    is inherited and {a, x, c} is decided, convex, on its own; inheriting
+    the row of a, below d, would refute it. At the cap 1 the diameter rows
+    (a, c) decide the cycle, at the default its full table does."""
+    monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    gs, quotient = shortcut_below_d()
+    w = np.where(np.eye(5, dtype=bool), 0.0, np.inf)
+    for a, b in oracles.adjacent_pairs(quotient):
+        w[a, b] = w[b, a] = quotient.d[a, b]
+    assert lift._convex_images(quotient, w, [0b11111, 0b00111], 1e-9) == {0b11111: [], 0b00111: None}
+    sets = eq.cover_small_sets(gs, quotient)
+    assert sets == oracles.cover_small_sets(gs, quotient)
+    assert frozenset({0, 1, 2}) in sets
 
 
 @pytest.mark.parametrize("name,params", SWEEP_CELLS)
@@ -993,50 +1028,99 @@ def test_cover_enlarged_radius_may_equal_the_merge_key():
 
 
 def decided_orbit_sets(gs, quotient, factor):
-    """(orbit sets the library decides convexity for, in decision order;
-    orbit sets with more than two orbits the scalar scan tests)."""
-    decided, reached = [], set()
-    convex_images, image_is_convex = lift._convex_images, oracles._image_is_convex
+    """(orbit sets the library decides by stacked apsp, and by inheritance,
+    each in decision order; the library's verdict on each, True when convex;
+    the reference's verdict on each orbit set with more than two orbits that
+    its scalar scan tests)."""
+    stacked, inherited, verdicts, reached = [], [], {}, {}
+    convex_images, inherit, image_is_convex = lift._convex_images, lift._inherited, oracles._image_is_convex
 
-    def record_decided(quotient, masks, tol):
-        decided.extend(frozenset(o for o in range(quotient.n_orbits) if m >> o & 1) for m in masks)
-        return convex_images(quotient, masks, tol)
+    def orbits(m):
+        return frozenset(o for o in range(quotient.n_orbits) if m >> o & 1)
+
+    def record_stacked(quotient, w, masks, tol):
+        found = convex_images(quotient, w, masks, tol)
+        stacked.extend(orbits(m) for m in masks)
+        verdicts.update((orbits(m), rows is None) for m, rows in found.items())
+        return found
+
+    def record_inherited(rows, parent, m):
+        kept = inherit(rows, parent, m)
+        if kept is not None:
+            inherited.append(orbits(m))
+            verdicts[orbits(m)] = False
+        return kept
 
     def record_reached(quotient, comp, tol):
         orbs = frozenset(quotient.orbit_of[p] for p in comp)
+        convex = image_is_convex(quotient, comp, tol)
         if len(orbs) > 2:
-            reached.add(orbs)
-        return image_is_convex(quotient, comp, tol)
+            reached[orbs] = convex
+        return convex
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lift, "_convex_images", record_decided)
+        mp.setattr(lift, "_convex_images", record_stacked)
+        mp.setattr(lift, "_inherited", record_inherited)
         mp.setattr(oracles, "_image_is_convex", record_reached)
         assert eq.cover_small_sets(gs, quotient, factor) == oracles.cover_small_sets(gs, quotient, factor)
-    return decided, reached
+    return stacked, inherited, verdicts, reached
 
 
-@pytest.mark.parametrize("name,params,count", [
-    ("circle", {"n": 80, "k": 4}, 100), ("disk", {"g": 7}, 16), ("reflection", {"m": 6, "h": 1.0}, 3),
+@pytest.mark.parametrize("name,params,count,inherited", [
+    ("circle", {"n": 80, "k": 4}, 40, 60), ("disk", {"g": 7}, 16, 0), ("reflection", {"m": 6, "h": 1.0}, 3, 0),
 ])
-def test_cover_rounds_decide_only_orbit_sets_the_scalar_scan_reaches(name, params, count):
-    """Each orbit set is decided once, and exactly the sets that the
-    descending scan of the reference tests are: 100 stacked decisions on
-    circle(80, 4), as many as its former one apsp call per orbit set."""
+def test_cover_rounds_decide_only_orbit_sets_the_scalar_scan_reaches(name, params, count, inherited):
+    """Each orbit set is decided once, by stacked apsp or by inheritance,
+    as the reference decides it, and exactly the sets that the descending
+    scan of the reference tests are: on circle(80, 4) 40 stacked decisions
+    and 60 inherited, of the 100 sets its former one apsp call per orbit
+    set decided."""
     gs, quotient = space(name, params)
-    decided, reached = decided_orbit_sets(gs, quotient, 1.0)
-    assert len(decided) == len(set(decided)) == count
-    assert set(decided) == reached
+    stacked, by_rows, verdicts, reached = decided_orbit_sets(gs, quotient, 1.0)
+    assert (len(stacked), len(by_rows)) == (count, inherited)
+    assert len(stacked + by_rows) == len(verdicts)
+    assert verdicts == reached
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000), factor=st.sampled_from([1.0, 1.5, 1000.0]))
 def test_cover_rounds_decide_only_orbit_sets_the_scalar_scan_reaches_on_random_spaces(seed, factor):
     gs = random_gspace(seed)
-    decided, reached = decided_orbit_sets(gs, eq.quotient_metric(gs, eq.compute_orbits(gs)), factor)
-    assert len(decided) == len(set(decided))
-    assert set(decided) <= reached
+    stacked, by_rows, verdicts, reached = decided_orbit_sets(gs, eq.quotient_metric(gs, eq.compute_orbits(gs)), factor)
+    assert len(stacked + by_rows) == len(verdicts)
+    assert verdicts.items() <= reached.items()
     if factor == 1.0:
-        assert set(decided) == reached
+        assert verdicts == reached
+
+
+def partial_swap_theta():
+    """Eight points under C2, whose element swaps only a0 = 0 with a1 = 4
+    and c0 = 2 with c1 = 7: the path a0 - b - c0 with a spur f at b, and
+    the path a1 - e1 - e2 - c1. The explicit quotient table is the graph
+    metric of the orbit edges a-b, b-c, a-e1, e1-e2, e2-c of weight 1 and
+    b-f of weight 2, so d(a, c) = 2."""
+    x = np.arange(8.0)
+    graph = eq.build_space(np.abs(np.subtract.outer(x, x)), [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 7)])
+    gs = eq.bind_action(graph, eq.build_group([[0, 1], [1, 0]]), [{i: i for i in range(8)}, {0: 4, 4: 0, 2: 7, 7: 2}])
+    orbits = eq.compute_orbits(gs)  # a, b, c, f, e1, e2
+    w = np.where(np.eye(6, dtype=bool), 0.0, np.inf)
+    for a, b, v in [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 2.0), (0, 4, 1.0), (4, 5, 1.0), (5, 2, 1.0)]:
+        w[a, b] = w[b, a] = v
+    return gs, eq.quotient_metric(gs, orbits, mode="explicit", table=oracles.floyd_warshall(w))
+
+
+def test_cover_inherits_only_within_the_last_non_convex_set():
+    """Around b, at radius 3, {a, b, c, f} is convex and {a, c, e1, e2} is
+    not: its internal path from a to c has length 3. At radius 2 the
+    component {a0, b, c0} has the orbit set {a, b, c}, which holds a and c
+    but is no subset of {a, c, e1, e2}, and is convex; it is decided by
+    stacked apsp, as the reference decides it."""
+    gs, quotient = partial_swap_theta()
+    assert quotient.orbit_of.tolist() == [0, 1, 2, 3, 0, 4, 5, 2]
+    stacked, by_rows, verdicts, reached = decided_orbit_sets(gs, quotient, 1.0)
+    assert verdicts == reached
+    assert verdicts[frozenset({0, 2, 4, 5})] is False and verdicts[frozenset({0, 1, 2})] is True
+    assert frozenset({0, 1, 2}) in stacked
 
 
 # The orbital stage against the per-pair coset distances, the element scan
@@ -1732,7 +1816,8 @@ def test_slice_builder_matches_reference_below_a_positive_diagonal(shrink_factor
 
 
 # The general-mode allowability edges against the pair loops of
-# oracles.general_edges, and the lift's components against graph_components
+# oracles.general_edges, the cover-mode ones against the set pairs of
+# oracles.cover_edges, and the lift's components against graph_components
 # over the edge set: equal edge tuples, equal component tuples.
 
 
@@ -1741,6 +1826,10 @@ def assert_lift_matches(gs, quotient, family, d_O, mode="general", enlargement=1
                                         enlargement_factor=enlargement)
     if mode == "general":
         assert graph.edges == oracles.general_edges(gs, quotient, family, d_O)
+    if mode == "cover":
+        assert graph.small_sets == oracles.cover_small_sets(gs, quotient, enlargement)
+        assert graph.edges == oracles.cover_edges(quotient, graph.small_sets)
+    assert graph.weight_matrix().tobytes() == oracles.weight_matrix(graph).tobytes()
     want = graph_components(gs.n_points, {(u, v) for u, v, _, _ in graph.edges})
     assert eq.lift_metric(graph).components == tuple(tuple(c) for c in want)
     return graph

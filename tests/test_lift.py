@@ -6,6 +6,7 @@ import pytest
 import equimetric as eq
 from equimetric import ValidationError
 from tests.conftest import pipeline
+from tests import oracles
 from tests.oracles import cheapest_simple_chain
 
 
@@ -101,3 +102,19 @@ def test_unknown_mode_rejected(circle12):
     gs, quotient, family = circle12
     with pytest.raises(ValidationError):
         eq.build_allowability_graph(gs, quotient, family=family, mode="bogus")
+
+
+def test_weight_matrix_keeps_the_least_weight_and_the_earlier_of_equal_ones():
+    """Duplicate edges of a pair, such as the orbit edges of two elements
+    that move u to the same point, give the least weight. Of 0.0 and -0.0,
+    equal under <, the earlier edge's stays, in both mirrored cells, as in
+    the loop of oracles.weight_matrix."""
+    edges = ((0, 1, 2.0, "orbit"), (0, 1, 0.5, "orbit"), (0, 1, 1.0, "orbit"),
+             (0, 2, -0.0, "orbit"), (0, 2, 0.0, "orbit"), (1, 2, 0.0, "orbit"), (1, 2, -0.0, "slice"))
+    graph = eq.AllowabilityGraph(n_points=4, mode="general", edges=edges)
+    w = graph.weight_matrix()
+    assert w.tobytes() == oracles.weight_matrix(graph).tobytes()
+    assert w[0, 1] == w[1, 0] == 0.5 and np.isinf(w[3, :3]).all()
+    assert np.signbit([w[0, 2], w[2, 0]]).all() and not np.signbit([w[1, 2], w[2, 1]]).any()
+    assert eq.AllowabilityGraph(n_points=2, mode="cover", edges=()).weight_matrix().tolist() == \
+        [[0.0, np.inf], [np.inf, 0.0]]

@@ -100,6 +100,27 @@ def test_stage_times_json_records_the_rows_run_and_keeps_the_others(tmp_path, mo
     assert {"python", "numpy", "cpus", "commit"} <= set(first)
 
 
+def test_stage_times_normalises_each_row_by_the_reference_around_it(tmp_path, capsys, monkeypatch):
+    """The reference work is timed before and after each row, and the norm
+    is each run's total over the mean of the two: 3 s over (1 + 3) / 2 and
+    then 6 s over (3 + 5) / 2."""
+    stage_times = load("stage_times")
+    refs, totals = iter([1.0, 3.0, 3.0, 5.0]), iter([3.0, 6.0])
+    monkeypatch.setattr(stage_times, "reference_seconds", lambda: next(refs))
+    monkeypatch.setattr(stage_times, "stage_times", lambda *row: (7, 2, {"lift.graph_s": next(totals)}))
+    monkeypatch.setattr(stage_times, "MATRICES", {
+        "100": [("circle", {"n": 12, "k": 3}, "general"), ("dihedral", {"n": 8}, "cover")], "400": [], "800": []})
+    path = tmp_path / "bench.json"
+    assert stage_times.main(["--size", "100", "--json", str(path)]) == 0
+    header, _, *rows = capsys.readouterr().out.splitlines()
+    assert header.split(" | ")[3:5] == ["total", "norm"]
+    assert [row.split(" | ")[3:5] for row in rows] == [["3.00", "1.50"], ["6.00", "1.50"]]
+    got = json.loads(path.read_text())["rows"]
+    assert got["circle(12, 3)"]["ref_s"] == [1.0, 3.0] and got["dihedral(8) cover"]["ref_s"] == [3.0, 5.0]
+    assert got["circle(12, 3)"]["total_norm"] == {"median": 1.5, "min": 1.5, "max": 1.5}
+    assert got["dihedral(8) cover"]["total_s"]["median"] == 6.0
+
+
 def test_bench_pipeline_json_holds_the_tools_matrix():
     """The committed record was made on the matrix stage_times runs, and
     holds a row of it for each size."""

@@ -12,9 +12,16 @@ the ball inclusions, and no row writes outputs (`cli.write_s`). With
 --size 800 runs circle(768, 4), disk(29) and circle(768, 4) cover; "all"
 runs the 100 and 400 matrices only.
 
+The host's speed drifts, so rows of different sessions compare only after
+normalising: perfbench's fixed reference work (`perfbench/reference.py`)
+is timed just before and just after each row, and the "norm" column is
+the row's total divided by the mean of those two times (unit "ref", as
+perfbench's `run_norm_p50`).
+
 With --json PATH the rows run are also recorded in PATH (the repository
 keeps `BENCH_pipeline.json`): the whole matrix, and per row n, |G|, the
-median, min and max over the repeats of each stage and of the total, the
+median, min and max over the repeats of each stage, of the total and of
+the normalised total (`total_norm`), the two reference times (`ref_s`), the
 repeat count, the Python and numpy versions, the core count and the commit
 (`git describe --always --dirty`). Rows already in PATH that this run did
 not make are kept, so one file holds the runs of several --size values.
@@ -40,6 +47,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)  # for perfbench; the library comes from PYTHONPATH
 
 from equimetric import cli  # noqa: E402
+from perfbench.reference import reference_seconds  # noqa: E402
 from perfbench.spans import GLUE, STAGES, TIME_METRICS, Tracer, self_times  # noqa: E402
 from perfbench.workloads import config  # noqa: E402
 
@@ -119,22 +127,26 @@ def main(argv=None) -> int:
         parser.error("--repeat must be at least 1")
     sizes = ["100", "400"] if args.size == "all" else [args.size]
 
-    print("| scenario | n | \\|G\\| | total | " + " | ".join(TIME_METRICS) + " |")
-    print("|---" * (4 + len(TIME_METRICS)) + "|")
+    print("| scenario | n | \\|G\\| | total | norm | " + " | ".join(TIME_METRICS) + " |")
+    print("|---" * (5 + len(TIME_METRICS)) + "|")
     env = environment() if args.json else {}
     records = {}
     for size in sizes:
         for name, params, mode in MATRICES[size]:
+            before = reference_seconds()
             runs = [stage_times(name, params, mode) for _ in range(args.repeat)]
+            ref = (before, reference_seconds())
+            totals = [sum(r[2].values()) for r in runs]
+            norms = [t / statistics.mean(ref) for t in totals]
             n, order = runs[0][0], runs[0][1]
             cells = [f"{statistics.median(r[2][m] for r in runs):.3f}" if m in runs[0][2] else "-"
                      for m in TIME_METRICS]
-            total = statistics.median(sum(r[2].values()) for r in runs)
-            print(f"| {label(name, params, mode)} | {n} | {order} | {total:.2f} | "
+            print(f"| {label(name, params, mode)} | {n} | {order} | {statistics.median(totals):.2f} | "
+                  f"{statistics.median(norms):.2f} | "
                   + " | ".join(cells) + " |", flush=True)
             records[label(name, params, mode)] = {
                 "size": size, "n": n, "group_order": order, "repeat": args.repeat, **env,
-                "total_s": spread(sum(r[2].values()) for r in runs),
+                "total_s": spread(totals), "total_norm": spread(norms), "ref_s": [round(t, 6) for t in ref],
                 "stages": {m: spread(r[2][m] for r in runs) for m in TIME_METRICS if m in runs[0][2]}}
     if args.json:
         write_json(args.json, records)
