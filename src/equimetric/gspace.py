@@ -5,6 +5,10 @@ connectedness questions become graph-component questions. Group elements act
 as injective (possibly partial) maps on point indices; total elements must be
 automorphisms of the neighborhood graph.
 
+The graph has one form, CSR arrays (``SampledSpace``). A component question
+is one ``components`` call; one about many subgraphs, one call over their
+disjoint union, vertex (i, x) numbered i * n + x.
+
 The action has one form, the |G| x (n + 1) array of g.x
 (``SampledGSpace.action``, -1 where a partial map is undefined). Per-element
 point maps are only the input format of ``bind_action``, which checks and
@@ -303,12 +307,8 @@ def _orbit_minima(table: np.ndarray, perms) -> Optional[np.ndarray]:
     when n^3 cells, a whole triangle scan or dense Dijkstra, fit one
     ``_BLOCK`` block, which then costs less than the tests.
 
-    Orbits by labels: each point starts as its own; a round takes the least
-    label over p and its inverse, then the label of the label, until
-    nothing changes. A label stays a point of the orbit at or below the
-    point, and at the fixpoint it is constant on every cycle of every p,
-    so it is the orbit's least point. The table is compared at most
-    ``_BLOCK`` cells a block."""
+    The orbits are the components of the edges x - p[x] (``components``).
+    The table is compared at most ``_BLOCK`` cells a block."""
     perms = np.asarray(perms)
     n = table.shape[0]
     if not perms.size or n ** 3 <= _BLOCK:
@@ -316,17 +316,9 @@ def _orbit_minima(table: np.ndarray, perms) -> Optional[np.ndarray]:
     if table.shape != (n, n) or perms.ndim != 2 or perms.shape[1] != n or perms.dtype.kind not in "iu":
         return None
     ids = np.arange(n)
-    inverse = np.argsort(perms, axis=1)
-    if not (np.take_along_axis(perms, inverse, axis=1) == ids).all():
+    if not (np.sort(perms, axis=1) == ids).all():
         return None
-    both = np.concatenate([perms, inverse])
-    label = ids
-    while True:
-        new = np.minimum(label, label[both].min(axis=0))
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
+    label = components(n, np.tile(ids, len(perms)), perms.ravel())
     minima = np.flatnonzero(label == ids)
     if len(minima) == n:
         return None
@@ -484,58 +476,82 @@ def _check_metric_table(table: np.ndarray, tol: float, rows=None):
         raise ValidationError("NotAMetric", _AXIOM_MESSAGES[kind], witness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSpace:
     n_points: int
     base_metric: np.ndarray
-    edges: frozenset  # undirected, stored as (u, v) with u < v
+    # read-only np.intp CSR arrays: x's neighbours, ascending, are
+    # indices[indptr[x]:indptr[x + 1]]; each edge is stored both ways
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
     labels: tuple = None
-    # point -> sorted tuple of its neighbours; derived from edges, once
-    adjacency: tuple = field(init=False, repr=False, compare=False)
+    # derived once: the read-only (m, 2) np.intp edges (u, v), u < v, sorted
+    edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nbrs = [[] for _ in range(self.n_points)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in nbrs))
+        u = np.repeat(np.arange(self.n_points), np.diff(self.indptr))
+        edges = np.stack([u, self.indices], axis=1)[u < self.indices]
+        for a in (self.indptr, self.indices, edges):
+            a.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
 
 def build_space(base_metric, edges, labels=None, tol: float = 1e-9, perms=None) -> SampledSpace:
-    """Validate base metric axioms (exhaustively) and the edge set.
-
-    ``perms``, point permutations of the action to come, let the triangle
-    scan refute the orbit-minimum rows first (``_orbit_minima``); nothing
-    about them is assumed, and the action is validated when it is bound."""
+    """Validate base metric axioms (exhaustively) and the edges: pairs of
+    numbers, each endpoint checked as ``build_group`` checks a table entry,
+    then for self-loops; duplicate and reversed pairs collapse. ``perms``,
+    point permutations of the action to come, let the triangle scan refute
+    the orbit-minimum rows first (``_orbit_minima``); nothing about them is
+    assumed, and the action is validated when it is bound."""
     table = np.asarray(base_metric, dtype=np.float64)
     n = table.shape[0]
     _check_metric_table(table, tol, None if perms is None else _orbit_minima(table, perms))
-    norm = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValidationError("InvalidParams", "self-loop in adjacency", u)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError("InvalidParams", "edge endpoint out of range", (u, v))
-        norm.add((min(u, v), max(u, v)))
+    try:
+        ends = np.asarray(list(edges) or np.zeros((0, 2), dtype=np.intp))
+    except ValueError:  # ragged pairs
+        ends = None
+    if ends is None or ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "biuf":
+        raise ValidationError("InvalidParams", "edges must be pairs of point indices")
+    ends = _index_array(ends, 0, n, "edge endpoint")
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    if loops.size:
+        raise ValidationError("InvalidParams", "self-loop in adjacency", int(ends[loops[0], 0]))
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise ValidationError("InvalidParams", "label count mismatch")
+    key = np.sort(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
+    src, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)  # each directed edge once
     table.setflags(write=False)
-    return SampledSpace(n_points=n, base_metric=table, edges=frozenset(norm), labels=labels)
+    return SampledSpace(n_points=n, base_metric=table, indptr=np.searchsorted(src, np.arange(n + 1)),
+                        indices=indices, labels=labels)
 
 
-def component_of(adjacency, start: int, alive) -> set:
-    """The points joined to start by paths through alive (start included)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in adjacency[stack.pop()]:
-            if v in alive and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component, an np.intp array, in the
+    graph on range(n) with the edges (a[i], b[i]): hooking and pointer
+    jumping (Shiloach and Vishkin 1982). Each vertex starts as its own
+    label. A round hooks the label of each end of an edge whose ends differ
+    to the least label across its edges, then takes the label of the label
+    until nothing changes; an edge whose ends agree stays so, and is dropped.
+
+    Lemma. A label is a vertex of the same component at or below the
+    vertex. The labels are fully compressed before each hook, so a hook
+    moves only roots, and only down, to a label joined to them by an edge:
+    the pointers form trees, and the rounds end. Then both ends of every
+    edge share a label, which is constant on each component and, at its
+    least vertex m, at most m: it is m."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        cross = la != lb
+        if not cross.any():
+            return label
+        a, b, la, lb = a[cross], b[cross], la[cross], lb[cross]
+        np.minimum.at(label, la, lb)
+        np.minimum.at(label, lb, la)
+        while not np.array_equal(up := label[label], label):
+            label = up
 
 
 @dataclass(frozen=True)
@@ -675,14 +691,13 @@ def bind_action_array(space: SampledSpace, group: FiniteGroup, images: np.ndarra
     # an edge, or has an undefined end: the lookup table pads the
     # adjacency with a row and a column of True, and a self-image fails
     # (there are no self-loops).
-    edges = sorted(space.edges)
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    ends = space.edges.T
     kept = np.zeros((n + 1, n + 1), dtype=bool)
     kept[ends[0], ends[1]] = kept[ends[1], ends[0]] = True
     kept[n, :] = kept[:, n] = True
     partial_inverse = total & ~total[group.inv]
     inverted = total & total[group.inv]
-    for rows in _row_blocks(group.order, n + len(edges)):
+    for rows in _row_blocks(group.order, n + ends.shape[1]):
         back = A[group.inv[rows, None], images[rows]]
         not_inverted = (back != ids) & inverted[rows, None]
         moved = ~kept[A[rows][:, ends[0]], A[rows][:, ends[1]]]
@@ -695,7 +710,8 @@ def bind_action_array(space: SampledSpace, group: FiniteGroup, images: np.ndarra
             if not_inverted[i].any():
                 x = int(not_inverted[i].argmax())
                 raise ValidationError("NotHomomorphism", "inverse element does not invert", (g, x))
-            raise ValidationError("NotGraphAutomorphism", "edge not preserved", (g, edges[int(moved[i].argmax())]))
+            raise ValidationError("NotGraphAutomorphism", "edge not preserved",
+                                  (g, tuple(space.edges[int(moved[i].argmax())].tolist())))
 
     # one subgroup test per stabilizer class; classes go by least point, so
     # the least point of the first failing class is the least failing point

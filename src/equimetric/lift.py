@@ -62,42 +62,57 @@ below d by more than tol where a subset's does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import cached_property
 
 import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
 from . import gspace as _gspace  # its _BLOCK is read at call time
-from .gspace import SampledGSpace, _row_blocks, _total_minima, component_of
+from .gspace import SampledGSpace, _row_blocks, _total_minima, components
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
 
 
-@dataclass(frozen=True)
+# ``AllowabilityGraph.kind`` codes; orbit < slice, as the names sort
+EDGE_KINDS = ("orbit", "slice", "cover", "naive-elementary")
+
+
+@dataclass(frozen=True, eq=False)
 class AllowabilityGraph:
     n_points: int
     mode: str
-    edges: tuple  # (u, v, weight, kind) with u < v
+    # read-only arrays, an entry per edge sorted by (u, v, weight, kind),
+    # duplicates kept: np.intp u < v, float64 weight, int8 EDGE_KINDS code
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    kind: np.ndarray = field(repr=False)
     small_sets: tuple = ()  # cover mode: the accepted elementary components
     # the G-space the graph was built on: ``lift_metric`` takes its total
     # elements as the symmetries the weights may have
-    gspace: SampledGSpace = field(default=None, compare=False, repr=False)
+    gspace: SampledGSpace = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for a in (self.u, self.v, self.weight, self.kind):
+            a.setflags(write=False)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(u, v, weight, kind name) per edge: a read-only view of the arrays."""
+        kinds = map(EDGE_KINDS.__getitem__, self.kind.tolist())
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.weight.tolist(), kinds))
 
     def weight_matrix(self) -> np.ndarray:
         """Per pair its least edge weight, the first of equal ones (-0.0)."""
-        n, m = self.n_points, len(self.edges)
+        n = self.n_points
         w = np.full((n, n), np.inf)
         np.fill_diagonal(w, 0.0)
-        key = np.fromiter((e[0] * n + e[1] for e in self.edges), np.intp, m)
-        weight = np.fromiter((e[2] for e in self.edges), float, m)
-        order = np.lexsort((weight, key))  # stable: ties keep order
-        key, weight = key[order], weight[order]
-        first = np.ones(m, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        u, v = np.divmod(key[first], n)
-        w[u, v] = w[v, u] = weight[first]
+        order = np.lexsort((self.weight, self.v, self.u))  # stable: ties keep order
+        u, v, weight = self.u[order], self.v[order], self.weight[order]
+        first = np.diff(u * n + v, prepend=-1) != 0
+        w[u[first], v[first]] = w[v[first], u[first]] = weight[first]
         return w
 
 
@@ -130,19 +145,19 @@ class LiftedMetric:
         return self._witness_cache[key]
 
 
-def _sweep(adjacency, orbit_of, key, radii) -> tuple:
+def _sweep(indptr, indices, orbit_of, key, radii) -> tuple:
     """(limit, parts) for one quotient centre. limit is the key of the first
     merge that puts one orbit into a component twice (inf if none); parts[i]
     holds the distinct orbit sets, as bit masks, of the components of
     {key < radii[i]} with more than two orbits, in the order of their least
-    points, for each ascending radius up to limit. orbit_of is a list of
-    Python ints: a numpy integer would shift a mask of 64 or more orbits
-    out of its width.
+    points, for each ascending radius up to limit. indptr, indices (the
+    sampling graph's CSR arrays) and orbit_of are lists of Python ints: a
+    numpy integer would shift a mask of 64 or more orbits out of its width.
 
     One union-find sweep over the points in (key, index) order; a radius is
     recorded when the sweep reaches the first point of key >= it, reusing
     the last if no merge since grew ``big``."""
-    n = len(adjacency)
+    n = len(indptr) - 1
     parent = list(range(n))
     # read at roots; mask is 0 until the point is swept
     mask, size, least = [0] * n, [1] * n, list(range(n))
@@ -173,7 +188,7 @@ def _sweep(adjacency, orbit_of, key, radii) -> tuple:
             nxt = radii[len(parts)] if len(parts) < len(radii) else np.inf
         root = w
         mask[w] = 1 << orbit_of[w]
-        for u in adjacency[w]:
+        for u in indices[indptr[w] : indptr[w + 1]]:
             if not mask[u]:
                 continue
             ru = find(u)
@@ -259,7 +274,8 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
     conservative safety margin of the continuum construction)."""
     if quotient.d is None:
         raise ValidationError("InvalidParams", "quotient metric required for cover mode")
-    adjacency = gspace.space.adjacency
+    n, edges = gspace.n_points, gspace.space.edges
+    indptr, indices = gspace.space.indptr.tolist(), gspace.space.indices.tolist()
     keys = quotient.d[:, quotient.orbit_of]  # row q: d(q, p(v)) per point v
     orbit_of = quotient.orbit_of.tolist()  # Python ints: masks past 63 orbits
     w = np.full((quotient.n_orbits,) * 2, np.inf)
@@ -271,7 +287,7 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
     todo = {}
     for q in range(quotient.n_orbits):
         radii = _candidate_radii(quotient, q)[::-1]
-        limit, parts = _sweep(adjacency, orbit_of, keys[q], radii)
+        limit, parts = _sweep(indptr, indices, orbit_of, keys[q], radii)
         todo[q] = [(r, masks) for r, masks in zip(radii, parts)
                    if enlargement_factor <= 1.0 or r * enlargement_factor <= limit]
 
@@ -300,13 +316,14 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
                 del todo[q]
         found.update(_convex_images(quotient, w, wanted, tol))
 
-    sets = set()
-    for q, r in accepted.items():
-        alive = set(np.flatnonzero(keys[q] < r).tolist())
-        while alive:
-            comp = component_of(adjacency, min(alive), alive)
-            sets.add(frozenset(comp))
-            alive -= comp
+    # the components of the accepted preimages, labelled in (centre, point) space
+    alive = keys[list(accepted)] < np.array(list(accepted.values()))[:, None]
+    i, e = np.nonzero(alive[:, edges[:, 0]] & alive[:, edges[:, 1]])
+    label = components(alive.size, i * n + edges[e, 0], i * n + edges[e, 1])
+    comps = {}
+    for p, c in zip(np.flatnonzero(alive).tolist(), label[alive.ravel()].tolist()):
+        comps.setdefault(c, []).append(p % n)
+    sets = set(map(frozenset, comps.values()))
     # drop sets contained in another accepted set; edges are unaffected. A
     # superset of s holds the least point of s.
     holding = {}
@@ -324,7 +341,6 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
     n = gspace.n_points
     d = quotient.d
     orbit = quotient.orbit_of
-    edges = []
 
     if mode == "general":
         if d_O is None:
@@ -334,34 +350,31 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
         # slice edges at u < v with u in S_v or v in S_u; an orbit edge per
         # g and u with g.u > u (not -1), duplicates kept; nan d_O skipped
         joined = family.membership[:, :n]
-        u, v = np.nonzero(np.triu(joined | joined.T, 1))
+        su, sv = np.nonzero(np.triu(joined | joined.T, 1))
+        g, ou = np.nonzero(gspace.action[:, :n] > np.arange(n))
+        u, v = np.concatenate([su, ou]), np.concatenate([sv, gspace.action[g, ou]])
         dov = d_O.values[u, v]
-        keep = ~np.isnan(dov)
-        u, v = u[keep], v[keep]
-        weight = d[orbit[u], orbit[v]] + dov[keep]
-        edges += zip(u.tolist(), v.tolist(), weight.tolist(), repeat("slice"))
-        g, u = np.nonzero(gspace.action[:, :n] > np.arange(n))
-        v = gspace.action[g, u]
-        dov = d_O.values[u, v]
-        keep = ~np.isnan(dov)
-        edges += zip(u[keep].tolist(), v[keep].tolist(), dov[keep].tolist(), repeat("orbit"))
-        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), gspace=gspace)
+        weight = np.concatenate([d[orbit[su], orbit[sv]] + dov[: su.size], dov[su.size :]])
+        kind = np.repeat(np.int8([EDGE_KINDS.index("slice"), EDGE_KINDS.index("orbit")]), [su.size, ou.size])
+        keep = np.flatnonzero(~np.isnan(dov))
+        keep = keep[np.lexsort((kind[keep], weight[keep], v[keep], u[keep]))]  # stable, as sorted tuples
+        return AllowabilityGraph(n_points=n, mode=mode, u=u[keep], v=v[keep], weight=weight[keep],
+                                 kind=kind[keep], gspace=gspace)
 
+    sets = ()
     if mode == "cover":
         sets = cover_small_sets(gspace, quotient, enlargement_factor, tol)
         joined = np.zeros((n, n), dtype=bool)
         for s in sets:
             joined[np.ix_(list(s), list(s))] = True
         u, v = np.nonzero(np.triu(joined, 1))  # row-major: the sorted order
-        edges = zip(u.tolist(), v.tolist(), d[orbit[u], orbit[v]].tolist(), repeat("cover"))
-        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(edges), small_sets=sets, gspace=gspace)
-
-    if mode == "naive":
+    elif mode == "naive":
         u, v = np.nonzero(np.triu(orbit[:, None] != orbit, 1))
-        edges = zip(u.tolist(), v.tolist(), d[orbit[u], orbit[v]].tolist(), repeat("naive-elementary"))
-        return AllowabilityGraph(n_points=n, mode=mode, edges=tuple(sorted(edges)), gspace=gspace)
-
-    raise ValidationError("InvalidParams", f"unknown lift mode {mode!r}")
+    else:
+        raise ValidationError("InvalidParams", f"unknown lift mode {mode!r}")
+    kind = np.full(u.size, EDGE_KINDS.index("cover" if mode == "cover" else "naive-elementary"), np.int8)
+    return AllowabilityGraph(n_points=n, mode=mode, u=u, v=v, weight=d[orbit[u], orbit[v]], kind=kind,
+                             small_sets=sets, gspace=gspace)
 
 
 def _witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) -> tuple:

@@ -5,28 +5,20 @@ projection ``orbit_of``, each orbit's least point ``representative`` and
 members ``order`` / ``offsets`` (``Quotient.members``), and a k x k bool
 ``adjacency`` table of the orbits an edge joins. Stages index them directly.
 
-Labelling lemma. Start with label[x] = x; a round sets label[x] to the least
-label over x and its images g.x (for a partial g, its preimage too), then
-takes the label of that label, until nothing changes. A label is always a
-point of x's orbit at or below x. At the fixpoint label[x] <= label[g.x]
-wherever g.x is defined: a total g permutes the points (rows are
-injective), so the labels agree along its cycles, and a partial g's
-preimages give the reverse inequality. So labels are constant on orbits,
-and an orbit's least point m, labelled by a point of its orbit at or below
-m, is labelled m: orbit ids are the ranks of those minima.
+The orbits are the components of the edges x - g.x over the defined
+images, labelled by their least points in one ``gspace.components`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
-from .gspace import SampledGSpace, _check_metric_table
+from .gspace import SampledGSpace, _check_metric_table, components
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,29 +45,15 @@ def compute_orbits(gspace: SampledGSpace) -> Quotient:
     For total actions this is the usual group orbit; for partial actions it is
     the connected component of the translation relation (may be smaller than
     the ambient infinite-group orbit; scenario docs carry that caveat).
-    Labelled by the module docstring's lemma; an undefined image (-1) reads
-    the label of the padding slot, n, which is above every point.
     """
-    n, act = gspace.n_points, gspace.action
-    partial = act[~gspace.total]
-    if partial.size:
-        g, x = np.nonzero(partial[:, :n] >= 0)
-        back = np.full_like(partial, -1)  # back[g, g.x] = x
-        back[g, partial[g, x]] = x
-        act = np.concatenate([act, back])
-    label = np.arange(n + 1)
-    while True:
-        new = np.minimum(label, label[act].min(axis=0))
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    reps = np.flatnonzero(label[:n] == np.arange(n))
-    orbit_of = np.searchsorted(reps, label[:n])
+    n = gspace.n_points
+    g, x = np.nonzero(gspace.action[:, :n] >= 0)
+    label = components(n, x, gspace.action[g, x])
+    reps = np.flatnonzero(label == np.arange(n))
+    orbit_of = np.searchsorted(reps, label)
     order = np.argsort(orbit_of, kind="stable")
     offsets = np.searchsorted(orbit_of[order], np.arange(reps.size + 1))
-    edges = gspace.space.edges
-    ends = orbit_of[np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges)).reshape(-1, 2)]
+    ends = orbit_of[gspace.space.edges]
     adjacency = np.zeros((reps.size, reps.size), dtype=bool)
     adjacency[ends[:, 0], ends[:, 1]] = adjacency[ends[:, 1], ends[:, 0]] = True
     np.fill_diagonal(adjacency, False)

@@ -48,16 +48,15 @@ verifier scans every g, since it judges any family.
 Border-edge lemma. With P_x the preimage of the ball of x's radius, a
 component of S_y & P_x is mixed (meets S_x without lying in it) iff it holds
 an edge (a, c) with a in S_x, c not in S_x and both ends in S_y & P_x. Such
-a component holds a point of S_y outside S_x, so the verifier looks for
-border edges only at the pairs (x, y) with S_y not inside S_x, and searches
-only the components that hold one.
+a component holds a point of S_y outside S_x, so the verifier labels only
+the pairs (x, y) with S_y not inside S_x and a border edge of S_x in P_x.
 
 The builder holds each S_x as a prefix length of x's join order and, for
 the condition (ii) scan, as a Python int bitset. The verifier's checks are
-gathers over the pairs and the membership table, in blocks of slices,
-elements or pairs capped by ``gspace._BLOCK``; only openness and
-connectedness search the graph. ``SliceFamily.slice_of``, the slices as frozensets, is a view
-for callers, derived on first access.
+gathers over the pairs and the membership table and, for openness and
+connectedness, component labellings (``gspace.components``), in blocks
+capped by ``gspace._BLOCK``. ``SliceFamily.slice_of``, the slices as
+frozensets, is a view for callers, derived on first access.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, _point_blocks, _row_blocks, component_of
+from .gspace import SampledGSpace, _point_blocks, _row_blocks, components
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 
@@ -148,7 +147,7 @@ def _candidate_radii(quotient: Quotient, orbit: int) -> list:
     return [top] + list(reversed(grid))
 
 
-def _join_orders(adjacency, key, sources) -> dict:
+def _join_orders(indptr, indices, key, sources) -> dict:
     """x -> (points, b, meet) for each source x: the points joined to x, in
     the order they join, their join keys b_x, ascending, and the least b_x
     of another source (inf if none joins). Points never joined to x are
@@ -158,9 +157,9 @@ def _join_orders(adjacency, key, sources) -> dict:
     point w joins, each component it bridges meets the others at b = key[w]:
     every path between them runs through w or through points that came
     later, so no path has a smaller largest key. Every table is a flat list
-    indexed by point, read from ``key`` once, and each source records its
-    keys as runs."""
-    n = len(adjacency)
+    indexed by point (indptr, indices: the CSR arrays), read from ``key``
+    once, and each source records its keys as runs."""
+    n = len(indptr) - 1
     keys = key.tolist()
     parent = list(range(n))
     active = [False] * n
@@ -188,7 +187,7 @@ def _join_orders(adjacency, key, sources) -> dict:
             joined[w].append(w)
             runs[w].append((kw, 1))
         active[w] = True
-        for u in adjacency[w]:
+        for u in indices[indptr[w] : indptr[w + 1]]:
             if not active[u]:
                 continue
             ru = parent[u]
@@ -297,8 +296,9 @@ def build_slice_family(
     # Per point, from one join-key sweep per orbit: its join order (S_x is
     # a prefix), b_x in that order, and the least b_x of an orbit mate
     order, keys, meets = [None] * n, [None] * n, [None] * n
+    indptr, indices = gspace.space.indptr.tolist(), gspace.space.indices.tolist()
     for o in range(n_orbits):
-        orders = _join_orders(gspace.space.adjacency, quotient.d[o][quotient.orbit_of], members[o])
+        orders = _join_orders(indptr, indices, quotient.d[o][quotient.orbit_of], members[o])
         for x, (pts, b, meet) in orders.items():
             order[x], keys[x], meets[x] = pts, b, meet
     partial = np.flatnonzero(~gspace.total).tolist()
@@ -467,13 +467,13 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     elements g for the translate overlap, the stabilizer invariance and the
     equivariance, and blocks of pairs for the rest, with the slices packed
     into bytes for condition (ii) and the nesting statistic. Openness and
-    connectedness search the graph, openness only from the pairs whose
+    connectedness label components, openness only for the pairs whose
     gather finds a border edge. The stabilizer check counts h as moving S_x
     when some image lies outside S_x: an action row is injective where
     defined, so h.S_x = S_x exactly when every image lies in S_x."""
     rep = Report()
     n = gspace.n_points
-    adjacency = gspace.space.adjacency
+    edges = gspace.space.edges
     act = gspace.action
     px, py = family.pairs
     member = family.membership
@@ -551,50 +551,42 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     for block in _row_blocks(px.size, width):
         loose[block] = (packed[py[block]] & ~packed[px[block]]).any(axis=1)
 
-    # A component of S_y & P_x is mixed iff it holds a border edge of S_x
-    # inside P_x (border-edge lemma), so only those components are searched.
-    # A mixed component holds a point of S_y outside S_x, so only loose
-    # pairs can have one: one gather over the directed edges (a, c) finds
-    # the points x of loose pairs with a border edge, a second one the
-    # loose pairs (x, y) with one inside S_y.
+    # A mixed component of S_y & P_x holds a border edge of S_x (border-edge
+    # lemma) and a point of S_y outside S_x: only the loose pairs of points x
+    # with a border edge can have one. Their cuts are labelled in (pair,
+    # point) space; a mixed component holds points in and out of S_x.
     v = []
     k = np.flatnonzero(loose)
     if k.size:
         in_ball = (quotient.d < np.asarray(family.radius_of_orbit, dtype=np.float64)[:, None])[:, orbit_of]
-        a_end = np.repeat(points, [len(nbrs) for nbrs in adjacency])
-        c_end = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp, count=a_end.size)
-
-        def border(x):
-            held, inside = member[x], in_ball[orbit_of[x]]
-            return held[:, a_end] & ~held[:, c_end] & inside[:, a_end] & inside[:, c_end]
-
         bordered = np.zeros(n, dtype=bool)
         bordered[px[k]] = True
         xs = np.flatnonzero(bordered)
-        for block in _row_blocks(xs.size, n + 4 * a_end.size):
-            bordered[xs[block]] = border(xs[block]).any(axis=1)
+        for block in _row_blocks(xs.size, n + 4 * len(edges)):
+            ends_in, ends_near = member[xs[block]][:, edges.T], in_ball[orbit_of[xs[block]]][:, edges.T]
+            bordered[xs[block]] = ((ends_in[:, 0] != ends_in[:, 1]) & ends_near.all(axis=1)).any(axis=1)
         k = k[bordered[px[k]]]
-        for block in _row_blocks(k.size, 2 * n + 6 * a_end.size):
+        for block in _row_blocks(k.size, 12 * n + 2 * len(edges)):
             x, y = px[k[block]], py[k[block]]
-            begins = border(x) & member[y][:, a_end] & member[y][:, c_end]
-            for j in np.flatnonzero(begins.any(axis=1)).tolist():
-                sy = family.members(y[j])
-                cut = set(sy[in_ball[orbit_of[x[j]], sy]].tolist())
-                mixed = []
-                for a in a_end[begins[j]].tolist():
-                    if not any(a in comp for comp in mixed):
-                        mixed.append(component_of(adjacency, a, cut))
-                v.extend((int(x[j]), int(y[j]), m) for m in sorted(min(comp) for comp in mixed))
+            cut = member[y, :n] & in_ball[orbit_of[x]]
+            i, e = np.nonzero(cut[:, edges[:, 0]] & cut[:, edges[:, 1]])
+            label = components(cut.size, i * n + edges[e, 0], i * n + edges[e, 1])[cut.ravel()]
+            sides = np.zeros((cut.size, 2), dtype=bool)  # per label: holds points out of, in S_x
+            sides[label, member[x, :n][cut].view(np.int8)] = True
+            r, m = np.divmod(np.flatnonzero(sides.all(axis=1)), n)  # by pair, then least point
+            v += zip(x[r].tolist(), y[r].tolist(), m.tolist())
     rep.add("openness_condition_star", FAIL if v else PASS, v)
 
-    v = []
-    for x0, x1 in _point_blocks(family.offsets, 1):  # the members as ints, a block at a time
-        bounds = (family.offsets[x0 : x1 + 1] - family.offsets[x0]).tolist()
-        ys = py[family.offsets[x0] : family.offsets[x1]].tolist()
-        for x, lo, hi in zip(range(x0, x1), bounds, bounds[1:]):
-            s = ys[lo:hi]
-            if not s or len(component_of(adjacency, s[0], set(s))) != len(s):
-                v.append((x,))
+    # S_x is connected when its least point labels all of it: one labelling
+    # of a block of slices over the edges inside each, in (x, y) space
+    split = ~filled
+    for block in _row_blocks(n, 2 * n + len(edges)):
+        held = member[block, :n]
+        i, e = np.nonzero(held[:, edges[:, 0]] & held[:, edges[:, 1]])
+        label = components(held.size, i * n + edges[e, 0], i * n + edges[e, 1]).reshape(held.shape)
+        least = label[np.arange(len(held)), held.argmax(axis=1)]
+        split[block] |= ((label != least[:, None]) & held).any(axis=1)
+    v = [(x,) for x in np.flatnonzero(split).tolist()]
     rep.add("slice_connected", FAIL if v else PASS, v)
 
     if (sizes == 1).all():

@@ -169,9 +169,8 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
     best = row.min(axis=1)
     nearest = finite & (row <= best[:, None] + tol)
     compatible = orbit[:, None] == orbit[None, :]
-    if gspace.space.edges:
-        e = np.array(list(gspace.space.edges))
-        compatible[e[:, 0], e[:, 1]] = compatible[e[:, 1], e[:, 0]] = True
+    e = gspace.space.edges
+    compatible[e[:, 0], e[:, 1]] = compatible[e[:, 1], e[:, 0]] = True
     lonely = finite.any(axis=1) & ~(nearest & compatible).any(axis=1)
     first = nearest.argmax(axis=1)
     rep.add("nearest_neighbor_compatibility", ADVISORY,

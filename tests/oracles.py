@@ -6,7 +6,7 @@ scalar loops and rebuilt frozensets vs. row-vectorised checks and the
 ball-prefix index; a slice builder that computes each slice on its own and
 also scans for openness vs. one that shares its scans with the verifier and
 reads slices off join keys; component scans of the edge set per radius or
-per (x, y) vs. border edges and searches over the adjacency; per-pair coset
+per (x, y) vs. border edges and component labels over the edge array; per-pair coset
 distances and grid rescans vs. cached coset tables and one reduction per
 point; scalar group, action and isometry loops vs. one table comparison per
 element over the action array; scalar subgroup, normality and closure
@@ -16,7 +16,7 @@ the labelling rounds over it, with the orbits as tuples and the quotient
 adjacency as a set of pairs vs. index arrays and a bool table; a depth-first
 component search (``graph_components``) and Python sets for quotient balls
 and their preimages (``ball``, ``preimage``) vs. the library's union-find
-sweeps and key rows; a grid
+sweeps, key rows and hooking-and-jumping labels (``gspace.components``); a grid
 from a Python set searched per grid pair with rebuilt frozensets vs. a
 sorted-array grid searched per centre by a running minimum and in rounds;
 per-pair loops for the cover isometry, nearest neighbours and pushforward
@@ -321,6 +321,12 @@ class ActionMaps:
         return tuple(g for g in range(self.group.order) if self.act[g].get(x) == x)
 
 
+def edge_set(space) -> frozenset:
+    """The sampling graph's edges as a set of (u, v) pairs of Python ints,
+    u < v."""
+    return frozenset(map(tuple, space.edges.tolist()))
+
+
 def graph_components(n_points: int, edges, subset=None) -> list:
     """Connected components (sorted lists) of the induced subgraph on subset,
     by a depth-first search from each unseen point in ascending order."""
@@ -415,7 +421,7 @@ def compute_orbits(gspace) -> Orbits:
     members = tuple(tuple(m) for m in members)
 
     qadj = set()
-    for a, b in maps.space.edges:
+    for a, b in edge_set(maps.space):
         pa, pb = orbit_of[a], orbit_of[b]
         if pa != pb:
             qadj.add((min(pa, pb), max(pa, pb)))
@@ -455,6 +461,7 @@ def bind_action(space, group, act_maps) -> tuple:
         raise ValidationError("IdentityNotIdentity", "identity element must act as the total identity map")
 
     mul, inv = group.mul.tolist(), group.inv.tolist()
+    edges = edge_set(space)
     for g in range(group.order):
         for h in range(group.order):
             gh = mul[g][h]
@@ -473,10 +480,10 @@ def bind_action(space, group, act_maps) -> tuple:
             for x in range(n):
                 if act[gi][act[g][x]] != x:
                     raise ValidationError("NotHomomorphism", "inverse element does not invert", (g, x))
-        for a, b in sorted(space.edges):
+        for a, b in sorted(edges):
             ga, gb = act[g].get(a), act[g].get(b)
             if ga is not None and gb is not None:
-                if ga == gb or (min(ga, gb), max(ga, gb)) not in space.edges:
+                if ga == gb or (min(ga, gb), max(ga, gb)) not in edges:
                     raise ValidationError("NotGraphAutomorphism", "edge not preserved", (g, (a, b)))
 
     stabs = []
@@ -578,6 +585,7 @@ def verify_lifted_metric(gspace, quotient, lifted, tol=1e-9, invariance_tol=1e-1
     n = gspace.n_points
     d = quotient.d
     p = quotient.orbit_of.tolist()
+    edges = edge_set(gspace.space)
     if not any(np.isfinite(rho[i, j]) for i in range(n) for j in range(i + 1, n)):
         for name in ("metric_axioms", "g_invariance", "lower_bound_quotient",
                      "cover_local_isometry", "nearest_neighbor_compatibility"):
@@ -649,7 +657,7 @@ def verify_lifted_metric(gspace, quotient, lifted, tol=1e-9, invariance_tol=1e-1
         best = min(c[0] for c in cands)
         nearest = [y for val, y in cands if val <= best + tol]
         ok = any(
-            (min(x, y), max(x, y)) in gspace.space.edges or p[x] == p[y]
+            (min(x, y), max(x, y)) in edges or p[x] == p[y]
             for y in nearest
         )
         if not ok:
@@ -808,7 +816,7 @@ def _slice_at(gspace, quotient, x, radius):
     near = ball(quotient, o, radius)
     if o not in near:  # radius at or below d(p(x), p(x))
         raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-    comps = graph_components(gspace.n_points, gspace.space.edges, preimage(quotient, near))
+    comps = graph_components(gspace.n_points, edge_set(gspace.space), preimage(quotient, near))
     return next(frozenset(c) for c in comps if x in c)
 
 
@@ -879,7 +887,7 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
                 ox = int(quotient.orbit_of[x])
                 cut = sorted(sy & preimage(quotient, ball(quotient, ox, radii[ox])))
                 inter = sx & sy
-                for comp in graph_components(gspace.n_points, gspace.space.edges, cut):
+                for comp in graph_components(gspace.n_points, edge_set(gspace.space), cut):
                     hit = inter & set(comp)
                     if hit and hit != frozenset(comp):
                         return ("openness", (x, y, tuple(comp)), x, y)
@@ -991,7 +999,7 @@ def verify_slice_family(gspace, quotient, family) -> Report:
         for y in sorted(slice_of[x]):
             cut = sorted(slice_of[y] & pre)
             inter = slice_of[x] & slice_of[y]
-            for comp in graph_components(n, gspace.space.edges, cut):
+            for comp in graph_components(n, edge_set(gspace.space), cut):
                 hit = inter & set(comp)
                 if hit and hit != frozenset(comp):
                     v.append((x, y, comp[0]))
@@ -999,7 +1007,7 @@ def verify_slice_family(gspace, quotient, family) -> Report:
 
     v = []
     for x in range(n):
-        if len(graph_components(n, gspace.space.edges, slice_of[x])) != 1:
+        if len(graph_components(n, edge_set(gspace.space), slice_of[x])) != 1:
             v.append((x,))
     rep.add("slice_connected", FAIL if v else PASS, v)
 
@@ -1054,6 +1062,14 @@ def cover_edges(quotient, sets) -> tuple:
     return tuple(sorted((u, v, float(d[p[u], p[v]]), "cover") for u, v in pairs))
 
 
+def naive_edges(quotient) -> tuple:
+    """The naive-mode allowability edges: one edge per pair u < v on two
+    orbits, weighing d(p u, p v), in sorted order."""
+    d, p = quotient.d, quotient.orbit_of.tolist()
+    return tuple((u, v, float(d[p[u], p[v]]), "naive-elementary")
+                 for u in range(len(p)) for v in range(u + 1, len(p)) if p[u] != p[v])
+
+
 def weight_matrix(graph) -> np.ndarray:
     """The lift's weight table from a loop over the edges in order, which
     replaces a pair's weight only by a strictly smaller one."""
@@ -1094,14 +1110,14 @@ def cover_small_sets(gspace, quotient, enlargement_factor: float = 1.0, tol: flo
     for q in range(quotient.n_orbits):
         for r in _candidate_radii(quotient, q):
             pre = preimage(quotient, ball(quotient, q, r))
-            comps = graph_components(gspace.n_points, gspace.space.edges, pre)
+            comps = graph_components(gspace.n_points, edge_set(gspace.space), pre)
             if not all(_is_elementary(quotient, c) for c in comps):
                 continue
             if not all(_image_is_convex(quotient, c, tol) for c in comps):
                 continue
             if enlargement_factor > 1.0:
                 big = preimage(quotient, ball(quotient, q, r * enlargement_factor))
-                big_comps = graph_components(gspace.n_points, gspace.space.edges, big)
+                big_comps = graph_components(gspace.n_points, edge_set(gspace.space), big)
                 if not all(_is_elementary(quotient, c) for c in big_comps):
                     continue
             for c in comps:

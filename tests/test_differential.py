@@ -599,6 +599,56 @@ def test_slice_builder_raises_below_one_orbits_positive_diagonal(name, params, o
 
 
 @st.composite
+def labelling_graphs(draw):
+    """(n, edges) for gspace.components: random edges, self-loops included,
+    among a random subset of the points, the rest isolated; or a long path
+    or a star on the points in shuffled order; or arcs of the cycle
+    0 - 1 - ... - (n - 1) - 0, which pass index 0 as the circle's slices
+    do. Some edges are repeated, as drawn or reversed."""
+    n = draw(st.integers(0, 120))
+    shape = draw(st.sampled_from(["random", "path", "star", "arcs"]))
+    if n == 0:
+        edges = []
+    elif shape == "random":
+        alive = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+        edges = draw(st.lists(st.tuples(st.sampled_from(alive), st.sampled_from(alive)), max_size=3 * len(alive)))
+    elif shape in ("path", "star"):
+        order = draw(st.permutations(range(n)))
+        edges = list(zip(order, order[1:])) if shape == "path" else [(order[0], p) for p in order[1:]]
+    else:
+        starts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        edges = [(i % n, (i + 1) % n) for s in starts for i in range(s, s + draw(st.integers(0, n)))]
+    again = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    reverse = draw(st.booleans())
+    return n, edges + [(b, a) if reverse else (a, b) for a, b in again]
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph=labelling_graphs())
+@example(graph=(0, []))
+@example(graph=(1, [(0, 0)]))
+@example(graph=(6, [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+def test_components_label_each_point_by_its_least_component_point(graph):
+    """gspace.components against the depth-first search of
+    oracles.graph_components."""
+    n, edges = graph
+    a, b = (np.array(c, dtype=np.intp) for c in zip(*edges)) if edges else (np.zeros(0, np.intp),) * 2
+    label = eq.gspace.components(n, a, b)
+    want = [0] * n
+    for comp in graph_components(n, edges):
+        for x in comp:
+            want[x] = comp[0]
+    assert label.dtype == np.intp and label.tolist() == want
+
+
+def csr_lists(n, edges):
+    """The CSR arrays of build_space's graph on n points, as the lists the
+    sweeps read."""
+    space = eq.build_space(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), edges)
+    return space.indptr.tolist(), space.indices.tolist()
+
+
+@st.composite
 def keyed_graphs(draw):
     """A random graph with keys drawn from few values, so that ties occur."""
     n = draw(st.integers(min_value=1, max_value=10))
@@ -617,8 +667,7 @@ def test_join_key_prefixes_are_components(graph, radii):
     the subgraph on the points of key < r, or empty when x itself is out;
     meet is the least key of another source among x's points."""
     n, edges, key, sources = graph
-    adjacency = eq.build_space(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), edges).adjacency
-    orders = _join_orders(adjacency, key, sources)
+    orders = _join_orders(*csr_lists(n, edges), key, sources)
     for x in sources:
         pts, b, meet = orders[x]
         assert sorted(pts) == sorted(set(pts)) and np.all(np.diff(b) >= 0)
@@ -640,7 +689,6 @@ def test_cover_sweep_reads_the_components_of_each_prefix(graph, data):
     n, edges, key, _ = graph
     orbit_of = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     radii = sorted(set(data.draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.25, 2.0, 2.5]), min_size=1))))
-    adjacency = eq.build_space(np.abs(np.subtract.outer(np.arange(n), np.arange(n))), edges).adjacency
 
     def orbit_sets(points):
         return [frozenset(orbit_of[p] for p in c) if len({orbit_of[p] for p in c}) == len(c) else None
@@ -654,7 +702,7 @@ def test_cover_sweep_reads_the_components_of_each_prefix(graph, data):
         if None in sets:
             break
         want.append(tuple(dict.fromkeys(sum(1 << o for o in s) for s in sets if len(s) > 2)))
-    assert lift._sweep(adjacency, orbit_of, key, radii) == (limit, want)
+    assert lift._sweep(*csr_lists(n, edges), orbit_of, key, radii) == (limit, want)
 
 
 def test_cover_sweep_lists_orbit_sets_by_least_point():
@@ -662,8 +710,7 @@ def test_cover_sweep_lists_orbit_sets_by_least_point():
     the order of the roots is not that of the least points."""
     edges = [(0, 6), (6, 7), (1, 2), (2, 3)]
     key = np.array([2.0, 0.0, 1.0, 2.0, 5.0, 5.0, 1.0, 0.0])
-    adjacency = eq.build_space(np.abs(np.subtract.outer(np.arange(8), np.arange(8))), edges).adjacency
-    got = lift._sweep(adjacency, list(range(8)), key, [3.0])
+    got = lift._sweep(*csr_lists(8, edges), list(range(8)), key, [3.0])
     assert got == (np.inf, [(0b11000001, 0b1110)])
 
 
@@ -1536,9 +1583,9 @@ def test_bind_action_matches_scalar_on_corrupted_images(seed, data):
     elif kind == "swap":
         y = data.draw(st.integers(0, n - 1))
         maps[g][x], maps[g][y] = maps[g][y], maps[g][x]
-    elif space.edges:
-        edge = data.draw(st.sampled_from(sorted(space.edges)))
-        space = eq.build_space(space.base_metric, space.edges - {edge})
+    elif space.edges.size:
+        edge = data.draw(st.sampled_from(space.edges.tolist()))
+        space = eq.build_space(space.base_metric, [e for e in space.edges.tolist() if e != edge])
     assert_same_binding(space, gs.group, maps)
 
 
@@ -1817,18 +1864,29 @@ def test_slice_builder_matches_reference_below_a_positive_diagonal(shrink_factor
 
 # The general-mode allowability edges against the pair loops of
 # oracles.general_edges, the cover-mode ones against the set pairs of
-# oracles.cover_edges, and the lift's components against graph_components
+# oracles.cover_edges, the naive ones against oracles.naive_edges, and the
+# lift's components against graph_components
 # over the edge set: equal edge tuples, equal component tuples.
 
 
 def assert_lift_matches(gs, quotient, family, d_O, mode="general", enlargement=1.0):
+    """The edge arrays equal the oracle's sorted tuples, kinds by name and
+    weights bit for bit, and so does the edges view."""
     graph = eq.build_allowability_graph(gs, quotient, family=family, d_O=d_O, mode=mode,
                                         enlargement_factor=enlargement)
     if mode == "general":
-        assert graph.edges == oracles.general_edges(gs, quotient, family, d_O)
-    if mode == "cover":
+        want = oracles.general_edges(gs, quotient, family, d_O)
+    elif mode == "cover":
         assert graph.small_sets == oracles.cover_small_sets(gs, quotient, enlargement)
-        assert graph.edges == oracles.cover_edges(quotient, graph.small_sets)
+        want = oracles.cover_edges(quotient, graph.small_sets)
+    else:
+        want = oracles.naive_edges(quotient)
+    assert graph.edges == want
+    u, v, weight, kind = (list(c) for c in zip(*want)) if want else ([],) * 4
+    assert (graph.u.tolist(), graph.v.tolist()) == (u, v)
+    assert graph.weight.tobytes() == np.array(weight, dtype=float).tobytes()
+    assert [lift.EDGE_KINDS[k] for k in graph.kind.tolist()] == kind
+    assert not any(a.flags.writeable for a in (graph.u, graph.v, graph.weight, graph.kind))
     assert graph.weight_matrix().tobytes() == oracles.weight_matrix(graph).tobytes()
     want = graph_components(gs.n_points, {(u, v) for u, v, _, _ in graph.edges})
     assert eq.lift_metric(graph).components == tuple(tuple(c) for c in want)

@@ -174,20 +174,58 @@ class TestBuildSpace:
         assert graph_components(5, {(0, 1), (3, 4)}, subset={0, 1, 3}) == [[0, 1], [3]]
 
     def test_adjacency_lists_the_edges(self):
-        assert line_space(4).adjacency == ((1,), (0, 2), (1, 3), (2,))
-        assert build_space([[0.0]], []).adjacency == ((),)
+        space = line_space(4)
+        assert space.indptr.tolist() == [0, 1, 3, 5, 6] and space.indices.tolist() == [1, 0, 2, 1, 3, 2]
+        assert space.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+        empty = build_space([[0.0]], [])
+        assert empty.indptr.tolist() == [0, 0] and empty.indices.size == 0 and empty.edges.shape == (0, 2)
 
     @pytest.mark.parametrize("name,params", [
         ("circle", {"n": 12, "k": 3}), ("dihedral", {"n": 6}), ("disk", {"g": 5}),
         ("reflection", {"m": 3, "h": 1.0}), ("shift", {"m": 8, "h": 0.5, "N": 2}),
     ])
     def test_adjacency_is_symmetric_sorted_and_equals_edges(self, name, params):
+        """The CSR rows, ascending and each edge both ways, and the edge
+        array, their rows u < v in order: read-only np.intp arrays."""
         space = generate_scenario(name, params).space
-        adjacency = space.adjacency
+        indptr, indices = space.indptr.tolist(), space.indices.tolist()
+        adjacency = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
         assert len(adjacency) == space.n_points
-        assert all(list(nbrs) == sorted(set(nbrs)) for nbrs in adjacency)
+        assert all(nbrs == sorted(set(nbrs)) for nbrs in adjacency)
         assert all(u in adjacency[v] for u, nbrs in enumerate(adjacency) for v in nbrs)
-        assert {(u, v) for u, nbrs in enumerate(adjacency) for v in nbrs if u < v} == space.edges
+        assert [[u, v] for u, nbrs in enumerate(adjacency) for v in nbrs if u < v] == space.edges.tolist()
+        for a in (space.indptr, space.indices, space.edges):
+            assert a.dtype == np.intp and not a.flags.writeable
+
+    def test_duplicate_and_reversed_edges_collapse(self):
+        space = build_space(1.0 - np.eye(3), [(1, 0), (0, 1), (0, 1.0), (2, 1), np.array([1, 2])])
+        assert space.edges.tolist() == [[0, 1], [1, 2]] and space.indices.tolist() == [1, 0, 2, 1]
+        assert build_space(1.0 - np.eye(3), set()).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("edges,witness,message", [
+        ([(0, 1), (0, 1.5)], (1, 1), "edge endpoint not an integer"),
+        ([(0, float("nan"))], (0, 1), "edge endpoint not an integer"),
+        ([(float("inf"), 1)], (0, 0), "edge endpoint not an integer"),
+        ([(0, 10 ** 18)], (0, 1), "edge endpoint out of range"),
+        ([(0, 5), (1.5, 0)], (0, 1), "edge endpoint out of range"),  # the first bad endpoint decides
+        ([(-1, 0)], (0, 0), "edge endpoint out of range"),
+        ([(0, 1), (2, 2)], 2, "self-loop in adjacency"),
+        ([(0, 1), (0, "1")], None, "edges must be pairs of point indices"),
+        ([(0, 1, 2)], None, "edges must be pairs of point indices"),
+        ([(0, 1), (1, 2, 0)], None, "edges must be pairs of point indices"),
+        ([(0, None)], None, "edges must be pairs of point indices"),
+        ([(0, 2 ** 70)], None, "edges must be pairs of point indices"),  # past int64: Python objects
+        ([0, 1], None, "edges must be pairs of point indices"),
+    ])
+    def test_bad_edge_rejected_at_the_first(self, edges, witness, message):
+        """An endpoint is checked as build_group checks a table entry, its
+        place (edge, end) the witness; a self-loop names its point; a list
+        that is not pairs of numbers is rejected, never parsed."""
+        with pytest.raises(ValidationError) as exc:
+            build_space(1.0 - np.eye(3), edges)
+        shown = message if witness is None else f"{message} (witness: {witness})"
+        assert (exc.value.code, str(exc.value), exc.value.witness) == \
+            ("InvalidParams", f"InvalidParams: {shown}", witness)
 
 
 class TestBindAction:

@@ -22,6 +22,7 @@ from equimetric.spath import apsp
 from perfbench.workloads import GRID_CELLS
 from tests import oracles
 from tests.conftest import pipeline
+from tests.test_lift import edge_arrays
 from tests.randspaces import cyclic_table, dihedral_table, random_gspace
 from tests.test_differential import outcome
 
@@ -72,8 +73,9 @@ def test_lift_equals_the_full_table_on_random_spaces(seed, mode):
 def test_planted_non_invariant_weight_takes_the_full_table_and_fails_invariance():
     r = pipeline("circle", {"n": 12, "k": 3})
     graph = r["graph"]
-    u, v, weight, kind = graph.edges[0]
-    planted = replace(graph, edges=((u, v, weight + 0.5, kind),) + graph.edges[1:])
+    weight = graph.weight.copy()
+    weight[0] += 0.5
+    planted = replace(graph, weight=weight)
     w = assert_lift_is_the_full_table(planted)
     assert at_cap(1, _orbit_minima, w, generator_maps(r["gspace"])) is None
     for cap in CAPS:
@@ -117,7 +119,7 @@ def test_weights_moved_by_the_second_generator_take_the_full_table():
     assert gs.total_generators.tolist() == [1, 2]
     edges = ((0, 1, 1.0, "slice"), (0, 2, 1.5, "slice"), (0, 3, 4.0, "slice"),
              (1, 2, 4.0, "slice"), (1, 3, 1.5, "slice"), (2, 3, 2.0, "slice"))
-    graph = AllowabilityGraph(n_points=4, mode="general", edges=edges, gspace=gs)
+    graph = AllowabilityGraph(n_points=4, mode="general", **edge_arrays(edges), gspace=gs)
     w = assert_lift_is_the_full_table(graph)
     assert at_cap(1, _orbit_minima, w, generator_maps(gs)[:1]).tolist() == [0, 2]
     assert at_cap(1, _orbit_minima, w, generator_maps(gs)) is None
@@ -141,7 +143,7 @@ def test_totals_with_a_partial_product_give_no_symmetry():
     assert gs.total.tolist() == [True, True, False, False, True]
     assert gs.total_generators.tolist() == []
     edges = tuple((i, (i + 1) % 5, 1.0, "slice") if i < 4 else (0, 4, 1.0, "slice") for i in range(5))
-    assert_lift_is_the_full_table(AllowabilityGraph(n_points=5, mode="general", edges=edges, gspace=gs))
+    assert_lift_is_the_full_table(AllowabilityGraph(n_points=5, mode="general", **edge_arrays(edges), gspace=gs))
 
 
 @pytest.mark.parametrize("name,params,gens", [

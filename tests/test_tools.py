@@ -73,6 +73,22 @@ def test_stage_times_size_800_lists_its_rows(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("size,sizes", [
+    ("1600", ["1600"]), ("all", ["100", "400"]), ("bench", ["100", "400", "800", "1600"])])
+def test_stage_times_size_lists_its_rows(size, sizes, capsys, monkeypatch):
+    """--size 1600 runs circle(1536, 4) and disk(41), "all" leaves out the
+    800 and 1600 rows, and "bench" runs every matrix in order; stage_times
+    is replaced, so nothing runs."""
+    stage_times = load("stage_times")
+    calls = []
+    monkeypatch.setattr(stage_times, "stage_times", lambda *row: calls.append(row) or (0, 1, {}))
+    monkeypatch.setattr(stage_times, "reference_seconds", lambda: 1.0)
+    assert stage_times.main(["--size", size]) == 0
+    assert calls == [row for s in sizes for row in stage_times.MATRICES[s]]
+    assert stage_times.MATRICES["1600"] == [("circle", {"n": 1536, "k": 4}, "general"), ("disk", {"g": 41}, "general")]
+    assert len(capsys.readouterr().out.splitlines()) == 2 + len(calls)
+
+
 def test_stage_times_json_records_the_rows_run_and_keeps_the_others(tmp_path, monkeypatch):
     """--json merges: a second run of one size replaces its rows and keeps
     the rows of the other, and every row carries its spread and facts."""

@@ -9,8 +9,9 @@ unless their label ends in "cover". A stage that did not run shows "-": a
 cover row builds no orbital metric and runs neither the orbital checks nor
 the ball inclusions, and no row writes outputs (`cli.write_s`). With
 --repeat k every scenario runs k times and each cell is the median.
---size 800 runs circle(768, 4), disk(29) and circle(768, 4) cover; "all"
-runs the 100 and 400 matrices only.
+--size 800 runs circle(768, 4), disk(29) and circle(768, 4) cover, --size
+1600 circle(1536, 4) and disk(41); "all" runs the 100 and 400 matrices
+only, and "bench" every matrix, in order.
 
 The host's speed drifts, so rows of different sessions compare only after
 normalising: perfbench's fixed reference work (`perfbench/reference.py`)
@@ -25,10 +26,12 @@ the normalised total (`total_norm`), the two reference times (`ref_s`), the
 repeat count, the Python and numpy versions, the core count and the commit
 (`git describe --always --dirty`). Rows already in PATH that this run did
 not make are kept, so one file holds the runs of several --size values.
-Nothing else is written to disk.
+Nothing else is written to disk. The committed file is regenerated whole,
+every row with its normalised total, by
+  PYTHONPATH=src python3 tools/stage_times.py --size bench --repeat 3 --json BENCH_pipeline.json
 
 Usage (from the repository root):
-  PYTHONPATH=src python3 tools/stage_times.py [--size 100|400|800|all] [--repeat k] [--json PATH]
+  PYTHONPATH=src python3 tools/stage_times.py [--size 100|400|800|1600|all|bench] [--repeat k] [--json PATH]
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ MATRICES = {
     # the n~800 rows, left out of "all": each takes several seconds
     "800": [("circle", {"n": 768, "k": 4}, "general"), ("disk", {"g": 29}, "general"),
             ("circle", {"n": 768, "k": 4}, "cover")],
+    # the n~1600 rows, left out of "all" as well: each takes over ten seconds
+    "1600": [("circle", {"n": 1536, "k": 4}, "general"), ("disk", {"g": 41}, "general")],
 }
 
 
@@ -118,14 +123,14 @@ def write_json(path: str, rows: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", choices=["100", "400", "800", "all"], default="all",
-                        help="matrix to run; all is 100 and 400")
+    parser.add_argument("--size", choices=[*MATRICES, "all", "bench"], default="all",
+                        help="matrix to run; all is 100 and 400, bench every matrix")
     parser.add_argument("--repeat", type=int, default=1, help="runs per scenario; cells are medians")
     parser.add_argument("--json", metavar="PATH", help="also record the rows run in PATH")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    sizes = ["100", "400"] if args.size == "all" else [args.size]
+    sizes = {"all": ["100", "400"], "bench": list(MATRICES)}.get(args.size, [args.size])
 
     print("| scenario | n | \\|G\\| | total | norm | " + " | ".join(TIME_METRICS) + " |")
     print("|---" * (5 + len(TIME_METRICS)) + "|")
