@@ -33,6 +33,7 @@ import warnings
 import numpy as np
 
 from .errors import ValidationError
+from .gspace import _check_scalar
 from .lift import build_allowability_graph, lift_metric
 from .orbital import build_orbital_metric, group_metric, verify_orbital_properties
 from .quotient import compute_orbits, quotient_metric
@@ -109,13 +110,8 @@ def validate_config(cfg: dict) -> dict:
         raise ValidationError("InvalidParams", "explicit quotient mode requires a 'quotient_table' path")
     if not isinstance(cfg["output_dir"], str):
         raise ValidationError("InvalidParams", "output_dir must be a string", cfg["output_dir"])
-    # bool is an int subclass: a JSON true would otherwise read as 1.
     for key in ("shrink_factor", "enlargement_factor", "tolerance"):
-        v = cfg[key]
-        if isinstance(v, float) and not np.isfinite(v):
-            raise ValidationError("NonFinite", f"{key} must be finite", v)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise ValidationError("InvalidParams", f"{key} must be a positive number")
+        _check_scalar(cfg[key], key, positive=True)
     # Accepted so existing configs keep working; it has no effect.
     if isinstance(cfg["workers"], bool) or not isinstance(cfg["workers"], int) or cfg["workers"] < 1:
         raise ValidationError("InvalidParams", "workers must be a positive integer")

@@ -27,8 +27,9 @@ block of elements g into one gather, at most ``_BLOCK`` cells a block (the
 cap every stacked check shares), in compact integer types, and raises on
 the first violation in the order of the scalar scan it replaces: row-major
 over (g, h, x), and per element the inverse test before the edges, which
-are taken in sorted order. ``group_from_permutations`` finds every product
-by one ``np.searchsorted`` on the keys of its images of a base.
+are taken in sorted order; associativity is the composition scan
+(``_check_composition``) of the group acting on itself.
+``group_from_permutations`` finds each product by one ``np.searchsorted``.
 
 Every metric table (base, quotient, group, lifted, pushforward) goes through
 one axiom scan with one arithmetic, t[i, j] - (t[i, k] + t[k, j]) > tol:
@@ -58,6 +59,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,6 +174,24 @@ def _index_array(values: np.ndarray, low: int, high: int, what: str) -> np.ndarr
     return values.astype(np.intp)
 
 
+def _check_composition(mul: np.ndarray, action: np.ndarray, code: str, message: str) -> None:
+    """Raise ``code`` at the first (g, h, x), row-major, where act(gh) x and
+    act(g) (act(h) x) are both defined and differ. ``action`` is |G| x (n + 1),
+    g.x or -1 where undefined and in its last column; the table ``mul`` so
+    padded, the group acting on itself, makes this associativity. A block of
+    g (``_BLOCK`` cells) gathers both sides, -1 where undefined (an undefined
+    act(h) x indexes the last column), so their xor is positive exactly where
+    both are defined and differ: -1 has the sign bit."""
+    n = action.shape[1] - 1
+    small = _compact(action, n)
+    for rows in _row_blocks(len(action), len(action) * n):
+        lhs = np.take(small[:, :n], mul[rows], axis=0)
+        np.bitwise_xor(lhs, np.take(small[rows], action[:, :n], axis=1), out=lhs)
+        if (hit := lhs > 0).any():
+            g, h, x = np.argwhere(hit)[0].tolist()
+            raise ValidationError(code, message, (rows.start + g, h, x))
+
+
 def _integer_value(v) -> bool:
     """Is v an integer value (2 or 2.0, not 2.5, nan, None or "2")?"""
     try:
@@ -186,9 +206,8 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     Scan order is fixed, so the first reported violation is deterministic:
     entries row-major over (g, h), each either not an integer value or out
     of range, the least two-sided identity, per g the least two-sided
-    inverse, associativity row-major over (g, h, x). Associativity compares
-    M[M[g]] with M[g][M] for a block of rows g at once, at most ``_BLOCK``
-    cells a block.
+    inverse, associativity row-major over (g, h, x) (``_check_composition``).
+    Generators must be numbers, each then checked as a table entry is.
     """
     try:
         values = np.asarray(mul_table)
@@ -211,20 +230,17 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
         raise ValidationError("NoInverse", "element has no two-sided inverse", int(missing[0]))
     inv = inverts.argmax(axis=1)
 
-    small = _compact(table, n)
-    for rows in _row_blocks(n, n * n):  # (gh)x against g(hx) over (g, h, x)
-        differ = np.take(small, table[rows], axis=0) != np.take(small[rows], table, axis=1)
-        if differ.any():
-            g, h, x = (int(v) for v in np.argwhere(differ)[0])
-            raise ValidationError("NonAssociative", "associativity fails", (rows.start + g, h, x))
+    regular = np.pad(table, ((0, 0), (0, 1)), constant_values=-1)  # the group acting on itself
+    _check_composition(table, regular, "NonAssociative", "associativity fails")
 
     table.setflags(write=False)
     inv.setflags(write=False)
     gens = None
     if generators is not None:
-        gens = tuple(int(g) for g in generators)
-        if any(not 0 <= g < n for g in gens):
-            raise ValidationError("InvalidParams", "generator index out of range")
+        gens = list(generators) if np.iterable(generators) else None
+        if gens is None or not all(isinstance(g, Real) and not isinstance(g, bool) for g in gens):
+            raise ValidationError("InvalidParams", "generators must be a sequence of element indices")
+        gens = tuple(_index_array(np.asarray(gens), 0, n, "generator index").tolist())
     group = FiniteGroup(order=n, mul=table, identity=identity, inv=inv, generators=gens)
     if gens is not None:
         unreached = np.flatnonzero(~group._closure(group._mask((identity,) + gens)))
@@ -458,11 +474,24 @@ def _metric_axiom_violations(table: np.ndarray, tol: float, rows=None):
     return v, resid
 
 
+def _check_scalar(value, what: str, positive: bool = False) -> None:
+    """Reject a tolerance or factor: NaN or an infinity (which passes every
+    ``> tol`` test silently) as NonFinite; a non-number (a bool too) or a
+    value below zero, or at zero when ``positive``, as InvalidParams."""
+    number = isinstance(value, Real) and not isinstance(value, bool)
+    if number and not -np.inf < value < np.inf:  # exact for ints past float, unlike np.isfinite
+        raise ValidationError("NonFinite", f"{what} must be finite", value)
+    if not number or (value <= 0 if positive else value < 0):
+        sign = "positive" if positive else "non-negative"
+        raise ValidationError("InvalidParams", f"{what} must be a {sign} number")
+
+
 def _check_metric_table(table: np.ndarray, tol: float, rows=None):
-    """Raise on a non-finite entry (NaN would pass every axiom silently),
-    else on the first witness of ``_metric_axiom_violations``; the scan
-    stops at the first block that has one. ``rows`` as in
-    ``_axiom_violation_blocks``."""
+    """Raise on a bad ``tol`` (``_check_scalar``), on a non-finite entry (NaN
+    would pass every axiom silently), else on the first witness of
+    ``_metric_axiom_violations``; the scan stops at the first block that has
+    one. ``rows`` as in ``_axiom_violation_blocks``."""
+    _check_scalar(tol, "tolerance")
     n = table.shape[0]
     if table.shape != (n, n):
         raise ValidationError("NotAMetric", "metric table must be square")
@@ -660,8 +689,7 @@ def bind_action_array(space: SampledSpace, group: FiniteGroup, images: np.ndarra
     repeated = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
     if repeated.any():
         raise ValidationError("InvalidParams", "action map not injective", int(repeated.any(axis=1).argmax()))
-    A = np.full((group.order, n + 1), -1, dtype=np.intp)
-    A[:, :n] = images
+    A = np.pad(images, ((0, 0), (0, 1)), constant_values=-1)
     A.setflags(write=False)
     gspace = SampledGSpace(space=space, group=group, action=A)
     images, ids = A[:, :n], np.arange(n)
@@ -670,20 +698,7 @@ def bind_action_array(space: SampledSpace, group: FiniteGroup, images: np.ndarra
     if (images[group.identity] != ids).any():
         raise ValidationError("IdentityNotIdentity", "identity element must act as the total identity map")
 
-    # act(g.h) = act(g) o act(h) wherever both sides are defined: the
-    # blocks hold act(gh) x and act(g) (act(h) x), both -1 where undefined
-    # (an undefined act(h) x indexes the padding column), so their xor is
-    # positive exactly where both are defined and differ (a -1 against an
-    # image is negative)
-    small = _compact(A, n)
-    for rows in _row_blocks(group.order, group.order * n):
-        lhs = np.take(small[:, :n], group.mul[rows], axis=0)
-        rhs = np.take(small[rows], images, axis=1)
-        np.bitwise_xor(lhs, rhs, out=lhs)
-        hit = lhs > 0
-        if hit.any():
-            g, h, x = (int(v) for v in np.argwhere(hit)[0])
-            raise ValidationError("NotHomomorphism", "composition mismatch", (rows.start + g, h, x))
+    _check_composition(group.mul, A, "NotHomomorphism", "composition mismatch")
 
     # total elements act by graph automorphisms; partial ones preserve edges
     # where defined. For a total g its inverse element must also act totally

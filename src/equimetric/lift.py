@@ -69,7 +69,7 @@ import numpy as np
 from .spath import apsp
 from .errors import ValidationError
 from . import gspace as _gspace  # its _BLOCK is read at call time
-from .gspace import SampledGSpace, _row_blocks, _total_minima, components
+from .gspace import SampledGSpace, _check_scalar, _row_blocks, _total_minima, components
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
@@ -274,6 +274,8 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
     conservative safety margin of the continuum construction)."""
     if quotient.d is None:
         raise ValidationError("InvalidParams", "quotient metric required for cover mode")
+    _check_scalar(enlargement_factor, "enlargement factor", positive=True)
+    _check_scalar(tol, "tolerance")
     n, edges = gspace.n_points, gspace.space.edges
     indptr, indices = gspace.space.indptr.tolist(), gspace.space.indices.tolist()
     keys = quotient.d[:, quotient.orbit_of]  # row q: d(q, p(v)) per point v

@@ -18,7 +18,7 @@ import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
-from .gspace import SampledGSpace, _check_metric_table, components
+from .gspace import SampledGSpace, _check_metric_table, _check_scalar, components
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +98,7 @@ def quotient_metric(
             raise ValidationError("NotAMetric", "explicit table has wrong shape")
         _check_metric_table(d, tol)
     elif mode == "isometric":
+        _check_scalar(tol, "tolerance")  # the isometry test reads it first
         rho0 = gspace.space.base_metric
         for g in np.flatnonzero(gspace.total).tolist():  # first (a, b), row-major, per g
             m = gspace.action[g, : gspace.n_points]

@@ -69,7 +69,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, _point_blocks, _row_blocks, components
+from .gspace import SampledGSpace, _check_scalar, _point_blocks, _row_blocks, components
 from .quotient import Quotient
 from .report import ADVISORY, FAIL, PASS, Report
 
@@ -278,8 +278,7 @@ def build_slice_family(
     """
     if quotient.d is None:
         raise ValidationError("InvalidParams", "quotient metric required before building slices")
-    if shrink_factor <= 0:
-        raise ValidationError("InvalidParams", "shrink factor must be positive")
+    _check_scalar(shrink_factor, "shrink factor", positive=True)
 
     n = gspace.n_points
     n_orbits = quotient.n_orbits

@@ -23,8 +23,9 @@ orbit-minimum rows first when it is bitwise invariant under the total
 elements (``gspace._total_minima``). The invariance,
 lower-bound, cover-isometry and nearest-neighbour checks are array
 reductions over pairs, and the pushforward is ``quotient.orbit_minima`` of
-rho. The invariance check gathers rho[g.x, g.y] for a block of elements g
-at once from a nan-padded (n + 1) x (n + 1) copy of rho, in blocks capped
+rho. Cover points are allowable neighbours exactly when they share a small
+set, so the cover-isometry pairs are the cover edges, each named once. The
+invariance check gathers rho[g.x, g.y] for a block of elements g at once from a nan-padded (n + 1) x (n + 1) copy of rho, in blocks capped
 by ``gspace._BLOCK``: a few gathers, not one per element. All keep the
 scalar witness order, and none adds floats in a different order than the
 scalar loops in ``tests/oracles.py``.
@@ -32,12 +33,10 @@ scalar loops in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, _metric_axiom_violations, _row_blocks, _total_minima
+from .gspace import SampledGSpace, _check_scalar, _metric_axiom_violations, _row_blocks, _total_minima
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient, orbit_minima
@@ -55,6 +54,7 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
     check to quadruples inside it; pairs touching the excluded boundary band
     are reported as a separate advisory residual. The invariance check
     allows ``_INVARIANCE_TOL``, the others ``tol``."""
+    _check_scalar(tol, "tolerance")
     rep = Report()
     rho = lifted.rho
     n = gspace.n_points
@@ -136,24 +136,9 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
             float(above.max()) if above.size else 0.0)
 
     if lifted.mode == "cover":
-        # one gather over the pairs u < w of every small set, row-major in
-        # each set and the sets in order, so a pair in two sets is named
-        # twice; the pair places come from one triu_indices per set size. A
-        # NaN gap (inf - inf) enters neither the residual (fmax skips it)
-        # nor the witnesses.
-        sets = [sorted(s) for s in lifted.graph.small_sets]
-        sizes = np.array([len(s) for s in sets], dtype=np.intp)
-        flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
-        counts = sizes * (sizes - 1) // 2
-        set_at, pairs_at = np.cumsum(sizes) - sizes, np.cumsum(counts) - counts
-        first, second = np.empty((2, int(counts.sum())), dtype=np.intp)
-        for size in sorted(set(sizes.tolist())):
-            i, j = np.triu_indices(size, 1)
-            which = np.flatnonzero(sizes == size)
-            place = (pairs_at[which, None] + np.arange(i.size)).ravel()
-            first[place] = (set_at[which, None] + i).ravel()
-            second[place] = (set_at[which, None] + j).ravel()
-        u, w = flat[first], flat[second]
+        # the pairs u < w sharing a small set, sorted; a NaN gap (inf - inf)
+        # enters neither the residual (fmax skips it) nor the witnesses
+        u, w = lifted.graph.u, lifted.graph.v
         with np.errstate(invalid="ignore"):
             gap = np.abs(rho[u, w] - d[orbit[u], orbit[w]])
         bad = gap > tol
@@ -338,6 +323,7 @@ def quotient_consistency(gspace: SampledGSpace, quotient: Quotient,
     """Push rho back down: d'(P, Q) = min rho over lifts. d' must be a metric
     whenever rho is invariant; its deviation from d is reported as an
     advisory residual (equality is not claimed in general)."""
+    _check_scalar(tol, "tolerance")
     rep = Report()
     k = quotient.n_orbits
     if not np.isfinite(lifted.rho).all():

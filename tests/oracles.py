@@ -242,9 +242,12 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
 
     gens = None
     if generators is not None:
+        for i, g in enumerate(generators):
+            if not _integer_value(g):
+                raise ValidationError("InvalidParams", "generator index not an integer", (i,))
+            if not 0 <= g < n:
+                raise ValidationError("InvalidParams", "generator index out of range", (i,))
         gens = tuple(int(g) for g in generators)
-        if any(not 0 <= g < n for g in gens):
-            raise ValidationError("InvalidParams", "generator index out of range")
         reached = {identity}
         frontier = [identity]
         while frontier:
@@ -578,8 +581,8 @@ def raise_first_axiom_violation(table: np.ndarray, tol: float):
 def verify_lifted_metric(gspace, quotient, lifted, tol=1e-9, invariance_tol=1e-12, region=None):
     """Every line of ``verify_lifted_metric``, from scalar pair loops: the
     axiom scan, invariance with its boundary band, the quotient lower bound,
-    the cover isometry per small-set pair and a nearest-neighbour candidate
-    list per point."""
+    the cover isometry per distinct pair that shares a small set, in sorted
+    order, and a nearest-neighbour candidate list per point."""
     rep = Report()
     rho = lifted.rho
     n = gspace.n_points
@@ -639,14 +642,12 @@ def verify_lifted_metric(gspace, quotient, lifted, tol=1e-9, invariance_tol=1e-1
     if lifted.mode == "cover":
         v = []
         resid = 0.0
-        for s in lifted.graph.small_sets:
-            pts = sorted(s)
-            for a, u in enumerate(pts):
-                for w in pts[a + 1 :]:
-                    gap = abs(float(rho[u, w]) - float(d[p[u], p[w]]))
-                    resid = max(resid, gap)
-                    if gap > tol:
-                        v.append((u, w))
+        pairs = {(u, w) for s in lifted.graph.small_sets for u in s for w in s if u < w}
+        for u, w in sorted(pairs):
+            gap = abs(float(rho[u, w]) - float(d[p[u], p[w]]))
+            resid = max(resid, gap)
+            if gap > tol:
+                v.append((u, w))
         rep.add("cover_local_isometry", FAIL if v else PASS, v, resid)
 
     v = []

@@ -120,6 +120,37 @@ class TestBuildGroup:
             build_group([[0, 1], [1, 0]], generators=[])
         assert (exc.value.code, exc.value.witness) == ("GeneratorsDontGenerate", 1)
 
+    @pytest.mark.parametrize("generators,witness,reason", [
+        ([1.5], (0,), "not an integer"),  # read as 1 before
+        ([1, float("nan")], (1,), "not an integer"),
+        ([1, float("inf")], (1,), "not an integer"),
+        ([4], (0,), "out of range"),
+        ([1, -1], (1,), "out of range"),
+        ([3, 2.5, 7], (1,), "not an integer"),  # the first bad entry decides
+    ])
+    def test_bad_generator_rejected_at_the_first(self, generators, witness, reason):
+        from tests import oracles
+
+        table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        for build in (build_group, oracles.build_group):
+            with pytest.raises(ValidationError) as exc:
+                build(table, generators=generators)
+            assert (exc.value.code, str(exc.value), exc.value.witness) == \
+                ("InvalidParams", f"InvalidParams: generator index {reason} (witness: {witness})", witness)
+
+    @pytest.mark.parametrize("generators", [["1"], [True], [1, True], [[1]], 1, [1, "x"], [None]])
+    def test_generators_that_are_not_numbers_rejected(self, generators):
+        """Strings and bools were read through int() as 1 before."""
+        table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        with pytest.raises(ValidationError) as exc:
+            build_group(table, generators=generators)
+        assert str(exc.value) == "InvalidParams: generators must be a sequence of element indices"
+
+    @pytest.mark.parametrize("generators", [[3.0], np.array([3], dtype=np.uint8), (np.int64(3),)])
+    def test_integer_valued_generators_of_any_dtype_accepted(self, generators):
+        g = build_group([[(a + b) % 4 for b in range(4)] for a in range(4)], generators=generators)
+        assert g.generators == (3,) and type(g.generators[0]) is int
+
     def test_subgroups_of_c4(self):
         table = [[(a + b) % 4 for b in range(4)] for a in range(4)]
         g = build_group(table)

@@ -41,14 +41,15 @@ def test_cover_local_isometry_reported():
 
 def test_planted_gap_in_a_small_set_fails_cover_local_isometry():
     """circle(12, 3) in cover mode: the pair (0, 1) lies in the small sets
-    {0, 1, 2} and {11, 0, 1}, so one perturbation beyond tol names it twice."""
+    {0, 1, 2} and {11, 0, 1}, and one perturbation beyond tol names it
+    once."""
     r = pipeline("circle", {"n": 12, "k": 3}, mode="cover")
     assert {0, 1} <= set(r["graph"].small_sets[0])
     rho = np.array(r["lifted"].rho)
     rho[0, 1] = rho[1, 0] = rho[0, 1] + 1e-6
     bad = replace(r["lifted"], rho=rho)
     check = eq.verify_lifted_metric(r["gspace"], r["quotient"], bad)["cover_local_isometry"]
-    assert (check.status, check.witnesses) == ("fail", [(0, 1), (0, 1)])
+    assert (check.status, check.witnesses) == ("fail", [(0, 1)])
     assert check.max_residual == pytest.approx(1e-6)
     gap = abs(float(rho[0, 1]) - float(r["quotient"].d[0, 1]))
     at_tol = eq.verify_lifted_metric(r["gspace"], r["quotient"], bad, tol=gap)["cover_local_isometry"]
@@ -107,6 +108,21 @@ class TestQuotientConsistency:
         assert report["pushforward_matches_quotient"].status == "advisory"
         assert report["pushforward_matches_quotient"].max_residual >= 0.0
 
+    def test_planted_zero_between_orbits_fails_pushforward_is_metric(self):
+        """circle(12, 3), general mode, whose orbits are i mod 4: rho(0, 1)
+        = 0 joins two orbits at distance 0, so the pushforward is no metric."""
+        r = pipeline("circle", {"n": 12, "k": 3}, mode="general")
+        orbit = r["quotient"].orbit_of
+        assert orbit[0] != orbit[1]
+        rho = np.array(r["lifted"].rho)
+        rho[0, 1] = rho[1, 0] = 0.0
+        bad = replace(r["lifted"], rho=rho)
+        report = eq.quotient_consistency(r["gspace"], r["quotient"], bad)
+        check = report["pushforward_is_metric"]
+        assert check.status == "fail"
+        assert ("zero_between_distinct", int(orbit[0]), int(orbit[1])) in check.witnesses
+        assert report.lines() == oracles.quotient_consistency(r["gspace"], r["quotient"], bad).lines()
+
     def test_infinite_lift_degrades_to_advisory(self):
         r = pipeline("reflection", {"m": 2, "h": 1.0}, mode="cover", enlargement=1000.0)
         report = eq.quotient_consistency(r["gspace"], r["quotient"], r["lifted"])
@@ -148,3 +164,41 @@ def test_group_validation_and_invariance_memory_stays_bounded():
     bound = 2**20 + 32 * (gs.n_points ** 2 + gs.group.order ** 2)
     assert build_peak <= bound
     assert verify_peak <= bound
+
+
+_SCALAR_ENTRY_POINTS = {
+    "build_space": lambda r, v: eq.build_space([[0, 1], [1, 0]], [(0, 1)], tol=v),
+    "group_metric": lambda r, v: eq.group_metric(r["gspace"].group, tol=v),
+    "quotient_metric[graph]": lambda r, v: eq.quotient_metric(r["gspace"], eq.compute_orbits(r["gspace"]), tol=v),
+    "quotient_metric[isometric]": lambda r, v: eq.quotient_metric(
+        r["gspace"], eq.compute_orbits(r["gspace"]), mode="isometric", tol=v),
+    "quotient_metric[explicit]": lambda r, v: eq.quotient_metric(
+        r["gspace"], eq.compute_orbits(r["gspace"]), mode="explicit", table=r["quotient"].d, tol=v),
+    "build_slice_family[shrink_factor]": lambda r, v: eq.build_slice_family(
+        r["gspace"], r["quotient"], shrink_factor=v),
+    "cover_small_sets[enlargement_factor]": lambda r, v: eq.cover_small_sets(
+        r["gspace"], r["quotient"], enlargement_factor=v),
+    "cover_small_sets[tol]": lambda r, v: eq.cover_small_sets(r["gspace"], r["quotient"], tol=v),
+    "verify_lifted_metric": lambda r, v: eq.verify_lifted_metric(r["gspace"], r["quotient"], r["lifted"], tol=v),
+    "quotient_consistency": lambda r, v: eq.quotient_consistency(r["gspace"], r["quotient"], r["lifted"], tol=v),
+}
+
+
+@pytest.mark.parametrize("value,code", [(float("nan"), "NonFinite"), (float("inf"), "NonFinite"),
+                                        (-1.0, "InvalidParams")])
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ENTRY_POINTS))
+def test_non_finite_or_negative_scalar_rejected_at_every_entry_point(entry, value, code):
+    """A NaN tolerance passes every `> tol` test and reported a planted zero
+    as a metric; a NaN factor gave a degenerate slice family or no small
+    sets. Each entry point raises the code the CLI gives for its config,
+    and never returns or raises a raw exception; tol = 0 stays allowed."""
+    r = pipeline("circle", {"n": 12, "k": 3}, mode="cover")
+    with pytest.raises(eq.ValidationError) as exc:
+        _SCALAR_ENTRY_POINTS[entry](r, value)
+    assert exc.value.code == code
+    if entry.endswith("factor]"):
+        with pytest.raises(eq.ValidationError) as exc:
+            _SCALAR_ENTRY_POINTS[entry](r, 0.0)
+        assert exc.value.code == "InvalidParams"
+    else:
+        _SCALAR_ENTRY_POINTS[entry](r, 0.0)
