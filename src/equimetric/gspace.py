@@ -204,9 +204,11 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     """Validate a multiplication table and return the group.
 
     Scan order is fixed, so the first reported violation is deterministic:
-    entries row-major over (g, h), each either not an integer value or out
-    of range, the least two-sided identity, per g the least two-sided
-    inverse, associativity row-major over (g, h, x) (``_check_composition``).
+    entries row-major over (g, h), first any that is not a real number (a
+    string is not read through float), then each either not an integer
+    value or out of range, the least two-sided identity, per g the least
+    two-sided inverse, associativity row-major over (g, h, x)
+    (``_check_composition``).
     Generators must be numbers, each then checked as a table entry is.
     """
     try:
@@ -216,6 +218,10 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     if values is None or values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
         raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
     n = len(values)
+    if values.dtype.kind not in "biuf":  # strings, complex values, or Python objects
+        real = [isinstance(v, (Real, np.bool_)) for v in np.asarray(mul_table, dtype=object).flat]
+        if not all(real):
+            raise ValidationError("InvalidParams", "table entry not a real number", divmod(real.index(False), n))
     table = _index_array(values, 0, n, "table entry")
     ids = np.arange(n)
 

@@ -27,7 +27,7 @@ their temporaries stay bounded however many points there are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -111,6 +111,9 @@ def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,
     """
     n = group.order
     if kind == "discrete":
+        # a NaN or infinite scale fails the table's finiteness check below
+        if isinstance(scale, bool) or not isinstance(scale, Real):
+            raise ValidationError("InvalidParams", "discrete metric scale must be a number")
         if scale <= 0:
             raise ValidationError("InvalidParams", "discrete metric scale must be positive")
         t = np.full((n, n), float(scale))

@@ -18,6 +18,7 @@ shift(m, h, N)    2m+1 line points at spacing h; integer shifts truncated to
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral, Real
 
 import numpy as np
@@ -154,6 +155,7 @@ _BUILDERS = {
     "shift": (shift, ("m", "h", "N")),
 }
 _REAL_PARAMS = frozenset({"h"})  # every other parameter is an integer
+_FLOAT_MAX = sys.float_info.max
 
 
 def scenario_names() -> tuple:
@@ -171,7 +173,7 @@ def _check_param(name: str, key: str, value) -> None:
     if key in _REAL_PARAMS:
         if isinstance(value, bool) or not isinstance(value, Real):
             raise ValidationError("InvalidParams", f"parameter {key!r} of scenario {name!r} must be a number", value)
-        if not math.isfinite(value):
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # exact: an int past the float range is no float
             raise ValidationError("NonFinite", f"parameter {key!r} of scenario {name!r} must be finite", value)
     elif isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError("InvalidParams", f"parameter {key!r} of scenario {name!r} must be an integer", value)

@@ -6,15 +6,14 @@ statements quantified over (0, inf) are decided on the grid of realized
 values of rho, d, d_G, d_O plus midpoints: over a finite point set, ball
 contents (and hence inclusion truth) only change at realized values.
 
-Ball inclusions run on a ball-prefix index rather than on rebuilt sets: an
-open ball of radius r is a prefix of its centre's sorted distance row (of
-d_G at the identity, of the quotient metric, of rho), with its length found
-by ``np.searchsorted`` once per centre for the whole grid. Each motion set
-is built from the action array and reduced to two rho-ranks, and each
-search is decided per centre, not per grid pair: the forward search by a
-running minimum over its probes and one ``searchsorted``, the reverse
-search in rounds over the runs of the quotient prefix
-(``verify_ball_inclusions`` states both arguments).
+Ball inclusions run on tables rather than on rebuilt sets: every motion
+set of a centre at one group-ball size is a sublevel set of one row of a
+table of quotient ranks, so both searches are decided for all centres at
+once by a few array passes per group-ball size: the forward search at r_0
+alone, since motion sets only grow with the radius, the reverse search over
+the coarse grid columns where a group or quotient ball changes, against
+the nearest point outside each sublevel set (``verify_ball_inclusions``
+states the lemmas).
 
 The metric axioms of rho and of its pushforward are the one scan that
 validates every metric table, ``gspace._metric_axiom_violations``, with
@@ -179,13 +178,14 @@ def _inclusion_grid(quotient, d_G, d_O, lifted) -> np.ndarray:
     return np.array(grid + [(grid[-1] if grid else 0.0) + 1.0])
 
 
-def _run_starts(*keys) -> np.ndarray:
-    """Indices where the tuple of equal-length key arrays changes, from 0."""
-    change = np.zeros(len(keys[0]), dtype=bool)
-    change[0] = True
-    for k in keys:
-        change[1:] |= k[1:] != k[:-1]
-    return np.flatnonzero(change)
+def _below(table: np.ndarray, bound: int, queries) -> np.ndarray:
+    """#{p : table[r, p] < queries[r, c]} for every row r and column c, when
+    each row of ``table`` is nondecreasing and its entries and the queries
+    lie in 0 .. bound: one ``np.searchsorted`` over the rows laid end to
+    end, row r shifted up by r * (bound + 1)."""
+    rows, width = table.shape
+    shift = np.arange(rows)[:, None] * (bound + 1)
+    return np.searchsorted((table + shift).ravel(), queries + shift) - np.arange(rows)[:, None] * width
 
 
 def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
@@ -197,122 +197,135 @@ def verify_ball_inclusions(gspace: SampledGSpace, quotient: Quotient,
 
     Decides exactly what the scalar predicates ``motion_inside_rho_ball``
     and ``rho_ball_inside_motion`` of ``tests/oracles.py`` decide over the
-    grid r_0 < r_1 < ..., through the ball-prefix index: an open ball of
-    radius r is the prefix of length #{v < r} of its centre's sorted
-    distance row (ties fall wholly inside or outside it). For a centre x let L_i, g_j and q_j be the prefix lengths
-    at r_i of its rho row, of the identity's d_G row and of its orbit's
-    quotient row. A motion set B(r_j) . S_x(r_k) depends only on (g_j, q_k);
-    it is built from the action array and reduced to two ints: top, 1 + its
-    highest rho-rank, and prefix, the longest rho-sorted prefix of x's row
-    inside it. The rho-ball of prefix L contains the motion set iff
-    top <= L, and lies in it iff L <= prefix.
+    grid r_0 <= r_1 <= ..., for all centres at once. For a centre x let g_j
+    and q_j be the prefix lengths at r_j of the identity's d_G row and of
+    the quotient row of x's orbit, each sorted: B(r_j) is the first g_j
+    elements by d_G(e, .), and S_x(r_j) the points of S_x whose orbits rank
+    below q_j in that quotient row.
 
-    Search 1 wants, for each eps index i, the first j with top_j <= L_i.
-    L_i is ascending in i, so every answer lies at or before the answer for
-    i = 0: probe top_j for j = 0, 1, ... until the first hit for i = 0
-    (top_j is fixed along a run of equal (g_j, q_j), so only the first j of
-    each run is probed), take the running minimum m_j of the probes, and
-    answer every i by one searchsorted: the first j with top_j <= L_i is
-    the first with m_j <= L_i, and m is non-increasing. No monotonicity of
-    motion sets is assumed.
+    Sublevel lemma. For one group-ball size g let t[x, z] be the least rank
+    of the orbit of any y in S_x with h.y = z, for h among the first g
+    elements (k, the orbit count, where there is none). Then
+    B(r_j) . S_x(r_k) = {z : t[x, z] < q_k}: every motion set of x at size
+    g is a sublevel set of one row of t. So the rho-ball of radius r holds
+    the motion set iff r exceeds rho(x, z) at each z with t[x, z] < q_k,
+    and lies in it iff r is at most nearest(q_k), the least rho(x, y) over
+    y with t[x, y] >= q_k: a suffix minimum over t's values, one
+    ``np.minimum.at`` into k + 1 buckets a row. A NaN distance lies in no
+    ball, so it counts as inf.
 
-    Search 2 wants, for each delta index j, the first i with
-    L_i <= prefix(g_j, q_i). Along a run of equal q_i the prefix is fixed
-    and L_i ascends, so only the first i of a run can be the answer. The
-    columns are resolved in rounds over these run starts; a round makes one
-    motion-set evaluation per distinct g_j among the columns still open.
+    Search 1 wants, for each eps index i, the first delta index j with
+    B(r_j) . S_x(r_j) inside the rho-ball of r_i. That set only grows with
+    j (both balls do), so the answer is j = 0 or none: r_i fails iff it is
+    at most the farthest rho from x to the motion set at r_0, a prefix of
+    the grid.
 
-    Each centre's prefix lengths are computed once, and each motion set at
-    most once per centre. A quotient prefix that misses the centre's orbit
+    Search 2 wants, for each delta index j, the first i with the rho-ball
+    of r_i inside B(r_j) . S_x(r_i). Column lemma: g_j and every quotient
+    prefix length change only at the coarse columns, r_0 and each grid
+    position just past a realized value of d_G(e, .) or of d. Between
+    coarse columns q_i is fixed and r_i grows, so the answer for each
+    group-ball size is the first coarse column c with
+    r_c <= nearest(q_c), shared by every j of that size, and it starts a
+    run of equal q_i, as the scalar scan reports.
+
+    Centres go in blocks of ``_row_blocks``, and each block's table t grows
+    by group-ball size, one ``np.minimum.at`` over the new elements' images
+    of its slice pairs. A quotient prefix that misses the centre's orbit
     raises EmptyResult (the centre's orbit has a positive quotient diagonal
-    entry, not below the radius); both searches evaluate the shortest one,
-    q_0, first, so they raise at the centre where the scalar scan does. Failures are listed in full, in (x, radius) order; only the
-    first three witnesses are kept, which is all the report shows.
+    entry, not below the radius). The scalar scan first meets that at r_0,
+    in x order, so the first centre whose orbit misses q_0 raises before
+    anything else runs. Failures are listed in full, in (x, radius) order;
+    only the first three witnesses are kept, which is all the report shows.
     """
     rep = Report()
-    n = gspace.n_points
+    n, k = gspace.n_points, quotient.n_orbits
     radii = _inclusion_grid(quotient, d_G, d_O, lifted)
-    rho = lifted.rho
+    size = radii.size
+    radius = radii.tolist()
+    d = np.asarray(quotient.d)
     orbit_of = quotient.orbit_of
 
     identity_row = d_G.table[d_G.group.identity]
     group_order = np.argsort(identity_row, kind="stable")
     group_len = np.searchsorted(identity_row[group_order], radii)
-    moved = gspace.action[group_order]  # row g: the g-th element by d_G(e, .)
-    group_len_list = group_len.tolist()
-    group_lens = sorted(set(group_len_list))
+    # row h: the images under the h-th element by d_G(e, .), slot n where undefined
+    action = gspace.action[group_order, :n]
+    moved = np.where(action < 0, n, action)
 
-    per_orbit = {}
+    change = np.zeros(size, dtype=bool)
+    change[0] = True
+    just_past = np.searchsorted(radii, np.concatenate([d.ravel(), identity_row]), side="right")
+    change[just_past[just_past < size]] = True
+    cols = np.flatnonzero(change)
+    # segments of coarse columns of one group-ball size, and their grid ranges
+    seg = np.flatnonzero(np.diff(group_len[cols])) + 1
+    seg_cols = [0] + seg.tolist() + [cols.size]
+    seg_grid = cols[seg_cols[:-1]].tolist() + [size]
+    seg_len = group_len[cols[seg_cols[:-1]]].tolist()
 
-    def orbit_index(q):
-        """Per grid radius the quotient-ball prefix length around q, the rank
-        of each orbit in q's row, and the run starts of both searches."""
-        if q not in per_orbit:
-            order = np.argsort(quotient.d[q], kind="stable")
-            q_len = np.searchsorted(quotient.d[q][order], radii)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            per_orbit[q] = (q_len, rank, _run_starts(group_len, q_len).tolist(),
-                            _run_starts(q_len).tolist())
-        return per_orbit[q]
+    # per orbit: the rank of each orbit in its quotient row, and the ball
+    # prefix lengths at the coarse columns
+    order = np.argsort(d, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    rank[np.arange(k)[:, None], order] = np.arange(k)
+    q_len = _below(np.searchsorted(radii, np.take_along_axis(d, order, axis=1), side="right"), size, cols + 1)
+    missed = rank[orbit_of, orbit_of] >= q_len[orbit_of, 0]
+    if missed.any():
+        raise ValidationError("EmptyResult", "center orbit not in the quotient set", int(np.argmax(missed)))
 
-    fails1, wits1, fails2, wits2 = [], [], [], []
-    for x, q in enumerate(orbit_of.tolist()):
-        q_len, rank, starts1, starts2 = orbit_index(q)
-        rho_order = np.argsort(rho[x], kind="stable")
-        rho_len = np.searchsorted(rho[x][rho_order], radii)
-        slice_pts = family.members(x)
-        slice_rank = rank[orbit_of[slice_pts]]
-        motion = {}
+    xs, ys = family.pairs
+    t_type = np.min_scalar_type(k)
+    pair_rank = rank[orbit_of[xs], orbit_of[ys]].astype(t_type)
+    reach = radii[cols]
+    fails1, fails2, wits2 = [], [], []
+    cells = n + k + 1 + cols.size + (xs.size // max(n, 1) + 1) * len(group_order)
+    for rows in _row_blocks(n, cells):
+        m = min(rows.stop, n) - rows.start
+        a, b = family.offsets[rows.start], family.offsets[rows.start + m]
+        key = (xs[a:b] - rows.start) * (n + 1)
+        r = pair_rank[a:b]
+        rho = lifted.rho[rows]
+        rho = np.where(np.isnan(rho), np.inf, rho)  # a NaN distance lies in no ball
+        q = q_len[orbit_of[rows]]
+        shift = np.arange(m)[:, None] * (k + 1)
 
-        def motion_index(n_group, n_orbits):
-            """(top, prefix) of B . S_x for the first n_group elements and
-            the first n_orbits orbits around q."""
-            key = (n_group, n_orbits)
-            if key not in motion:
-                if rank[q] >= n_orbits:
-                    raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-                inside = np.zeros(n + 1, dtype=bool)  # slot n catches the -1 images
-                inside[moved[:n_group, slice_pts[slice_rank < n_orbits]]] = True
-                in_order = inside[rho_order]
-                hits = np.flatnonzero(in_order)
-                top = int(hits[-1]) + 1 if hits.size else 0
-                prefix = n if hits.size == n else int(np.argmin(in_order))
-                motion[key] = (top, prefix)
-            return motion[key]
+        t = np.full((m, n + 1), k, dtype=t_type)
+        found = np.empty((m, len(seg_len)), dtype=np.intp)
+        done = 0
+        for s, g in enumerate(seg_len):
+            if g > done:
+                z = key + moved[done:g][:, ys[a:b]]
+                np.minimum.at(t.reshape(-1), z.ravel(), np.broadcast_to(r, z.shape).ravel())
+                done = g
+            ranks = t[:, :n]
+            if s == 0:
+                # search 1: r_i fails iff r_i <= the farthest point of the motion set at r_0
+                far = np.where(ranks < q[:, :1], rho, -np.inf).max(axis=1)
+                lost = np.searchsorted(radii, far, side="right")
+            # nearest[x, v]: the least rho from x to a point of rank v or more
+            nearest = np.full((m, k + 1), np.inf)
+            np.minimum.at(nearest.reshape(-1), (ranks + shift).ravel(), rho.ravel())
+            nearest = np.minimum.accumulate(nearest[:, ::-1], axis=1)[:, ::-1]
+            hit = np.take_along_axis(nearest, q, axis=1) >= reach
+            found[:, s] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
-        # search 1: probe until the first hit for the smallest rho-ball
-        tops = []
-        for j in starts1:
-            tops.append(motion_index(group_len_list[j], int(q_len[j]))[0])
-            if tops[-1] <= rho_len[0]:
-                break
-        run = np.searchsorted(-np.minimum.accumulate(tops), -rho_len)
-        hit = run < len(tops)
-        fails1 += [(x, float(radii[i])) for i in np.flatnonzero(~hit).tolist()]
-        if len(wits1) < 3:
-            for i in np.flatnonzero(hit)[:3 - len(wits1)].tolist():
-                wits1.append((x, float(radii[i]), float(radii[starts1[run[i]]])))
+        for x in np.flatnonzero(lost).tolist():
+            fails1 += [(rows.start + x, v) for v in radius[:lost[x]]]
 
-        # search 2: rounds over the runs of q_i, one evaluation per open g_j
-        found = {}
-        open_lens = group_lens
-        for i in starts2:
-            if not open_lens:
-                break
-            for g in open_lens:
-                if rho_len[i] <= motion_index(g, int(q_len[i]))[1]:
-                    found[g] = i
-            open_lens = [g for g in open_lens if g not in found]
-        if open_lens:
-            fails2 += [(x, float(radii[j])) for j in
-                       np.flatnonzero(np.isin(group_len, open_lens)).tolist()]
-        for j, g in enumerate(group_len_list):
-            if len(wits2) == 3:
-                break
-            if g in found:
-                wits2.append((x, float(radii[j]), float(radii[found[g]])))
+        # search 2: a size with no answer fails at every j of that size
+        if len(wits2) == 3 and found.min() >= 0:
+            continue
+        for x, hits in enumerate(found.tolist()):
+            for s, c in enumerate(hits):
+                if c < 0:
+                    fails2 += [(rows.start + x, v) for v in radius[seg_grid[s]:seg_grid[s + 1]]]
+                elif len(wits2) < 3:
+                    wits2 += [(rows.start + x, v, radius[cols[c]])
+                              for v in radius[seg_grid[s]:seg_grid[s + 1]][:3 - len(wits2)]]
 
+    # without a failure every (x, r_i) is met at r_0
+    wits1 = [(x, v, radius[0]) for x in range(min(n, 3)) for v in radius[:3]][:3]
     rep.add("motion_inside_rho_ball", FAIL if fails1 else PASS, fails1 or wits1)
     rep.add("rho_ball_inside_motion", FAIL if fails2 else PASS, fails2 or wits2)
     return rep

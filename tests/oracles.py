@@ -3,7 +3,7 @@
 Deliberately written with different algorithms than the library (Floyd-
 Warshall and exhaustive simple-chain enumeration vs. all-sources Dijkstra;
 scalar loops and rebuilt frozensets vs. row-vectorised checks and the
-ball-prefix index; a slice builder that computes each slice on its own and
+ball inclusions' tables of quotient ranks; a slice builder that computes each slice on its own and
 also scans for openness vs. one that shares its scans with the verifier and
 reads slices off join keys; component scans of the edge set per radius or
 per (x, y) vs. border edges and component labels over the edge array; per-pair coset
@@ -31,6 +31,7 @@ scalar copies too, so the reference searches run no library predicate.
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -208,6 +209,10 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
     n = len(mul_table)
     if n == 0 or any(len(row) != n for row in mul_table):
         raise ValidationError("InvalidParams", "multiplication table must be square and nonempty")
+    for g in range(n):
+        for h in range(n):
+            if not isinstance(mul_table[g][h], (Real, np.bool_)):
+                raise ValidationError("InvalidParams", "table entry not a real number", (g, h))
     for g in range(n):
         for h in range(n):
             v = mul_table[g][h]

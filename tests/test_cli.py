@@ -304,3 +304,37 @@ def test_repeated_values_format_byte_for_byte(table):
     0.0 and -0.0, like the nans, must each keep their own rendering."""
     want = [",".join(eq.fmt9(v) for v in row) + "\n" for row in table]
     assert list(fmt9_lines(np.array(table, dtype=np.float64))) == want
+
+
+# Runs perfbench's three fixed workloads and every small-sweep cell in all
+# three modes, then prints the config count, the exit codes met and
+# whether numpy.ma was imported.
+_NO_MASKED_ARRAYS = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from equimetric import cli
+from perfbench.workloads import FIXED, GRID_CELLS, config
+cfgs = [c for cs in FIXED.values() for c in cs] + [config(*cell) for cell in GRID_CELLS]
+codes = set()
+for cfg in cfgs:
+    with open("cfg.json", "w") as f:
+        json.dump(cfg, f)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.add(cli.main(["run", "--config", "cfg.json", "--out", "out"]))
+print(len(cfgs), sorted(codes), "numpy.ma" in sys.modules)
+"""
+
+
+def test_benchmark_configs_never_import_masked_arrays(tmp_path):
+    """``np.unique``, ``np.union1d`` and ``np.isin`` import ``numpy.ma`` on
+    first use, about 1 MB of resident memory, which perfbench's
+    ``peak_rss_mb`` would count: no config the benchmark runs may reach
+    one of them. A fresh interpreter, since this one may have imported it."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, root], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "109 [0, 3] False"  # 3: a disconnected lift

@@ -1,4 +1,4 @@
-"""Differential tests: the row-vectorised checks, the ball-prefix index, the
+"""Differential tests: the row-vectorised checks, the ball inclusions, the
 slice builder and verifier, the cover small sets, the orbital stage and the
 general-mode lift edges against the references in tests/oracles.py, and the
 join keys and the lift's components against oracles.graph_components. Equal means the same error code, message and witness, the
@@ -425,9 +425,9 @@ def test_cover_isometry_gathers_sets_of_several_sizes_at_once():
 
 def test_reverse_inclusion_answered_in_a_later_round():
     """circle(12, 3) with rho(0, 1) = 0: 1 lies in the smallest rho-ball of
-    0 but not in S_0(r_0) = {0}, so every column of the reverse search is
-    open after the first round and closes at the next run of quotient
-    prefixes, r_1 = 0.7618, where S_0 has grown to {11, 0, 1}."""
+    0 but not in S_0(r_0) = {0}, so no column of the reverse search is
+    answered at r_0; each is answered at the next coarse column, r_1 =
+    0.7618, where S_0 has grown to {11, 0, 1}."""
     r = pipeline("circle", {"n": 12, "k": 3}, mode="general")
     rho = np.array(r["lifted"].rho)
     rho[0, 1] = rho[1, 0] = 0.0
@@ -456,6 +456,135 @@ def test_planted_lift_defect_matches_scalar_on_a_partial_shift():
     assert report["rho_ball_inside_motion"].witnesses[:4] == [(1, 0.5), (1, 0.75), (1, 1.0), (1, 2.0)]
 
 
+def general_pipeline(gs, d_G):
+    """The general-mode pipeline of gs under the group metric d_G."""
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    family = eq.build_slice_family(gs, quotient)
+    d_O = eq.build_orbital_metric(gs, quotient, family, d_G)
+    graph = eq.build_allowability_graph(gs, quotient, family=family, d_O=d_O, mode="general")
+    return {"gspace": gs, "quotient": quotient, "family": family,
+            "d_G": d_G, "d_O": d_O, "lifted": eq.lift_metric(graph)}
+
+
+def word_metric(group):
+    """The word metric of the group's generators closed under conjugation
+    and inverses: biinvariant, so compatible with every stabilizer."""
+    mul, inv = group.mul, group.inv
+    gens = {int(mul[mul[c, h], inv[c]]) for g in group.generators for h in (g, inv[g])
+            for c in range(group.order)}
+    return eq.group_metric(group, "word", generators=sorted(gens))
+
+
+def distinct_metric(group):
+    """d(g, h) = f(g^-1 h) with f(e) = 0 and its own value in [1, 2) for
+    each class of g under conjugation and inversion: a biinvariant metric,
+    since two nonzero values sum past the largest. In an abelian group of
+    involutions every element is a class alone and has its own group-ball
+    size."""
+    mul, inv = group.mul, group.inv
+    key = [min(min(int(mul[mul[c, h], inv[c]]) for c in range(group.order)) for h in (g, int(inv[g])))
+           for g in range(group.order)]
+    f = 1.0 + np.array(key) / group.order
+    f[group.identity] = 0.0
+    return eq.group_metric(group, "explicit", table=f[mul[inv]])
+
+
+BALL_CASES = {
+    "dihedral6-word": (lambda: eq.generate_scenario("dihedral", {"n": 6}), word_metric),
+    "circle12-3-word": (lambda: eq.generate_scenario("circle", {"n": 12, "k": 3}), word_metric),
+    "circle12-6-word": (lambda: eq.generate_scenario("circle", {"n": 12, "k": 6}), word_metric),
+    "dihedral6-explicit": (lambda: eq.generate_scenario("dihedral", {"n": 6}), distinct_metric),
+    "klein-explicit": (lambda: random_gspace(86), distinct_metric),
+    "shift8-word": (lambda: eq.generate_scenario("shift", {"m": 8, "h": 0.5, "N": 2}), word_metric),
+    "shift8-discrete": (lambda: eq.generate_scenario("shift", {"m": 8, "h": 0.5, "N": 2}),
+                        lambda group: eq.group_metric(group, "discrete", scale=1.0)),
+}
+
+
+def group_ball_sizes(d_G, grid):
+    """The distinct sizes of the group balls B(r), r on the grid."""
+    row = np.sort(d_G.table[d_G.group.identity])
+    return sorted({int(np.searchsorted(row, r)) for r in grid})
+
+
+def plant_ball_defect(r, plant):
+    """r with a defect that makes one search fail. "diagonal": rho(0, 0)
+    = 0.3 puts 0 outside its rho-balls of radius up to 0.3, while every
+    motion set of 0 holds 0. "mate": the slice of the least point x with an
+    orbit mate y also holds y, so the motion set of x at r_0 is {x, y},
+    outside every rho-ball of x up to rho(x, y) > rho(x, x). "reach": z =
+    h.0 for the h farthest from e by d_G, with rho(0, z) = 0, lies in every
+    rho-ball of 0, but in a motion set of 0 only once its group ball is
+    large enough to reach z."""
+    rho = np.array(r["lifted"].rho)
+    if plant == "diagonal":
+        rho[0, 0] = 0.3
+    elif plant == "mate":
+        orbit_of = r["quotient"].orbit_of
+        x = next(x for x in range(len(orbit_of)) if (orbit_of == orbit_of[x]).sum() > 1)
+        y = int(np.flatnonzero(orbit_of == orbit_of[x])[-1])
+        assert rho[x, y] > rho[x, x]
+        r["family"] = with_slices(r["family"], [s | {y} if p == x else s
+                                                for p, s in enumerate(r["family"].slice_of)])
+    elif plant == "reach":
+        gs, d_G = r["gspace"], r["d_G"]
+        far = np.argsort(d_G.table[d_G.group.identity], kind="stable")[::-1]
+        z = next(int(gs.action[h, 0]) for h in far if gs.action[h, 0] not in (-1, 0))
+        rho[0, z] = rho[z, 0] = 0.0
+    r["lifted"] = replace(r["lifted"], rho=rho)
+
+
+@pytest.mark.parametrize("cap", [1, eq.gspace._BLOCK])
+@pytest.mark.parametrize("plant", [None, "diagonal", "mate", "reach"])
+@pytest.mark.parametrize("case", sorted(BALL_CASES))
+def test_ball_inclusions_match_scalar_over_group_metrics(case, plant, cap, monkeypatch):
+    """Word and explicit group metrics, whose grids hold several group-ball
+    sizes (an explicit table on a group of involutions holds |G| of them),
+    and the partial action shift(8, .5, 2), with a defect planted for each
+    search, in blocks of one centre and at the default cap. A planted
+    "reach" defect fails the reverse search at the small group balls only."""
+    make_space, make_metric = BALL_CASES[case]
+    gs = make_space()
+    r = general_pipeline(gs, make_metric(gs.group))
+    grid = _inclusion_grid(r["quotient"], r["d_G"], r["d_O"], r["lifted"])
+    sizes = group_ball_sizes(r["d_G"], grid)
+    if case == "klein-explicit":
+        assert sizes == [1, 2, 3, 4]
+    elif not case.endswith("discrete") and case != "circle12-3-word":
+        assert len(sizes) > 2
+    plant_ball_defect(r, plant)
+    monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    assert_ball_inclusions_match(r)
+    report = eq.verify_ball_inclusions(r["gspace"], r["quotient"], r["family"],
+                                       r["d_G"], r["d_O"], r["lifted"])
+    failing = [c.name for c in report.checks if c.status == "fail"]
+    assert failing == {None: [], "diagonal": ["motion_inside_rho_ball"], "mate": ["motion_inside_rho_ball"],
+                       "reach": ["rho_ball_inside_motion"]}[plant]
+    if plant == "reach":
+        failed = {delta for x, delta in report["rho_ball_inside_motion"].witnesses if x == 0}
+        assert 0 < len(failed) < grid.size
+
+
+@pytest.mark.parametrize("cap", [1, eq.gspace._BLOCK])
+@pytest.mark.parametrize("name,params", [("circle", {"n": 12, "k": 3}), ("shift", {"m": 8, "h": 0.5, "N": 2})])
+def test_ball_inclusions_raise_at_the_first_centre_of_a_missed_orbit(name, params, cap, monkeypatch):
+    """The quotient diagonal raised to 1e-10, the least grid radius, at the
+    orbit whose least point comes last only: both raise at that point,
+    after the searches of every earlier centre."""
+    r = pipeline(name, params)
+    orbit_of = r["quotient"].orbit_of
+    x = max(int(np.flatnonzero(orbit_of == o)[0]) for o in range(r["quotient"].n_orbits))
+    o = int(orbit_of[x])
+    d = np.array(r["quotient"].d)
+    d[o, o] = 1e-10
+    quotient = replace(r["quotient"], d=d)
+    args = (r["gspace"], quotient, r["family"], r["d_G"], r["d_O"], r["lifted"])
+    monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    assert x > 0
+    want = ("EmptyResult", f"EmptyResult: center orbit not in the quotient set (witness: {x})", x)
+    assert result(eq.verify_ball_inclusions, *args)[1] == result(oracles.verify_ball_inclusions, *args)[1] == want
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_random_spaces_match_scalar(seed):
@@ -477,8 +606,8 @@ def test_random_spaces_match_scalar(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
 def test_planted_rho_defects_match_scalar_on_random_spaces(seed, data):
     """A few symmetric pairs of rho set to 0, to inf, or below d(p(x), p(y)):
-    the inclusion searches then probe past j = 0 and resolve columns in later
-    rounds, and the lifted and pushforward checks meet failing pairs."""
+    the inclusion searches then fail, or answer the reverse search past r_0,
+    and the lifted and pushforward checks meet failing pairs."""
     gs = random_gspace(seed, max_points=10)
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
     family = eq.build_slice_family(gs, quotient)

@@ -68,6 +68,24 @@ class TestBuildGroup:
             assert (exc.value.code, str(exc.value), exc.value.witness) == \
                 ("InvalidParams", f"InvalidParams: table entry {reason} (witness: {witness})", witness)
 
+    @pytest.mark.parametrize("table,witness", [
+        ([["0"]], (0, 0)),  # read through float as the trivial group before
+        ([["a"]], (0, 0)),  # a raw ValueError before
+        ([[0, "1"], [1, 0]], (0, 1)),
+        ([[0, 1.5], ["1", 0]], (1, 0)),  # before the non-integer 1.5
+        ([[0, None], [1, 0]], (0, 1)),
+        ([[0, 1j], [1, 0]], (0, 1)),
+        (np.array([["0", "1"], ["1", "0"]]), (0, 0)),
+    ])
+    def test_non_number_entry_rejected_at_the_first(self, table, witness):
+        from tests import oracles
+
+        for build in (build_group, oracles.build_group):
+            with pytest.raises(ValidationError) as exc:
+                build(table)
+            assert (exc.value.code, str(exc.value), exc.value.witness) == \
+                ("InvalidParams", f"InvalidParams: table entry not a real number (witness: {witness})", witness)
+
     @pytest.mark.parametrize("table", [[[0.0, 1.0], [1.0, 0.0]], np.array([[0, 1], [1, 0]], dtype=np.uint8)])
     def test_integer_values_of_any_dtype_accepted(self, table):
         g = build_group(table)

@@ -43,6 +43,15 @@ class TestGroupMetric:
             group_metric(g, "explicit", table=bad)
         assert exc.value.code == "NotLeftInvariant"
 
+    @pytest.mark.parametrize("scale", ["1", None, True, [1.0], 1j])
+    def test_discrete_scale_that_is_not_a_number_rejected(self, scale):
+        """A string or None raised a raw TypeError before, and True read as 1."""
+        g = build_group(cyclic_table(3))
+        with pytest.raises(ValidationError) as exc:
+            group_metric(g, "discrete", scale=scale)
+        assert (exc.value.code, str(exc.value)) == \
+            ("InvalidParams", "InvalidParams: discrete metric scale must be a number")
+
     @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
     def test_non_finite_discrete_scale_rejected(self, scale):
         g = build_group(cyclic_table(3))

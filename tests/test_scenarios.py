@@ -101,3 +101,22 @@ def test_unknown_scenario_and_params_rejected():
         generate_scenario("circle", {"n": 12, "k": 3, "extra": 1})
     with pytest.raises(ValidationError):
         generate_scenario("circle", {"n": 12})
+
+
+@pytest.mark.parametrize("name,params", [
+    ("shift", {"m": 4, "h": 2 ** 1100, "N": 1}),  # a raw OverflowError from math.isfinite before
+    ("reflection", {"m": 4, "h": -(2 ** 1100)}),
+    ("reflection", {"m": 4, "h": float("inf")}),
+    ("shift", {"m": 4, "h": float("nan"), "N": 1}),
+])
+def test_real_parameter_past_the_float_range_rejected(name, params):
+    with pytest.raises(ValidationError) as exc:
+        generate_scenario(name, params)
+    assert (exc.value.code, str(exc.value).split(" (witness")[0]) == \
+        ("NonFinite", f"NonFinite: parameter 'h' of scenario {name!r} must be finite")
+
+
+def test_real_parameter_given_as_a_large_int_in_the_float_range_reaches_the_builder():
+    with pytest.raises(ValidationError) as exc:
+        generate_scenario("shift", {"m": 4, "h": 10 ** 300, "N": 1})
+    assert str(exc.value).startswith("InvalidParams: shift requires 1/h to be a positive integer")
