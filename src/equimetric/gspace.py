@@ -268,7 +268,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 def _permutation_group(perms) -> tuple:
     """(FiniteGroup, table): the group a set of permutations generates, its
     element i acting as row i of ``table``, a read-only |G| x n np.intp
-    array with the rows in lexicographic order.
+    array with the rows in lexicographic order. Its generators are the
+    given permutations and then their inverses, each once: the
+    inverse-closed set a word metric needs.
 
     The closure is a breadth-first walk over products s o a, looked up by
     their bytes: one dict lookup per element and generator, which measured
@@ -302,7 +304,9 @@ def _permutation_group(perms) -> tuple:
     mul = np.empty((order, order), dtype=np.intp)
     for block in _row_blocks(order, order * base):  # (p q)[:base] = p[q[:base]]
         mul[block] = np.searchsorted(base_keys, _row_keys(rows[block][:, rows[:, :base]]))
-    group = build_group(mul, generators=np.searchsorted(base_keys, _row_keys(gens[:, :base])))
+    named = np.concatenate([gens, np.argsort(gens, axis=1)])  # the permutations, then their inverses
+    index = np.searchsorted(base_keys, _row_keys(named[:, :base])).tolist()
+    group = build_group(mul, generators=list(dict.fromkeys(index)))
     rows.setflags(write=False)
     return group, rows
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -287,8 +288,8 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
 
     # per centre, its elementary radii ascending, each with its parts
     todo = {}
-    for q in range(quotient.n_orbits):
-        radii = _candidate_radii(quotient, q)[::-1]
+    for q, radii in enumerate(_candidate_radii(quotient.d)):
+        radii = radii[::-1]
         limit, parts = _sweep(indptr, indices, orbit_of, keys[q], radii)
         todo[q] = [(r, masks) for r, masks in zip(radii, parts)
                    if enlargement_factor <= 1.0 or r * enlargement_factor <= limit]
@@ -366,9 +367,16 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
     sets = ()
     if mode == "cover":
         sets = cover_small_sets(gspace, quotient, enlargement_factor, tol)
+        # one scatter of every (a, c) with a and c in one set: the points of
+        # each set in turn, each repeated once per point of its set
+        sizes = np.array([len(s) for s in sets], dtype=np.intp)
+        pts = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+        reps = np.repeat(sizes, sizes)  # per place in pts: the size of its set
+        starts = np.cumsum(reps) - reps  # per place: where its run of pairs starts
+        place = np.repeat(np.cumsum(sizes) - sizes, sizes)  # per place: where its set starts
+        cols = np.repeat(place - starts, reps) + np.arange(reps.sum())
         joined = np.zeros((n, n), dtype=bool)
-        for s in sets:
-            joined[np.ix_(list(s), list(s))] = True
+        joined[np.repeat(pts, reps), pts[cols]] = True
         u, v = np.nonzero(np.triu(joined, 1))  # row-major: the sorted order
     elif mode == "naive":
         u, v = np.nonzero(np.triu(orbit[:, None] != orbit, 1))

@@ -119,7 +119,7 @@ def shift(m: int, h: float, N: int) -> SampledGSpace:
 
     order = 4 * N + 1
     elems = np.arange(order)
-    group = build_group(np.add.outer(elems, elems) % order, generators=[1 % order])
+    group = build_group(np.add.outer(elems, elems) % order, generators=[1, order - 1])  # the shifts by +-1
     j = np.where(elems <= 2 * N, elems, elems - order)  # the shift of each element
     images = np.arange(n) + (j * stride)[:, None]
     images[(np.abs(j) > N)[:, None] | (images < 0) | (images >= n)] = -1

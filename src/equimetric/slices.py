@@ -22,15 +22,28 @@ sampling graph, of the largest key on the path. The preimage of the open
 ball of radius r around o holds the points of key < r, so the slice of x
 at radius r is S_x(r) = {v : b_x(v) < r}. One union-find sweep over the
 points in (key, index) order gives b_x for every member of o (the nested
-sublevel-set filtration), and each radius the builder tries is a
-searchsorted prefix of x's points in b_x order. So S_x(r) meets its orbit
-again exactly when the least b_x over the other members is below r, and
+sublevel-set filtration), and each radius the builder tries is a bisected
+prefix of x's points in b_x order. So S_x(r) meets its orbit again exactly
+when meet_x, the least b_x over the other members, is below r, and
 g.S_x(r) meets S_x(r) exactly when r's prefix is longer than the least
 max(j, k) over the points at places j whose images by g lie at places k:
 the builder reads both thresholds once, before the first candidate, and
-each candidate radius is two comparisons per member. Likewise the
-quotient diameter of each prefix is a running maximum over the orbits in
-join order.
+each candidate radius costs two comparisons per member and, below the
+meet, one bisection of its keys. Likewise the quotient diameter of each
+prefix is a running maximum over the orbits in join order.
+
+Meet lemma. The per-orbit checks read member x's slice size and overlap
+lengths only at radii r <= meet_x: at a larger r they return
+slice_meets_orbit at x first. A radius is accepted only when every member
+passes, and slices only shrink afterwards (repeat lemma), so every S_x the
+builder holds, and all that the condition (ii) scan, ``_prefix_diameters``
+and the final family read, lies in the cut {v : b_x(v) < meet_x} | {x}
+(x alone for the singleton fallback). The only value past the meet ever
+read is the least mate with b_x < r, the slice_meets_orbit witness. So
+the sweep keeps each member's points and keys only below its meet, with x
+always kept, and its least mate as a running least; and it stops once one
+component holds every member of an orbit of two or more, after which no
+cut grows and no least falls.
 
 Repeat lemma. A shrink only shrinks slices: a smaller radius gives a
 smaller component, and the singleton fallback keeps only x. Each condition
@@ -138,38 +151,58 @@ def value_grid(values) -> list:
     return out.tolist()
 
 
-def _candidate_radii(quotient: Quotient, orbit: int) -> list:
-    """Descending open-ball radii for one orbit: realized distances from its
-    image plus midpoints, topped by a value covering the whole quotient."""
-    dists = [float(quotient.d[orbit, q]) for q in range(quotient.n_orbits) if q != orbit]
-    grid = value_grid(dists)
-    top = (grid[-1] if grid else 0.0) + 1.0
-    return [top] + list(reversed(grid))
+def _candidate_radii(d: np.ndarray) -> list:
+    """Per orbit, its descending open-ball radii: ``value_grid`` of its row
+    of the quotient metric d, the diagonal left out, reversed and topped by
+    a value covering the whole quotient. One sort of the rows of d: each
+    row's positive values form one run, the distinct ones are those unequal
+    to the value before, and the grids of all rows are interleaved at once,
+    the midpoint between two rows left unread."""
+    vals = np.sort(np.where(np.eye(d.shape[0], dtype=bool), 0.0, d), axis=1)
+    keep = vals > 0
+    keep[:, 1:] &= vals[:, 1:] != vals[:, :-1]
+    flat = vals[keep]
+    grid = np.empty(max(2 * flat.size - 1, 0))
+    grid[0::2] = flat
+    grid[1::2] = (flat[:-1] + flat[1:]) / 2.0
+    grid = grid.tolist()
+    out, start = [], 0
+    for count in np.count_nonzero(keep, axis=1).tolist():
+        row = grid[2 * start : 2 * (start + count) - 1] if count else []
+        out.append([(row[-1] if row else 0.0) + 1.0] + row[::-1])
+        start += count
+    return out
 
 
 def _join_orders(indptr, indices, key, sources) -> dict:
-    """x -> (points, b, meet) for each source x: the points joined to x, in
-    the order they join, their join keys b_x, ascending, and the least b_x
-    of another source (inf if none joins). Points never joined to x are
-    left out.
+    """x -> (points, b, mates) for each source x, cut at its meet (meet
+    lemma): the points v joined to x with b_x(v) < meet_x, and x itself,
+    in the order they join; their join keys b_x, ascending; and its least
+    mate, the least other source joined to x, as a (b, p) entry at each
+    decrease. meet_x, the least b_x of another source, is the b of the
+    first entry (inf with none). Points never joined to x are left out.
 
     One union-find sweep over the points in (key, index) order. When the
     point w joins, each component it bridges meets the others at b = key[w]:
     every path between them runs through w or through points that came
-    later, so no path has a smaller largest key. Every table is a flat list
-    indexed by point (indptr, indices: the CSR arrays), read from ``key``
-    once, and each source records its keys as runs."""
+    later, so no path has a smaller largest key. A component holding one
+    source grows that source's points; at its first meet the source drops
+    its points of b = key[w], keeping itself. The sweep stops once one
+    component holds every source, when there are two or more. Every table
+    is a flat list indexed by point (indptr, indices: the CSR arrays), read
+    from ``key`` once."""
     n = len(indptr) - 1
     keys = key.tolist()
     parent = list(range(n))
     active = [False] * n
     points = [None] * n  # root -> the points of its component
     held = [None] * n  # root -> the sources in its component
-    joined = [None] * n  # source -> its points in join order
-    runs = [None] * n  # source -> (key, count) per merge
-    meet = {}  # source -> the key at which another source first joins
+    joined = [None] * n  # source -> its points in join order, below its meet
+    b = [None] * n  # source -> the join keys of those points
+    mates = [None] * n  # source -> (b, p) per decrease of its least mate
     for x in sources:
-        joined[x], runs[x] = [], []
+        joined[x], b[x], mates[x] = [], [], []
+    whole = len(sources) if len(sources) > 1 else None
 
     def find(a):
         while parent[a] != a:
@@ -185,7 +218,7 @@ def _join_orders(indptr, indices, key, sources) -> dict:
         if joined[w] is not None:
             held[w].append(w)
             joined[w].append(w)
-            runs[w].append((kw, 1))
+            b[w].append(kw)
         active[w] = True
         for u in indices[indptr[w] : indptr[w + 1]]:
             if not active[u]:
@@ -196,26 +229,32 @@ def _join_orders(indptr, indices, key, sources) -> dict:
             if ru == root:
                 continue
             mine, theirs = points[root], points[ru]
-            for x in held[root]:
-                joined[x] += theirs
-                runs[x].append((kw, len(theirs)))
-            for x in held[ru]:
-                joined[x] += mine
-                runs[x].append((kw, len(mine)))
-            if held[root] and held[ru]:
-                for x in held[root] + held[ru]:
-                    meet.setdefault(x, kw)
+            ours, others = held[root], held[ru]
+            if ours and others:
+                for side, other in ((ours, others), (others, ours)):
+                    least = min(other)
+                    for x in side:
+                        if not mates[x]:  # x's first meet
+                            cut = max(bisect_left(b[x], kw), 1)
+                            del joined[x][cut:], b[x][cut:]
+                            mates[x].append((kw, least))
+                        elif least < mates[x][-1][1]:
+                            mates[x].append((kw, least))
+            elif len(ours) == 1:
+                joined[ours[0]] += theirs
+                b[ours[0]] += [kw] * len(theirs)
+            elif len(others) == 1:
+                joined[others[0]] += mine
+                b[others[0]] += [kw] * len(mine)
             if len(mine) < len(theirs):
                 root, ru, mine, theirs = ru, root, theirs, mine
             parent[ru] = root
             mine += theirs
             held[root] += held[ru]
             points[ru] = held[ru] = None
-    out = {}
-    for x in sources:
-        b, counts = zip(*runs[x])
-        out[x] = (joined[x], np.repeat(b, counts), meet.get(x, np.inf))
-    return out
+        if len(held[root]) == whole:
+            break
+    return {x: (joined[x], b[x], mates[x]) for x in sources}
 
 
 def _overlap_lengths(moves, orders) -> list:
@@ -288,54 +327,47 @@ def build_slice_family(
     fallback_radius = (float(positive.min()) / 2.0) if positive.size else 0.5
 
     # candidate stacks per orbit; index points at the radius currently in use
-    cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
+    cands = [[c / shrink_factor for c in radii] for radii in _candidate_radii(quotient.d)]
     # Python ints for the loops, whose points and orbits reach witnesses and the log
     orbit_list, reps = quotient.orbit_of.tolist(), quotient.representative.tolist()
     members = [quotient.members(o).tolist() for o in range(n_orbits)]
-    # Per point, from one join-key sweep per orbit: its join order (S_x is
-    # a prefix), b_x in that order, and the least b_x of an orbit mate
-    order, keys, meets = [None] * n, [None] * n, [None] * n
+    # Per point, from one join-key sweep per orbit, cut at its meet: its
+    # join order (S_x is a prefix), b_x in that order, and its least mate
+    order, keys, mates = [None] * n, [None] * n, [None] * n
     indptr, indices = gspace.space.indptr.tolist(), gspace.space.indices.tolist()
     for o in range(n_orbits):
         orders = _join_orders(indptr, indices, quotient.d[o][quotient.orbit_of], members[o])
-        for x, (pts, b, meet) in orders.items():
-            order[x], keys[x], meets[x] = pts, b, meet
+        for x, cut in orders.items():
+            order[x], keys[x], mates[x] = cut
     partial = np.flatnonzero(~gspace.total).tolist()
     reach = _overlap_lengths(gspace.action[partial], order)
-    # orbit -> per member x: (x, |S_x| per candidate, the least b_x of a
-    # mate, the least prefix length past which a partial element's
-    # translate of S_x meets it, and that length per partial element)
-    index = [[(x, np.searchsorted(keys[x], cands[o]).tolist(), meets[x], min(reach[x], default=n), reach[x])
+    # orbit -> per member x: (x, its cut keys, meet_x, the least prefix
+    # length past which a partial element's translate of S_x meets it, and
+    # that length per partial element)
+    index = [[(x, keys[x], mates[x][0][0] if mates[x] else np.inf, min(reach[x], default=n), reach[x])
               for x in members[o]] for o in range(n_orbits)]
     size_of = [0] * n  # x -> |S_x|
     bits = [0] * n  # x -> S_x as a bitset
-    mates = {}  # x -> (b_x(p), p) for the other members p joined to x
 
-    def least_mate(x, r):
-        """The least other member of x's orbit in S_x(r); the list is built
-        on x's first orbit meet."""
-        if x not in mates:
-            o = orbit_list[x]
-            mates[x] = [(k, p) for p, k in zip(order[x], keys[x].tolist()) if orbit_list[p] == o and p != x]
-        return min(p for k, p in mates[x] if k < r)
-
-    def rejection(orbit, i):
-        """None if the orbit passes the per-orbit checks at candidate i, else
-        the first violation: per member x, in order, an empty slice raises,
-        then the orbit meet, then a translate overlap by a partial element."""
-        r = cands[orbit][i]
-        for x, sizes, meet, overlap, lengths in index[orbit]:
-            size = sizes[i]
-            if size == 0:  # the radius is at or below d(p(x), p(x))
+    def rejection(orbit, r):
+        """(None, |S_x(r)| per member) if the orbit passes the per-orbit
+        checks at radius r, else (the first violation, None): per member x,
+        in order, an empty slice raises, then the orbit meet, then a
+        translate overlap by a partial element."""
+        sizes = []
+        for x, b, meet, overlap, lengths in index[orbit]:
+            if not b[0] < r:  # the radius is at or below d(p(x), p(x))
                 raise ValidationError("EmptyResult", "center orbit not in the quotient set", x)
-            if meet < r:
-                return "slice_meets_orbit", (x, least_mate(x, r))
+            if meet < r:  # the least mate of the last decrease below r
+                return ("slice_meets_orbit", (x, mates[x][bisect_left(mates[x], (r,)) - 1][1])), None
+            size = bisect_left(b, r)
             # Total elements cannot overlap here (translate-overlap lemma):
             # g.S_x = S_{g.x}, which meets S_x only if g.x lies in S_x, and
             # the orbit meet has just ruled that out unless g.x = x.
             if overlap < size:
-                return "translate_overlap", (x, next(g for g, t in zip(partial, lengths) if t < size))
-        return None
+                return ("translate_overlap", (x, next(g for g, t in zip(partial, lengths) if t < size))), None
+            sizes.append(size)
+        return None, sizes
 
     def set_size(x, size):
         """Cut S_x to the prefix of that size; slices only shrink."""
@@ -356,10 +388,10 @@ def build_slice_family(
         singletons, the first point of each join order."""
         for i in range(start_idx, len(cands[orbit])):
             r = cands[orbit][i]
-            viol = rejection(orbit, i)
+            viol, sizes = rejection(orbit, r)
             if viol is None:
-                for x, sizes, *_ in index[orbit]:
-                    set_size(x, sizes[i])
+                for x, size in zip(members[orbit], sizes):
+                    set_size(x, size)
                 return r, i
             log.append({"orbit": orbit, "radius": r, "condition": viol[0], "witness": viol[1]})
         for x in members[orbit]:

@@ -39,7 +39,7 @@ from equimetric.errors import ValidationError
 from equimetric.gspace import FiniteGroup
 from equimetric.orbital import OrbitalMetric
 from equimetric.report import ADVISORY, FAIL, PASS, Report
-from equimetric.slices import SliceFamily, _candidate_radii
+from equimetric.slices import SliceFamily
 from equimetric.spath import apsp
 
 
@@ -274,7 +274,8 @@ def build_group(mul_table, generators=None) -> FiniteGroup:
 
 
 def group_from_permutations(perms) -> tuple:
-    """Closure and composition on permutation tuples, one point at a time."""
+    """Closure and composition on permutation tuples, one point at a time;
+    the generators are the permutations, then their inverses, each once."""
     npts = len(perms[0])
     ident = tuple(range(npts))
     elems = {ident}
@@ -290,7 +291,8 @@ def group_from_permutations(perms) -> tuple:
     order = sorted(elems)
     index = {p: i for i, p in enumerate(order)}
     mul = [[index[tuple(p[q[i]] for i in range(npts))] for q in order] for p in order]
-    return build_group(mul, generators=[index[tuple(p)] for p in perms]), order
+    inverses = [tuple(sorted(range(npts), key=p.__getitem__)) for p in gens]  # the inverse of each
+    return build_group(mul, generators=list(dict.fromkeys(index[p] for p in gens + inverses))), order
 
 
 def action_array(act_maps, n) -> np.ndarray:
@@ -720,6 +722,15 @@ def value_grid(values) -> list:
     return out
 
 
+def candidate_radii(quotient, orbit) -> list:
+    """Descending open-ball radii for one orbit: value_grid of the distances
+    from its image to the other orbits, reversed, topped by a value covering
+    the whole quotient."""
+    grid = value_grid([float(quotient.d[orbit, q]) for q in range(quotient.n_orbits) if q != orbit])
+    top = (grid[-1] if grid else 0.0) + 1.0
+    return [top] + grid[::-1]
+
+
 def inclusion_grid(quotient, d_G, d_O, lifted) -> list:
     """The ball-inclusion radii from Python lists of every table entry."""
     vals = list(np.asarray(quotient.d).ravel()) + list(d_G.table.ravel())
@@ -857,7 +868,7 @@ def build_slice_family(gspace, quotient, shrink_factor: float = 1.0) -> SliceFam
     log = []
     global_pos = [float(v) for v in quotient.d.ravel() if v > 0]
     fallback_radius = (min(global_pos) / 2.0) if global_pos else 0.5
-    cands = [[c / shrink_factor for c in _candidate_radii(quotient, o)] for o in range(n_orbits)]
+    cands = [[c / shrink_factor for c in candidate_radii(quotient, o)] for o in range(n_orbits)]
 
     def settle(orbit, start_idx):
         for i in range(start_idx, len(cands[orbit])):
@@ -1114,7 +1125,7 @@ def _image_is_convex(quotient, comp, tol: float) -> bool:
 def cover_small_sets(gspace, quotient, enlargement_factor: float = 1.0, tol: float = 1e-9) -> tuple:
     sets = set()
     for q in range(quotient.n_orbits):
-        for r in _candidate_radii(quotient, q):
+        for r in candidate_radii(quotient, q):
             pre = preimage(quotient, ball(quotient, q, r))
             comps = graph_components(gspace.n_points, edge_set(gspace.space), pre)
             if not all(_is_elementary(quotient, c) for c in comps):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import equimetric as eq
 from equimetric import ValidationError
-from equimetric.cli import load_config, main, make_config
+from equimetric.cli import load_config, main, make_config, run_pipeline
 from equimetric.report import fmt9_lines
 
 
@@ -338,3 +338,32 @@ def test_benchmark_configs_never_import_masked_arrays(tmp_path):
     done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, root], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "109 [0, 3] False"  # 3: a disconnected lift
+
+
+def element(gs, images):
+    """The group element acting on the points by images (-1: undefined)."""
+    return next(g for g in range(gs.group.order) if gs.action[g, : gs.n_points].tolist() == images)
+
+
+@pytest.mark.parametrize("name,params,moves", [
+    ("circle", {"n": 12, "k": 3}, [[(i + 4) % 12 for i in range(12)], [(i + 8) % 12 for i in range(12)]]),
+    ("dihedral", {"n": 6}, [[(i + 1) % 6 for i in range(6)], [(i + 5) % 6 for i in range(6)],
+                            [(6 - i) % 6 for i in range(6)]]),
+    # the shifts by +1 and -1, two points each
+    ("shift", {"m": 8, "h": 0.5, "N": 2}, [[i + 2 if i < 15 else -1 for i in range(17)],
+                                           [i - 2 if i > 1 else -1 for i in range(17)]]),
+])
+def test_word_group_metric_on_builtin_scenarios(tmp_path, name, params, moves):
+    """{"kind": "word"} without generators reads the scenario's own, which
+    are inverse-closed: the run succeeds, and its metric is the word metric
+    of the generators and their inverses named explicitly. Cover mode: in
+    general mode the orbital stage rejects this metric on dihedral(6), whose
+    point stabilizers it is not right invariant for."""
+    raw = {"scenario": {"name": name, "params": params}, "mode": "cover", "group_metric": {"kind": "word"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 2, 3)
+    result = run_pipeline(make_config(raw))
+    gs = result["gspace"]
+    want = eq.group_metric(gs.group, "word", generators=[element(gs, images) for images in moves])
+    assert result["group_metric"].table.tobytes() == want.table.tobytes()

@@ -6,7 +6,9 @@ same violation list, residual and report lines, or the same slice family and
 construction log."""
 
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from equimetric.errors import ValidationError
 from equimetric.gspace import SampledGSpace, _check_metric_table, _metric_axiom_violations
 from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
-from equimetric.slices import SliceFamily, _join_orders, value_grid
+from equimetric.slices import SliceFamily, _candidate_radii, _join_orders, value_grid
 from equimetric.verify import _inclusion_grid
 from tests import oracles
 from tests.oracles import graph_components
@@ -291,6 +293,25 @@ def test_value_grid_matches_set_reference_bitwise(values):
     ref = oracles.value_grid(values)
     assert np.array(got, dtype=np.float64).tobytes() == np.array(ref, dtype=np.float64).tobytes()
     assert all(type(v) is float for v in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 6), data=st.data())
+def test_candidate_radii_match_per_orbit_value_grid_bitwise(k, data):
+    """Each orbit's list from the one sort of any k x k table against the
+    oracle's per-orbit value_grid form, bitwise, as Python floats: the
+    diagonal and non-positive, repeated, infinite and nan entries included,
+    only the distances to the other orbits count."""
+    values = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 0.30000000000000004, np.inf, np.nan]),
+                       st.floats(min_value=-1.0, max_value=1e3, allow_nan=False))
+    d = np.array(data.draw(st.lists(values, min_size=k * k, max_size=k * k)), dtype=np.float64).reshape(k, k)
+    got = _candidate_radii(d)
+    quotient = SimpleNamespace(d=d, n_orbits=k)
+    assert len(got) == k
+    for o, radii in enumerate(got):
+        ref = oracles.candidate_radii(quotient, o)
+        assert np.array(radii, dtype=np.float64).tobytes() == np.array(ref, dtype=np.float64).tobytes()
+        assert all(type(v) is float for v in radii)
 
 
 SCENARIOS = {
@@ -669,6 +690,27 @@ def test_slice_builder_matches_reference_on_random_spaces(seed):
     assert_same_family(random_gspace(seed))
 
 
+@st.composite
+def truncated_shifts(draw):
+    """shift(m, 1/stride, N) parameters within the constraints of
+    ``scenarios.shift``: N * stride < 2m + 1."""
+    m = draw(st.integers(1, 12))
+    stride = draw(st.integers(1, min(4, 2 * m)))
+    return {"m": m, "h": 1.0 / stride, "N": draw(st.integers(1, 2 * m // stride))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=truncated_shifts(), shrink_factor=st.sampled_from([1.0, 2.0]))
+@example(params={"m": 2, "h": 0.25, "N": 1}, shrink_factor=2.0)
+@example(params={"m": 3, "h": 0.25, "N": 1}, shrink_factor=1.0)
+def test_slice_builder_matches_reference_on_truncated_shifts(params, shrink_factor):
+    """Partial actions: only their partial elements reach the overlap scan
+    of the orders cut at the meet. Up to m = 12 a translate overlap
+    rejects a radius only at stride 2 to 4 and m <= 3, so two of those
+    cells are named."""
+    assert_same_family(eq.generate_scenario("shift", params), shrink_factor)
+
+
 def test_condition_ii_scan_resumes_at_the_last_witness():
     """disk(7), against the oracle's full rescan after every shrink. The
     witness (0, 2, 1) still holds once orbit 2 has shrunk to 3.0, so the
@@ -788,23 +830,47 @@ def keyed_graphs(draw):
     return n, edges, np.array(key), sorted(sources)
 
 
+# every regime of keys drawn from {0, 0.5, ..., 2}: each key and each gap
+RADII = tuple(k / 4 for k in range(11))
+
+
 @settings(max_examples=300, deadline=None)
-@given(graph=keyed_graphs(), radii=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]),
-                                            min_size=1, max_size=4))
-def test_join_key_prefixes_are_components(graph, radii):
-    """The prefix of x's points with join key < r is the component of x in
-    the subgraph on the points of key < r, or empty when x itself is out;
-    meet is the least key of another source among x's points."""
+@given(graph=keyed_graphs())
+def test_join_key_prefixes_are_components(graph):
+    """The sweep cut at the meet (the meet lemma of ``slices``), against
+    graph_components. b_x(v) is the least key k with v in the component of
+    x in {key <= k}, and meet_x the least b_x of another source. For every
+    r <= meet_x (every r when no other source joins), the prefix of x's
+    points with join key < r is the component of x in {key < r}, or empty
+    when x itself is out. The points are {v : b_x(v) < meet_x} and x,
+    distinct, x first, with their b_x ascending. For every r the running
+    least mate is the least other source in that component, and it falls at
+    each entry."""
     n, edges, key, sources = graph
     orders = _join_orders(*csr_lists(n, edges), key, sources)
+
+    def component(x, below):
+        return next((set(c) for c in graph_components(n, edges, [v for v in range(n) if below(key[v])])
+                     if x in c), set())
+
     for x in sources:
-        pts, b, meet = orders[x]
-        assert sorted(pts) == sorted(set(pts)) and np.all(np.diff(b) >= 0)
-        assert meet == min((k for p, k in zip(pts, b.tolist()) if p in sources and p != x), default=np.inf)
-        for r in radii:
-            comps = graph_components(n, edges, [v for v in range(n) if key[v] < r])
-            want = next((set(c) for c in comps if x in c), set())
-            assert set(pts[: np.searchsorted(b, r)]) == want
+        pts, b, mates = orders[x]
+        bx = {}
+        for k in sorted(set(key.tolist())):
+            for v in component(x, lambda kv: kv <= k):
+                bx.setdefault(v, k)
+        meet = min((bx[p] for p in sources if p != x and p in bx), default=np.inf)
+        assert (mates[0][0] if mates else np.inf) == meet
+        assert pts[0] == x and len(pts) == len(set(pts))
+        assert set(pts) == {v for v, k in bx.items() if k < meet} | {x}
+        assert b == [bx[v] for v in pts] == sorted(b)
+        assert all(p > q for (_, p), (_, q) in zip(mates, mates[1:]))
+        for r in RADII:
+            comp = component(x, lambda kv: kv < r)
+            if r <= meet:
+                assert set(pts[: bisect_left(b, r)]) == comp
+            running = [p for k, p in mates if k < r]
+            assert (running[-1] if running else None) == min(comp.intersection(sources) - {x}, default=None)
 
 
 @settings(max_examples=300, deadline=None)

@@ -65,8 +65,9 @@ def test_stage_times_size_800_lists_its_rows(capsys, monkeypatch):
     assert stage_times.main(["--size", "800"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert calls == [("circle", {"n": 768, "k": 4}, "general"), ("disk", {"g": 29}, "general"),
-                     ("circle", {"n": 768, "k": 4}, "cover")]
-    assert [row.split(" | ")[0] for row in rows] == ["| circle(768, 4)", "| disk(29)", "| circle(768, 4) cover"]
+                     ("shift", {"m": 320, "h": 0.25, "N": 3}, "general"), ("circle", {"n": 768, "k": 4}, "cover")]
+    assert [row.split(" | ")[0] for row in rows] == ["| circle(768, 4)", "| disk(29)", "| shift(320, 0.25, 3)",
+                                                     "| circle(768, 4) cover"]
     calls.clear()
     monkeypatch.setattr(stage_times, "MATRICES", {**stage_times.MATRICES, "100": [], "400": []})
     assert stage_times.main([]) == 0  # all: the 100 and 400 matrices only

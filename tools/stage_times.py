@@ -9,7 +9,8 @@ unless their label ends in "cover". A stage that did not run shows "-": a
 cover row builds no orbital metric and runs neither the orbital checks nor
 the ball inclusions, and no row writes outputs (`cli.write_s`). With
 --repeat k every scenario runs k times and each cell is the median.
---size 800 runs circle(768, 4), disk(29) and circle(768, 4) cover, --size
+--size 800 runs circle(768, 4), disk(29), shift(320, 0.25, 3) (n = 641,
+the only partial action at that size) and circle(768, 4) cover, --size
 1600 circle(1536, 4) and disk(41); "all" runs the 100 and 400 matrices
 only, and "bench" every matrix, in order.
 
@@ -65,7 +66,7 @@ MATRICES = {
             ("circle", {"n": 384, "k": 4}, "cover"), ("disk", {"g": 21}, "cover")],
     # the n~800 rows, left out of "all": each takes several seconds
     "800": [("circle", {"n": 768, "k": 4}, "general"), ("disk", {"g": 29}, "general"),
-            ("circle", {"n": 768, "k": 4}, "cover")],
+            ("shift", {"m": 320, "h": 0.25, "N": 3}, "general"), ("circle", {"n": 768, "k": 4}, "cover")],
     # the n~1600 rows, left out of "all" as well: each takes over ten seconds
     "1600": [("circle", {"n": 1536, "k": 4}, "general"), ("disk", {"g": 41}, "general")],
 }
