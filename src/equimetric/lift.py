@@ -12,6 +12,8 @@ naive: consecutive points merely lie in a common elementary set, i.e. any
     cross-orbit pair qualifies. This reproduces the classical failure mode:
     the lift stays a pseudometric only in the sampling limit, visible here
     as step costs that shrink under refinement.
+Every edge weight is finite, so the lift's components, one
+``gspace.components`` labelling of the edges, are where rho is finite.
 
 Cover small sets. For a quotient centre q give each point v the key
 d(q, p(v)); the preimage of the open ball of radius r around q holds the
@@ -388,34 +390,27 @@ def build_allowability_graph(gspace: SampledGSpace, quotient: Quotient,
 
 
 def _witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) -> tuple:
-    """Lexicographically smallest minimal-cost path, grown greedily: at each
-    step take the smallest next vertex that stays on a shortest path."""
+    """Lexicographically smallest minimal-cost path, grown greedily: from c,
+    one array test over row c gives the least v != c with w[c, v] finite,
+    rho[v, y] < rho[c, y] and |w[c, v] + rho[v, y] - rho[c, y]| <= tol."""
+    to_y = rho[:, y]
     path = [x]
-    current = x
-    guard = 0
-    while current != y:
-        guard += 1
-        if guard > w.shape[0]:
+    while path[-1] != y:
+        if len(path) > len(to_y):
             return None
-        nxt = None
-        for v in range(w.shape[0]):
-            if v == current or not np.isfinite(w[current, v]):
-                continue
-            if rho[v, y] < rho[current, y] and \
-                    abs(w[current, v] + rho[v, y] - rho[current, y]) <= tol:
-                nxt = v
-                break
-        if nxt is None:
+        c = path[-1]
+        step = np.isfinite(w[c]) & (to_y < to_y[c]) & (np.abs(w[c] + to_y - to_y[c]) <= tol)
+        step[c] = False
+        if not step.any():
             return None
-        path.append(nxt)
-        current = nxt
+        path.append(int(step.argmax()))
     return tuple(path)
 
 
 def lift_metric(graph: AllowabilityGraph, tol: float = 1e-9) -> LiftedMetric:
-    """Shortest paths over the allowability graph. Every edge weight is
-    finite, so a component is the finite row of rho at its least point; the
-    components go in the order of their least points.
+    """Shortest paths over the allowability graph. The components are one
+    ``gspace.components`` labelling of the edges, in the order of their
+    least points: every edge weight is finite, so rho is finite on each.
 
     Symmetry. When the weights are bitwise invariant under the total
     elements' generators (``SampledGSpace.total_generators``), they are
@@ -442,7 +437,7 @@ def lift_metric(graph: AllowabilityGraph, tol: float = 1e-9) -> LiftedMetric:
             g = totals[block]
             rho[gs.action[g][:, minima]] = rows[:, gs.action[gs.group.inv[g], :n]].swapaxes(0, 1)
     rho.setflags(write=False)
-    least = np.where(np.isfinite(rho), np.arange(n), n).min(axis=1, initial=n)
+    least = components(n, graph.u, graph.v)
     comps = tuple(tuple(np.flatnonzero(least == x).tolist())
                   for x in np.flatnonzero(least == np.arange(n)).tolist())
 

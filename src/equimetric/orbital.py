@@ -86,14 +86,7 @@ class GroupMetric:
 
 
 def _check_left_invariance(group: FiniteGroup, table: np.ndarray):
-    """Raise on the first (k, g, h), row-major, with d(kg, kh) != d(g, h).
-
-    One comparison decides most tables: if d(g, h) = d(e, g^-1 h) for all
-    g, h, then d(kg, kh) = d(e, g^-1 h) = d(g, h) exactly. Only a mismatch
-    (nan included) runs the row-major scan for the witness.
-    """
-    if np.array_equal(table, table[group.identity][group.mul[group.inv]]):
-        return
+    """Raise on the first (k, g, h), row-major, with d(kg, kh) != d(g, h)."""
     for k in range(group.order):
         left = group.mul[k]
         hits = np.argwhere(table[np.ix_(left, left)] != table)
@@ -108,6 +101,12 @@ def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,
 
     discrete: 0/scale (biinvariant). word: Cayley-graph word metric for an
     inverse-closed generating set. explicit: validate the given table.
+
+    Left invariance is one bitwise verdict, d(g, h) = d(e, g^-1 h): then
+    every left multiplication moves the table onto itself bit for bit, and
+    the identity row to every row, so the triangle scan refutes that row
+    alone first. Only a table failing it (by a -0.0, say) is scanned for
+    the first witness.
     """
     n = group.order
     if kind == "discrete":
@@ -147,12 +146,10 @@ def group_metric(group: FiniteGroup, kind: str = "discrete", scale: float = 1.0,
     else:
         raise ValidationError("InvalidParams", f"unknown group metric kind {kind!r}")
 
-    # bitwise d(g, h) = d(e, g^-1 h): then every left multiplication moves t
-    # onto itself bit for bit, and they move the identity row to every row,
-    # so the triangle scan refutes that row alone first
     left = np.array_equal(t.view(np.int64), t[group.identity][group.mul[group.inv]].view(np.int64))
     _check_metric_table(t, tol, [group.identity] if left else None)
-    _check_left_invariance(group, t)
+    if not left:
+        _check_left_invariance(group, t)
     t.setflags(write=False)
     return GroupMetric(group=group, table=t, kind=kind)
 
@@ -241,11 +238,6 @@ def build_orbital_metric(gspace: SampledGSpace, quotient: Quotient,
     return OrbitalMetric(chi=chi, group_metric=d_G, values=values)
 
 
-def _grid_or(values, fallback):
-    grid = value_grid(values)
-    return grid if grid else [fallback]
-
-
 def _centre_in_ball(quotient: Quotient, x: int, delta: float):
     """Raise EmptyResult when the orbit of x lies outside its own open
     quotient ball of radius delta: d(p x, p x) is not below delta (a
@@ -309,8 +301,8 @@ def verify_orbital_properties(gspace: SampledGSpace, quotient: Quotient,
     dq, dO = quotient.d, d_O.values
     orbit = quotient.orbit_of
 
-    eps_grid = _grid_or(dO[~np.isnan(dO)], 1.0)
-    delta_grid = _grid_or(np.concatenate([dq.ravel(), d_G.table.ravel()]), 1.0)
+    eps_grid = value_grid(dO[~np.isnan(dO)]) or [1.0]
+    delta_grid = value_grid(np.concatenate([dq.ravel(), d_G.table.ravel()])) or [1.0]
     eps_arr, delta_arr = np.array(eps_grid), np.array(delta_grid)
     n_delta = len(delta_grid)
     images = act[:, :n].T.copy()  # images[x, g] = g.x, -1 where undefined

@@ -132,6 +132,11 @@ class SliceFamily:
         return self.pairs[1][self.offsets[x] : self.offsets[x + 1]]
 
 
+def _top_radius(grid) -> float:
+    """A radius past every value of an ascending grid (1.0 past none)."""
+    return (grid[-1] if grid else 0.0) + 1.0
+
+
 def value_grid(values) -> list:
     """Sorted distinct positive values with the midpoints between
     consecutive entries. Ball contents over a finite set only change at
@@ -139,9 +144,10 @@ def value_grid(values) -> list:
     NaN is dropped with the non-positive values; each midpoint is one float
     addition and halving, as in Python. Duplicates go by a sort and a
     neighbour comparison: ``np.unique`` would import ``numpy.ma`` on first
-    use, about 1 MB of resident memory."""
+    use, about 1 MB of resident memory. Only positive values are sorted,
+    and equal positives share their bits, so the sort's kind cannot show."""
     vals = np.asarray(values, dtype=np.float64)
-    vals = np.sort(vals[vals > 0], kind="stable")
+    vals = np.sort(vals[vals > 0])
     first = np.ones(vals.size, dtype=bool)
     first[1:] = vals[1:] != vals[:-1]
     vals = vals[first]
@@ -154,10 +160,10 @@ def value_grid(values) -> list:
 def _candidate_radii(d: np.ndarray) -> list:
     """Per orbit, its descending open-ball radii: ``value_grid`` of its row
     of the quotient metric d, the diagonal left out, reversed and topped by
-    a value covering the whole quotient. One sort of the rows of d: each
-    row's positive values form one run, the distinct ones are those unequal
-    to the value before, and the grids of all rows are interleaved at once,
-    the midpoint between two rows left unread."""
+    ``_top_radius``, covering the whole quotient. One sort of the rows of d:
+    each row's positive values form one run, the distinct ones are those
+    unequal to the value before, and the grids of all rows are interleaved
+    at once, the midpoint between two rows left unread."""
     vals = np.sort(np.where(np.eye(d.shape[0], dtype=bool), 0.0, d), axis=1)
     keep = vals > 0
     keep[:, 1:] &= vals[:, 1:] != vals[:, :-1]
@@ -169,7 +175,7 @@ def _candidate_radii(d: np.ndarray) -> list:
     out, start = [], 0
     for count in np.count_nonzero(keep, axis=1).tolist():
         row = grid[2 * start : 2 * (start + count) - 1] if count else []
-        out.append([(row[-1] if row else 0.0) + 1.0] + row[::-1])
+        out.append([_top_radius(row)] + row[::-1])
         start += count
     return out
 
@@ -481,12 +487,9 @@ def _any_per_slice(hits, starts, filled):
     """(rows, n) bool from a (rows, pairs) one: does any pair (x, y) of S_x
     hold True, for each point x. starts are the offsets of the nonempty
     slices (filled), so each reduceat segment runs to the next nonempty
-    slice, which is the end of its own."""
-    if filled.all():
-        return np.logical_or.reduceat(hits, starts, axis=1)
+    slice, which is the end of its own; an empty slice holds no pair."""
     out = np.zeros((hits.shape[0], filled.size), dtype=bool)
-    if starts.size:
-        out[:, filled] = np.logical_or.reduceat(hits, starts, axis=1)
+    out[:, filled] = np.logical_or.reduceat(hits, starts, axis=1)
     return out
 
 
@@ -497,7 +500,8 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
     in blocks of at most ``gspace._BLOCK`` cells: blocks of slices and of
     elements g for the translate overlap, the stabilizer invariance and the
     equivariance, and blocks of pairs for the rest, with the slices packed
-    into bytes for condition (ii) and the nesting statistic. Openness and
+    into bytes for one pass that decides condition (ii) and marks the loose
+    pairs of the nesting statistic. Openness and
     connectedness label components, openness only for the pairs whose
     gather finds a border edge. The stabilizer check counts h as moving S_x
     when some image lies outside S_x: an action row is injective where
@@ -561,26 +565,24 @@ def verify_slice_family(gspace: SampledGSpace, quotient: Quotient, family: Slice
 
     # (x, y, g) with g.x defined and != x and S_y meeting S_{g.x}: the rows
     # of the table packed into bytes, with a zero row n for an undefined
-    # image; blocks of pairs, each against every g
+    # image; blocks of pairs, each against every g. The same pass marks the
+    # loose pairs of the nesting statistic: S_y holds a point outside S_x
     width = (n + 7) // 8
     packed = np.zeros((n + 1, width), dtype=np.uint8)
     packed[:n] = np.packbits(member[:, :n], axis=1)
+    loose = np.zeros(px.size, dtype=bool)
     v = []
     for block in _row_blocks(px.size, gspace.group.order * width):
         x, y = px[block], py[block]
         gx = act[:, x].T
-        hit = (packed[gx] & packed[y][:, None, :]).any(axis=2)
+        row_y = packed[y]
+        loose[block] = (row_y & ~packed[x]).any(axis=1)
+        hit = (packed[gx] & row_y[:, None, :]).any(axis=2)
         hit &= gx != x[:, None]
         if hit.any():
             k, g = hit.nonzero()
             v += zip(x[k].tolist(), y[k].tolist(), g.tolist())
     rep.add("family_condition_ii", FAIL if v else PASS, v)
-
-    # strong nesting variant, reported as a statistic and never asserted: a
-    # pair (x, y) is loose when S_y holds a point outside S_x
-    loose = np.zeros(px.size, dtype=bool)
-    for block in _row_blocks(px.size, width):
-        loose[block] = (packed[py[block]] & ~packed[px[block]]).any(axis=1)
 
     # A mixed component of S_y & P_x holds a border edge of S_x (border-edge
     # lemma) and a point of S_y outside S_x: only the loose pairs of points x

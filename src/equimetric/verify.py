@@ -40,7 +40,7 @@ from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient, orbit_minima
 from .report import ADVISORY, FAIL, PASS, Report
-from .slices import SliceFamily, value_grid
+from .slices import SliceFamily, _top_radius, value_grid
 
 
 _INVARIANCE_TOL = 1e-12  # the largest |rho[x, y] - rho[g.x, g.y]| allowed
@@ -168,14 +168,14 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
 
 def _inclusion_grid(quotient, d_G, d_O, lifted) -> np.ndarray:
     """The radii of both inclusion searches: the value grid of d, d_G, the
-    defined values of d_O and the finite values of rho, then a top radius
-    one above the largest."""
+    defined values of d_O and the finite values of rho, then the top radius
+    of ``slices._top_radius``."""
     tables = [np.ravel(quotient.d), d_G.table.ravel()]
     if d_O is not None:
         tables.append(d_O.values[~np.isnan(d_O.values)])
     tables.append(lifted.rho[np.isfinite(lifted.rho)])
     grid = value_grid(np.concatenate(tables))
-    return np.array(grid + [(grid[-1] if grid else 0.0) + 1.0])
+    return np.array(grid + [_top_radius(grid)])
 
 
 def _below(table: np.ndarray, bound: int, queries) -> np.ndarray:

@@ -23,7 +23,8 @@ per-pair loops for the cover isometry, nearest neighbours and pushforward
 vs. array reductions and block minima; the minimum over lifts per pair of
 orbits vs. one block minimum over orbit-sorted rows and columns; the
 general-mode lift edges from n^2 pair loops over the slice sets vs. one
-mask over the slice pairs; charts as per-orbit records vs. the orbit
+mask over the slice pairs; the witness path's loop over v vs. one array
+test per step; charts as per-orbit records vs. the orbit
 representatives, and a stabilizer per point vs. stabilizer classes).
 The ball-inclusion predicates, the slice cut and the grid fallback are
 scalar copies too, so the reference searches run no library predicate.
@@ -1096,6 +1097,32 @@ def weight_matrix(graph) -> np.ndarray:
         if weight < w[u, v]:
             w[u, v] = w[v, u] = weight
     return w
+
+
+def witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) -> tuple:
+    """The lift's witness path as the scalar loop over v it ran before its
+    one array test per step: from the current vertex, the smallest v that
+    stays on a shortest path to y."""
+    path = [x]
+    current = x
+    guard = 0
+    while current != y:
+        guard += 1
+        if guard > w.shape[0]:
+            return None
+        nxt = None
+        for v in range(w.shape[0]):
+            if v == current or not np.isfinite(w[current, v]):
+                continue
+            if rho[v, y] < rho[current, y] and \
+                    abs(w[current, v] + rho[v, y] - rho[current, y]) <= tol:
+                nxt = v
+                break
+        if nxt is None:
+            return None
+        path.append(nxt)
+        current = nxt
+    return tuple(path)
 
 
 def _is_elementary(quotient, comp) -> bool:

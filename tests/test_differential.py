@@ -1,7 +1,8 @@
 """Differential tests: the row-vectorised checks, the ball inclusions, the
 slice builder and verifier, the cover small sets, the orbital stage and the
-general-mode lift edges against the references in tests/oracles.py, and the
-join keys and the lift's components against oracles.graph_components. Equal means the same error code, message and witness, the
+general-mode lift edges and the witness paths against the references in
+tests/oracles.py, and the join keys and the lift's components against
+oracles.graph_components. Equal means the same error code, message and witness, the
 same violation list, residual and report lines, or the same slice family and
 construction log."""
 
@@ -2127,3 +2128,105 @@ def test_lift_components_match_scalar_on_a_disconnected_cover():
     r = pipeline("reflection", {"m": 2, "h": 1.0}, mode="cover", enlargement=1000.0)
     assert_lift_matches(r["gspace"], r["quotient"], r["family"], None, "cover", 1000.0)
     assert len(r["lifted"].components) == r["gspace"].n_points > 1
+
+
+# The merged paths: the slice verifier's one masked reduction and one
+# packed pass, the group metric's one left-invariance verdict, the lift's
+# components from the one labelling, and the witness path's array test
+# against oracles.witness_path.
+
+
+@pytest.mark.parametrize("cap", [1, eq.gspace._BLOCK])
+def test_slice_verifier_matches_reference_on_empty_and_full_slices_in_one_block(cap, monkeypatch):
+    """circle(12, 3) with S_1, S_5 and S_6 empty and S_0 grown by 11 and
+    6: the per-slice reductions skip the empty slices between full ones,
+    at a cap of one point a block and at the default cap, which puts all
+    twelve points in one block."""
+    monkeypatch.setattr(eq.gspace, "_BLOCK", cap)
+    gs, quotient = space("circle", {"n": 12, "k": 3})
+    family = eq.build_slice_family(gs, quotient)
+    bad = list(family.slice_of)
+    for x in (1, 5, 6):
+        bad[x] = frozenset()
+    bad[0] = bad[0] | {11, 6}
+    report = assert_same_verdict(gs, quotient, with_slices(family, bad))
+    assert report["slice_contains_center"].witnesses == [(1,), (5,), (6,)]
+    assert report["slice_connected"].witnesses[:3] == [(0,), (1,), (5,)]
+    assert report["strong_nesting_statistic"].max_residual > 0
+
+
+def test_group_metric_accepts_a_signed_zero_diagonal():
+    """A discrete table with -0.0 at (1, 1): the bitwise verdict
+    d(g, h) = d(e, g^-1 h) is false there, but the table is left invariant
+    as floats, so the witness scan finds nothing and the table is kept, bit
+    for bit."""
+    group = eq.build_group(cyclic_table(3))
+    t = np.ones((3, 3))
+    np.fill_diagonal(t, 0.0)
+    t[1, 1] = -0.0
+    assert not np.array_equal(t.view(np.int64), t[group.identity][group.mul[group.inv]].view(np.int64))
+    d_G = eq.group_metric(group, "explicit", table=t)
+    assert d_G.table.tobytes() == t.tobytes()
+    assert outcome(oracles.check_left_invariance, group, t) is None
+
+
+def test_lift_components_of_two_parts_and_an_isolated_point():
+    """Edges 0-2, 2-4 and 1-3 on six points: the components by least point,
+    each the set on which rho is finite from that point, with 5 alone."""
+    graph = eq.AllowabilityGraph(n_points=6, mode="cover", u=np.array([0, 1, 2], dtype=np.intp),
+                                 v=np.array([2, 3, 4], dtype=np.intp), weight=np.array([1.0, 0.5, 2.0]),
+                                 kind=np.full(3, lift.EDGE_KINDS.index("cover"), np.int8))
+    lifted = eq.lift_metric(graph)
+    assert lifted.components == ((0, 2, 4), (1, 3), (5,))
+    assert lifted.components == tuple(tuple(np.flatnonzero(np.isfinite(lifted.rho[c[0]])).tolist())
+                                      for c in lifted.components)
+    assert not lifted.connected
+
+
+def witness_reference(lifted, x, y):
+    """LiftedMetric.witness with the scalar path of oracles.witness_path."""
+    if x == y:
+        return (x,)
+    if not np.isfinite(lifted.rho[x, y]):
+        return None
+    return oracles.witness_path(lifted.graph.weight_matrix(), lifted.rho, x, y, lifted.tol)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(n, edges) with weights drawn from few values, so that equal-cost
+    paths tie; zero weights; 0.1, 0.2 and 0.3, whose sums round; and points
+    left unreachable."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    weights = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.0, 2.0])
+    return n, [(u, v, draw(weights)) for u, v in sorted(chosen)]
+
+
+# the square 0-1-3, 0-2-3: two shortest paths from 0 to 3, of which the
+# witness takes the one through 1
+SQUARE = (4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=weighted_graphs(), tol=st.sampled_from([0.0, 1e-9]))
+@example(graph=SQUARE, tol=0.0)
+def test_witness_paths_match_the_scalar_loop(graph, tol):
+    n, edges = graph
+    u, v, weight = (np.array(c) for c in zip(*edges)) if edges else (np.zeros(0),) * 3
+    lifted = eq.lift_metric(eq.AllowabilityGraph(
+        n_points=n, mode="cover", u=u.astype(np.intp), v=v.astype(np.intp), weight=weight.astype(float),
+        kind=np.full(len(edges), lift.EDGE_KINDS.index("cover"), np.int8)), tol=tol)
+    for x in range(n):
+        for y in range(n):
+            assert lifted.witness(x, y) == witness_reference(lifted, x, y)
+    if graph == SQUARE:
+        assert lifted.witness(0, 3) == (0, 1, 3)
+
+
+def test_witness_paths_match_the_scalar_loop_on_circle_cover():
+    lifted = pipeline("circle", {"n": 12, "k": 3}, mode="cover")["lifted"]
+    paths = {(x, y): lifted.witness(x, y) for x in range(12) for y in range(12)}
+    assert paths == {(x, y): witness_reference(lifted, x, y) for x in range(12) for y in range(12)}
+    assert all(p is not None for p in paths.values())

@@ -2,6 +2,7 @@
 README shows, which no other test imports: a renamed library call would
 otherwise break them silently."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -114,7 +115,15 @@ def test_stage_times_json_records_the_rows_run_and_keeps_the_others(tmp_path, mo
                                "lift.metric_s": {"median": 0.5, "min": 0.5, "max": 0.5}}
     assert first["total_s"] == {"median": 2.5, "min": 1.5, "max": 3.5}
     assert second["repeat"] == 1 and second["stages"]["scenarios.generate_s"]["median"] == 7.0
-    assert {"python", "numpy", "cpus", "commit"} <= set(first)
+    assert {"python", "numpy", "cpus", "commit", "dirty", "src_sha256"} <= set(first)
+    # the hash of the timed tree, recomputed here over its files
+    src = os.path.join(ROOT, "src")
+    h = hashlib.sha256()
+    for path in sorted(os.path.relpath(os.path.join(d, f), src).replace(os.sep, "/")
+                       for d, _, files in os.walk(src) for f in files if f.endswith(".py")):
+        with open(os.path.join(src, path), "rb") as f:
+            h.update(path.encode() + b"\0" + f.read())
+    assert first["src_sha256"] == second["src_sha256"] == h.hexdigest()
 
 
 def test_stage_times_normalises_each_row_by_the_reference_around_it(tmp_path, capsys, monkeypatch):

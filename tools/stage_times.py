@@ -24,9 +24,11 @@ With --json PATH the rows run are also recorded in PATH (the repository
 keeps `BENCH_pipeline.json`): the whole matrix, and per row n, |G|, the
 median, min and max over the repeats of each stage, of the total and of
 the normalised total (`total_norm`), the two reference times (`ref_s`), the
-repeat count, the Python and numpy versions, the core count and the commit
-(`git describe --always --dirty`). Rows already in PATH that this run did
-not make are kept, so one file holds the runs of several --size values.
+repeat count, the Python and numpy versions, the core count, the commit
+(`git rev-parse HEAD`), whether tracked files differ from it (`dirty`),
+and a hash of the timed `src/` tree (`src_sha256`). Rows already in PATH
+that this run did not make are kept, so one file holds the runs of
+several --size values.
 Nothing else is written to disk. The committed file is regenerated whole,
 every row with its normalised total, by
   PYTHONPATH=src python3 tools/stage_times.py --size bench --repeat 3 --json BENCH_pipeline.json
@@ -38,6 +40,8 @@ Usage (from the repository root):
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import platform
@@ -95,15 +99,33 @@ def spread(values) -> dict:
             (("median", statistics.median(values)), ("min", min(values)), ("max", max(values)))}
 
 
+def src_sha256(src: str) -> str:
+    """sha256 over the sorted paths, relative to src, of src/**/*.py, each
+    path followed by a NUL byte and then by the bytes of its file."""
+    h = hashlib.sha256()
+    paths = glob.glob("**/*.py", root_dir=src, recursive=True)
+    for rel in sorted(p.replace(os.sep, "/") for p in paths):
+        h.update(rel.encode() + b"\0")
+        with open(os.path.join(src, rel), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
 def environment() -> dict:
-    """The facts a timing depends on besides the code: versions, cores and
-    the commit (None outside a git checkout)."""
+    """The facts a timing depends on: versions, cores, the commit checked
+    out and whether tracked files differ from it (both None outside a git
+    checkout), and the hash of the source tree the library was imported
+    from, which names the code timed even before it is committed."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
     try:
-        commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT, check=True,
-                                capture_output=True, text=True).stdout.strip()
+        commit, dirty = git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--untracked-files=no"))
     except (OSError, subprocess.CalledProcessError):
-        commit = None
-    return {"python": platform.python_version(), "numpy": np.__version__, "cpus": os.cpu_count(), "commit": commit}
+        commit = dirty = None
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {"python": platform.python_version(), "numpy": np.__version__, "cpus": os.cpu_count(),
+            "commit": commit, "dirty": dirty, "src_sha256": src_sha256(src)}
 
 
 def write_json(path: str, rows: dict) -> None:
