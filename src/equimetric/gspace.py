@@ -44,14 +44,21 @@ both).
 
 Symmetry. If t[pi i, pi j] has the bits of t[i, j] for a point
 permutation pi, so does everything computed from t entry by entry with the
-same float operations. ``_orbit_minima`` tests this for a set of
-permutations and returns the least point of each orbit of their group, and
-two stages use those rows alone. The lift (``lift.lift_metric``): dense
-Dijkstra's table does not depend on its tie rule (``spath``), so row pi x
-is row x moved by pi, bit for bit. The axiom scan: the gap at (i, j, k) is
-the gap at (pi i, pi j, pi k) bit for bit, so the rows holding a triangle
-violation are a union of orbits, and an orbit-minimum row holds one
-whenever any row does.
+same float operations. ``_keeps`` tests this for each permutation on its
+own, so one that fails drops out alone. The permutations come from the
+action (the total elements' generators) and from the space: a scenario
+declares its sample's isometries to ``build_space``, and
+``SampledSpace.symmetries`` keeps those that keep the base metric and the
+edges. Two stages use the rows of one point per orbit alone. The axiom scan
+(``_orbit_minima``): the gap at (i, j, k) is the gap at (pi i, pi j, pi k)
+bit for bit, so the rows holding a triangle violation are a union of
+orbits, and an orbit-minimum row holds one whenever any row does. The lift
+(``lift.lift_metric``): dense Dijkstra's table does not depend on its tie
+rule (``spath``), so row pi x is row x moved by pi, bit for bit. It fills
+each G-orbit's rows from one row through the action array, and moves rows
+between G-orbits by the symmetries along a transversal (Schreier tree,
+Sims 1970) of the permutations they induce on the orbits: no closure of
+the symmetries is formed.
 """
 
 from __future__ import annotations
@@ -323,47 +330,64 @@ def group_from_permutations(perms, generator_names=None) -> tuple:
     return group, [tuple(p) for p in rows.tolist()]
 
 
-def _orbit_minima(table: np.ndarray, perms) -> Optional[np.ndarray]:
-    """The least point of each orbit of the group the permutations (k x n
-    integers, p[x] the image of x) generate, ascending, when the n x n
-    table is bitwise invariant under each: table[p[i], p[j]] has the int64
-    bits of table[i, j], so 0.0 against -0.0, or two NaN payloads, count as
-    a change. None otherwise, when a row is not a bijection of range(n), or
-    when every orbit is one point. None at once with no permutation, or
-    when n^3 cells, a whole triangle scan or dense Dijkstra, fit one
-    ``_BLOCK`` block, which then costs less than the tests.
+def _as_perms(perms, n: int) -> np.ndarray:
+    """perms as a k x n integer array (p[x] the image of x), or no rows
+    when it is not one; ``_keeps`` tests the rows."""
+    try:
+        perms = np.asarray([] if perms is None else perms)
+    except ValueError:  # ragged rows
+        perms = np.zeros(0)
+    if perms.ndim != 2 or perms.shape[1] != n or perms.dtype.kind not in "iu":
+        return np.zeros((0, n), dtype=np.intp)
+    return perms
 
-    The orbits are the components of the edges x - p[x] (``components``).
-    The table is compared at most ``_BLOCK`` cells a block."""
-    perms = np.asarray(perms)
+
+def _keeps(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Per row p of a k x n integer array: is it a bijection of range(n)
+    under which the n x n table is bitwise invariant, table[p[i], p[j]]
+    with the bits of table[i, j]? So 0.0 against -0.0, or two NaN
+    payloads, count as a change. Each row is tested on its own, at most
+    ``_BLOCK`` cells a block."""
     n = table.shape[0]
-    if not perms.size or n ** 3 <= _BLOCK:
+    if not len(perms):
+        return np.zeros(0, dtype=bool)
+    ok = (np.sort(perms, axis=1) == np.arange(n)).all(axis=1)
+    bits = table.view(f"i{table.itemsize}")
+    for i in np.flatnonzero(ok).tolist():
+        p = perms[i]
+        ok[i] = all(np.array_equal(bits[p[rows]][:, p], bits[rows]) for rows in _row_blocks(n, n))
+    return ok
+
+
+def _orbit_minima(table: np.ndarray, perms) -> Optional[np.ndarray]:
+    """The least point of each orbit of the group generated by the
+    permutations (k x n integers) that keep the n x n table bitwise
+    (``_keeps``), ascending: the components of the edges x - p[x]
+    (``components``). A row that fails is dropped on its own. None when
+    every orbit is one point, and at once when n^3 cells, a whole triangle
+    scan or dense Dijkstra, fit one ``_BLOCK`` block, which then costs less
+    than the tests."""
+    n = table.shape[0]
+    if n ** 3 <= _BLOCK or table.shape != (n, n):
         return None
-    if table.shape != (n, n) or perms.ndim != 2 or perms.shape[1] != n or perms.dtype.kind not in "iu":
+    perms = _as_perms(perms, n)
+    perms = perms[_keeps(table, perms)]
+    if not len(perms):
         return None
     ids = np.arange(n)
-    if not (np.sort(perms, axis=1) == ids).all():
-        return None
-    label = components(n, np.tile(ids, len(perms)), perms.ravel())
-    minima = np.flatnonzero(label == ids)
-    if len(minima) == n:
-        return None
-    bits = table.view(np.int64)
-    for p in perms:
-        for rows in _row_blocks(n, n):
-            if not np.array_equal(bits[p[rows]][:, p], bits[rows]):
-                return None
-    return minima
+    minima = np.flatnonzero(components(n, np.tile(ids, len(perms)), perms.ravel()) == ids)
+    return None if len(minima) == n else minima
 
 
-def _total_minima(gspace: SampledGSpace, table: np.ndarray) -> Optional[np.ndarray]:
+def _symmetry_minima(gspace: SampledGSpace, table: np.ndarray) -> Optional[np.ndarray]:
     """``_orbit_minima`` of an n x n table under the point maps of the total
-    elements' generators. None at once when n^3 cells fit one ``_BLOCK``
-    block, before the generators are derived."""
+    elements' generators and the space's symmetries. None at once when n^3
+    cells fit one ``_BLOCK`` block, before the generators are derived."""
     n = gspace.n_points
     if n ** 3 <= _BLOCK:
         return None
-    return _orbit_minima(table, gspace.action[gspace.total_generators, :n])
+    return _orbit_minima(table, np.concatenate([gspace.action[gspace.total_generators, :n],
+                                                gspace.space.symmetries]))
 
 
 _AXIOM_MESSAGES = {
@@ -524,6 +548,8 @@ class SampledSpace:
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     labels: tuple = None
+    # the point permutations declared to ``build_space``, as given
+    perms: object = field(default=None, repr=False)
     # derived once: the read-only (m, 2) np.intp edges (u, v), u < v, sorted
     edges: np.ndarray = field(init=False, repr=False)
 
@@ -534,21 +560,44 @@ class SampledSpace:
             a.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
+    @cached_property
+    def symmetries(self) -> np.ndarray:
+        """Read-only (s, n) np.intp rows of the declared ``perms``: those
+        that keep the base metric bit for bit (``_keeps``) and map the
+        edges onto the edges, each tested on its own. Derived on first
+        use, only by tables whose n^3 cells exceed one ``_BLOCK`` block."""
+        n = self.n_points
+        kept = _as_perms(self.perms, n)
+        kept = kept[_keeps(self.base_metric, kept)].astype(np.intp)
+        if len(kept):  # a bijection maps the edges onto the edges when their images, sorted, are the edges
+            src = np.repeat(np.arange(n), np.diff(self.indptr))
+            key = src * n + self.indices  # ascending, as the CSR arrays
+            kept = kept[(np.sort(kept[:, src] * n + kept[:, self.indices], axis=1) == key).all(axis=1)]
+        kept.setflags(write=False)
+        return kept
+
 
 def build_space(base_metric, edges, labels=None, tol: float = 1e-9, perms=None) -> SampledSpace:
-    """Validate base metric axioms (exhaustively) and the edges: pairs of
-    numbers, each endpoint checked as ``build_group`` checks a table entry,
-    then for self-loops; duplicate and reversed pairs collapse. ``perms``,
-    point permutations of the action to come, let the triangle scan refute
-    the orbit-minimum rows first (``_orbit_minima``); nothing about them is
-    assumed, and the action is validated when it is bound."""
+    """Validate base metric axioms (exhaustively) and the edges: an (m, 2)
+    integer array, read as it is, or pairs of numbers, each endpoint
+    checked as ``build_group`` checks a table entry, then for self-loops;
+    duplicate and reversed pairs collapse.
+
+    ``perms`` declares point permutations (k x n integers, p[x] the image
+    of x), such as the sample's isometries. Nothing about them is assumed:
+    the triangle scan refutes first the least point of each orbit of those
+    that keep the table bitwise (``_orbit_minima``), and the space keeps
+    them as ``SampledSpace.symmetries``, each tested on its own."""
     table = np.asarray(base_metric, dtype=np.float64)
     n = table.shape[0]
     _check_metric_table(table, tol, None if perms is None else _orbit_minima(table, perms))
-    try:
-        ends = np.asarray(list(edges) or np.zeros((0, 2), dtype=np.intp))
-    except ValueError:  # ragged pairs
-        ends = None
+    if isinstance(edges, np.ndarray) and edges.size:
+        ends = edges
+    else:
+        try:
+            ends = np.asarray(list(edges) or np.zeros((0, 2), dtype=np.intp))
+        except ValueError:  # ragged pairs
+            ends = None
     if ends is None or ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "biuf":
         raise ValidationError("InvalidParams", "edges must be pairs of point indices")
     ends = _index_array(ends, 0, n, "edge endpoint")
@@ -560,10 +609,12 @@ def build_space(base_metric, edges, labels=None, tol: float = 1e-9, perms=None) 
         if len(labels) != n:
             raise ValidationError("InvalidParams", "label count mismatch")
     key = np.sort(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
-    src, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], n)  # each directed edge once
+    first = np.ones(len(key), dtype=bool)  # each directed edge once
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    src, indices = np.divmod(key[first], n)
     table.setflags(write=False)
     return SampledSpace(n_points=n, base_metric=table, indptr=np.searchsorted(src, np.arange(n + 1)),
-                        indices=indices, labels=labels)
+                        indices=indices, labels=labels, perms=perms)
 
 
 def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -631,7 +682,7 @@ class SampledGSpace:
         """Read-only np.intp generators of the total elements, each the first
         outside the subgroup of those before; empty when only the identity is
         total or two totals have a partial product (no group). Derived on
-        first use, by ``_total_minima``."""
+        first use, by ``_symmetry_minima`` and ``lift.lift_metric``."""
         group, T = self.group, np.flatnonzero(self.total)
         gens = []
         if self.total.all() or self.total[group.mul[np.ix_(T, T)]].all():

@@ -59,6 +59,36 @@ holding a and such a c is non-convex. A centre's next set m within its
 last non-convex set is so refuted, with no apsp, and keeps those rows
 restricted to m. Only "above" inherits: an explicit table's row may fall
 below d by more than tol where a subset's does not.
+
+Cover centres. Let s be one of the space's symmetries (each maps the edges
+onto the edges, ``SampledSpace.symmetries``) that maps every orbit onto an
+orbit, and s(o) the orbit it maps o onto. When d and the quotient
+adjacency are bitwise invariant under that permutation of the orbits,
+centre q and centre s(q) accept the same radius, and the sets of s(q) are
+the images under s of the sets of q. Every step moves with s:
+
+- keys: d(s(q), p(s v)) = d(s(q), s(p(v))) = d(q, p(v)) bit for bit, so
+  the preimage of each ball of s(q) is the image of q's, and the two rows
+  of d, and so the candidate radii, agree;
+- elementarity limits: s is a graph automorphism that maps orbits onto
+  orbits, so a component of one preimage is elementary exactly when its
+  image is, and the limit K, the least radius whose preimage is not
+  elementary, is the same;
+- convexity verdicts: the image of an orbit set is the same quotient
+  sub-table with its orbits relabelled, and so, by the tie-rule lemma of
+  ``spath``, is its shortest-path table, entry for entry;
+- components: s maps the components of q's accepted preimage onto those
+  of s(q)'s.
+
+So ``cover_small_sets`` runs the sweep and the convexity rounds only for
+the root of each orbit of these permutations (``_transversal``, whose
+roots are the least centres of their orbits), and gives every centre its
+root's radius; the components at that radius are the images of the
+root's sets. Each condition is tested: the symmetries by
+``SampledSpace.symmetries``, the orbit and table conditions by
+``_centre_roots``. Where n^3 cells fit
+one ``gspace._BLOCK`` block every centre runs, as the tests cost more
+than they save there.
 """
 
 from __future__ import annotations
@@ -72,7 +102,7 @@ import numpy as np
 from .spath import apsp
 from .errors import ValidationError
 from . import gspace as _gspace  # its _BLOCK is read at call time
-from .gspace import SampledGSpace, _check_scalar, _row_blocks, _total_minima, components
+from .gspace import SampledGSpace, _check_scalar, _keeps, _row_blocks, components
 from .orbital import OrbitalMetric
 from .quotient import Quotient
 from .slices import SliceFamily, _candidate_radii
@@ -268,6 +298,46 @@ def _inherited(rows, parent: int, m: int):
     return kept or None
 
 
+def _transversal(induced: np.ndarray) -> tuple:
+    """A Schreier forest (Sims 1970) of the permutations of range(k) that
+    are the rows of ``induced``: (root, steps). The least point of each
+    orbit is a root, root[t] is the root of t's orbit, and steps lists
+    (t, a, j), t = induced[j, a], in breadth-first order from each root, a
+    step per point reached from a point reached before."""
+    maps = induced.tolist()
+    root = list(range(induced.shape[1]))
+    reached = [False] * len(root)
+    steps = []
+    for r in range(len(root)):
+        if reached[r]:
+            continue
+        reached[r] = True
+        walk = [r]
+        for a in walk:  # grows while walked
+            for j, p in enumerate(maps):
+                t = p[a]
+                if not reached[t]:
+                    reached[t] = True
+                    root[t] = r
+                    steps.append((t, a, j))
+                    walk.append(t)
+    return np.array(root, dtype=np.intp), steps
+
+
+def _centre_roots(gspace: SampledGSpace, quotient: Quotient) -> np.ndarray:
+    """Per quotient centre, the root of its orbit in ``_transversal`` of the
+    permutations the space's symmetries induce on the orbits, o to the
+    orbit of s(o's least point): of those symmetries s that map every
+    orbit onto an orbit and whose induced permutation keeps d and the
+    adjacency bitwise (module docstring)."""
+    orbit_of = quotient.orbit_of
+    sym = gspace.space.symmetries
+    induced = orbit_of[sym[:, quotient.representative]]
+    induced = induced[(orbit_of[sym] == induced[:, orbit_of]).all(axis=1)]
+    induced = induced[_keeps(quotient.d, induced)]
+    return _transversal(induced[_keeps(quotient.adjacency, induced)])[0]
+
+
 def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
                      enlargement_factor: float = 1.0, tol: float = 1e-9) -> tuple:
     """Small sets for the covering lift: per quotient ball center, the
@@ -288,9 +358,14 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
     a, b = np.nonzero(np.triu(quotient.adjacency))  # d[a, b], a < b, both ways
     w[a, b] = w[b, a] = quotient.d[a, b]
 
+    # one centre per orbit of the symmetries (module docstring)
+    root = (_centre_roots(gspace, quotient) if n ** 3 > _gspace._BLOCK else np.arange(quotient.n_orbits)).tolist()
+
     # per centre, its elementary radii ascending, each with its parts
     todo = {}
     for q, radii in enumerate(_candidate_radii(quotient.d)):
+        if root[q] != q:
+            continue
         radii = radii[::-1]
         limit, parts = _sweep(indptr, indices, orbit_of, keys[q], radii)
         todo[q] = [(r, masks) for r, masks in zip(radii, parts)
@@ -322,6 +397,7 @@ def cover_small_sets(gspace: SampledGSpace, quotient: Quotient,
         found.update(_convex_images(quotient, w, wanted, tol))
 
     # the components of the accepted preimages, labelled in (centre, point) space
+    accepted = {q: accepted[r] for q, r in enumerate(root) if r in accepted}
     alive = keys[list(accepted)] < np.array(list(accepted.values()))[:, None]
     i, e = np.nonzero(alive[:, edges[:, 0]] & alive[:, edges[:, 1]])
     label = components(alive.size, i * n + edges[e, 0], i * n + edges[e, 1])
@@ -407,35 +483,66 @@ def _witness_path(w: np.ndarray, rho: np.ndarray, x: int, y: int, tol: float) ->
     return tuple(path)
 
 
+def _symmetric_apsp(gs: SampledGSpace, w: np.ndarray):
+    """rho from one searched row per orbit, or None when that is every row
+    (``lift_metric``)."""
+    n, group = gs.n_points, gs.group
+    gens = gs.total_generators
+    gens = gens[_keeps(w, gs.action[gens, :n])]
+    sym = gs.space.symmetries
+    sym = sym[_keeps(w, sym)]
+    if not len(gens) + len(sym):
+        return None
+    ids = np.arange(n)
+    label = components(n, np.tile(ids, len(gens)), gs.action[gens, :n].ravel())
+    reps = np.flatnonzero(label == ids)
+    sym = sym[(label[sym] == label[sym[:, label]]).all(axis=1)]  # each orbit onto an orbit
+    root, steps = _transversal(np.searchsorted(reps, label[sym[:, reps]]))
+    sources = np.flatnonzero(root == np.arange(len(reps)))
+    if len(sources) == n:
+        return None
+    rows = np.empty((len(reps), n))
+    rows[sources] = apsp(w, sources=reps[sources])
+    at = reps.copy()  # per orbit, the point of its row
+    back = np.argsort(sym, axis=1)
+    for t, a, j in steps:  # row s.p is row p moved by s: rho[s.p, y] = rho[p, s^-1.y]
+        at[t] = sym[j, at[a]]
+        rows[t] = rows[a][back[j]]
+    elems = np.flatnonzero(group._closure(group._mask([group.identity, *gens.tolist()])))
+    rho = np.empty((n, n))
+    for block in _row_blocks(len(elems), len(reps) * n):  # rows g.p of a block of elements g
+        g = elems[block]
+        rho[gs.action[g][:, at]] = rows[:, gs.action[group.inv[g], :n]].swapaxes(0, 1)
+    return rho
+
+
 def lift_metric(graph: AllowabilityGraph, tol: float = 1e-9) -> LiftedMetric:
     """Shortest paths over the allowability graph. The components are one
     ``gspace.components`` labelling of the edges, in the order of their
     least points: every edge weight is finite, so rho is finite on each.
 
-    Symmetry. When the weights are bitwise invariant under the total
-    elements' generators (``SampledGSpace.total_generators``), they are
-    invariant under every total element g, and so is the table: row g.m is
-    row m moved by g, rho[g.m, y] = rho[m, g^-1.y], bit for bit, since dense
-    Dijkstra's table does not depend on its tie rule (``spath``). So only
-    the rows of the orbit minima m are searched (``apsp(..., sources=)``),
-    and each total element g writes the rows g.m from them, a block of
-    elements at a time (at most ``_BLOCK`` cells): every point is some g.m,
-    and g runs over the group that was tested. Otherwise, without a
-    G-space, or when the whole search fits one block (``_total_minima``),
-    every row is searched."""
+    Symmetry. The weights are tested bit for bit (``gspace._keeps``) under
+    each generator of the total elements (``SampledGSpace.total_generators``)
+    and each of the space's symmetries, and a permutation that fails drops
+    out alone. The generators kept generate a group H of total elements,
+    and the weights are invariant under every element of H, and so is the
+    table: row g.p is row p moved by g, rho[g.p, y] = rho[p, g^-1.y], bit
+    for bit, since dense Dijkstra's table does not depend on its tie rule
+    (``spath``). The same holds for a symmetry s kept; those that map
+    every H-orbit onto an H-orbit induce permutations of the H-orbits. So
+    one row is searched per orbit of these (``apsp(..., sources=)``), at the
+    least point of the least H-orbit, and ``_transversal`` of the induced
+    permutations moves it to one point p of every H-orbit of its orbit:
+    row s.p from row p. Then each element g of H writes the rows g.p, a
+    block of elements at a time (at most ``_BLOCK`` cells): every point is
+    some g.p. Without a G-space, or when the whole search fits one block
+    (n^3 cells), or when nothing is kept, every row is searched."""
     n = graph.n_points
     w = graph.weight_matrix()
     gs = graph.gspace
-    minima = None if gs is None else _total_minima(gs, w)
-    if minima is None:
+    rho = None if gs is None or n ** 3 <= _gspace._BLOCK else _symmetric_apsp(gs, w)
+    if rho is None:
         rho = apsp(w)
-    else:
-        rows = apsp(w, sources=minima)
-        rho = np.empty((n, n))
-        totals = np.flatnonzero(gs.total)
-        for block in _row_blocks(len(totals), len(minima) * n):  # rows g.m of a block of elements g
-            g = totals[block]
-            rho[gs.action[g][:, minima]] = rows[:, gs.action[gs.group.inv[g], :n]].swapaxes(0, 1)
     rho.setflags(write=False)
     least = components(n, graph.u, graph.v)
     comps = tuple(tuple(np.flatnonzero(least == x).tolist())

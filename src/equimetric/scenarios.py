@@ -33,7 +33,7 @@ def _circle_space(n: int) -> tuple:
     i = np.arange(n)
     hops = np.abs(i[:, None] - i)  # integers convert exactly: one multiply per entry
     metric = np.minimum(hops, n - hops) * step
-    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges = np.stack([i, (i + 1) % n], axis=1)
     labels = [f"{360.0 * i / n:g}deg" for i in range(n)]
     return metric, edges, labels
 
@@ -45,50 +45,51 @@ def _line_space(m: int, h: float) -> tuple:
     taken as a float, so a large one cannot wrap around)."""
     n = 2 * m + 1
     pos = (np.arange(n) - m) * float(h)
-    edges = [(i, i + 1) for i in range(n - 1)]
+    edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     return np.abs(pos[:, None] - pos), edges, [f"{p:g}" for p in pos.tolist()]
 
 
-def _permutation_gspace(space: tuple, perms) -> SampledGSpace:
+def _permutation_gspace(space: tuple, gens, symmetries) -> SampledGSpace:
     """The space (metric, edges, labels) under the group its point
-    permutations generate: the base metric is checked with their orbit
-    minima (``build_space``), and the group's element table is the action
-    array."""
-    space = build_space(*space, perms=perms)
-    group, table = _permutation_group(perms)
+    permutations ``gens`` generate, with the sample's isometries
+    ``symmetries`` declared (``SampledSpace.symmetries`` tests them), and
+    the group's element table as the action array."""
+    space = build_space(*space, perms=symmetries)
+    group, table = _permutation_group(gens)
     return bind_action_array(space, group, table)
+
+
+def _rotation_and_flip(n: int) -> list:
+    """The rotation of n circle points by one step and the flip i -> -i."""
+    i = np.arange(n)
+    return [(i + 1) % n, (n - i) % n]
 
 
 def circle(n: int, k: int) -> SampledGSpace:
     if n < 3 or k < 1 or n % k != 0:
         raise ValidationError("InvalidParams", "circle requires n >= 3 and k dividing n", (n, k))
-    shift_by = n // k
-    rot = tuple((i + shift_by) % n for i in range(n))
-    return _permutation_gspace(_circle_space(n), [rot])
+    rot = (np.arange(n) + n // k) % n
+    return _permutation_gspace(_circle_space(n), [rot], _rotation_and_flip(n))
 
 
 def reflection(m: int, h: float) -> SampledGSpace:
     if m < 1 or h <= 0:
         raise ValidationError("InvalidParams", "reflection requires m >= 1 and positive spacing", (m, h))
-    n = 2 * m + 1
-    neg = tuple(n - 1 - i for i in range(n))
-    return _permutation_gspace(_line_space(m, h), [neg])
+    neg = np.arange(2 * m + 1)[::-1]
+    return _permutation_gspace(_line_space(m, h), [neg], [neg])
 
 
 def dihedral(n: int) -> SampledGSpace:
     if n < 3:
         raise ValidationError("InvalidParams", "dihedral requires n >= 3", n)
-    rot = tuple((i + 1) % n for i in range(n))
-    flip = tuple((n - i) % n for i in range(n))
-    return _permutation_gspace(_circle_space(n), [rot, flip])
+    gens = _rotation_and_flip(n)
+    return _permutation_gspace(_circle_space(n), gens, gens)
 
 
 def disk(g: int) -> SampledGSpace:
     if g < 3 or g % 2 == 0:
         raise ValidationError("InvalidParams", "disk requires an odd grid side >= 3", g)
     c = g // 2
-    coords = [(r - c, col - c) for r in range(g) for col in range(g)]
-    index = {xy: i for i, xy in enumerate(coords)}
     n = g * g
     # d(a, b) depends only on the offset a - b: one math.hypot per offset,
     # read off a (2g - 1)^2 table by the row and column offsets of each pair
@@ -96,14 +97,13 @@ def disk(g: int) -> SampledGSpace:
     by_offset = np.array([[math.hypot(dr, dc) for dc in span] for dr in span])
     row, col = np.divmod(np.arange(n), g)
     metric = by_offset[row[:, None] - row + g - 1, col[:, None] - col + g - 1]
-    edges = []
-    for i, (x, y) in enumerate(coords):
-        for dx, dy in ((1, 0), (0, 1)):
-            if (x + dx, y + dy) in index:
-                edges.append((i, index[(x + dx, y + dy)]))
-    labels = [f"({x},{y})" for x, y in coords]
-    rot = tuple(index[(-y, x)] for x, y in coords)
-    return _permutation_gspace((metric, edges, labels), [rot])
+    # point r * g + col sits at (r - c, col - c); its 4-neighbours below and right
+    at = np.arange(n).reshape(g, g)
+    edges = np.concatenate([np.stack([at[:-1].ravel(), at[1:].ravel()], axis=1),
+                            np.stack([at[:, :-1].ravel(), at[:, 1:].ravel()], axis=1)])
+    labels = [f"({r - c},{q - c})" for r in range(g) for q in range(g)]
+    rot = at[::-1].T.ravel()  # (x, y) -> (-y, x)
+    return _permutation_gspace((metric, edges, labels), [rot], [rot, at.T.ravel()])
 
 
 def shift(m: int, h: float, N: int) -> SampledGSpace:

@@ -17,9 +17,10 @@ states the lemmas).
 
 The metric axioms of rho and of its pushforward are the one scan that
 validates every metric table, ``gspace._metric_axiom_violations``, with
-its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol; rho's refutes its
-orbit-minimum rows first when it is bitwise invariant under the total
-elements (``gspace._total_minima``). The invariance,
+its arithmetic: t[i, j] - (t[i, k] + t[k, j]) > tol; rho's refutes first
+the least point of each orbit of the total elements' generators and the
+space's symmetries that keep it bitwise, each tested on its own
+(``gspace._symmetry_minima``). The invariance,
 lower-bound, cover-isometry and nearest-neighbour checks are array
 reductions over pairs, and the pushforward is ``quotient.orbit_minima`` of
 rho. Cover points are allowable neighbours exactly when they share a small
@@ -35,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .gspace import SampledGSpace, _check_scalar, _metric_axiom_violations, _row_blocks, _total_minima
+from .gspace import SampledGSpace, _check_scalar, _metric_axiom_violations, _row_blocks, _symmetry_minima
 from .lift import LiftedMetric
 from .orbital import GroupMetric, OrbitalMetric
 from .quotient import Quotient, orbit_minima
@@ -68,9 +69,9 @@ def verify_lifted_metric(gspace: SampledGSpace, quotient: Quotient,
         rep.add("lift_connected", FAIL, [tuple(c[0] for c in lifted.components)])
         return rep
 
-    # the orbit-minimum rows refute first when rho is bitwise invariant
-    # under the total elements' generators; either way the same violations
-    minima = _total_minima(gspace, rho)
+    # the orbit-minimum rows of the permutations that keep rho bitwise
+    # refute first; either way the same violations
+    minima = _symmetry_minima(gspace, rho)
     v, resid = _metric_axiom_violations(rho, tol, minima)
     rep.add("metric_axioms", FAIL if v else PASS, v, resid)
 

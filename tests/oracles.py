@@ -25,7 +25,9 @@ orbits vs. one block minimum over orbit-sorted rows and columns; the
 general-mode lift edges from n^2 pair loops over the slice sets vs. one
 mask over the slice pairs; the witness path's loop over v vs. one array
 test per step; charts as per-orbit records vs. the orbit
-representatives, and a stabilizer per point vs. stabilizer classes).
+representatives, and a stabilizer per point vs. stabilizer classes; the
+kept symmetries of a space by loops over entries and edge sets vs. one
+gather per permutation).
 The ball-inclusion predicates, the slice cut and the grid fallback are
 scalar copies too, so the reference searches run no library predicate.
 """
@@ -336,6 +338,24 @@ def edge_set(space) -> frozenset:
     """The sampling graph's edges as a set of (u, v) pairs of Python ints,
     u < v."""
     return frozenset(map(tuple, space.edges.tolist()))
+
+
+def kept_symmetries(metric: np.ndarray, edges, perms) -> list:
+    """The declared rows, as lists, that ``SampledSpace.symmetries`` keeps:
+    those that are permutations of range(n), keep each metric entry bit for
+    bit and map the set of edges onto itself."""
+    n = len(metric)
+    edge = {frozenset(e) for e in edges}
+    kept = []
+    for p in perms:
+        p = [int(v) for v in p]
+        if sorted(p) != list(range(n)):
+            continue
+        if any(metric[p[i], p[j]].tobytes() != metric[i, j].tobytes() for i in range(n) for j in range(n)):
+            continue
+        if {frozenset((p[u], p[v])) for u, v in edge} == edge:
+            kept.append(p)
+    return kept
 
 
 def graph_components(n_points: int, edges, subset=None) -> list:

@@ -13,6 +13,7 @@ import random
 import numpy as np
 
 from equimetric import bind_action, build_group, build_space
+from equimetric.gspace import bind_action_array
 from tests.oracles import floyd_warshall
 
 
@@ -113,3 +114,23 @@ def random_gspace(seed: int, max_points: int = 16):
 
     space = build_space(metric, pair_orbits)
     return bind_action(space, group, act)
+
+
+def symmetric_gspace(seed: int):
+    """(G-space, declared rows): random_gspace(seed) bound to a random
+    subgroup K of its group, with declared symmetries that ``SampledSpace``
+    tests: the point maps of every element of the whole group, which keep
+    the metric and the edges but may map a K-orbit across two, a random
+    permutation and a row that is not a permutation."""
+    full = random_gspace(seed)
+    rng = random.Random(-1 - seed)
+    group, n = full.group, full.n_points
+    elems = np.array(rng.choice(group.subgroups()))
+    index = np.full(group.order, -1)
+    index[elems] = np.arange(len(elems))
+    images = full.action[:, :n]
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    declared = np.vstack([images, shuffled, np.zeros(n, dtype=int)])
+    space = build_space(full.space.base_metric, full.space.edges, perms=declared)
+    return bind_action_array(space, build_group(index[group.mul[np.ix_(elems, elems)]]), images[elems]), declared

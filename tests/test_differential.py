@@ -1314,15 +1314,31 @@ def decided_orbit_sets(gs, quotient, factor):
 ])
 def test_cover_rounds_decide_only_orbit_sets_the_scalar_scan_reaches(name, params, count, inherited):
     """Each orbit set is decided once, by stacked apsp or by inheritance,
-    as the reference decides it, and exactly the sets that the descending
-    scan of the reference tests are: on circle(80, 4) 40 stacked decisions
-    and 60 inherited, of the 100 sets its former one apsp call per orbit
-    set decided."""
+    as the reference decides it. With no symmetry declared every centre
+    runs the rounds, and they decide exactly the sets that the descending
+    scan of the reference tests: on circle(80, 4) 40 stacked decisions and
+    60 inherited, of the 100 sets its former one apsp call per orbit set
+    decided. With the scenario's symmetries only one centre per symmetry
+    orbit runs them (circle(80, 4): one centre; disk(7): 10 of 13), and
+    they decide a part of those sets, with the reference's verdicts;
+    reflection(6, 1) fits one ``_BLOCK`` block and is not reduced."""
     gs, quotient = space(name, params)
-    stacked, by_rows, verdicts, reached = decided_orbit_sets(gs, quotient, 1.0)
+    stacked, by_rows, verdicts, reached = decided_orbit_sets(without_symmetries(gs), quotient, 1.0)
     assert (len(stacked), len(by_rows)) == (count, inherited)
     assert len(stacked + by_rows) == len(verdicts)
     assert verdicts == reached
+    stacked, by_rows, verdicts, reached = decided_orbit_sets(gs, quotient, 1.0)
+    assert (len(stacked), len(by_rows)) == REDUCED_DECISIONS[name]
+    assert len(stacked + by_rows) == len(verdicts)
+    assert verdicts.items() <= reached.items()
+
+
+REDUCED_DECISIONS = {"circle": (2, 3), "disk": (11, 0), "reflection": (3, 0)}
+
+
+def without_symmetries(gs):
+    """gs with no symmetry of its space declared."""
+    return replace(gs, space=replace(gs.space, perms=None))
 
 
 @settings(max_examples=100, deadline=None)

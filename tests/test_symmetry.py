@@ -23,8 +23,8 @@ from perfbench.workloads import GRID_CELLS
 from tests import oracles
 from tests.conftest import pipeline
 from tests.test_lift import edge_arrays
-from tests.randspaces import cyclic_table, dihedral_table, random_gspace
-from tests.test_differential import outcome
+from tests.randspaces import cyclic_table, dihedral_table, random_gspace, symmetric_gspace
+from tests.test_differential import outcome, without_symmetries
 
 
 CAPS = (1, 1000)
@@ -111,9 +111,10 @@ def klein_four():
     return bind_action_array(space, group, group.mul.copy())
 
 
-def test_weights_moved_by_the_second_generator_take_the_full_table():
+def test_weights_moved_by_the_second_generator_drop_it_alone(monkeypatch):
     """Weights invariant under the first generator but not the second: the
-    orbits of the first alone, {0, 1} and {2, 3}, must not be filled by the
+    second is dropped on its own, and the orbits of the first, {0, 1} and
+    {2, 3}, fill from the rows of 0 and 2. They must not be filled by the
     second, which would copy row 0 onto row 2."""
     gs = klein_four()
     assert gs.total_generators.tolist() == [1, 2]
@@ -122,7 +123,23 @@ def test_weights_moved_by_the_second_generator_take_the_full_table():
     graph = AllowabilityGraph(n_points=4, mode="general", **edge_arrays(edges), gspace=gs)
     w = assert_lift_is_the_full_table(graph)
     assert at_cap(1, _orbit_minima, w, generator_maps(gs)[:1]).tolist() == [0, 2]
-    assert at_cap(1, _orbit_minima, w, generator_maps(gs)) is None
+    assert at_cap(1, _orbit_minima, w, generator_maps(gs)).tolist() == [0, 2]
+    assert at_cap(1, _orbit_minima, w, generator_maps(gs)[::-1]).tolist() == [0, 2]
+    assert searched_sources(monkeypatch, graph) == [[0, 2]]
+
+
+def searched_sources(monkeypatch, graph, cap=1):
+    """The sources of each apsp call of ``lift_metric`` on the graph, at a
+    cap of ``cap`` cells (None for a call that searches every row)."""
+    calls = []
+
+    def counted(w, sources=None):
+        calls.append(None if sources is None else np.asarray(sources).tolist())
+        return apsp(w, sources)
+
+    monkeypatch.setattr(eq.lift, "apsp", counted)
+    at_cap(cap, eq.lift_metric, graph)
+    return calls
 
 
 def rotations_with_partial_products():
@@ -338,3 +355,220 @@ def test_group_metric_scan_matches_the_full_scan_at_dihedral_sizes(n, plant):
     assert (got is None) == (plant is None)
     if plant == "pair":
         assert got[1].startswith("NotAMetric: triangle") and group.identity not in got[2][:2]
+
+
+# Declared sample symmetries: the scenarios' isometries beyond G, kept by
+# SampledSpace after their bitwise test, then used by the cover centres,
+# the lift and the lifted-metric scan, each after its own test.
+
+def assert_cover_and_lift_are_full(gs, quotient, factor=1.0):
+    """cover_small_sets at caps of 1 and the default equals the reference;
+    the cover lift equals the full table, and its checks the scalar ones."""
+    want = oracles.cover_small_sets(gs, quotient, factor)
+    for cap in (1, eq.gspace._BLOCK):
+        assert at_cap(cap, eq.cover_small_sets, gs, quotient, factor) == want
+    graph = eq.build_allowability_graph(gs, quotient, mode="cover", enlargement_factor=factor)
+    assert graph.small_sets == want
+    assert_lift_is_the_full_table(graph)
+    lifted = eq.lift_metric(graph)
+    lines = oracles.verify_lifted_metric(gs, quotient, lifted).lines()
+    for cap in (1, eq.gspace._BLOCK):
+        assert at_cap(cap, eq.verify_lifted_metric, gs, quotient, lifted).lines() == lines
+
+
+def centre_roots(gs, quotient):
+    return eq.lift._centre_roots(gs, quotient).tolist()
+
+
+def cycle_edges(n):
+    return np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+
+
+def rotation_and_flip(n):
+    i = np.arange(n)
+    return [(i + 1) % n, (n - i) % n]
+
+
+def trivial_action(space):
+    return bind_action_array(space, eq.build_group([[0]]), np.arange(space.n_points)[None])
+
+
+def one_weight_changed():
+    """circle_table(12) with d(0, 6) lowered to 5.5 under the trivial group,
+    its quotient the base metric: the flip keeps (0, 6) and is kept, the
+    rotation moves it and is dropped, on its own."""
+    t = circle_table()
+    t[0, 6] = t[6, 0] = 5.5
+    gs = trivial_action(eq.build_space(t, cycle_edges(12), perms=rotation_and_flip(12)))
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs), mode="isometric"), rotation_and_flip(12)[1:]
+
+
+def edges_not_kept():
+    """The discrete metric on 12 points with the cycle as edges, under the
+    rotation by 4: the transposition (0 2) keeps the metric but not the
+    edges, and the last row is no permutation; the rotation by one is kept."""
+    swap = np.arange(12)
+    swap[[0, 2]] = [2, 0]
+    declared = [swap, (np.arange(12) + 1) % 12, np.r_[0, np.arange(11)]]
+    space = eq.build_space(1.0 - np.eye(12), cycle_edges(12), perms=declared)
+    gs = bind_action_array(space, eq.build_group(cyclic_table(3)), (np.arange(12) + 4 * np.arange(3)[:, None]) % 12)
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs)), declared[1:2]
+
+
+def not_a_permutation():
+    """circle(12, 3)'s space with a row that repeats 0 declared first."""
+    declared = [np.r_[0, np.arange(11)], *rotation_and_flip(12)]
+    space = eq.build_space(circle_table(), cycle_edges(12), perms=declared)
+    gs = bind_action_array(space, eq.build_group(cyclic_table(3)), (np.arange(12) + 4 * np.arange(3)[:, None]) % 12)
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs)), declared[1:]
+
+
+def explicit_quotient_breaks_the_rotation():
+    """circle(12, 3) with an explicit quotient table: its graph metric with
+    d(1, 3) lowered from 2 steps to 1.5. The flip's induced permutation
+    (1 3) keeps it, the rotation's 4-cycle does not."""
+    gs = eq.generate_scenario("circle", {"n": 12, "k": 3})
+    table = np.array(eq.quotient_metric(gs, eq.compute_orbits(gs)).d)
+    table[1, 3] = table[3, 1] = 0.75 * table[1, 3]
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=table), rotation_and_flip(12)
+
+
+def orbit_across_two():
+    """K4 with the discrete metric under (0 1): the orbits {0, 1}, {2}, {3}.
+    The symmetry (0 2) is kept by SampledSpace, and the permutation of the
+    orbits read off their least points swaps {0, 1} and {2}, keeping d and
+    the adjacency, but it maps {0, 1} onto {2, 1}, across two orbits. The
+    centres {0, 1} and {2} accept different radii."""
+    space = eq.build_space(1.0 - np.eye(4), [(a, b) for a in range(4) for b in range(a + 1, 4)],
+                           perms=[[2, 1, 0, 3]])
+    gs = bind_action_array(space, eq.build_group(cyclic_table(2)), [[0, 1, 2, 3], [1, 0, 2, 3]])
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs)), [[2, 1, 0, 3]]
+
+
+SYMMETRY_CASES = {
+    "one_weight_changed": (one_weight_changed, [0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]),
+    "edges_not_kept": (edges_not_kept, [0, 0, 0, 0]),
+    "not_a_permutation": (not_a_permutation, [0, 0, 0, 0]),
+    "explicit_quotient_breaks_the_rotation": (explicit_quotient_breaks_the_rotation, [0, 1, 2, 1]),
+    "orbit_across_two": (orbit_across_two, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRY_CASES))
+def test_declared_symmetries_are_tested_and_give_the_full_results(case):
+    """Each case keeps exactly the declared rows that pass the scalar test
+    of the metric and the edges, merges the centres the permutations kept
+    by the cover's own tests join, and gives the reference's small sets
+    and the full lift at caps of 1 and the default."""
+    build, roots = SYMMETRY_CASES[case]
+    gs, quotient, kept = build()
+    assert gs.space.symmetries.tolist() == [list(map(int, p)) for p in kept]
+    assert centre_roots(gs, quotient) == roots
+    assert_cover_and_lift_are_full(gs, quotient)
+
+
+def test_symmetries_are_kept_by_the_scalar_test():
+    """SampledSpace.symmetries keeps exactly what the scalar loops keep, in
+    order."""
+    for build, _ in SYMMETRY_CASES.values():
+        gs = build()[0]
+        declared = [*gs.space.symmetries, np.r_[1, 0, np.arange(2, gs.n_points)], np.arange(gs.n_points)[::-1]]
+        space = eq.build_space(gs.space.base_metric, gs.space.edges, perms=declared)
+        assert space.symmetries.tolist() == oracles.kept_symmetries(gs.space.base_metric, gs.space.edges.tolist(),
+                                                                     declared)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), factor=st.sampled_from([1.0, 1.5]))
+def test_declared_symmetries_give_the_full_results_on_random_spaces(seed, factor):
+    """A random space bound to a random subgroup of its group, its whole
+    group, a random permutation and a broken row declared: the kept rows
+    are the scalar test's, the cover sets the reference's, the lifts (cover
+    and general) the full tables."""
+    gs, declared = symmetric_gspace(seed)
+    assert gs.space.symmetries.tolist() == oracles.kept_symmetries(gs.space.base_metric, gs.space.edges.tolist(),
+                                                                   declared)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    assert_cover_and_lift_are_full(gs, quotient, factor)
+    family = eq.build_slice_family(gs, quotient)
+    d_O = eq.build_orbital_metric(gs, quotient, family, eq.group_metric(gs.group, "discrete"))
+    assert_lift_is_the_full_table(eq.build_allowability_graph(gs, quotient, family=family, d_O=d_O))
+
+
+def test_a_symmetry_that_splits_an_orbit_is_not_used_by_the_lift(monkeypatch):
+    """K5 with unit weights under (0 1)(2 3): orbits A = {0, 1}, B = {2, 3},
+    C = {4}. (0 3)(1 2) swaps A and B and is used; (2 4) keeps the weights
+    but maps B across B and C, so the rows of A and C are searched."""
+    space = eq.build_space(1.0 - np.eye(5), [(a, b) for a in range(5) for b in range(a + 1, 5)],
+                           perms=[[3, 2, 1, 0, 4], [0, 1, 4, 3, 2]])
+    assert len(space.symmetries) == 2
+    gs = bind_action_array(space, eq.build_group(cyclic_table(2)), [[0, 1, 2, 3, 4], [1, 0, 3, 2, 4]])
+    edges = tuple((a, b, 1.0, "cover") for a in range(5) for b in range(a + 1, 5))
+    graph = AllowabilityGraph(n_points=5, mode="cover", **edge_arrays(edges), gspace=gs)
+    assert_lift_is_the_full_table(graph)
+    assert searched_sources(monkeypatch, graph) == [[0, 4]]
+
+
+SCENARIO_SYMMETRIES = [("circle", {"n": 12, "k": 3}), ("circle", {"n": 80, "k": 4}), ("dihedral", {"n": 8}),
+                       ("disk", {"g": 5}), ("disk", {"g": 7}), ("reflection", {"m": 3, "h": 1.0}),
+                       ("shift", {"m": 8, "h": 0.5, "N": 2})]
+
+
+def declared_symmetries(name, params):
+    """The scenario's isometries as its docstring states them, by their
+    formulas on coordinates."""
+    if name in ("circle", "dihedral"):
+        return [list(map(int, p)) for p in rotation_and_flip(params["n"])]
+    if name == "reflection":
+        return [list(range(2 * params["m"], -1, -1))]
+    if name == "disk":
+        g = params["g"]
+        c = g // 2
+        at = {(r - c, q - c): r * g + q for r in range(g) for q in range(g)}
+        return [[at[(-y, x)] for x, y in at], [at[(y, x)] for x, y in at]]
+    return []
+
+
+@pytest.mark.parametrize("name,params", SCENARIO_SYMMETRIES)
+def test_scenarios_declare_their_symmetries(name, params):
+    """circle and dihedral: the rotation by one and the flip; disk: its
+    rotation and the grid transpose; reflection: its negation; shift:
+    none. All of them are kept."""
+    gs = eq.generate_scenario(name, params)
+    assert gs.space.symmetries.tolist() == declared_symmetries(name, params)
+    assert not gs.space.symmetries.flags.writeable
+
+
+def sweeps(monkeypatch, gs):
+    """The number of ``lift._sweep`` calls of gs's cover small sets, and
+    whether they equal those with no symmetry declared."""
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    calls = []
+    sweep = eq.lift._sweep
+    monkeypatch.setattr(eq.lift, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+    sets = eq.cover_small_sets(gs, quotient)
+    count = len(calls)
+    return count, sets == eq.cover_small_sets(without_symmetries(gs), quotient)
+
+
+def test_circle_cover_runs_one_centre_and_searches_one_row(monkeypatch):
+    """circle(80, 4) cover: the rotation by one joins its 20 centres, so
+    one sweep runs, against 20 with no symmetry declared, and rho and its
+    scan start from the one row of point 0."""
+    gs = eq.generate_scenario("circle", {"n": 80, "k": 4})
+    assert sweeps(monkeypatch, gs) == (1, True)
+    assert sweeps(monkeypatch, without_symmetries(gs)) == (20, True)
+    r = pipeline("circle", {"n": 80, "k": 4}, mode="cover")
+    assert searched_sources(monkeypatch, r["graph"], eq.gspace._BLOCK) == [[0]]
+    assert eq.gspace._symmetry_minima(r["gspace"], r["lifted"].rho).tolist() == [0]
+
+
+def test_disk_cover_runs_one_centre_per_induced_orbit(monkeypatch):
+    """disk(7) cover: the transpose joins the 13 rotation orbits into the
+    10 orbits of the square's symmetry group, one sweep each."""
+    g, c = 7, 3
+    points = {(r - c, q - c) for r in range(g) for q in range(g)}
+    orbits = {frozenset({(x, y), (-y, x), (-x, -y), (y, -x), (y, x), (-x, y), (-y, -x), (x, -y)})
+              for x, y in points}
+    assert len(orbits) == 10
+    assert sweeps(monkeypatch, eq.generate_scenario("disk", {"g": 7})) == (len(orbits), True)
