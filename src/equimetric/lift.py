@@ -85,10 +85,10 @@ the root of each orbit of these permutations (``_transversal``, whose
 roots are the least centres of their orbits), and gives every centre its
 root's radius; the components at that radius are the images of the
 root's sets. Each condition is tested: the symmetries by
-``SampledSpace.symmetries``, the orbit and table conditions by
-``_centre_roots``. Where n^3 cells fit
-one ``gspace._BLOCK`` block every centre runs, as the tests cost more
-than they save there.
+``SampledSpace.symmetries``, the orbits and d by
+``quotient._quotient_symmetries``, the adjacency by ``_centre_roots``.
+Where n^3 cells fit one ``gspace._BLOCK`` block every centre runs, as the
+tests cost more than they save there.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ from .errors import ValidationError
 from . import gspace as _gspace  # its _BLOCK is read at call time
 from .gspace import SampledGSpace, _check_scalar, _keeps, _row_blocks, components
 from .orbital import OrbitalMetric
-from .quotient import Quotient
+from .quotient import Quotient, _quotient_symmetries, _transversal
 from .slices import SliceFamily, _candidate_radii
 
 
@@ -298,43 +298,12 @@ def _inherited(rows, parent: int, m: int):
     return kept or None
 
 
-def _transversal(induced: np.ndarray) -> tuple:
-    """A Schreier forest (Sims 1970) of the permutations of range(k) that
-    are the rows of ``induced``: (root, steps). The least point of each
-    orbit is a root, root[t] is the root of t's orbit, and steps lists
-    (t, a, j), t = induced[j, a], in breadth-first order from each root, a
-    step per point reached from a point reached before."""
-    maps = induced.tolist()
-    root = list(range(induced.shape[1]))
-    reached = [False] * len(root)
-    steps = []
-    for r in range(len(root)):
-        if reached[r]:
-            continue
-        reached[r] = True
-        walk = [r]
-        for a in walk:  # grows while walked
-            for j, p in enumerate(maps):
-                t = p[a]
-                if not reached[t]:
-                    reached[t] = True
-                    root[t] = r
-                    steps.append((t, a, j))
-                    walk.append(t)
-    return np.array(root, dtype=np.intp), steps
-
-
 def _centre_roots(gspace: SampledGSpace, quotient: Quotient) -> np.ndarray:
     """Per quotient centre, the root of its orbit in ``_transversal`` of the
-    permutations the space's symmetries induce on the orbits, o to the
-    orbit of s(o's least point): of those symmetries s that map every
-    orbit onto an orbit and whose induced permutation keeps d and the
-    adjacency bitwise (module docstring)."""
-    orbit_of = quotient.orbit_of
-    sym = gspace.space.symmetries
-    induced = orbit_of[sym[:, quotient.representative]]
-    induced = induced[(orbit_of[sym] == induced[:, orbit_of]).all(axis=1)]
-    induced = induced[_keeps(quotient.d, induced)]
+    permutations of the orbits that ``quotient._quotient_symmetries`` keeps
+    (orbits onto orbits, d bitwise) and that also keep the adjacency
+    bitwise (module docstring)."""
+    induced = _quotient_symmetries(gspace, quotient)[1]
     return _transversal(induced[_keeps(quotient.adjacency, induced)])[0]
 
 

@@ -7,6 +7,10 @@ members ``order`` / ``offsets`` (``Quotient.members``), and a k x k bool
 
 The orbits are the components of the edges x - g.x over the defined
 images, labelled by their least points in one ``gspace.components`` call.
+
+The slice builder and the cover share the permutations of the orbits that
+the space's symmetries induce (``_quotient_symmetries``) and a Schreier
+transversal of them (``_transversal``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .spath import apsp
 from .errors import ValidationError
-from .gspace import SampledGSpace, _check_metric_table, _check_scalar, components
+from .gspace import SampledGSpace, _check_metric_table, _check_scalar, _keeps, components
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,3 +126,43 @@ def quotient_metric(
 
     d.setflags(write=False)
     return replace(orbits, d=d)
+
+
+def _transversal(induced: np.ndarray) -> tuple:
+    """A Schreier forest (Sims 1970) of the permutations of range(k) that
+    are the rows of ``induced``: (root, steps). The least point of each
+    orbit is a root, root[t] is the root of t's orbit, and steps lists
+    (t, a, j), t = induced[j, a], in breadth-first order from each root, a
+    step per point reached from a point reached before."""
+    maps = induced.tolist()
+    root = list(range(induced.shape[1]))
+    reached = [False] * len(root)
+    steps = []
+    for r in range(len(root)):
+        if reached[r]:
+            continue
+        reached[r] = True
+        walk = [r]
+        for a in walk:  # grows while walked
+            for j, p in enumerate(maps):
+                t = p[a]
+                if not reached[t]:
+                    reached[t] = True
+                    root[t] = r
+                    steps.append((t, a, j))
+                    walk.append(t)
+    return np.array(root, dtype=np.intp), steps
+
+
+def _quotient_symmetries(gspace: SampledGSpace, quotient: Quotient) -> tuple:
+    """(sym, induced): the space's symmetries s (``SampledSpace.symmetries``)
+    that map every orbit onto an orbit and whose induced permutation of the
+    orbits, o to the orbit of s(o's least point), moves some orbit and
+    keeps d bitwise (``_keeps``), and those permutations, a row each."""
+    orbit_of = quotient.orbit_of
+    sym = gspace.space.symmetries
+    induced = orbit_of[sym[:, quotient.representative]]
+    keep = (induced != np.arange(quotient.n_orbits)).any(axis=1)
+    keep[keep] = (orbit_of[sym[keep]] == induced[keep][:, orbit_of]).all(axis=1)
+    keep[keep] = _keeps(quotient.d, induced[keep])
+    return sym[keep], induced[keep]

@@ -13,7 +13,7 @@ once, ``SliceFamily.membership``. The builder and the verifier share one
 scan order per condition: the builder shrinks on the first hit of the
 per-orbit checks (orbit meet, translate overlap) and of the condition (ii)
 scan, the verifier reports every hit. Openness (*) holds by construction,
-so only the verifier scans for it. Four facts keep each stage to passes
+so only the verifier scans for it. Five facts keep each stage to passes
 over structure built once:
 
 Join keys. For an orbit o give each point v the key d(o, p(v)), and for a
@@ -45,6 +45,31 @@ always kept, and its least mate as a running least; and it stops once one
 component holds every member of an orbit of two or more, after which no
 cut grows and no least falls.
 
+Symmetric sweeps. Let s be one of the space's symmetries (it keeps the
+base metric and maps edges onto edges, ``SampledSpace.symmetries``) that
+maps every orbit onto an orbit, and s(o) the orbit it maps o onto. When d
+is bitwise invariant under that permutation of the orbits, the key of s(v)
+for s(o) is d(s(o), s(p(v))) = d(o, p(v)), bit for bit, and s maps the
+members of o onto those of s(o) and paths onto paths, so b_sx(s v) =
+b_x(v). So b, and with it each S_x(r), the meet, the cut and the key at
+which the sweep stops, moves with s. Two things do not: the order of equal
+keys, which the sweep breaks by index, and the least mate, a least label:
+s(x)'s is the least of the images of x's mates joined by then, not the
+image of x's. Every read of a join order lands on a key boundary, where
+its prefix is a set fixed by b, or on size 1, which is x alone: the
+bisected sizes, the overlap verdicts at them, ``_prefix_diameters`` at
+size - 1, the sorted condition (ii) scan and ``from_sets``. So the order
+[s(v) for v in x's order] serves for s(x), with x's keys. The builder
+sweeps only the root of each orbit of these permutations
+(``quotient._transversal``, after the tests of
+``quotient._quotient_symmetries``), moves the others along its steps, and
+rebuilds their least mates by replaying the root's merges with the
+sources relabelled (``_meet``): those are the image's merges up to their
+order within one key, and a least mate is read only past a whole key, the
+last entry with b < r. Where n^3 cells fit one ``gspace._BLOCK`` block,
+or no permutation moves an orbit, every orbit is swept and no merge is
+recorded.
+
 Repeat lemma. A shrink only shrinks slices: a smaller radius gives a
 smaller component, and the singleton fallback keeps only x. Each condition
 (ii) violation (x, y, g) needs y in S_x and S_y meeting S_{g.x}, so a shrink
@@ -65,7 +90,8 @@ a component holds a point of S_y outside S_x, so the verifier labels only
 the pairs (x, y) with S_y not inside S_x and a border edge of S_x in P_x.
 
 The builder holds each S_x as a prefix length of x's join order and, for
-the condition (ii) scan, as a Python int bitset. The verifier's checks are
+the condition (ii) scan, as a Python int bitset and a sorted list, from
+which each shrink drops its points. The verifier's checks are
 gathers over the pairs and the membership table and, for openness and
 connectedness, component labellings (``gspace.components``), in blocks
 capped by ``gspace._BLOCK``. ``SliceFamily.slice_of``, the slices as
@@ -82,8 +108,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import ValidationError
+from . import gspace as _gspace  # its _BLOCK is read at call time
 from .gspace import SampledGSpace, _check_scalar, _point_blocks, _row_blocks, components
-from .quotient import Quotient
+from .quotient import Quotient, _quotient_symmetries, _transversal
 from .report import ADVISORY, FAIL, PASS, Report
 
 
@@ -180,13 +207,16 @@ def _candidate_radii(d: np.ndarray) -> list:
     return out
 
 
-def _join_orders(indptr, indices, key, sources) -> dict:
+def _join_orders(indptr, indices, key, sources, events=None) -> dict:
     """x -> (points, b, mates) for each source x, cut at its meet (meet
     lemma): the points v joined to x with b_x(v) < meet_x, and x itself,
     in the order they join; their join keys b_x, ascending; and its least
     mate, the least other source joined to x, as a (b, p) entry at each
     decrease. meet_x, the least b_x of another source, is the b of the
     first entry (inf with none). Points never joined to x are left out.
+    With a list ``events``, each merge of two components that hold sources
+    appends (b, the sources of one, the sources of the other), the
+    arguments of its ``_meet``.
 
     One union-find sweep over the points in (key, index) order. When the
     point w joins, each component it bridges meets the others at b = key[w]:
@@ -237,15 +267,13 @@ def _join_orders(indptr, indices, key, sources) -> dict:
             mine, theirs = points[root], points[ru]
             ours, others = held[root], held[ru]
             if ours and others:
-                for side, other in ((ours, others), (others, ours)):
-                    least = min(other)
-                    for x in side:
-                        if not mates[x]:  # x's first meet
-                            cut = max(bisect_left(b[x], kw), 1)
-                            del joined[x][cut:], b[x][cut:]
-                            mates[x].append((kw, least))
-                        elif least < mates[x][-1][1]:
-                            mates[x].append((kw, least))
+                for x in chain(ours, others):
+                    if not mates[x]:  # x's first meet
+                        cut = max(bisect_left(b[x], kw), 1)
+                        del joined[x][cut:], b[x][cut:]
+                _meet(kw, ours, others, mates)
+                if events is not None:
+                    events.append((kw, tuple(ours), tuple(others)))
             elif len(ours) == 1:
                 joined[ours[0]] += theirs
                 b[ours[0]] += [kw] * len(theirs)
@@ -261,6 +289,17 @@ def _join_orders(indptr, indices, key, sources) -> dict:
         if len(held[root]) == whole:
             break
     return {x: (joined[x], b[x], mates[x]) for x in sources}
+
+
+def _meet(kw, ours, others, mates) -> None:
+    """Append to mates[x] its least-mate entry from one merge of
+    ``_join_orders`` at key kw of components holding the sources ours and
+    others: the least source on the other side, when it is below x's last."""
+    for side, other in ((ours, others), (others, ours)):
+        least = min(other)
+        for x in side:
+            if not mates[x] or least < mates[x][-1][1]:
+                mates[x].append((kw, least))
 
 
 def _overlap_lengths(moves, orders) -> list:
@@ -338,13 +377,28 @@ def build_slice_family(
     orbit_list, reps = quotient.orbit_of.tolist(), quotient.representative.tolist()
     members = [quotient.members(o).tolist() for o in range(n_orbits)]
     # Per point, from one join-key sweep per orbit, cut at its meet: its
-    # join order (S_x is a prefix), b_x in that order, and its least mate
+    # join order (S_x is a prefix), b_x in that order, and its least mate.
+    # An orbit t = s(a) of the symmetries is moved from a (symmetric sweeps)
     order, keys, mates = [None] * n, [None] * n, [None] * n
     indptr, indices = gspace.space.indptr.tolist(), gspace.space.indices.tolist()
+    sym, root, steps = [], range(n_orbits), []
+    if n ** 3 > _gspace._BLOCK:
+        sym, induced = _quotient_symmetries(gspace, quotient)
+        root, steps = _transversal(induced)
+        sym, root = sym.tolist(), root.tolist()
+    events = {root[t]: [] for t, _, _ in steps}  # per root with images, its merges
     for o in range(n_orbits):
-        orders = _join_orders(indptr, indices, quotient.d[o][quotient.orbit_of], members[o])
-        for x, cut in orders.items():
-            order[x], keys[x], mates[x] = cut
+        if root[o] == o:
+            orders = _join_orders(indptr, indices, quotient.d[o][quotient.orbit_of], members[o], events.get(o))
+            for x, cut in orders.items():
+                order[x], keys[x], mates[x] = cut
+    for t, a, j in steps:
+        s = sym[j]
+        for x in members[a]:
+            order[s[x]], keys[s[x]], mates[s[x]] = [s[v] for v in order[x]], keys[x], []
+        events[t] = [(kw, [s[y] for y in ours], [s[y] for y in others]) for kw, ours, others in events[a]]
+        for event in events[t]:
+            _meet(*event, mates)
     partial = np.flatnonzero(~gspace.total).tolist()
     reach = _overlap_lengths(gspace.action[partial], order)
     # orbit -> per member x: (x, its cut keys, meet_x, the least prefix
@@ -354,6 +408,7 @@ def build_slice_family(
               for x in members[o]] for o in range(n_orbits)]
     size_of = [0] * n  # x -> |S_x|
     bits = [0] * n  # x -> S_x as a bitset
+    ascending = [None] * n  # x -> S_x as a sorted list
 
     def rejection(orbit, r):
         """(None, |S_x(r)| per member) if the orbit passes the per-orbit
@@ -382,10 +437,12 @@ def build_slice_family(
             s = 0
             for p in pts[:size]:
                 s |= 1 << p
+            ascending[x] = sorted(pts[:size])
         else:
-            s = bits[x]
+            s, ys = bits[x], ascending[x]
             for p in pts[size:old]:
                 s ^= 1 << p
+                del ys[bisect_left(ys, p)]
         bits[x], size_of[x] = s, size
 
     def settle(orbit, start_idx):
@@ -428,7 +485,7 @@ def build_slice_family(
             images = moved[x]
             if not images:
                 continue
-            ys = sorted(order[x][: size_of[x]])
+            ys = ascending[x]
             if x == x0:
                 k = bisect_left(ys, y0)
                 if k < len(ys) and ys[k] == y0:

@@ -21,7 +21,7 @@ from equimetric.errors import ValidationError
 from equimetric.gspace import SampledGSpace, _check_metric_table, _metric_axiom_violations
 from equimetric.orbital import _check_left_invariance
 from equimetric.scenarios import shift_acceptance_region
-from equimetric.slices import SliceFamily, _candidate_radii, _join_orders, value_grid
+from equimetric.slices import SliceFamily, _candidate_radii, _join_orders, _meet, value_grid
 from equimetric.verify import _inclusion_grid
 from tests import oracles
 from tests.oracles import graph_components
@@ -846,9 +846,14 @@ def test_join_key_prefixes_are_components(graph):
     when x itself is out. The points are {v : b_x(v) < meet_x} and x,
     distinct, x first, with their b_x ascending. For every r the running
     least mate is the least other source in that component, and it falls at
-    each entry."""
+    each entry. Replaying the recorded merges gives the same least mates."""
     n, edges, key, sources = graph
-    orders = _join_orders(*csr_lists(n, edges), key, sources)
+    events = []
+    orders = _join_orders(*csr_lists(n, edges), key, sources, events)
+    replayed = {x: [] for x in sources}
+    for event in events:
+        _meet(*event, replayed)
+    assert replayed == {x: orders[x][2] for x in sources}
 
     def component(x, below):
         return next((set(c) for c in graph_components(n, edges, [v for v in range(n) if below(key[v])])

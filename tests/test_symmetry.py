@@ -376,6 +376,35 @@ def assert_cover_and_lift_are_full(gs, quotient, factor=1.0):
         assert at_cap(cap, eq.verify_lifted_metric, gs, quotient, lifted).lines() == lines
 
 
+def family_bits(family):
+    """The pairs, the radii and the construction log, bit for bit."""
+    return (family.pairs[0].tobytes(), family.pairs[1].tobytes(),
+            np.array(family.radius_of_orbit, dtype=np.float64).tobytes(), repr(family.construction_log))
+
+
+def slice_sweeps(gs, quotient, cap=None):
+    """(the number of ``slices._join_orders`` sweeps, the family) of the
+    slice builder at a cap of ``cap`` cells (None: the default)."""
+    calls = []
+    sweep = eq.slices._join_orders
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eq.slices, "_join_orders", lambda *args: calls.append(1) or sweep(*args))
+        if cap is not None:
+            mp.setattr(eq.gspace, "_BLOCK", cap)
+        family = eq.build_slice_family(gs, quotient)
+    return len(calls), family
+
+
+def assert_slices_are_full(gs, quotient):
+    """The builder at caps of 1 and the default gives the family of the
+    same space with no symmetry declared and the reference's, bit for
+    bit."""
+    full = family_bits(eq.build_slice_family(without_symmetries(gs), quotient))
+    assert family_bits(oracles.build_slice_family(gs, quotient)) == full
+    for cap in (1, eq.gspace._BLOCK):
+        assert family_bits(slice_sweeps(gs, quotient, cap)[1]) == full
+
+
 def centre_roots(gs, quotient):
     return eq.lift._centre_roots(gs, quotient).tolist()
 
@@ -433,6 +462,16 @@ def explicit_quotient_breaks_the_rotation():
     return gs, eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=table), rotation_and_flip(12)
 
 
+def explicit_quotient_breaks_both():
+    """circle(12, 3) with d(0, 1) of its quotient raised by a quarter: the
+    rotation maps (0, 1) to (1, 2) and the flip to (0, 3), so neither
+    induced permutation keeps d."""
+    gs = eq.generate_scenario("circle", {"n": 12, "k": 3})
+    table = np.array(eq.quotient_metric(gs, eq.compute_orbits(gs)).d)
+    table[0, 1] = table[1, 0] = 1.25 * table[0, 1]
+    return gs, eq.quotient_metric(gs, eq.compute_orbits(gs), mode="explicit", table=table), rotation_and_flip(12)
+
+
 def orbit_across_two():
     """K4 with the discrete metric under (0 1): the orbits {0, 1}, {2}, {3}.
     The symmetry (0 2) is kept by SampledSpace, and the permutation of the
@@ -445,12 +484,15 @@ def orbit_across_two():
     return gs, eq.quotient_metric(gs, eq.compute_orbits(gs)), [[2, 1, 0, 3]]
 
 
+# case -> (build, the cover's centre roots, the slice builder's sweeps at a
+# cap of 1)
 SYMMETRY_CASES = {
-    "one_weight_changed": (one_weight_changed, [0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]),
-    "edges_not_kept": (edges_not_kept, [0, 0, 0, 0]),
-    "not_a_permutation": (not_a_permutation, [0, 0, 0, 0]),
-    "explicit_quotient_breaks_the_rotation": (explicit_quotient_breaks_the_rotation, [0, 1, 2, 1]),
-    "orbit_across_two": (orbit_across_two, [0, 1, 2]),
+    "one_weight_changed": (one_weight_changed, [0, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1], 7),
+    "edges_not_kept": (edges_not_kept, [0, 0, 0, 0], 1),
+    "not_a_permutation": (not_a_permutation, [0, 0, 0, 0], 1),
+    "explicit_quotient_breaks_the_rotation": (explicit_quotient_breaks_the_rotation, [0, 1, 2, 1], 3),
+    "explicit_quotient_breaks_both": (explicit_quotient_breaks_both, [0, 1, 2, 3], 4),
+    "orbit_across_two": (orbit_across_two, [0, 1, 2], 3),
 }
 
 
@@ -458,19 +500,26 @@ SYMMETRY_CASES = {
 def test_declared_symmetries_are_tested_and_give_the_full_results(case):
     """Each case keeps exactly the declared rows that pass the scalar test
     of the metric and the edges, merges the centres the permutations kept
-    by the cover's own tests join, and gives the reference's small sets
-    and the full lift at caps of 1 and the default."""
-    build, roots = SYMMETRY_CASES[case]
+    by the cover's own tests join, and gives the reference's small sets,
+    slice family and the full lift at caps of 1 and the default. At a cap
+    of 1 the slice builder sweeps one orbit per orbit of the permutations
+    kept by the orbit and d tests: the adjacency is not tested, the flip
+    alone is kept where the explicit table breaks the rotation, and
+    nothing where it breaks both or where the symmetry maps an orbit
+    across two."""
+    build, roots, sweeps = SYMMETRY_CASES[case]
     gs, quotient, kept = build()
     assert gs.space.symmetries.tolist() == [list(map(int, p)) for p in kept]
     assert centre_roots(gs, quotient) == roots
     assert_cover_and_lift_are_full(gs, quotient)
+    assert_slices_are_full(gs, quotient)
+    assert slice_sweeps(gs, quotient, 1)[0] == sweeps
 
 
 def test_symmetries_are_kept_by_the_scalar_test():
     """SampledSpace.symmetries keeps exactly what the scalar loops keep, in
     order."""
-    for build, _ in SYMMETRY_CASES.values():
+    for build, *_ in SYMMETRY_CASES.values():
         gs = build()[0]
         declared = [*gs.space.symmetries, np.r_[1, 0, np.arange(2, gs.n_points)], np.arange(gs.n_points)[::-1]]
         space = eq.build_space(gs.space.base_metric, gs.space.edges, perms=declared)
@@ -483,13 +532,14 @@ def test_symmetries_are_kept_by_the_scalar_test():
 def test_declared_symmetries_give_the_full_results_on_random_spaces(seed, factor):
     """A random space bound to a random subgroup of its group, its whole
     group, a random permutation and a broken row declared: the kept rows
-    are the scalar test's, the cover sets the reference's, the lifts (cover
-    and general) the full tables."""
+    are the scalar test's, the cover sets and the slice family the
+    reference's, the lifts (cover and general) the full tables."""
     gs, declared = symmetric_gspace(seed)
     assert gs.space.symmetries.tolist() == oracles.kept_symmetries(gs.space.base_metric, gs.space.edges.tolist(),
                                                                    declared)
     quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
     assert_cover_and_lift_are_full(gs, quotient, factor)
+    assert_slices_are_full(gs, quotient)
     family = eq.build_slice_family(gs, quotient)
     d_O = eq.build_orbital_metric(gs, quotient, family, eq.group_metric(gs.group, "discrete"))
     assert_lift_is_the_full_table(eq.build_allowability_graph(gs, quotient, family=family, d_O=d_O))
@@ -572,3 +622,37 @@ def test_disk_cover_runs_one_centre_per_induced_orbit(monkeypatch):
               for x, y in points}
     assert len(orbits) == 10
     assert sweeps(monkeypatch, eq.generate_scenario("disk", {"g": 7})) == (len(orbits), True)
+
+
+def test_moved_least_mates_are_replayed_not_relabelled():
+    """circle(12, 3) with the flip alone declared: it maps orbit 1 =
+    {1, 5, 9} onto orbit 3 = {3, 7, 11}, 9 to 3. At the top radius 9's
+    least mate is 1, whose image is 11, but 3's least mate is 7: the
+    rejection's witness is (3, 7)."""
+    gs = eq.generate_scenario("circle", {"n": 12, "k": 3})
+    gs = replace(gs, space=replace(gs.space, perms=gs.space.symmetries[1:]))
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    count, family = slice_sweeps(gs, quotient, 1)
+    assert count == 3
+    rejected = [dict(rec) for rec in family.construction_log if dict(rec)["orbit"] == 3]
+    assert rejected[0]["condition"] == "slice_meets_orbit" and rejected[0]["witness"] == (3, 7)
+    assert_slices_are_full(gs, quotient)
+
+
+@pytest.mark.parametrize("name,params,count,full", [
+    ("circle", {"n": 80, "k": 4}, 1, 20), ("disk", {"g": 7}, 10, 13), ("shift", {"m": 40, "h": 0.25, "N": 3}, 4, 4),
+    ("reflection", {"m": 25, "h": 1.0}, 26, 26), ("dihedral", {"n": 32}, 1, 1),
+])
+def test_slice_builder_runs_one_sweep_per_induced_orbit(name, params, count, full):
+    """circle(80, 4): the rotation by one joins its 20 orbits; disk(7): the
+    transpose joins its 13 rotation orbits into 10; shift declares nothing,
+    and the symmetries of reflection and dihedral fix every orbit, so they
+    run one sweep per orbit. The same at a cap of 1 and the default."""
+    gs = eq.generate_scenario(name, params)
+    quotient = eq.quotient_metric(gs, eq.compute_orbits(gs))
+    full_family = family_bits(eq.build_slice_family(without_symmetries(gs), quotient))
+    assert slice_sweeps(without_symmetries(gs), quotient)[0] == full == quotient.n_orbits
+    for cap in (1, None):
+        got, family = slice_sweeps(gs, quotient, cap)
+        assert got == count
+        assert family_bits(family) == full_family
